@@ -1,20 +1,20 @@
-// E21: the cost-based planner vs. every fixed strategy (docs/PLANNER.md).
+// E21: the cost-based planner vs. each fixed strategy (docs/PLANNER.md).
 //
 // Each workload is one end-to-end selector-serving task — plan (auto arm
 // only), build whatever the strategy needs, and answer a fixed spread of
 // origins — timed cold, the honest bound for a run that meets the
-// selector once.  The three workloads are chosen so the fixed strategies
-// genuinely diverge:
+// selector once.  The three workloads are chosen so the two fixed
+// strategies (reference, compiled-interval) genuinely diverge:
 //
 //   cheap_guarded    a guarded single-join on a large tree: the
 //                    reference evaluator answers from the origins'
-//                    children while any compiled strategy must first
+//                    children while the compiled strategy must first
 //                    build an 8192-node satisfier relation
-//   quantified_small a quantifier-depth-2 selector on a small tree:
-//                    compiled-dense wins, reference pays n^2 per origin
-//   quantified_large the same selector shape past the dense/interval
-//                    crossover: interval wins, dense builds 128-word
-//                    rows and reference is ~seconds
+//   quantified_small a quantifier-depth-2 selector on a 256-node tree:
+//                    compiled-interval wins, reference pays n^2 per
+//                    origin
+//   quantified_large the same selector shape on 8192 nodes:
+//                    compiled-interval wins, reference is ~seconds
 //
 // The nightly contract (tools/bench_gate.py --planner-contract) holds
 // BM_PlanAuto within 10% of the best fixed arm on every workload and
@@ -98,8 +98,7 @@ void BM_PlanReference(benchmark::State& state, const char* selector) {
   state.counters["selected"] = static_cast<double>(selected);
 }
 
-void BM_PlanCompiled(benchmark::State& state, const char* selector,
-                     AxisRepr repr) {
+void BM_PlanInterval(benchmark::State& state, const char* selector) {
   Tree t = Input(static_cast<int>(state.range(0)));
   Formula phi = std::move(ParseFormula(selector)).value();
   std::vector<NodeId> origins =
@@ -108,7 +107,7 @@ void BM_PlanCompiled(benchmark::State& state, const char* selector,
   if (answers.empty()) return;
   {
     AxisIndex index(t);
-    auto compiled = CompileSelector(index, phi, "x", "y", repr);
+    auto compiled = CompileSelector(index, phi);
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;
@@ -123,7 +122,7 @@ void BM_PlanCompiled(benchmark::State& state, const char* selector,
   std::size_t selected = 0;
   for (auto _ : state) {
     AxisIndex index(t);
-    auto compiled = CompileSelector(index, phi, "x", "y", repr);
+    auto compiled = CompileSelector(index, phi);
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;
@@ -134,14 +133,6 @@ void BM_PlanCompiled(benchmark::State& state, const char* selector,
     }
   }
   state.counters["selected"] = static_cast<double>(selected);
-}
-
-void BM_PlanDense(benchmark::State& state, const char* selector) {
-  BM_PlanCompiled(state, selector, AxisRepr::kDense);
-}
-
-void BM_PlanInterval(benchmark::State& state, const char* selector) {
-  BM_PlanCompiled(state, selector, AxisRepr::kInterval);
 }
 
 void BM_PlanAuto(benchmark::State& state, const char* selector) {
@@ -162,10 +153,9 @@ void BM_PlanAuto(benchmark::State& state, const char* selector) {
     SelectorPlan plan = PlanSelector(stats, phi);
     picked = plan.strategy;
     selected = 0;
-    if (plan.strategy == PlanStrategy::kCompiledDense ||
-        plan.strategy == PlanStrategy::kCompiledInterval) {
+    if (plan.strategy == PlanStrategy::kCompiledInterval) {
       AxisIndex index(t);
-      auto compiled = CompileSelector(index, phi, "x", "y", plan.repr);
+      auto compiled = CompileSelector(index, phi);
       if (compiled.ok()) {
         for (NodeId origin : origins) {
           selected += compiled->SelectFrom(origin).size();
@@ -200,8 +190,6 @@ void BM_PlanAuto(benchmark::State& state, const char* selector) {
 // nearest rival lets thermal/frequency drift fake a contract miss.
 #define PLANNER_WORKLOAD(workload, selector, n, origins)              \
   BENCHMARK_CAPTURE(BM_PlanReference, workload, selector)             \
-      ->Args({n, origins})->Unit(benchmark::kMicrosecond);            \
-  BENCHMARK_CAPTURE(BM_PlanDense, workload, selector)                 \
       ->Args({n, origins})->Unit(benchmark::kMicrosecond);            \
   BENCHMARK_CAPTURE(BM_PlanInterval, workload, selector)              \
       ->Args({n, origins})->Unit(benchmark::kMicrosecond);            \

@@ -163,15 +163,13 @@ BENCHMARK_CAPTURE(BM_CompiledSelectorColdStart, guarded_forall,
 
 // --- E18: the representation wall. -----------------------------------
 //
-// Dense-vs-interval cold starts over a size sweep, then the million-
-// node arms only the interval representation can reach at all (one
-// dense n=10^6 axis matrix is ~116 GiB).  Every arm runs under a
-// memory-budgeted governor and reports the governor-accounted peak as
-// `peak_mb`, so the O(n) vs O(n^2) space story is in the numbers, not
-// just the wall clock.  Cross-checks happen before timing: the sweep
-// compares the two representations against each other, the million-
-// node arms compare against direct tree navigation (the reference
-// evaluator would take hours at that size).
+// Interval cold starts over a size sweep, then million-node arms (an
+// n-bit-per-row bitset relation at n=10^6 would be ~116 GiB).  Every arm
+// runs under a memory-budgeted governor and reports the
+// governor-accounted peak as `peak_mb`, so the O(n) space story is in
+// the numbers, not just the wall clock.  Cross-checks against direct
+// tree navigation happen before timing (the reference evaluator would
+// take hours at the million-node size).
 
 Tree ChainInput(int n) {
   std::mt19937 rng(131);
@@ -219,56 +217,8 @@ std::vector<NodeId> GuardedForallAnswer(const Tree& t, NodeId u) {
   return out;
 }
 
-// Cold start under a fixed representation: per-iteration governor +
-// axis index + compile + the origin spread, with the interval and
-// dense answers cross-checked against each other up front.
-void BM_SelectorReprColdStart(benchmark::State& state, const char* selector,
-                              AxisRepr repr) {
-  Tree t = Input(static_cast<int>(state.range(0)));
-  Formula phi = std::move(ParseFormula(selector)).value();
-  std::vector<NodeId> origins = Origins(t);
-  {
-    AxisIndex index(t);
-    Result<CompiledSelector> interval =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
-    Result<CompiledSelector> dense =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kDense);
-    if (!interval.ok() || !dense.ok()) {
-      state.SkipWithError("cross-check compile failed");
-      return;
-    }
-    for (NodeId origin : origins) {
-      if (interval->SelectFrom(origin) != dense->SelectFrom(origin)) {
-        state.SkipWithError("interval/dense mismatch");
-        return;
-      }
-    }
-  }
-  std::size_t selected = 0;
-  std::int64_t peak = 0;
-  for (auto _ : state) {
-    ResourceGovernor governor;
-    governor.set_memory_budget(std::int64_t{4} << 30);
-    AxisIndex index(t, &governor);
-    Result<CompiledSelector> compiled =
-        CompileSelector(index, phi, "x", "y", repr);
-    if (!compiled.ok()) {
-      state.SkipWithError(compiled.status().ToString().c_str());
-      return;
-    }
-    selected = 0;
-    for (NodeId origin : origins) {
-      selected += compiled->SelectFrom(origin).size();
-    }
-    peak = governor.accountant()->peak();
-  }
-  state.counters["selected"] = static_cast<double>(selected);
-  state.counters["peak_mb"] =
-      static_cast<double>(peak) / (1024.0 * 1024.0);
-}
-
-// The million-node arms: interval-only cold starts on three tree
-// shapes, cross-checked against navigation ground truth.
+// Governed cold start: per-iteration governor + axis index + compile +
+// the origin spread, cross-checked against navigation ground truth.
 void BM_MillionNodeSelector(benchmark::State& state, Tree (*make)(int),
                             const char* selector,
                             std::vector<NodeId> (*truth)(const Tree&,
@@ -279,7 +229,7 @@ void BM_MillionNodeSelector(benchmark::State& state, Tree (*make)(int),
   {
     AxisIndex index(t);
     Result<CompiledSelector> compiled =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
+        CompileSelector(index, phi);
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;
@@ -300,7 +250,7 @@ void BM_MillionNodeSelector(benchmark::State& state, Tree (*make)(int),
     governor.set_memory_budget(std::int64_t{1} << 30);
     AxisIndex index(t, &governor);
     Result<CompiledSelector> compiled =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
+        CompileSelector(index, phi);
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;
@@ -316,15 +266,15 @@ void BM_MillionNodeSelector(benchmark::State& state, Tree (*make)(int),
       static_cast<double>(peak) / (1024.0 * 1024.0);
 }
 
-// The dense sweep stops at 4000: one cold start at n=16000 already
-// takes ~97 s (the compose is O(n^3/64)), and the 1000 -> 4000 step —
-// 25 ms -> 1.6 s against the interval column's 1 ms -> 5 ms — shows
-// the wall without burning CI minutes on it.
-BENCHMARK_CAPTURE(BM_SelectorReprColdStart, chain_dense, kChain,
-                  AxisRepr::kDense)
-    ->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
+// The size sweep, on the same Input() trees as the E14 arms.
+void BM_SelectorReprColdStart(benchmark::State& state, const char* selector,
+                              std::vector<NodeId> (*truth)(const Tree&,
+                                                           NodeId)) {
+  BM_MillionNodeSelector(state, Input, selector, truth);
+}
+
 BENCHMARK_CAPTURE(BM_SelectorReprColdStart, chain_interval, kChain,
-                  AxisRepr::kInterval)
+                  GreatGrandchildren)
     ->Arg(1000)->Arg(4000)->Arg(16000)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(BM_MillionNodeSelector, chain_tree, ChainInput, kChain,
@@ -336,10 +286,10 @@ BENCHMARK_CAPTURE(BM_MillionNodeSelector, random_tree, Input, kChain,
 BENCHMARK_CAPTURE(BM_MillionNodeSelector, xml_tree, XmlInput, kChain,
                   GreatGrandchildren)
     ->Arg(1000000)->Unit(benchmark::kMillisecond);
-// The guard-fold path scales past the dense wall too, but its span
-// lists are much wider (every all-a-children family contributes), so
-// the arm runs at 10^5 — already 25x beyond where a dense matrix fits
-// — to keep the suite's wall clock sane (10^6 measured once: ~220 s).
+// The guard-fold path scales to 10^6 too, but its span lists are much
+// wider (every all-a-children family contributes), so the arm runs at
+// 10^5 to keep the suite's wall clock sane (10^6 measured once:
+// ~220 s).
 BENCHMARK_CAPTURE(BM_MillionNodeSelector, random_guarded_forall, Input,
                   kGuardedForall, GuardedForallAnswer)
     ->Arg(100000)->Unit(benchmark::kMillisecond);
@@ -388,11 +338,10 @@ const E19Fixture& E19Setup() {
     Formula phi = std::move(ParseFormula(kChain)).value();
     AxisIndex index(t);
     Result<CompiledSelector> compiled =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
+        CompileSelector(index, phi);
     if (compiled.ok()) {
       f->key.formula_hash = StableFormulaHash(phi, "x", "y");
       f->key.tree_hash = TreeContentHash(t);
-      f->key.repr = AxisRepr::kInterval;
       SelectorDiskCache cache(f->cache_dir);
       (void)cache.Store(f->key, *compiled);
     }
@@ -421,7 +370,7 @@ void BM_ColdStartParseCompile(benchmark::State& state) {
     }
     AxisIndex index(*tree, &governor);
     Result<CompiledSelector> compiled =
-        CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
+        CompileSelector(index, phi);
     if (!compiled.ok()) {
       state.SkipWithError(compiled.status().ToString().c_str());
       return;
@@ -452,7 +401,7 @@ void BM_ColdStartSnapshotCache(benchmark::State& state) {
     AxisIndex snap_index(*snap);
     SelectorDiskCache cache(f.cache_dir);
     Result<CompiledSelector> fresh =
-        CompileSelector(fresh_index, phi, "x", "y", AxisRepr::kInterval);
+        CompileSelector(fresh_index, phi);
     Result<CompiledSelector> cached = cache.Load(f.key);
     if (!fresh.ok() || !cached.ok()) {
       state.SkipWithError("E19 cross-check compile/load failed");

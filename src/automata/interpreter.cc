@@ -24,16 +24,6 @@
 
 namespace treewalk {
 
-const char* PlanModeName(PlanMode m) {
-  switch (m) {
-    case PlanMode::kAuto:
-      return "auto";
-    case PlanMode::kFixed:
-      return "fixed";
-  }
-  return "?";
-}
-
 const char* RejectReasonName(RejectReason r) {
   switch (r) {
     case RejectReason::kNone:
@@ -65,11 +55,8 @@ struct InterpMetrics {
   Counter* cache_misses;
   Counter* compiled_evals;
   Counter* reference_evals;
-  Counter* interval_evals;
-  Counter* dense_evals;
   Counter* store_updates;
   Counter* picks_reference;
-  Counter* picks_dense;
   Counter* picks_interval;
   Histogram* compiled_eval_us;
   Histogram* reference_eval_us;
@@ -103,30 +90,17 @@ struct InterpMetrics {
           "treewalk_interp_selector_evals_total",
           "Actual selector evaluations by evaluator path",
           {{"path", "reference"}});
-      m->interval_evals = r.FindOrCreateCounter(
-          "treewalk_interp_selector_repr_total",
-          "Compiled selector evaluations by matrix representation",
-          {{"repr", "interval"}});
-      m->dense_evals = r.FindOrCreateCounter(
-          "treewalk_interp_selector_repr_total",
-          "Compiled selector evaluations by matrix representation",
-          {{"repr", "dense"}});
       m->store_updates = r.FindOrCreateCounter(
           "treewalk_interp_store_updates_total", "Register store writes");
       m->picks_reference = r.FindOrCreateCounter(
           "treewalk_planner_picks_total",
           "Cost-based planner strategy picks, one per distinct selector "
-          "planned under PlanMode::kAuto",
+          "planned",
           {{"strategy", "reference"}});
-      m->picks_dense = r.FindOrCreateCounter(
-          "treewalk_planner_picks_total",
-          "Cost-based planner strategy picks, one per distinct selector "
-          "planned under PlanMode::kAuto",
-          {{"strategy", "compiled-dense"}});
       m->picks_interval = r.FindOrCreateCounter(
           "treewalk_planner_picks_total",
           "Cost-based planner strategy picks, one per distinct selector "
-          "planned under PlanMode::kAuto",
+          "planned",
           {{"strategy", "compiled-interval"}});
       m->compiled_eval_us = r.FindOrCreateHistogram(
           "treewalk_interp_selector_eval_us",
@@ -373,46 +347,27 @@ class Runner {
     if (options_.compile_selectors) {
       auto it = compiled_.find(canonical_id);
       if (it == compiled_.end()) {
-        // Pick the strategy for this selector.  kAuto consults the
-        // cost-based planner (src/logic/planner.h) once per canonical
-        // selector; kFixed keeps the legacy always-compile,
-        // size-threshold behavior.  A reference pick is remembered as
-        // an empty compiled slot, exactly like a compiler decline, so
-        // later evaluations skip straight to SelectNodes.
-        AxisRepr repr = options_.axis_repr;
-        if (options_.plan_mode == PlanMode::kAuto) {
-          if (!tree_stats_.has_value()) {
-            TreeStats scratch;
-            tree_stats_ = *GetOrComputeTreeStats(tree_, scratch);
-          }
-          PlanOptions plan_opts;
-          plan_opts.forced_repr = options_.axis_repr;
-          const SelectorPlan plan = PlanSelector(
-              *tree_stats_, selector,
-              options_.planner_calibration != nullptr
-                  ? *options_.planner_calibration
-                  : PlannerCalibration{},
-              plan_opts);
-          switch (plan.strategy) {
-            case PlanStrategy::kReference:
-              ++stats_.planner_picks_reference;
-              compiled_.emplace(canonical_id, std::nullopt);
-              break;
-            case PlanStrategy::kCompiledDense:
-              ++stats_.planner_picks_dense;
-              repr = plan.repr;
-              break;
-            case PlanStrategy::kCompiledInterval:
-            case PlanStrategy::kXPathDirect:  // never offered here
-              ++stats_.planner_picks_interval;
-              repr = plan.repr;
-              break;
-          }
-          if (plan.strategy == PlanStrategy::kReference) {
-            ScopedLatencyUs timer(InterpMetrics::Get().reference_eval_us);
-            return SelectNodes(tree_, selector, origin);
-          }
+        // Ask the cost-based planner (src/logic/planner.h) once per
+        // canonical selector.  A reference pick is remembered as an
+        // empty compiled slot, exactly like a compiler decline, so later
+        // evaluations skip straight to SelectNodes.
+        if (!tree_stats_.has_value()) {
+          TreeStats scratch;
+          tree_stats_ = *GetOrComputeTreeStats(tree_, scratch);
         }
+        PlannerCalibration calibration;
+        if (options_.planner_calibration != nullptr) {
+          calibration = *options_.planner_calibration;
+        }
+        const SelectorPlan plan =
+            PlanSelector(*tree_stats_, selector, calibration);
+        if (plan.strategy == PlanStrategy::kReference) {
+          ++stats_.planner_picks_reference;
+          compiled_.emplace(canonical_id, std::nullopt);
+          ScopedLatencyUs timer(InterpMetrics::Get().reference_eval_us);
+          return SelectNodes(tree_, selector, origin);
+        }
+        ++stats_.planner_picks_interval;
         if (!axis_index_.has_value()) {
           axis_index_.emplace(tree_, options_.governor);
           // Construction charges the base bitsets; a trip surfaces here
@@ -425,7 +380,7 @@ class Runner {
           tree_hash_ = TreeContentHash(tree_);
         }
         Result<CompiledSelector> compiled = CompileSelectorCached(
-            *axis_index_, selector, "x", "y", repr,
+            *axis_index_, selector, "x", "y", plan.repr,
             options_.selector_disk_cache, tree_hash_.value_or(0));
         if (!compiled.ok() &&
             (compiled.status().code() == StatusCode::kResourceExhausted ||
@@ -449,11 +404,6 @@ class Runner {
       }
       if (it->second.has_value()) {
         ++stats_.compiled_selector_evals;
-        if (it->second->repr() == AxisRepr::kInterval) {
-          ++stats_.interval_selector_evals;
-        } else {
-          ++stats_.dense_selector_evals;
-        }
         ScopedLatencyUs timer(InterpMetrics::Get().compiled_eval_us);
         return it->second->SelectFrom(origin);
       }
@@ -473,10 +423,7 @@ class Runner {
     m.compiled_evals->Increment(stats_.compiled_selector_evals);
     m.reference_evals->Increment(stats_.selector_cache_misses -
                                  stats_.compiled_selector_evals);
-    m.interval_evals->Increment(stats_.interval_selector_evals);
-    m.dense_evals->Increment(stats_.dense_selector_evals);
     m.picks_reference->Increment(stats_.planner_picks_reference);
-    m.picks_dense->Increment(stats_.planner_picks_dense);
     m.picks_interval->Increment(stats_.planner_picks_interval);
     m.store_updates->Increment(stats_.store_updates);
   }
@@ -590,8 +537,8 @@ class Runner {
   std::map<SelectorKey, std::vector<NodeId>> selector_cache_;
   std::optional<AxisIndex> axis_index_;
   std::optional<std::uint64_t> tree_hash_;  // lazy; disk-cache key half
-  /// Lazy tree statistics for PlanMode::kAuto (snapshot-preloaded or
-  /// one O(n) scan, computed at the first selector planned this run).
+  /// Lazy tree statistics for the planner (snapshot-preloaded or one
+  /// O(n) scan, computed at the first selector planned this run).
   std::optional<TreeStats> tree_stats_;
   /// Per-canonical-selector compile result: absent = untried, nullopt =
   /// compiler declined (reference fallback), value = compiled.

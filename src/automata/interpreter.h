@@ -9,7 +9,6 @@
 #include "src/automata/program.h"
 #include "src/common/governor.h"
 #include "src/common/result.h"
-#include "src/tree/axis_index.h"
 #include "src/tree/delimited.h"
 #include "src/tree/tree.h"
 
@@ -17,21 +16,6 @@ namespace treewalk {
 
 class SelectorDiskCache;     // src/logic/selector_cache.h
 struct PlannerCalibration;   // src/logic/planner.h
-
-/// How the run picks a selector-evaluation strategy.
-enum class PlanMode {
-  /// Cost-based: the planner (src/logic/planner.h) scores reference vs
-  /// compiled-dense vs compiled-interval per distinct selector from
-  /// tree statistics and formula features, replacing the fixed
-  /// size-threshold heuristics.  Strategy choice is per-run
-  /// deterministic (a pure function of tree + selector + calibration).
-  kAuto = 0,
-  /// Legacy fixed heuristics: always try to compile, resolve kAuto
-  /// representation by the kDenseAxisNodeLimit size threshold.
-  kFixed,
-};
-
-const char* PlanModeName(PlanMode m);
 
 /// Resource limits for a run.  Exceeding any limit aborts the run with
 /// kResourceExhausted (an *error*, distinct from semantic rejection).
@@ -58,35 +42,26 @@ struct RunOptions {
   /// node skip re-evaluating the FO selector.  Semantically invisible:
   /// SelectNodes is pure over the (immutable) run input.
   bool cache_selectors = true;
-  /// Set-at-a-time selector evaluation: compile each distinct atp()
-  /// selector once per run into a bitset satisfier relation over a
-  /// per-run axis index (src/logic/compile.h) and answer every
-  /// SelectNodes with a row read.  Composes with cache_selectors (the
-  /// compiled evaluator serves the cache misses).  Selectors the
-  /// partial compiler declines (three-plus-variable subformulas) fall
-  /// back to the reference evaluator, so this is semantically
-  /// invisible; turn off to ablate or to force the reference path.
+  /// Set-at-a-time selector evaluation: the cost-based planner
+  /// (src/logic/planner.h) scores the reference evaluator against the
+  /// compiled path per distinct atp() selector, from tree statistics
+  /// and formula features.  A compiled pick compiles the selector once
+  /// per run into an interval-encoded satisfier relation over a per-run
+  /// axis index (src/logic/compile.h) and answers every SelectNodes
+  /// with a row read.  Composes with cache_selectors (the compiled
+  /// evaluator serves the cache misses).  Selectors the partial
+  /// compiler declines (three-plus-variable subformulas) fall back to
+  /// the reference evaluator, so this is semantically invisible; turn
+  /// off to ablate or to force the reference path.
   bool compile_selectors = true;
-  /// Matrix representation for compiled selectors (src/tree/axis_index.h):
-  /// kAuto picks dense for small trees and interval spans for large
-  /// ones; kInterval / kDense force one.  Both produce identical
-  /// answers — this trades O(n^2) bitset matrices against O(n·spans)
-  /// pre-order interval lists, which is what lets compiled evaluation
-  /// (and a linear memory budget) survive million-node inputs.
-  AxisRepr axis_repr = AxisRepr::kAuto;
-  /// Strategy selection for atp() selectors (see PlanMode).  kAuto asks
-  /// the cost-based planner; kFixed keeps the pre-planner behavior.
-  /// Semantically invisible either way: every strategy returns the same
-  /// nodes.
-  PlanMode plan_mode = PlanMode::kAuto;
-  /// Cost-model constants for kAuto planning; null uses the built-in
+  /// Cost-model constants for planning; null uses the built-in
   /// defaults.  Passed by pointer so calibration stays per-run and
   /// deterministic — there is no global mutable calibration.  Must
   /// outlive the run.
   const PlannerCalibration* planner_calibration = nullptr;
   /// Persistent compiled-selector cache (src/logic/selector_cache.h).
   /// When non-null, each selector compile first consults the on-disk
-  /// cache keyed by (formula, tree content hash, resolved repr) and
+  /// cache keyed by (formula, tree content hash) and
   /// persists fresh compiles back.  Any cache failure degrades to a
   /// plain compile — semantically invisible, like compile_selectors
   /// itself.  Must outlive the run.
@@ -130,15 +105,12 @@ struct RunStats {
   /// evaluator (subset of selector_cache_misses when the cache is on);
   /// misses beyond this count fell back to the reference evaluator.
   std::int64_t compiled_selector_evals = 0;
-  /// compiled_selector_evals split by the matrix representation the
-  /// serving selector compiled under (RunOptions::axis_repr, resolved).
-  std::int64_t interval_selector_evals = 0;
-  std::int64_t dense_selector_evals = 0;
-  /// Planner strategy picks, one per distinct selector planned this run
-  /// (all zero under PlanMode::kFixed).  A reference pick means the
-  /// planner chose not to compile; compile *declines* after a dense or
-  /// interval pick still count under the pick that was made.
+  /// Planner strategy picks, one per distinct selector planned this run.
+  /// A reference pick means the planner chose not to compile; compile
+  /// *declines* after an interval pick still count as interval picks.
   std::int64_t planner_picks_reference = 0;
+  /// Always 0; kept for perfbench/pbtool.cc, which reports it as
+  /// logic.planner_picks.dense.
   std::int64_t planner_picks_dense = 0;
   std::int64_t planner_picks_interval = 0;
   /// Register writes (update rules and look-ahead collections).

@@ -532,10 +532,7 @@ Result<BatchResult> BatchEngine::RunBatch(const std::vector<BatchJob>& jobs,
     batch.stats.selector_cache_hits += r.run.stats.selector_cache_hits;
     batch.stats.selector_cache_misses += r.run.stats.selector_cache_misses;
     batch.stats.compiled_selector_evals += r.run.stats.compiled_selector_evals;
-    batch.stats.interval_selector_evals += r.run.stats.interval_selector_evals;
-    batch.stats.dense_selector_evals += r.run.stats.dense_selector_evals;
     batch.stats.planner_picks_reference += r.run.stats.planner_picks_reference;
-    batch.stats.planner_picks_dense += r.run.stats.planner_picks_dense;
     batch.stats.planner_picks_interval += r.run.stats.planner_picks_interval;
     batch.stats.store_updates += r.run.stats.store_updates;
   }

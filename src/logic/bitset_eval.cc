@@ -1,7 +1,6 @@
 #include "src/logic/bitset_eval.h"
 
 #include <cassert>
-#include <cstring>
 #include <numeric>
 #include <utility>
 
@@ -15,50 +14,13 @@ std::vector<NodeId> AllNodes(std::size_t n) {
   return out;
 }
 
-bool RowAny(const std::uint64_t* row, std::size_t words) {
-  for (std::size_t w = 0; w < words; ++w) {
-    if (row[w] != 0) return true;
-  }
-  return false;
-}
-
-/// Whether this op produces (or passes through) an interval-carried
-/// Mat value.  Shape introductions (loads, broadcasts) read it off the
-/// op; combinators inherit from their first operand — compilations are
-/// representation-homogeneous.
-bool OpIsInterval(const Op& op, const std::vector<OpValue>& vals) {
-  switch (op.kind) {
-    case OpKind::kLoadMat:
-      return op.imat != nullptr;
-    case OpKind::kSetToMatRow:
-    case OpKind::kSetToMatCol:
-      return op.interval;
-    case OpKind::kNotMat:
-    case OpKind::kAnyRow:
-    case OpKind::kAllRow:
-    case OpKind::kAndMat:
-    case OpKind::kOrMat:
-    case OpKind::kCompose:
-      return vals[static_cast<std::size_t>(op.a)].imat != nullptr;
-    default:
-      return false;
-  }
-}
-
 /// Heap bytes to pre-charge for one op (0 for consts, loads, and
-/// booleans, which alias or copy nothing).  Interval ops whose output
+/// booleans, which alias or copy nothing).  Matrix ops whose output
 /// size is data-dependent (And/Or/Compose/ColBroadcast) charge their
 /// span pools internally in chunks as they grow and return 0 here; the
-/// fixed-size interval ops (Not, RowBroadcast) pre-charge their O(n)
-/// descriptor arrays like the dense ops pre-charge O(n^2).
-std::int64_t AllocBytes(const Op& op, const std::vector<OpValue>& vals,
-                        std::size_t n) {
-  const std::int64_t set_bytes =
-      static_cast<std::int64_t>((n + 63) / 64 * 8 + 48);
-  const std::int64_t mat_bytes =
-      static_cast<std::int64_t>(n * ((n + 63) / 64) * 8 + 64);
-  const std::int64_t idesc_bytes =
-      static_cast<std::int64_t>(n * sizeof(IntervalMatrix::Row)) + 64;
+/// fixed-size ones (Not, RowBroadcast) pre-charge their O(n) descriptor
+/// arrays.
+std::int64_t AllocBytes(const Op& op, std::size_t n) {
   switch (op.kind) {
     case OpKind::kNotSet:
     case OpKind::kAndSet:
@@ -66,15 +28,10 @@ std::int64_t AllocBytes(const Op& op, const std::vector<OpValue>& vals,
     case OpKind::kBoolToSet:
     case OpKind::kAnyRow:
     case OpKind::kAllRow:
-      return set_bytes;
+      return static_cast<std::int64_t>((n + 63) / 64 * 8 + 48);
     case OpKind::kNotMat:
     case OpKind::kSetToMatRow:
-      return OpIsInterval(op, vals) ? idesc_bytes : mat_bytes;
-    case OpKind::kAndMat:
-    case OpKind::kOrMat:
-    case OpKind::kSetToMatCol:
-    case OpKind::kCompose:
-      return OpIsInterval(op, vals) ? 0 : mat_bytes;
+      return static_cast<std::int64_t>(n * sizeof(IntervalMatrix::Row)) + 64;
     default:
       return 0;
   }
@@ -97,12 +54,10 @@ Result<std::vector<OpValue>> EvaluateOpsGoverned(const std::vector<Op>& ops,
     OpValue& out = vals[i];
     if (governor != nullptr) {
       TREEWALK_RETURN_IF_ERROR(governor->CheckDeadlineNow());
-      TREEWALK_RETURN_IF_ERROR(transient.Add(AllocBytes(op, vals, n)));
+      TREEWALK_RETURN_IF_ERROR(transient.Add(AllocBytes(op, n)));
     }
-    // Interval-carried Mat ops route through the IntervalMatrix
-    // algebra; their data-dependent span pools charge `transient`
-    // directly (chunked, before growing).
-    const bool interval = OpIsInterval(op, vals);
+    // Data-dependent span pools charge `transient` directly (chunked,
+    // before growing).
     ScopedMemoryCharge* pool_charge = governor != nullptr ? &transient : nullptr;
     switch (op.kind) {
       case OpKind::kConstBool:
@@ -113,8 +68,7 @@ Result<std::vector<OpValue>> EvaluateOpsGoverned(const std::vector<Op>& ops,
         out.set = op.set;
         break;
       case OpKind::kLoadMat:
-        assert(op.mat != nullptr || op.imat != nullptr);
-        out.mat = op.mat;
+        assert(op.imat != nullptr);
         out.imat = op.imat;
         break;
       case OpKind::kNotBool:
@@ -144,88 +98,43 @@ Result<std::vector<OpValue>> EvaluateOpsGoverned(const std::vector<Op>& ops,
         out.set = std::move(s);
         break;
       }
-      case OpKind::kNotMat: {
-        if (interval) {
-          out.imat = std::make_shared<IntervalMatrix>(
-              IntervalMatrix::Not(*vals[op.a].imat));
-          break;
-        }
-        auto m = std::make_shared<NodeMatrix>(*vals[op.a].mat);
-        m->Complement();
-        out.mat = std::move(m);
+      case OpKind::kNotMat:
+        out.imat = std::make_shared<IntervalMatrix>(
+            IntervalMatrix::Not(*vals[op.a].imat));
         break;
-      }
       case OpKind::kAndMat: {
-        if (interval) {
-          assert(vals[op.b].imat != nullptr);
-          auto r = IntervalMatrix::And(*vals[op.a].imat, *vals[op.b].imat,
-                                       pool_charge);
-          if (!r.ok()) return r.status();
-          out.imat = std::make_shared<IntervalMatrix>(std::move(r).value());
-          break;
-        }
-        auto m = std::make_shared<NodeMatrix>(*vals[op.a].mat);
-        m->Intersect(*vals[op.b].mat);
-        out.mat = std::move(m);
+        auto r = IntervalMatrix::And(*vals[op.a].imat, *vals[op.b].imat,
+                                     pool_charge);
+        if (!r.ok()) return r.status();
+        out.imat = std::make_shared<IntervalMatrix>(std::move(r).value());
         break;
       }
       case OpKind::kOrMat: {
-        if (interval) {
-          assert(vals[op.b].imat != nullptr);
-          auto r = IntervalMatrix::Or(*vals[op.a].imat, *vals[op.b].imat,
-                                      pool_charge);
-          if (!r.ok()) return r.status();
-          out.imat = std::make_shared<IntervalMatrix>(std::move(r).value());
-          break;
-        }
-        auto m = std::make_shared<NodeMatrix>(*vals[op.a].mat);
-        m->Union(*vals[op.b].mat);
-        out.mat = std::move(m);
+        auto r = IntervalMatrix::Or(*vals[op.a].imat, *vals[op.b].imat,
+                                    pool_charge);
+        if (!r.ok()) return r.status();
+        out.imat = std::make_shared<IntervalMatrix>(std::move(r).value());
         break;
       }
       case OpKind::kBoolToSet:
         out.set = std::make_shared<NodeSet>(vals[op.a].b ? NodeSet::Full(n)
                                                          : NodeSet(n));
         break;
-      case OpKind::kSetToMatRow: {
-        const NodeSet& s = *vals[op.a].set;
-        if (interval) {
-          out.imat =
-              std::make_shared<IntervalMatrix>(IntervalMatrix::RowBroadcast(s));
-          break;
-        }
-        auto m = std::make_shared<NodeMatrix>(n);
-        for (NodeId u = 0; u < static_cast<NodeId>(n); ++u) {
-          if (s.test(u)) m->SetRowRange(u, 0, static_cast<NodeId>(n));
-        }
-        out.mat = std::move(m);
+      case OpKind::kSetToMatRow:
+        out.imat = std::make_shared<IntervalMatrix>(
+            IntervalMatrix::RowBroadcast(*vals[op.a].set));
         break;
-      }
       case OpKind::kSetToMatCol: {
-        const NodeSet& s = *vals[op.a].set;
-        if (interval) {
-          auto r = IntervalMatrix::ColBroadcast(s, pool_charge);
-          if (!r.ok()) return r.status();
-          out.imat = std::make_shared<IntervalMatrix>(std::move(r).value());
-          break;
-        }
-        auto m = std::make_shared<NodeMatrix>(n);
-        const std::size_t wpr = m->words_per_row();
-        for (NodeId u = 0; u < static_cast<NodeId>(n); ++u) {
-          std::memcpy(m->Row(u), s.words(), wpr * sizeof(std::uint64_t));
-        }
-        out.mat = std::move(m);
+        auto r = IntervalMatrix::ColBroadcast(*vals[op.a].set, pool_charge);
+        if (!r.ok()) return r.status();
+        out.imat = std::make_shared<IntervalMatrix>(std::move(r).value());
         break;
       }
       case OpKind::kAnyRow:
-        out.set = std::make_shared<NodeSet>(interval
-                                                ? vals[op.a].imat->AnyPerRow()
-                                                : vals[op.a].mat->AnyPerRow());
+        out.set = std::make_shared<NodeSet>(vals[op.a].imat->AnyPerRow());
         break;
       case OpKind::kAllRow:
-        out.set = std::make_shared<NodeSet>(interval
-                                                ? vals[op.a].imat->AllPerRow()
-                                                : vals[op.a].mat->AllPerRow());
+        out.set = std::make_shared<NodeSet>(vals[op.a].imat->AllPerRow());
         break;
       case OpKind::kAnySet:
         out.b = vals[op.a].set->any();
@@ -237,48 +146,10 @@ Result<std::vector<OpValue>> EvaluateOpsGoverned(const std::vector<Op>& ops,
         const NodeSet* guard =
             op.c >= 0 ? vals[static_cast<std::size_t>(op.c)].set.get()
                       : nullptr;
-        if (interval) {
-          assert(vals[op.b].imat != nullptr);
-          auto ir = IntervalMatrix::Compose(*vals[op.a].imat, *vals[op.b].imat,
-                                            guard, pool_charge);
-          if (!ir.ok()) return ir.status();
-          out.imat = std::make_shared<IntervalMatrix>(std::move(ir).value());
-          break;
-        }
-        const NodeMatrix& p = *vals[op.a].mat;
-        const NodeMatrix& q = *vals[op.b].mat;
-        const std::uint64_t* gw = guard != nullptr ? guard->words() : nullptr;
-        auto r = std::make_shared<NodeMatrix>(n);
-        const std::size_t wpr = p.words_per_row();
-        // The guard masks P's row once per u (R[u][v] = ∃w (P[u][w] ∧
-        // C[w]) ∧ Q[v][w]), keeping the O(n²·wpr) inner loop at two
-        // loads per word and preserving the empty-row skip when the
-        // guard zeroes a row.
-        std::vector<std::uint64_t> masked(gw != nullptr ? wpr : 0);
-        for (NodeId u = 0; u < static_cast<NodeId>(n); ++u) {
-          const std::uint64_t* pu = p.Row(u);
-          if (gw != nullptr) {
-            std::uint64_t any = 0;
-            for (std::size_t w = 0; w < wpr; ++w) {
-              masked[w] = pu[w] & gw[w];
-              any |= masked[w];
-            }
-            if (any == 0) continue;
-            pu = masked.data();
-          } else if (!RowAny(pu, wpr)) {
-            continue;
-          }
-          for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-            const std::uint64_t* qv = q.Row(v);
-            for (std::size_t w = 0; w < wpr; ++w) {
-              if ((pu[w] & qv[w]) != 0) {
-                r->set(u, v);
-                break;
-              }
-            }
-          }
-        }
-        out.mat = std::move(r);
+        auto r = IntervalMatrix::Compose(*vals[op.a].imat, *vals[op.b].imat,
+                                         guard, pool_charge);
+        if (!r.ok()) return r.status();
+        out.imat = std::make_shared<IntervalMatrix>(std::move(r).value());
         break;
       }
     }
@@ -296,8 +167,7 @@ std::int64_t CompiledSelector::RetainedBytes() const {
     case Shape::kSetY:
       return static_cast<std::int64_t>((n_ + 63) / 64 * 8 + 48);
     case Shape::kMat:
-      if (imat_ != nullptr) return imat_->ApproxBytes();
-      return static_cast<std::int64_t>(n_ * ((n_ + 63) / 64) * 8 + 64);
+      return imat_->ApproxBytes();
   }
   return 0;
 }
@@ -313,8 +183,7 @@ std::vector<NodeId> CompiledSelector::SelectFrom(NodeId origin) const {
     case Shape::kSetY:
       return set_->ToVector();
     case Shape::kMat:
-      if (imat_ != nullptr) return imat_->RowVector(origin);
-      return mat_->RowSet(origin).ToVector();
+      return imat_->RowVector(origin);
   }
   return {};
 }

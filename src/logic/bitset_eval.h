@@ -12,30 +12,26 @@
 namespace treewalk {
 
 /// Set-at-a-time evaluation machine behind src/logic/compile.h: a
-/// formula compiles into a DAG of operations over bitset satisfier
-/// sets.  Each op produces one of three value shapes —
+/// formula compiles into a DAG of operations over satisfier sets.  Each
+/// op produces one of three value shapes —
 ///
-///   Bool          a closed subformula's truth value,
-///   NodeSet       {u : t |= phi(u)} for a one-free-variable subformula,
-///   NodeMatrix    {(u, v) : t |= phi(u, v)} for two free variables
-///                 (rows = the variable with the smaller compile slot),
+///   Bool            a closed subformula's truth value,
+///   NodeSet         {u : t |= phi(u)} for a one-free-variable
+///                   subformula, one bit per node,
+///   IntervalMatrix  {(u, v) : t |= phi(u, v)} for two free variables
+///                   (rows = the variable with the smaller compile slot),
+///                   each row a list of pre-order spans
+///                   (src/tree/interval_matrix.h),
 ///
-/// — so every connective and quantifier is an O(n/64) or O(n^2/64)
-/// word-parallel pass (kCompose, the existential join, is O(n^3/64)
-/// worst case).  Shapes and variable bookkeeping live entirely in the
+/// — so set connectives are O(n/64) word-parallel passes, and the
+/// matrix loads, range algebra and guarded joins stay O(n·spans)
+/// instead of O(n^2): the representation that reaches million-node
+/// trees.  Shapes and variable bookkeeping live entirely in the
 /// compiler; the ops here are shape-correct by construction.
-///
-/// The Mat shape has two interchangeable carriers, chosen per
-/// compilation by AxisRepr (src/tree/axis_index.h): dense NodeMatrix
-/// rows, or span-compressed IntervalMatrix rows
-/// (src/tree/interval_matrix.h) whose axis loads, range algebra, and
-/// guarded joins stay O(n·spans) instead of O(n^2) — the representation
-/// that reaches million-node trees.  A compilation is homogeneous: all
-/// Mat-shaped ops of one program carry the same representation.
 enum class OpKind : std::uint8_t {
   kConstBool,   ///< literal truth value
   kLoadSet,     ///< precomputed NodeSet (axis-index unary predicate)
-  kLoadMat,     ///< precomputed NodeMatrix (axis relation)
+  kLoadMat,     ///< precomputed IntervalMatrix (axis relation)
   kNotBool,     ///< !a
   kAndBool,     ///< a && b
   kOrBool,      ///< a || b
@@ -66,22 +62,16 @@ struct Op {
   /// a matrix and intersecting) is what keeps interval joins narrow.
   int c = -1;
   bool literal = false;  ///< kConstBool
-  /// kSetToMatRow/kSetToMatCol: produce an IntervalMatrix broadcast
-  /// instead of a dense one (the compiler sets this under kInterval).
-  bool interval = false;
-  std::shared_ptr<const NodeSet> set;     ///< kLoadSet
-  std::shared_ptr<const NodeMatrix> mat;  ///< kLoadMat (dense repr)
-  std::shared_ptr<const IntervalMatrix> imat;  ///< kLoadMat (interval repr)
+  std::shared_ptr<const NodeSet> set;          ///< kLoadSet
+  std::shared_ptr<const IntervalMatrix> imat;  ///< kLoadMat
 };
 
 /// One evaluated op result; exactly one field is active per the op's
-/// shape (Mat-shaped values carry `mat` or `imat`, never both).  Loads
-/// alias their precomputed payload, so evaluating a program allocates
-/// only for derived ops.
+/// shape.  Loads alias their precomputed payload, so evaluating a
+/// program allocates only for derived ops.
 struct OpValue {
   bool b = false;
   std::shared_ptr<const NodeSet> set;
-  std::shared_ptr<const NodeMatrix> mat;
   std::shared_ptr<const IntervalMatrix> imat;
 };
 
@@ -93,11 +83,11 @@ std::vector<OpValue> EvaluateOps(const std::vector<Op>& ops, std::size_t n);
 
 /// Governed variant: each derived-op allocation is charged against the
 /// governor's memory budget under MemoryCategory::kCompiledOps before
-/// allocating, and the deadline is polled between ops (a single op is
-/// at most O(n^3/64)).  The transient evaluation charges are released on
-/// return — the caller deep-copies what it keeps and accounts for that
-/// copy itself — so what this bounds is the peak footprint of one
-/// evaluation.  With a null governor this is exactly EvaluateOps.
+/// allocating, and the deadline is polled between ops.  The transient
+/// evaluation charges are released on return — the caller deep-copies
+/// what it keeps and accounts for that copy itself — so what this
+/// bounds is the peak footprint of one evaluation.  With a null
+/// governor this is exactly EvaluateOps.
 Result<std::vector<OpValue>> EvaluateOpsGoverned(const std::vector<Op>& ops,
                                                  std::size_t n,
                                                  ResourceGovernor* governor);
@@ -111,7 +101,7 @@ Result<std::vector<OpValue>> EvaluateOpsGoverned(const std::vector<Op>& ops,
 class CompiledSelector {
  public:
   /// All v with t |= phi(origin, v), in document order.  Equivalent to
-  /// SelectNodes(tree, phi, origin); O(n/64 + |result|).  `origin` must
+  /// SelectNodes(tree, phi, origin); O(row spans + |result|).  `origin` must
   /// be a valid node of the tree compiled against.
   std::vector<NodeId> SelectFrom(NodeId origin) const;
 
@@ -119,15 +109,10 @@ class CompiledSelector {
   std::size_t tree_size() const { return n_; }
 
   /// Approximate heap bytes the materialized payload retains (0 for a
-  /// constant, one bitset row for a set, n rows for a matrix, the
-  /// descriptor+pool footprint for an interval matrix); what a caller
-  /// keeping the selector alive charges its memory budget.
+  /// constant, one bitset for a set, the descriptor+pool footprint for
+  /// a matrix); what a caller keeping the selector alive charges its
+  /// memory budget.
   std::int64_t RetainedBytes() const;
-
-  /// Which matrix representation this selector was compiled under:
-  /// kDense or kInterval (never kAuto — resolved at compile time),
-  /// reported even when the result degenerated to a set or constant.
-  AxisRepr repr() const { return repr_; }
 
  private:
   friend class Compiler;
@@ -141,11 +126,9 @@ class CompiledSelector {
 
   std::size_t n_ = 0;
   Shape shape_ = Shape::kBool;
-  AxisRepr repr_ = AxisRepr::kDense;
   bool literal_ = false;
   std::shared_ptr<const NodeSet> set_;
-  std::shared_ptr<const NodeMatrix> mat_;       // rows = x, cols = y
-  std::shared_ptr<const IntervalMatrix> imat_;  // same, interval repr
+  std::shared_ptr<const IntervalMatrix> imat_;  // rows = x, cols = y
 };
 
 /// A sentence compiled and evaluated against one tree.  Build with

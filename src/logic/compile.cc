@@ -23,9 +23,6 @@ namespace {
 std::shared_ptr<const NodeSet> Alias(const NodeSet& s) {
   return std::shared_ptr<const NodeSet>(std::shared_ptr<const void>(), &s);
 }
-std::shared_ptr<const NodeMatrix> Alias(const NodeMatrix& m) {
-  return std::shared_ptr<const NodeMatrix>(std::shared_ptr<const void>(), &m);
-}
 std::shared_ptr<const IntervalMatrix> Alias(const IntervalMatrix& m) {
   return std::shared_ptr<const IntervalMatrix>(std::shared_ptr<const void>(),
                                                &m);
@@ -52,10 +49,9 @@ bool MentionsVar(const Formula& f, const std::string& v) {
 /// befriend it.
 class Compiler {
  public:
-  Compiler(const AxisIndex& index, AxisRepr repr)
+  explicit Compiler(const AxisIndex& index)
       : index_(index), tree_(index.tree()), n_(index.size()),
-        governor_(index.governor()),
-        repr_(ResolveAxisRepr(repr, index.size())) {}
+        governor_(index.governor()) {}
 
   Result<CompiledSelector> Selector(const Formula& formula,
                                     const std::string& x,
@@ -83,7 +79,6 @@ class Compiler {
                               EvaluateOpsGoverned(ops_, n_, governor_));
     CompiledSelector out;
     out.n_ = n_;
-    out.repr_ = repr_;
     switch (v.shape) {
       case Shape::kBool:
         out.shape_ = CompiledSelector::Shape::kBool;
@@ -97,14 +92,10 @@ class Compiler {
       case Shape::kMat:
         assert(v.a == 0 && v.b == 1);
         out.shape_ = CompiledSelector::Shape::kMat;
-        // The interval copy shares (co-owns) the evaluation's immutable
-        // span pools, so it stays self-contained after the index dies
-        // without re-materializing anything.
-        if (vals[v.op].imat != nullptr) {
-          out.imat_ = std::make_shared<IntervalMatrix>(*vals[v.op].imat);
-        } else {
-          out.mat_ = std::make_shared<NodeMatrix>(*vals[v.op].mat);
-        }
+        // The copy shares (co-owns) the evaluation's immutable span
+        // pools, so it stays self-contained after the index dies without
+        // re-materializing anything.
+        out.imat_ = std::make_shared<IntervalMatrix>(*vals[v.op].imat);
         break;
     }
     return out;
@@ -169,14 +160,7 @@ class Compiler {
     op.set = std::move(s);
     return Emit(std::move(op), extra);
   }
-  int EmitLoadMat(std::shared_ptr<const NodeMatrix> m) {
-    std::uint64_t extra = reinterpret_cast<std::uintptr_t>(m.get());
-    Op op;
-    op.kind = OpKind::kLoadMat;
-    op.mat = std::move(m);
-    return Emit(std::move(op), extra);
-  }
-  int EmitLoadIMat(std::shared_ptr<const IntervalMatrix> m) {
+  int EmitLoadMat(std::shared_ptr<const IntervalMatrix> m) {
     std::uint64_t extra = reinterpret_cast<std::uintptr_t>(m.get());
     Op op;
     op.kind = OpKind::kLoadMat;
@@ -187,11 +171,6 @@ class Compiler {
     Op op;
     op.kind = kind;
     op.a = a;
-    // One Compiler compiles under one representation, so the flag needs
-    // no slot in the hash-cons key.
-    if (kind == OpKind::kSetToMatRow || kind == OpKind::kSetToMatCol) {
-      op.interval = interval();
-    }
     return Emit(std::move(op), 0);
   }
   int Emit2(OpKind kind, int a, int b) {
@@ -613,17 +592,13 @@ class Compiler {
       case AtomKind::kLabel:
         return UnarySet(node.terms[0], index_.LabelSet(node.symbol));
       case AtomKind::kEdge:
-        return AxisAtom(node, &AxisIndex::TryEdgeMatrix,
-                        &AxisIndex::TryEdgeIntervals);
+        return BinaryAxis(node, &AxisIndex::TryEdgeIntervals);
       case AtomKind::kSibling:
-        return AxisAtom(node, &AxisIndex::TrySiblingMatrix,
-                        &AxisIndex::TrySiblingIntervals);
+        return BinaryAxis(node, &AxisIndex::TrySiblingIntervals);
       case AtomKind::kDescendant:
-        return AxisAtom(node, &AxisIndex::TryDescendantMatrix,
-                        &AxisIndex::TryDescendantIntervals);
+        return BinaryAxis(node, &AxisIndex::TryDescendantIntervals);
       case AtomKind::kSucc:
-        return AxisAtom(node, &AxisIndex::TrySuccMatrix,
-                        &AxisIndex::TrySuccIntervals);
+        return BinaryAxis(node, &AxisIndex::TrySuccIntervals);
       case AtomKind::kEq: {
         const Term& a = node.terms[0];
         const Term& b = node.terms[1];
@@ -641,49 +616,25 @@ class Compiler {
     return SetVal(EmitLoadSet(Alias(s)), slot);
   }
 
-  /// Loads the axis relation named by the (dense, interval) accessor
-  /// pair in this compilation's representation.
-  Result<Val> AxisAtom(const FormulaNode& node,
-                       Result<const NodeMatrix*> (AxisIndex::*dense)() const,
-                       Result<const IntervalMatrix*> (AxisIndex::*spans)()
-                           const) {
-    if (interval()) {
-      TREEWALK_ASSIGN_OR_RETURN(const IntervalMatrix* m, (index_.*spans)());
-      return BinaryAxis(node, *m);
-    }
-    TREEWALK_ASSIGN_OR_RETURN(const NodeMatrix* m, (index_.*dense)());
-    return BinaryAxis(node, *m);
-  }
-
-  /// Irreflexive axis relation R(u, v): loads R (or its cached
-  /// transpose when the terms arrive in descending slot order) as a
-  /// matrix; R(x, x) is uniformly false for all four axes.
-  Result<Val> BinaryAxis(const FormulaNode& node, const NodeMatrix& rel) {
+  /// Irreflexive axis relation R(u, v), materialized by the AxisIndex
+  /// accessor `axis`: loads R (or its cached transpose when the terms
+  /// arrive in descending slot order) as a matrix; R(x, x) is uniformly
+  /// false for all four axes.
+  Result<Val> BinaryAxis(const FormulaNode& node,
+                         Result<const IntervalMatrix*> (AxisIndex::*axis)()
+                             const) {
+    TREEWALK_ASSIGN_OR_RETURN(const IntervalMatrix* rel, (index_.*axis)());
     TREEWALK_ASSIGN_OR_RETURN(int su, SlotOf(node.terms[0].var));
     TREEWALK_ASSIGN_OR_RETURN(int sv, SlotOf(node.terms[1].var));
     if (su == sv) {
       return SetVal(EmitLoadSet(Alias(index_.Empty())), su);
     }
     if (su < sv) {
-      return MatVal(EmitLoadMat(Alias(rel)), su, sv);
-    }
-    TREEWALK_ASSIGN_OR_RETURN(std::shared_ptr<const NodeMatrix> t,
-                              Transposed(rel));
-    return MatVal(EmitLoadMat(std::move(t)), sv, su);
-  }
-
-  Result<Val> BinaryAxis(const FormulaNode& node, const IntervalMatrix& rel) {
-    TREEWALK_ASSIGN_OR_RETURN(int su, SlotOf(node.terms[0].var));
-    TREEWALK_ASSIGN_OR_RETURN(int sv, SlotOf(node.terms[1].var));
-    if (su == sv) {
-      return SetVal(EmitLoadSet(Alias(index_.Empty())), su);
-    }
-    if (su < sv) {
-      return MatVal(EmitLoadIMat(Alias(rel)), su, sv);
+      return MatVal(EmitLoadMat(Alias(*rel)), su, sv);
     }
     TREEWALK_ASSIGN_OR_RETURN(std::shared_ptr<const IntervalMatrix> t,
-                              Transposed(rel));
-    return MatVal(EmitLoadIMat(std::move(t)), sv, su);
+                              Transposed(*rel));
+    return MatVal(EmitLoadMat(std::move(t)), sv, su);
   }
 
   Result<Val> NodeEq(const Term& a, const Term& b) {
@@ -693,14 +644,8 @@ class Compiler {
       return SetVal(EmitLoadSet(Alias(index_.Full())), sa);
     }
     // The identity matrix is symmetric; no transpose needed.
-    if (interval()) {
-      TREEWALK_ASSIGN_OR_RETURN(const IntervalMatrix* id,
-                                index_.TryIdentityIntervals());
-      return MatVal(EmitLoadIMat(Alias(*id)), sa < sb ? sa : sb,
-                    sa < sb ? sb : sa);
-    }
-    TREEWALK_ASSIGN_OR_RETURN(const NodeMatrix* id,
-                              index_.TryIdentityMatrix());
+    TREEWALK_ASSIGN_OR_RETURN(const IntervalMatrix* id,
+                              index_.TryIdentityIntervals());
     return MatVal(EmitLoadMat(Alias(*id)), sa < sb ? sa : sb,
                   sa < sb ? sb : sa);
   }
@@ -735,13 +680,7 @@ class Compiler {
     // Canonical orientation: rows are the smaller slot's variable.
     AttrId row_attr = sa < sb ? aa : ab;
     AttrId col_attr = sa < sb ? ab : aa;
-    if (interval()) {
-      TREEWALK_ASSIGN_OR_RETURN(std::shared_ptr<const IntervalMatrix> m,
-                                AttrPairIMat(row_attr, col_attr));
-      return MatVal(EmitLoadIMat(std::move(m)), sa < sb ? sa : sb,
-                    sa < sb ? sb : sa);
-    }
-    TREEWALK_ASSIGN_OR_RETURN(std::shared_ptr<const NodeMatrix> m,
+    TREEWALK_ASSIGN_OR_RETURN(std::shared_ptr<const IntervalMatrix> m,
                               AttrPairMat(row_attr, col_attr));
     return MatVal(EmitLoadMat(std::move(m)), sa < sb ? sa : sb,
                   sa < sb ? sb : sa);
@@ -773,28 +712,14 @@ class Compiler {
   // the governed op evaluation releases only its own transient charges,
   // so these stay charged for the compilation's lifetime.
 
-  Result<std::shared_ptr<const NodeMatrix>> Transposed(const NodeMatrix& m) {
-    auto [it, inserted] = transposed_.try_emplace(&m);
-    if (inserted) {
-      Status charge = GovernorCharge(governor_, MemoryCategory::kCompiledOps,
-                                     index_.MatrixBytes());
-      if (!charge.ok()) {
-        transposed_.erase(it);
-        return charge;
-      }
-      it->second = std::make_shared<const NodeMatrix>(m.Transposed());
-    }
-    return it->second;
-  }
-
-  /// Interval counterpart: output size is data-dependent (O(input
-  /// spans)), so construction runs against a transient charge that
-  /// bounds its peak, and the survivor is then re-charged at its exact
-  /// footprint for the compilation's lifetime like the dense caches.
+  /// Output size is data-dependent (O(input spans)), so construction
+  /// runs against a transient charge that bounds its peak, and the
+  /// survivor is then re-charged at its exact footprint for the
+  /// compilation's lifetime.
   Result<std::shared_ptr<const IntervalMatrix>> Transposed(
       const IntervalMatrix& m) {
-    auto found = itransposed_.find(&m);
-    if (found != itransposed_.end()) return found->second;
+    auto found = transposed_.find(&m);
+    if (found != transposed_.end()) return found->second;
     Result<IntervalMatrix> built = IntervalMatrix();
     {
       ScopedMemoryCharge building(governor_, MemoryCategory::kCompiledOps);
@@ -808,7 +733,7 @@ class Compiler {
     }
     if (!built.ok()) return built.status();
     auto sp = std::make_shared<const IntervalMatrix>(std::move(built).value());
-    itransposed_.emplace(&m, sp);
+    transposed_.emplace(&m, sp);
     return sp;
   }
 
@@ -833,42 +758,13 @@ class Compiler {
   }
 
   /// {(u, v) : attr(row_attr, u) == attr(col_attr, v)}: a value join
-  /// over the attribute-value indexes.
-  Result<std::shared_ptr<const NodeMatrix>> AttrPairMat(AttrId row_attr,
-                                                        AttrId col_attr) {
+  /// over the attribute-value indexes.  All rows whose row-attr value
+  /// is v alias one span image of {u : attr(col_attr, u) == v}, so the
+  /// matrix costs O(n + total column runs) instead of |rows| * n bits.
+  Result<std::shared_ptr<const IntervalMatrix>> AttrPairMat(AttrId row_attr,
+                                                            AttrId col_attr) {
     auto found = attr_pair_mats_.find({row_attr, col_attr});
     if (found != attr_pair_mats_.end()) return found->second;
-    // Resolve the value indexes *before* charging for the matrix so an
-    // error mid-build leaves neither a cache entry nor a stale charge.
-    TREEWALK_ASSIGN_OR_RETURN(const std::vector<DataValue>* values,
-                              index_.TryAttrValues(row_attr));
-    TREEWALK_ASSIGN_OR_RETURN(const std::vector<DataValue>* col_values,
-                              index_.TryAttrValues(col_attr));
-    (void)col_values;
-    TREEWALK_RETURN_IF_ERROR(GovernorCharge(
-        governor_, MemoryCategory::kCompiledOps, index_.MatrixBytes()));
-    auto m = std::make_shared<NodeMatrix>(n_);
-    for (DataValue v : *values) {
-      const NodeSet& cols = index_.AttrValueSet(col_attr, v);
-      if (!cols.any()) continue;
-      for (NodeId u : index_.AttrValueSet(row_attr, v).ToVector()) {
-        m->RowUnion(u, cols);
-      }
-    }
-    auto [it, inserted] = attr_pair_mats_.emplace(
-        std::make_pair(row_attr, col_attr), std::move(m));
-    (void)inserted;
-    return it->second;
-  }
-
-  /// Interval carrier of the attribute value join: all rows whose
-  /// row-attr value is v alias one span image of
-  /// {u : attr(col_attr, u) == v}, so the matrix costs
-  /// O(n + total column runs) instead of |rows| * n bits.
-  Result<std::shared_ptr<const IntervalMatrix>> AttrPairIMat(AttrId row_attr,
-                                                             AttrId col_attr) {
-    auto found = attr_pair_imats_.find({row_attr, col_attr});
-    if (found != attr_pair_imats_.end()) return found->second;
     TREEWALK_ASSIGN_OR_RETURN(const std::vector<DataValue>* values,
                               index_.TryAttrValues(row_attr));
     TREEWALK_ASSIGN_OR_RETURN(const std::vector<DataValue>* col_values,
@@ -913,46 +809,40 @@ class Compiler {
     }
     if (!built.ok()) return built.status();
     auto sp = std::make_shared<const IntervalMatrix>(std::move(built).value());
-    attr_pair_imats_.emplace(std::make_pair(row_attr, col_attr), sp);
+    attr_pair_mats_.emplace(std::make_pair(row_attr, col_attr), sp);
     return sp;
   }
-
-  bool interval() const { return repr_ == AxisRepr::kInterval; }
 
   const AxisIndex& index_;
   const Tree& tree_;
   std::size_t n_;
   ResourceGovernor* governor_ = nullptr;
-  AxisRepr repr_ = AxisRepr::kDense;  ///< resolved; never kAuto
 
   std::vector<Op> ops_;
   std::map<std::array<std::uint64_t, 4>, int> cse_;
   std::map<std::string, int> binding_;
   int next_slot_ = 0;
 
-  std::map<const NodeMatrix*, std::shared_ptr<const NodeMatrix>> transposed_;
   std::map<const IntervalMatrix*, std::shared_ptr<const IntervalMatrix>>
-      itransposed_;
+      transposed_;
   std::map<std::pair<AttrId, AttrId>, std::shared_ptr<const NodeSet>>
       attr_pair_sets_;
-  std::map<std::pair<AttrId, AttrId>, std::shared_ptr<const NodeMatrix>>
-      attr_pair_mats_;
   std::map<std::pair<AttrId, AttrId>, std::shared_ptr<const IntervalMatrix>>
-      attr_pair_imats_;
+      attr_pair_mats_;
 };
 
 Result<CompiledSelector> CompileSelector(const AxisIndex& index,
                                          const Formula& formula,
                                          const std::string& x,
-                                         const std::string& y, AxisRepr repr) {
-  Compiler compiler(index, repr);
+                                         const std::string& y,
+                                         AxisRepr /*repr*/) {
+  Compiler compiler(index);
   return compiler.Selector(formula, x, y);
 }
 
 Result<CompiledSentence> CompileSentence(const AxisIndex& index,
-                                         const Formula& formula,
-                                         AxisRepr repr) {
-  Compiler compiler(index, repr);
+                                         const Formula& formula) {
+  Compiler compiler(index);
   return compiler.Sentence(formula);
 }
 

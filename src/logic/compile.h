@@ -14,15 +14,14 @@ namespace treewalk {
 ///
 /// A formula is normalized (NNF via ToNegationNormalForm), variables are
 /// assigned scope-ordered slots, and each subformula becomes one op in a
-/// hash-consed DAG over bitset satisfier sets: atoms load unary
-/// predicate sets and axis relation matrices from the AxisIndex,
-/// connectives are word-parallel set algebra, and quantifiers are
+/// hash-consed DAG over satisfier sets: atoms load unary predicate
+/// bitsets and interval-encoded axis relations from the AxisIndex,
+/// connectives are set and span algebra, and quantifiers are
 /// OR/AND-reductions along the quantified axis (with miniscoping and a
 /// guarded-join composition for the one extra existential variable the
 /// width-2 representation cannot hold directly).  Evaluating the DAG
 /// once materializes the full satisfier relation; SelectFrom(origin) is
-/// then an O(n/64) row read per origin instead of an O(n^depth)
-/// recursive scan.
+/// then a row read per origin instead of an O(n^depth) recursive scan.
 ///
 /// Compilation is *partial*: formulas whose subformulas need three or
 /// more simultaneous free variables (after miniscoping and the guarded
@@ -39,21 +38,17 @@ namespace treewalk {
 /// Compiles a binary selector phi(x, y) against the tree behind `index`.
 /// Free variables must be within {x, y} (either may be unused).
 ///
-/// `repr` picks the Mat-shape carrier for the whole compilation: dense
-/// NodeMatrix rows or interval-encoded rows (kAuto resolves by tree
-/// size, see ResolveAxisRepr).  Both produce byte-identical SelectFrom
-/// answers; they differ only in space (O(n^2) vs O(n·spans)) and in
-/// which op costs dominate.
+/// `repr` has one value; the parameter is kept for perfbench/pbtool.cc,
+/// which passes SelectorPlan::repr here.
 Result<CompiledSelector> CompileSelector(const AxisIndex& index,
                                          const Formula& formula,
                                          const std::string& x = "x",
                                          const std::string& y = "y",
-                                         AxisRepr repr = AxisRepr::kAuto);
+                                         AxisRepr repr = AxisRepr::kInterval);
 
 /// Compiles and evaluates a sentence (no free variables).
 Result<CompiledSentence> CompileSentence(const AxisIndex& index,
-                                         const Formula& formula,
-                                         AxisRepr repr = AxisRepr::kAuto);
+                                         const Formula& formula);
 
 }  // namespace treewalk
 

@@ -313,12 +313,8 @@ const char* PlanStrategyName(PlanStrategy s) {
   switch (s) {
     case PlanStrategy::kReference:
       return "reference";
-    case PlanStrategy::kCompiledDense:
-      return "compiled-dense";
     case PlanStrategy::kCompiledInterval:
       return "compiled-interval";
-    case PlanStrategy::kXPathDirect:
-      return "xpath-direct";
   }
   return "?";
 }
@@ -343,7 +339,6 @@ SelectorPlan PlanSelector(const TreeStats& stats, const Formula& selector,
   const FormulaFeatures& feat = plan.features;
 
   const double n = static_cast<double>(stats.nodes);
-  const double words = std::max(1.0, std::ceil(n / 64.0));
   const double ops = std::max(1, feat.size);
   const double atoms = std::max(1, feat.atoms);
   const double origins =
@@ -371,48 +366,18 @@ SelectorPlan PlanSelector(const TreeStats& stats, const Formula& selector,
   plan.cost_reference = cal.reference_visit_cost * origins * atoms *
                         effective_y * std::pow(n, feat.quantifiers);
 
-  // --- Compiled paths: build the satisfier DAG once, then one row
-  // read per origin. ------------------------------------------------
-  const double compile_overhead = cal.compile_op_cost * ops;
-  plan.cost_dense =
-      cal.dense_word_cost * (ops * n * words + origins * words) +
-      compile_overhead;
-  // Interval rows start at one span per row for every tau axis; each
-  // disjunction can only widen rows.
+  // --- Compiled: build the satisfier DAG once, then one row read per
+  // origin.  Rows start at one span for every tau axis; each
+  // disjunction can only widen them. --------------------------------
   const double spans = 1.0 + static_cast<double>(feat.or_count);
   plan.cost_interval =
       cal.interval_span_cost * (ops * n * spans + origins * spans) +
-      compile_overhead;
+      cal.compile_op_cost * ops;
 
-  // --- XPath direct (only when the selector arrived as a path). -----
-  if (opts.offer_xpath) {
-    const double steps = std::max(1, opts.xpath_steps);
-    plan.cost_xpath = cal.xpath_step_cost * steps * n * origins;
-  }
-
-  const bool dense_allowed = opts.forced_repr != AxisRepr::kInterval;
-  const bool interval_allowed = opts.forced_repr != AxisRepr::kDense;
-
-  // Deterministic argmin with a fixed preference order for exact ties:
-  // reference, dense, interval, xpath.
-  plan.strategy = PlanStrategy::kReference;
-  plan.repr = AxisRepr::kAuto;
-  double best = plan.cost_reference;
-  if (dense_allowed && plan.cost_dense < best) {
-    best = plan.cost_dense;
-    plan.strategy = PlanStrategy::kCompiledDense;
-    plan.repr = AxisRepr::kDense;
-  }
-  if (interval_allowed && plan.cost_interval < best) {
-    best = plan.cost_interval;
-    plan.strategy = PlanStrategy::kCompiledInterval;
-    plan.repr = AxisRepr::kInterval;
-  }
-  if (opts.offer_xpath && plan.cost_xpath >= 0.0 && plan.cost_xpath < best) {
-    best = plan.cost_xpath;
-    plan.strategy = PlanStrategy::kXPathDirect;
-    plan.repr = AxisRepr::kAuto;
-  }
+  // Deterministic: an exact tie goes to the reference evaluator.
+  plan.strategy = plan.cost_interval < plan.cost_reference
+                      ? PlanStrategy::kCompiledInterval
+                      : PlanStrategy::kReference;
   return plan;
 }
 
@@ -429,17 +394,9 @@ PlannerCalibration RecalibrateFromMeasurements(
         predicted = plan.cost_reference;
         constant = &out.reference_visit_cost;
         break;
-      case PlanStrategy::kCompiledDense:
-        predicted = plan.cost_dense;
-        constant = &out.dense_word_cost;
-        break;
       case PlanStrategy::kCompiledInterval:
         predicted = plan.cost_interval;
         constant = &out.interval_span_cost;
-        break;
-      case PlanStrategy::kXPathDirect:
-        predicted = plan.cost_xpath;
-        constant = &out.xpath_step_cost;
         break;
     }
     if (constant == nullptr || predicted <= 0.0) continue;

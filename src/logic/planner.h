@@ -14,21 +14,18 @@ namespace treewalk {
 /// Cost-based strategy selection for selector evaluation
 /// (docs/PLANNER.md).
 ///
-/// The engine has four ways to answer "which nodes satisfy phi(x, y)
+/// The engine has two ways to answer "which nodes satisfy phi(x, y)
 /// from origin u":
 ///   - the reference arena evaluator (per-origin recursive search),
-///   - the compiled bitset path with dense NodeMatrix rows,
-///   - the compiled bitset path with interval-encoded rows,
-///   - the direct XPath evaluator (only when the query arrived as an
-///     XPath path rather than a formula).
-/// Historically the choice was hard-coded (always compile; dense below
-/// kDenseAxisNodeLimit nodes, interval above).  The planner replaces
-/// those fixed switches with one decision point: cheap exact tree
-/// statistics (TreeStats) plus structural formula features feed a
-/// per-strategy cost estimate, and the cheapest strategy wins.
+///   - the compiled set-at-a-time path with interval-encoded rows
+///     (src/logic/compile.h), which materializes the whole relation once
+///     and then reads one row per origin.
+/// The planner is the one decision point between them: cheap exact
+/// tree statistics (TreeStats) plus structural formula features feed a
+/// per-strategy cost estimate, and the cheaper strategy wins.
 ///
 /// The planner is advisory about *performance*, never about
-/// *correctness*: all strategies agree byte-for-byte (the differential
+/// *correctness*: both strategies agree byte-for-byte (the differential
 /// oracle in tests/planner_test.cc holds that line), and a compiled
 /// pick that the partial compiler declines at runtime still falls back
 /// to the reference evaluator exactly as before.  The planner does not
@@ -43,12 +40,10 @@ namespace treewalk {
 
 enum class PlanStrategy {
   kReference = 0,
-  kCompiledDense,
   kCompiledInterval,
-  kXPathDirect,
 };
 
-/// "reference", "compiled-dense", "compiled-interval", "xpath-direct".
+/// "reference", "compiled-interval".
 const char* PlanStrategyName(PlanStrategy s);
 
 /// Structural features of a selector, extracted in one AST walk.
@@ -86,22 +81,16 @@ struct FormulaFeatures {
 
 FormulaFeatures AnalyzeFormula(const Formula& f);
 
-/// Unit costs, in arbitrary "work units" (roughly: one word of bitset
-/// algebra = 1).  The defaults are chosen so that on a span-1 axis
-/// workload the dense/interval crossover lands at n = 4096 nodes —
-/// exactly the legacy kDenseAxisNodeLimit — making the planner a strict
-/// generalization of the old fixed switch.  `twq explain --timing`
-/// measures real strategies and prints rescaled constants
+/// Unit costs, in arbitrary "work units" (roughly: one 64-bit word of
+/// bitset algebra = 1, so one span of range algebra, which stands for
+/// up to 64 word-parallel bits, costs 64).  `twq explain --timing`
+/// measures both strategies and prints rescaled constants
 /// (RecalibrateFromMeasurements); nothing updates these globally.
 struct PlannerCalibration {
   /// Reference evaluator: cost of visiting one node in one atom check.
   double reference_visit_cost = 4.0;
-  /// Compiled dense: cost per 64-bit word of row algebra.
-  double dense_word_cost = 1.0;
-  /// Compiled interval: cost per span per row of range algebra.
+  /// Compiled: cost per span per row of range algebra.
   double interval_span_cost = 64.0;
-  /// XPath direct: cost per node per location step.
-  double xpath_step_cost = 4.0;
   /// One-time compile overhead per op (normalization, hash-consing).
   double compile_op_cost = 32.0;
 
@@ -121,15 +110,13 @@ struct OperatorEstimate {
 
 struct SelectorPlan {
   PlanStrategy strategy = PlanStrategy::kReference;
-  /// Representation to request from the compiler when strategy is a
-  /// compiled one (kDense or kInterval, never kAuto); kAuto otherwise.
-  AxisRepr repr = AxisRepr::kAuto;
+  /// Always kInterval; kept for perfbench/pbtool.cc, which passes it to
+  /// CompileSelector.
+  AxisRepr repr = AxisRepr::kInterval;
   FormulaFeatures features;
-  /// Estimated total work units per strategy (xpath only when offered).
+  /// Estimated total work units per strategy.
   double cost_reference = 0.0;
-  double cost_dense = 0.0;
   double cost_interval = 0.0;
-  double cost_xpath = -1.0;  ///< -1 when XPath direct was not a candidate
   /// Estimated satisfier pairs of the whole selector phi(x, y).
   double estimated_rows = 0.0;
   /// Per-subformula estimates, pre-order over the AST.
@@ -141,14 +128,6 @@ struct PlanOptions {
   /// from.  The interpreter does not know this upfront and uses the
   /// node count (every-node worst case); `twq explain --origin` uses 1.
   double expected_origins = -1.0;  ///< -1: default to stats.nodes
-  /// Offer the direct XPath evaluator as a candidate (only meaningful
-  /// when the selector was derived from an XPath path).
-  bool offer_xpath = false;
-  /// Location steps of the originating XPath path (for cost_xpath).
-  int xpath_steps = 0;
-  /// Respect a caller-forced representation: kDense/kInterval restrict
-  /// the compiled candidates to that one representation.
-  AxisRepr forced_repr = AxisRepr::kAuto;
 };
 
 /// Plans evaluation of `selector` (free variables within {x, y})
@@ -169,7 +148,7 @@ struct StrategyMeasurement {
 /// halfway (geometric damping) toward measured/predicted, so repeated
 /// `twq explain --timing` runs converge instead of oscillating.
 /// Strategies without a measurement (or with a non-positive predicted
-/// cost) keep their constants.
+/// cost) keep their constants; compile_op_cost is never rescaled.
 PlannerCalibration RecalibrateFromMeasurements(
     const PlannerCalibration& base, const SelectorPlan& plan,
     const std::vector<StrategyMeasurement>& measured);

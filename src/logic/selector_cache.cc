@@ -1,5 +1,6 @@
 #include "src/logic/selector_cache.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
@@ -22,6 +23,9 @@ constexpr std::size_t kEntryHeaderBytes = 44;
 // shape_ byte values; pinned independently of the enum declaration.
 constexpr std::uint8_t kShapeBool = 0, kShapeSetX = 1, kShapeSetY = 2,
                        kShapeMat = 3;
+// Header repr word: 1 = interval payload, the only one written or read.
+// The retired dense payload wrote 2; such entries decode as stale.
+constexpr std::uint32_t kReprWord = 1;
 
 struct CacheMetrics {
   Counter* hits;
@@ -90,7 +94,7 @@ class SelectorCacheCodec {
     std::string out;
     out.append(kEntryMagic, sizeof(kEntryMagic));
     PutU32Le(kSnapshotVersion, out);
-    PutU32Le(static_cast<std::uint32_t>(key.repr), out);
+    PutU32Le(kReprWord, out);
     PutU64Le(key.formula_hash, out);
     PutU64Le(key.tree_hash, out);
     PutU64Le(sel.n_, out);
@@ -116,10 +120,6 @@ class SelectorCacheCodec {
     if (shape == kShapeSetX || shape == kShapeSetY) {
       PutU64Le(sel.set_->num_words(), out);
       PutWords(sel.set_->words(), sel.set_->num_words(), out);
-    } else if (shape == kShapeMat && sel.mat_ != nullptr) {
-      const NodeMatrix& m = *sel.mat_;
-      PutU64Le(m.words_per_row(), out);
-      PutWords(m.Row(0), m.size() * m.words_per_row(), out);
     } else if (shape == kShapeMat) {
       EncodeIntervalMatrix(*sel.imat_, out);
     }
@@ -145,19 +145,17 @@ class SelectorCacheCodec {
       return InvalidArgument("selector cache entry has version " +
                              std::to_string(version));
     }
-    const std::uint32_t repr_raw = GetU32Le(bytes, 12);
-    if (repr_raw != static_cast<std::uint32_t>(AxisRepr::kDense) &&
-        repr_raw != static_cast<std::uint32_t>(AxisRepr::kInterval)) {
-      return InvalidArgument("selector cache entry has unresolved repr");
+    const std::uint32_t repr_word = GetU32Le(bytes, 12);
+    if (repr_word != kReprWord) {
+      return FailedPrecondition("selector cache entry is stale (repr word " +
+                                std::to_string(repr_word) + ")");
     }
     SelectorCacheKey key;
     key.formula_hash = GetU64Le(bytes, 16);
     key.tree_hash = GetU64Le(bytes, 24);
-    key.repr = static_cast<AxisRepr>(repr_raw);
     if (expected != nullptr &&
         (key.formula_hash != expected->formula_hash ||
-         key.tree_hash != expected->tree_hash ||
-         key.repr != expected->repr)) {
+         key.tree_hash != expected->tree_hash)) {
       return FailedPrecondition(
           "selector cache entry is stale (key mismatch)");
     }
@@ -176,7 +174,6 @@ class SelectorCacheCodec {
         bytes.substr(kEntryHeaderBytes, bytes.size() - kEntryHeaderBytes - 4);
     CompiledSelector sel;
     sel.n_ = n;
-    sel.repr_ = key.repr;
     sel.literal_ = literal != 0;
     switch (shape) {
       case kShapeBool: {
@@ -202,20 +199,9 @@ class SelectorCacheCodec {
       }
       case kShapeMat: {
         sel.shape_ = CompiledSelector::Shape::kMat;
-        if (key.repr == AxisRepr::kDense) {
-          const std::size_t wpr = (n + 63) / 64;
-          if (payload.size() != 8 + n * wpr * 8 ||
-              GetU64Le(payload, 0) != wpr) {
-            return InvalidArgument("selector cache matrix payload corrupt");
-          }
-          NodeMatrix m(n);
-          if (n > 0) GetWords(payload, 8, m.Row(0), n * wpr);
-          sel.mat_ = std::make_shared<const NodeMatrix>(std::move(m));
-        } else {
-          TREEWALK_ASSIGN_OR_RETURN(IntervalMatrix m,
-                                    DecodeIntervalMatrix(payload, n));
-          sel.imat_ = std::make_shared<const IntervalMatrix>(std::move(m));
-        }
+        TREEWALK_ASSIGN_OR_RETURN(IntervalMatrix m,
+                                  DecodeIntervalMatrix(payload, n));
+        sel.imat_ = std::make_shared<const IntervalMatrix>(std::move(m));
         break;
       }
     }
@@ -243,8 +229,12 @@ class SelectorCacheCodec {
       // images always say 0 so equal matrices encode to equal bytes.
       PutU32Le(r.count == 0 ? 0 : r.offset, out);
       PutU32Le(r.count, out);
+      // Intersected windows can come out inverted (begin > end), which
+      // reads as empty exactly like begin == end; write the latter, the
+      // form the decoder accepts.
+      const NodeId clip_end = std::max(r.clip_begin, r.clip_end);
       PutU32Le(static_cast<std::uint32_t>(r.clip_begin), out);
-      PutU32Le(static_cast<std::uint32_t>(r.clip_end), out);
+      PutU32Le(static_cast<std::uint32_t>(clip_end), out);
       PutU32Le(r.complemented ? 1 : 0, out);
     }
   }
@@ -343,7 +333,7 @@ std::string SelectorDiskCache::EntryPath(const SelectorCacheKey& key) const {
   std::snprintf(name, sizeof(name), "%016llx-%016llx-%u.twsel",
                 static_cast<unsigned long long>(key.formula_hash),
                 static_cast<unsigned long long>(key.tree_hash),
-                static_cast<unsigned>(key.repr));
+                static_cast<unsigned>(kReprWord));
   return dir_ + "/" + name;
 }
 
@@ -363,13 +353,12 @@ Status SelectorDiskCache::Store(const SelectorCacheKey& key,
 
 Result<CompiledSelector> CompileSelectorCached(
     const AxisIndex& index, const Formula& formula, const std::string& x,
-    const std::string& y, AxisRepr repr, const SelectorDiskCache* cache,
+    const std::string& y, AxisRepr /*repr*/, const SelectorDiskCache* cache,
     std::uint64_t tree_hash) {
-  if (cache == nullptr) return CompileSelector(index, formula, x, y, repr);
+  if (cache == nullptr) return CompileSelector(index, formula, x, y);
   SelectorCacheKey key;
   key.formula_hash = StableFormulaHash(formula, x, y);
   key.tree_hash = tree_hash;
-  key.repr = ResolveAxisRepr(repr, index.size());
   Result<CompiledSelector> cached = cache->Load(key);
   if (cached.ok()) {
     CacheMetrics::Get().hits->Increment();
@@ -382,7 +371,7 @@ Result<CompiledSelector> CompileSelectorCached(
     // is a plain compile — slower, never wrong.
     CacheMetrics::Get().fallbacks->Increment();
   }
-  Result<CompiledSelector> fresh = CompileSelector(index, formula, x, y, repr);
+  Result<CompiledSelector> fresh = CompileSelector(index, formula, x, y);
   if (fresh.ok() && cache->Store(key, *fresh).ok()) {
     CacheMetrics::Get().stores->Increment();
   }

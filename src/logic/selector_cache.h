@@ -26,21 +26,21 @@ namespace treewalk {
 ///   tree_hash      TreeContentHash() of the tree compiled against;
 ///   version        kSnapshotVersion (bumping the snapshot format
 ///                  invalidates cached selectors too);
-///   repr           the *resolved* AxisRepr (dense and interval
-///                  payloads differ).
+///   repr word      the constant 1 (interval payload).  Entries with any
+///                  other word — the retired dense payload wrote 2 — are
+///                  rejected as stale and recompiled.
 ///
 /// Entries are written atomically (tmp+rename), CRC-checked per
 /// section, and carry the key they were computed for; a stale, corrupt,
 /// or truncated entry loads as a non-OK Status and the caller falls
 /// back to compiling — never a wrong answer, never a crash
-/// (failpoint- and fuzz-proven).  Interval payloads persist their span
+/// (failpoint- and fuzz-proven).  Matrix payloads persist their span
 /// pools once plus per-row descriptors, so the pool sharing that makes
 /// the representation O(n) survives the round trip (RetainedBytes() is
 /// preserved).
 struct SelectorCacheKey {
   std::uint64_t formula_hash = 0;
   std::uint64_t tree_hash = 0;
-  AxisRepr repr = AxisRepr::kDense;
 };
 
 /// Process-stable formula-side hash of a cache key.
@@ -58,10 +58,10 @@ Result<CompiledSelector> DecodeSelectorCacheEntry(
     std::string_view bytes, const SelectorCacheKey* expected_key);
 
 /// Directory of cache entries, one file per key
-/// (`<dir>/<hex key>.twsel`).  Thread-safe: entries are immutable and
-/// written atomically, so concurrent readers/writers (batch workers)
-/// need no coordination.  Failpoints: selector_cache/load,
-/// selector_cache/store.
+/// (`<dir>/<formula hash>-<tree hash>-1.twsel`).  Thread-safe: entries
+/// are immutable and written atomically, so concurrent readers/writers
+/// (batch workers) need no coordination.  Failpoints:
+/// selector_cache/load, selector_cache/store.
 class SelectorDiskCache {
  public:
   explicit SelectorDiskCache(std::string dir) : dir_(std::move(dir)) {}
@@ -84,15 +84,16 @@ class SelectorDiskCache {
   std::string dir_;
 };
 
-/// CompileSelector with a read-through disk cache: resolves `repr`
-/// against the tree size, tries `cache` (when non-null), and falls back
-/// to compiling — storing the fresh result best-effort.  A cache
+/// CompileSelector with a read-through disk cache: tries `cache` (when
+/// non-null) and falls back to compiling — storing the fresh result
+/// best-effort.  A cache
 /// failure of any kind (missing, stale, corrupt, injected fault) only
 /// costs the compile it would have saved; hits, misses, stores, and
 /// fallbacks are counted in the metrics registry
 /// (treewalk_selector_cache_*_total).  `tree_hash` is
 /// TreeContentHash() of the tree behind `index`, hoisted out so batch
-/// runs hash each tree once.
+/// runs hash each tree once.  `repr` has one value; the parameter is
+/// kept for perfbench/pbtool.cc.
 Result<CompiledSelector> CompileSelectorCached(
     const AxisIndex& index, const Formula& formula, const std::string& x,
     const std::string& y, AxisRepr repr, const SelectorDiskCache* cache,

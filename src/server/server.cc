@@ -635,8 +635,6 @@ std::string QueryServer::ExecuteQuery(const QueryRequest& query) {
   RecordQuarantineOutcome(poison_key, /*governor_tripped=*/false);
   counters_.planner_picks_reference.fetch_add(
       result.run.stats.planner_picks_reference, std::memory_order_relaxed);
-  counters_.planner_picks_dense.fetch_add(
-      result.run.stats.planner_picks_dense, std::memory_order_relaxed);
   counters_.planner_picks_interval.fetch_add(
       result.run.stats.planner_picks_interval, std::memory_order_relaxed);
   counters_.served_ok.fetch_add(1, std::memory_order_relaxed);
@@ -685,8 +683,6 @@ StatsMap QueryServer::BuildStats() const {
   put("server.reloads", c.reloads.load(std::memory_order_relaxed));
   put("planner.picks_reference",
       c.planner_picks_reference.load(std::memory_order_relaxed));
-  put("planner.picks_dense",
-      c.planner_picks_dense.load(std::memory_order_relaxed));
   put("planner.picks_interval",
       c.planner_picks_interval.load(std::memory_order_relaxed));
   put("server.inflight", inflight_.load(std::memory_order_relaxed));

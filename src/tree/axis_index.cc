@@ -9,33 +9,9 @@
 
 namespace treewalk {
 
-const char* AxisReprName(AxisRepr repr) {
-  switch (repr) {
-    case AxisRepr::kAuto:
-      return "auto";
-    case AxisRepr::kInterval:
-      return "interval";
-    case AxisRepr::kDense:
-      return "dense";
-  }
-  return "auto";
-}
-
-std::optional<AxisRepr> ParseAxisRepr(std::string_view name) {
-  if (name == "auto") return AxisRepr::kAuto;
-  if (name == "interval") return AxisRepr::kInterval;
-  if (name == "dense") return AxisRepr::kDense;
-  return std::nullopt;
-}
-
-AxisRepr ResolveAxisRepr(AxisRepr requested, std::size_t n) {
-  if (requested != AxisRepr::kAuto) return requested;
-  return n <= kDenseAxisNodeLimit ? AxisRepr::kDense : AxisRepr::kInterval;
-}
-
 namespace {
 
-/// Word-level mask helpers shared by NodeSet and NodeMatrix rows.
+/// Word-level mask helpers behind NodeSet.
 inline void SetBitRange(std::uint64_t* words, NodeId begin, NodeId end) {
   if (begin >= end) return;
   std::size_t first = static_cast<std::size_t>(begin) >> 6;
@@ -119,96 +95,6 @@ std::vector<NodeId> NodeSet::ToVector() const {
 
 void NodeSet::MaskTail() { MaskTailWords(words_.data(), words_.size(), n_); }
 
-// --- NodeMatrix. -------------------------------------------------------
-
-void NodeMatrix::SetRowRange(NodeId u, NodeId begin, NodeId end) {
-  SetBitRange(Row(u), begin, end);
-}
-
-void NodeMatrix::RowUnion(NodeId u, const NodeSet& s) {
-  assert(s.size() == n_);
-  std::uint64_t* row = Row(u);
-  for (std::size_t w = 0; w < words_per_row_; ++w) row[w] |= s.words()[w];
-}
-
-void NodeMatrix::Union(const NodeMatrix& o) {
-  assert(o.n_ == n_);
-  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] |= o.words_[w];
-}
-
-void NodeMatrix::Intersect(const NodeMatrix& o) {
-  assert(o.n_ == n_);
-  for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= o.words_[w];
-}
-
-void NodeMatrix::Complement() {
-  for (auto& w : words_) w = ~w;
-  MaskTails();
-}
-
-NodeMatrix NodeMatrix::Transposed() const {
-  NodeMatrix t(n_);
-  for (NodeId u = 0; u < static_cast<NodeId>(n_); ++u) {
-    const std::uint64_t* row = Row(u);
-    for (std::size_t w = 0; w < words_per_row_; ++w) {
-      std::uint64_t bits = row[w];
-      while (bits != 0) {
-        int b = std::countr_zero(bits);
-        t.set(static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b)), u);
-        bits &= bits - 1;
-      }
-    }
-  }
-  return t;
-}
-
-NodeSet NodeMatrix::RowSet(NodeId u) const {
-  NodeSet s(n_);
-  const std::uint64_t* row = Row(u);
-  for (std::size_t w = 0; w < words_per_row_; ++w) s.words()[w] = row[w];
-  return s;
-}
-
-NodeSet NodeMatrix::AnyPerRow() const {
-  NodeSet s(n_);
-  for (NodeId u = 0; u < static_cast<NodeId>(n_); ++u) {
-    const std::uint64_t* row = Row(u);
-    for (std::size_t w = 0; w < words_per_row_; ++w) {
-      if (row[w] != 0) {
-        s.set(u);
-        break;
-      }
-    }
-  }
-  return s;
-}
-
-NodeSet NodeMatrix::AllPerRow() const {
-  NodeSet s(n_);
-  if (n_ == 0) return s;
-  std::size_t used = n_ & 63;
-  std::uint64_t tail_full =
-      used == 0 ? ~std::uint64_t{0} : (~std::uint64_t{0}) >> (64 - used);
-  for (NodeId u = 0; u < static_cast<NodeId>(n_); ++u) {
-    const std::uint64_t* row = Row(u);
-    bool full = true;
-    for (std::size_t w = 0; w + 1 < words_per_row_; ++w) {
-      if (row[w] != ~std::uint64_t{0}) {
-        full = false;
-        break;
-      }
-    }
-    if (full && row[words_per_row_ - 1] == tail_full) s.set(u);
-  }
-  return s;
-}
-
-void NodeMatrix::MaskTails() {
-  for (NodeId u = 0; u < static_cast<NodeId>(n_); ++u) {
-    MaskTailWords(Row(u), words_per_row_, n_);
-  }
-}
-
 // --- AxisIndex. --------------------------------------------------------
 
 namespace {
@@ -247,12 +133,6 @@ AxisIndex::AxisIndex(const Tree& tree, ResourceGovernor* governor)
     label_sets_[static_cast<std::size_t>(tree.label(u))].set(u);
   }
   attr_index_.resize(tree.num_attributes());
-}
-
-std::int64_t AxisIndex::MatrixBytes() const {
-  return static_cast<std::int64_t>(n_) *
-             static_cast<std::int64_t>((n_ + 63) / 64) * 8 +
-         64;
 }
 
 const NodeSet& AxisIndex::LabelSet(std::string_view name) const {
@@ -324,120 +204,6 @@ Result<const std::vector<DataValue>*> AxisIndex::TryAttrValues(
     AttrId a) const {
   TREEWALK_RETURN_IF_ERROR(EnsureAttrIndex(a));
   return &attr_index_[static_cast<std::size_t>(a)]->values;
-}
-
-Status AxisIndex::EnsureMatrix(std::optional<NodeMatrix>& slot,
-                               void (AxisIndex::*fill)(NodeMatrix&)
-                                   const) const {
-  if (slot.has_value()) return Status::Ok();
-  TREEWALK_FAILPOINT("axis_index/alloc");
-  TREEWALK_RETURN_IF_ERROR(
-      GovernorCharge(governor_, MemoryCategory::kAxisIndex, MatrixBytes()));
-  slot.emplace(n_);
-  (this->*fill)(*slot);
-  return Status::Ok();
-}
-
-void AxisIndex::FillEdge(NodeMatrix& m) const {
-  for (NodeId v = 0; v < static_cast<NodeId>(n_); ++v) {
-    NodeId p = tree_->Parent(v);
-    if (p != kNoNode) m.set(p, v);
-  }
-}
-
-void AxisIndex::FillDescendant(NodeMatrix& m) const {
-  // Pre-order layout: the strict descendants of u are exactly the
-  // contiguous id range (u, SubtreeEnd(u)).
-  for (NodeId u = 0; u < static_cast<NodeId>(n_); ++u) {
-    m.SetRowRange(u, u + 1, tree_->SubtreeEnd(u));
-  }
-}
-
-void AxisIndex::FillSibling(NodeMatrix& m) const {
-  // Later siblings of u have larger pre-order ids, so row u is the
-  // parent's child set masked to ids > u; walking the sibling chain
-  // directly sets exactly those bits.
-  for (NodeId u = 0; u < static_cast<NodeId>(n_); ++u) {
-    for (NodeId v = tree_->NextSibling(u); v != kNoNode;
-         v = tree_->NextSibling(v)) {
-      m.set(u, v);
-    }
-  }
-}
-
-void AxisIndex::FillSucc(NodeMatrix& m) const {
-  for (NodeId u = 0; u < static_cast<NodeId>(n_); ++u) {
-    NodeId v = tree_->NextSibling(u);
-    if (v != kNoNode) m.set(u, v);
-  }
-}
-
-void AxisIndex::FillIdentity(NodeMatrix& m) const {
-  for (NodeId u = 0; u < static_cast<NodeId>(n_); ++u) m.set(u, u);
-}
-
-/// The ungoverned reference accessors materialize unconditionally (the
-/// charge cannot fire without a governor, and existing callers keep
-/// their infallible signatures).
-const NodeMatrix& AxisIndex::EdgeMatrix() const {
-  if (!edge_.has_value()) {
-    edge_.emplace(n_);
-    FillEdge(*edge_);
-  }
-  return *edge_;
-}
-
-const NodeMatrix& AxisIndex::DescendantMatrix() const {
-  if (!desc_.has_value()) {
-    desc_.emplace(n_);
-    FillDescendant(*desc_);
-  }
-  return *desc_;
-}
-
-const NodeMatrix& AxisIndex::SiblingMatrix() const {
-  if (!sib_.has_value()) {
-    sib_.emplace(n_);
-    FillSibling(*sib_);
-  }
-  return *sib_;
-}
-
-const NodeMatrix& AxisIndex::SuccMatrix() const {
-  if (!succ_.has_value()) {
-    succ_.emplace(n_);
-    FillSucc(*succ_);
-  }
-  return *succ_;
-}
-
-const NodeMatrix& AxisIndex::IdentityMatrix() const {
-  if (!identity_.has_value()) {
-    identity_.emplace(n_);
-    FillIdentity(*identity_);
-  }
-  return *identity_;
-}
-
-Result<const NodeMatrix*> AxisIndex::TryEdgeMatrix() const {
-  TREEWALK_RETURN_IF_ERROR(EnsureMatrix(edge_, &AxisIndex::FillEdge));
-  return &*edge_;
-}
-Result<const NodeMatrix*> AxisIndex::TryDescendantMatrix() const {
-  TREEWALK_RETURN_IF_ERROR(EnsureMatrix(desc_, &AxisIndex::FillDescendant));
-  return &*desc_;
-}
-Result<const NodeMatrix*> AxisIndex::TrySiblingMatrix() const {
-  TREEWALK_RETURN_IF_ERROR(EnsureMatrix(sib_, &AxisIndex::FillSibling));
-  return &*sib_;
-}
-Result<const NodeMatrix*> AxisIndex::TrySuccMatrix() const {
-  TREEWALK_RETURN_IF_ERROR(EnsureMatrix(succ_, &AxisIndex::FillSucc));
-  return &*succ_;
-}
-Result<const NodeMatrix*> AxisIndex::TryIdentityMatrix() const {
-  TREEWALK_RETURN_IF_ERROR(EnsureMatrix(identity_, &AxisIndex::FillIdentity));
-  return &*identity_;
 }
 
 // --- Interval-encoded axes. --------------------------------------------

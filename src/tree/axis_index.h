@@ -17,33 +17,15 @@ namespace treewalk {
 
 class IntervalMatrix;  // src/tree/interval_matrix.h
 
-/// How axis relations and compiled-selector matrices are represented.
-///
-///   - kDense: n-by-n bitset NodeMatrix rows (O(n^2) bytes, O(1) bit
-///     tests, word-parallel row algebra) — unbeatable at small n.
-///   - kInterval: pre-order span lists per row (O(n) bytes for every
-///     tau axis, range algebra) — the only representation that reaches
-///     the million-node target.
-///   - kAuto: pick per tree size (ResolveAxisRepr).
+/// Matrix representation of compiled selectors.  Interval-encoded rows
+/// (src/tree/interval_matrix.h) are the only carrier; the enum and the
+/// `repr` parameters that take it are kept for perfbench/pbtool.cc,
+/// which passes SelectorPlan::repr through to CompileSelector.  The
+/// value 1 is also the repr word of every `.twsel` entry
+/// (docs/SNAPSHOT.md).
 enum class AxisRepr {
-  kAuto = 0,
-  kInterval,
-  kDense,
+  kInterval = 1,
 };
-
-/// "auto" / "interval" / "dense".
-const char* AxisReprName(AxisRepr repr);
-/// Inverse of AxisReprName; nullopt for unknown spellings.
-std::optional<AxisRepr> ParseAxisRepr(std::string_view name);
-
-/// Trees at or below this node count stay dense under kAuto: the whole
-/// matrix fits in ~2MiB, word-parallel ops win, and existing small-tree
-/// behavior (and perf baselines) are preserved.
-inline constexpr std::size_t kDenseAxisNodeLimit = 4096;
-
-/// Resolves kAuto against the tree size; returns the request verbatim
-/// otherwise.
-AxisRepr ResolveAxisRepr(AxisRepr requested, std::size_t n);
 
 /// Dense bitset over Dom(t): one bit per NodeId, packed 64 per word.
 /// Because nodes are stored in document order, iterating set bits from
@@ -101,64 +83,6 @@ class NodeSet {
   std::vector<std::uint64_t> words_;
 };
 
-/// Dense n-by-n bit matrix over Dom(t) x Dom(t): row u is the bitset
-/// {v : R(u, v)} of a binary relation R.  Rows are word-aligned, so
-/// row-wise set algebra runs 64 node pairs per instruction.
-class NodeMatrix {
- public:
-  NodeMatrix() = default;
-  explicit NodeMatrix(std::size_t n)
-      : n_(n), words_per_row_((n + 63) / 64),
-        words_(n * ((n + 63) / 64), 0) {}
-
-  std::size_t size() const { return n_; }
-  std::size_t words_per_row() const { return words_per_row_; }
-
-  std::uint64_t* Row(NodeId u) {
-    return words_.data() + static_cast<std::size_t>(u) * words_per_row_;
-  }
-  const std::uint64_t* Row(NodeId u) const {
-    return words_.data() + static_cast<std::size_t>(u) * words_per_row_;
-  }
-
-  bool test(NodeId u, NodeId v) const {
-    return (Row(u)[static_cast<std::size_t>(v) >> 6] >>
-            (static_cast<std::size_t>(v) & 63)) &
-           1;
-  }
-  void set(NodeId u, NodeId v) {
-    Row(u)[static_cast<std::size_t>(v) >> 6] |=
-        std::uint64_t{1} << (static_cast<std::size_t>(v) & 63);
-  }
-  /// Sets row u's bits in [begin, end).
-  void SetRowRange(NodeId u, NodeId begin, NodeId end);
-  /// ORs `s` into row u.
-  void RowUnion(NodeId u, const NodeSet& s);
-
-  void Union(const NodeMatrix& o);
-  void Intersect(const NodeMatrix& o);
-  /// Flips every bit (complement relative to Dom(t) x Dom(t)).
-  void Complement();
-
-  NodeMatrix Transposed() const;
-
-  /// Row copied out as a NodeSet.
-  NodeSet RowSet(NodeId u) const;
-  /// Set of rows with at least one bit: {u : exists v R(u, v)}.
-  NodeSet AnyPerRow() const;
-  /// Set of full rows: {u : forall v R(u, v)}.
-  NodeSet AllPerRow() const;
-
-  friend bool operator==(const NodeMatrix&, const NodeMatrix&) = default;
-
- private:
-  void MaskTails();
-
-  std::size_t n_ = 0;
-  std::size_t words_per_row_ = 0;
-  std::vector<std::uint64_t> words_;
-};
-
 /// Per-tree index of the tau_{Sigma,A} vocabulary as set-valued views,
 /// computed once and shared by every compiled formula over one tree
 /// (src/logic/compile.h).  The scalar navigation arrays (parent,
@@ -167,18 +91,19 @@ class NodeMatrix {
 ///
 ///   - unary predicate bitsets: root(x), leaf(x), first(x), last(x);
 ///   - label -> node-set and attribute-value -> node-set maps;
-///   - memoized axis relation matrices: E (child), desc (strict
-///     descendant, a contiguous pre-order range per row), sib (later
-///     siblings, children-of-parent masked to ids > u), succ.
+///   - memoized interval-encoded axis relations: E (child), desc
+///     (strict descendant, a contiguous pre-order range per row), sib
+///     (later siblings, a window onto the parent's child runs), succ,
+///     and the identity.
 ///
 /// Construction is O(n) plus O(|Sigma| + #distinct-values) bitsets;
-/// each matrix is materialized on first use and cached.  Not
+/// each relation is materialized on first use and cached.  Not
 /// thread-safe: use one AxisIndex per run (the interpreter owns one per
 /// Runner).  The tree must outlive the index.
 class AxisIndex {
  public:
-  /// With a governor, every materialization (base bitsets, relation
-  /// matrices, attribute-value indexes) is charged against its memory
+  /// With a governor, every materialization (base bitsets, axis
+  /// relations, attribute-value indexes) is charged against its memory
   /// budget under MemoryCategory::kAxisIndex *before* allocating, and
   /// the Try* accessors surface kResourceExhausted instead of growing
   /// without bound.  Without one (the default) behavior is unchanged.
@@ -209,46 +134,32 @@ class AxisIndex {
   /// Distinct values of attribute `a`, ascending.
   const std::vector<DataValue>& AttrValues(AttrId a) const;
 
-  /// E(u, v): v is a child of u.
-  const NodeMatrix& EdgeMatrix() const;
-  /// desc(u, v): v is a strict descendant of u.
-  const NodeMatrix& DescendantMatrix() const;
-  /// sib(u, v): same parent, u before v.
-  const NodeMatrix& SiblingMatrix() const;
-  /// succ(u, v): v is the right sibling of u.
-  const NodeMatrix& SuccMatrix() const;
-  /// u = v.
-  const NodeMatrix& IdentityMatrix() const;
-
-  /// Governed variants of the lazy accessors: charge the governor's
-  /// memory budget before materializing (a cached matrix re-charges
-  /// nothing) and fail with kResourceExhausted instead of allocating
-  /// past the budget.  The compiler (src/logic/compile.cc) uses these;
-  /// the reference accessors above stay for ungoverned callers.
-  Result<const NodeMatrix*> TryEdgeMatrix() const;
-  Result<const NodeMatrix*> TryDescendantMatrix() const;
-  Result<const NodeMatrix*> TrySiblingMatrix() const;
-  Result<const NodeMatrix*> TrySuccMatrix() const;
-  Result<const NodeMatrix*> TryIdentityMatrix() const;
+  /// Governed attribute-value lookups: charge the governor's memory
+  /// budget before materializing an attribute's value index (a cached
+  /// index re-charges nothing) and fail with kResourceExhausted instead
+  /// of allocating past the budget.  The compiler (src/logic/compile.cc)
+  /// uses these; the accessors above stay for ungoverned callers.
   Result<const NodeSet*> TryAttrValueSet(AttrId a, DataValue v) const;
   Result<const std::vector<DataValue>*> TryAttrValues(AttrId a) const;
 
-  /// Bytes a dense n-by-n NodeMatrix over this domain occupies; what
-  /// the Try* accessors charge per materialized relation.
-  std::int64_t MatrixBytes() const;
-
-  /// Interval-encoded axis relations: the same five relations as the
-  /// Try*Matrix accessors, as O(n)-byte IntervalMatrix objects.  The
-  /// pre-order arena makes every one span-sparse — desc(u) is the
-  /// single range (u, SubtreeEnd(u)), succ(u) one point, sib(u) a
-  /// suffix window onto one shared child-run list per family.  Each is
-  /// materialized on first use with an *exact* pre-charge (a span-count
-  /// prepass, not the dense MatrixBytes worst case) under
-  /// MemoryCategory::kAxisIndex, and cached.
+  /// Interval-encoded axis relations, as O(n)-byte IntervalMatrix
+  /// objects.  The pre-order arena makes every one span-sparse —
+  /// desc(u) is the single range (u, SubtreeEnd(u)), succ(u) one
+  /// point, sib(u) a suffix window onto one shared child-run list per
+  /// family.  Each is materialized on first use with an *exact*
+  /// pre-charge (a span-count prepass) under MemoryCategory::kAxisIndex,
+  /// and cached; a charge the budget rejects fails with
+  /// kResourceExhausted instead of allocating.
+  ///
+  /// E(u, v): v is a child of u.
   Result<const IntervalMatrix*> TryEdgeIntervals() const;
+  /// desc(u, v): v is a strict descendant of u.
   Result<const IntervalMatrix*> TryDescendantIntervals() const;
+  /// sib(u, v): same parent, u before v.
   Result<const IntervalMatrix*> TrySiblingIntervals() const;
+  /// succ(u, v): v is the right sibling of u.
   Result<const IntervalMatrix*> TrySuccIntervals() const;
+  /// u = v.
   Result<const IntervalMatrix*> TryIdentityIntervals() const;
 
   /// rank[u] = position of u in post-order (pre-order rank is the
@@ -266,15 +177,6 @@ class AxisIndex {
   };
   const AttrIndex& AttrIndexFor(AttrId a) const;
   Status EnsureAttrIndex(AttrId a) const;
-  /// Charges + materializes `slot` via `fill`; OK and cached on reuse.
-  Status EnsureMatrix(std::optional<NodeMatrix>& slot,
-                      void (AxisIndex::*fill)(NodeMatrix&) const) const;
-  void FillEdge(NodeMatrix& m) const;
-  void FillDescendant(NodeMatrix& m) const;
-  void FillSibling(NodeMatrix& m) const;
-  void FillSucc(NodeMatrix& m) const;
-  void FillIdentity(NodeMatrix& m) const;
-
   /// Charges exactly (prepassed span count) + builds `slot` via
   /// `build`; OK and cached on reuse.
   Status EnsureIntervals(std::unique_ptr<IntervalMatrix>& slot,
@@ -293,7 +195,6 @@ class AxisIndex {
   NodeSet empty_, full_, roots_, leaves_, first_children_, last_children_;
   std::vector<NodeSet> label_sets_;  // indexed by Symbol
   mutable std::vector<std::optional<AttrIndex>> attr_index_;
-  mutable std::optional<NodeMatrix> edge_, desc_, sib_, succ_, identity_;
   mutable std::unique_ptr<IntervalMatrix> iedge_, idesc_, isib_, isucc_,
       iidentity_;
   mutable std::optional<std::vector<NodeId>> post_ranks_;

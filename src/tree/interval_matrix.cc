@@ -323,17 +323,6 @@ NodeSet IntervalMatrix::AllPerRow() const {
   return s;
 }
 
-NodeMatrix IntervalMatrix::ToDense() const {
-  NodeMatrix m(n_);
-  std::vector<NodeSpan> spans;
-  for (NodeId u = 0; u < static_cast<NodeId>(n_); ++u) {
-    spans.clear();
-    AppendLogicalRow(u, spans);
-    for (const NodeSpan& sp : spans) m.SetRowRange(u, sp.begin, sp.end);
-  }
-  return m;
-}
-
 std::int64_t IntervalMatrix::TotalWidth() const {
   std::int64_t w = 0;
   for (NodeId u = 0; u < static_cast<NodeId>(n_); ++u) w += RowWidth(u);

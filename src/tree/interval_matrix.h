@@ -25,7 +25,7 @@ struct NodeSpan {
 /// relations of the tau vocabulary compress to O(n) total spans —
 /// desc(u) is the single range (u, SubtreeEnd(u)), succ(u) a point,
 /// sib(u) a suffix of the parent's child runs — so a relation that
-/// costs n^2/8 bytes as a NodeMatrix costs O(n) bytes here.
+/// costs n^2/8 bytes as an n-bit-per-row bitset costs O(n) bytes here.
 ///
 /// Representation: a CSR-style layout of shared span pools.  Each row
 /// descriptor names a pool slice plus
@@ -42,11 +42,11 @@ struct NodeSpan {
 /// per row.  All logical row contents are produced in normalized form
 /// (sorted, disjoint, non-adjacent spans).
 ///
-/// The algebra below mirrors what the compiled evaluator
-/// (src/logic/bitset_eval.h) needs from NodeMatrix; operations that can
-/// grow data-dependent pools take an optional ScopedMemoryCharge and
-/// charge it in chunks *before* growing, mirroring the governor
-/// discipline of the dense path.  A null charge never fails.
+/// The algebra below is what the compiled evaluator
+/// (src/logic/bitset_eval.h) needs from a binary relation; operations
+/// that can grow data-dependent pools take an optional
+/// ScopedMemoryCharge and charge it in chunks *before* growing.  A null
+/// charge never fails.
 class IntervalMatrix {
  public:
   struct Row {
@@ -76,10 +76,6 @@ class IntervalMatrix {
   /// {u : exists v R(u, v)} / {u : forall v R(u, v)}; O(total spans).
   NodeSet AnyPerRow() const;
   NodeSet AllPerRow() const;
-
-  /// Dense materialization (tests and differential oracles only; this
-  /// is exactly the O(n^2) object the representation avoids).
-  NodeMatrix ToDense() const;
 
   /// Sum of logical row widths; the "member count" compose orientation
   /// is chosen by.

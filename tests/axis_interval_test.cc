@@ -4,7 +4,8 @@
 //
 //   - the pre/post-order numbering invariant desc(u, v) <=> u < v and
 //     post[v] < post[u] that every interval row is derived from;
-//   - interval axis rows versus the dense NodeMatrix oracle;
+//   - interval axis rows versus dense matrices built from Tree
+//     navigation alone;
 //   - linear span counts on adversarial shapes (chains, full trees,
 //     document-shaped trees) — the O(n) claim, not just correctness;
 //   - selector stability under label-preserving sibling reorder for
@@ -13,8 +14,7 @@
 //   - monotone shrinkage of positive-existential selectors under leaf
 //     deletion;
 //   - the million-node budget wall: interval compilation fits a linear
-//     memory budget where the dense representation trips
-//     kResourceExhausted on its first axis-matrix charge;
+//     memory budget far below what one n-bit-per-row relation needs;
 //   - per-thread AxisIndex isolation under concurrent compilation.
 #include <algorithm>
 #include <cstdint>
@@ -111,7 +111,37 @@ TEST(AxisIntervalNumbering, PostorderRanksCharacterizeAncestry) {
 }
 
 // ---------------------------------------------------------------------
-// Interval axis rows versus the dense oracle.
+// Interval axis rows versus the navigation oracle.
+
+/// An axis relation as a test-local dense boolean matrix, built from
+/// Tree navigation alone (Parent, NextSibling, IsStrictAncestor) — no
+/// AxisIndex code involved.
+using DenseRelation = std::vector<std::vector<bool>>;
+
+DenseRelation NavigationMatrix(const Tree& t,
+                               bool (*holds)(const Tree&, NodeId, NodeId)) {
+  const NodeId n = static_cast<NodeId>(t.size());
+  DenseRelation m(t.size(), std::vector<bool>(t.size(), false));
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) m[u][v] = holds(t, u, v);
+  }
+  return m;
+}
+
+bool EdgeHolds(const Tree& t, NodeId u, NodeId v) { return t.Parent(v) == u; }
+bool DescendantHolds(const Tree& t, NodeId u, NodeId v) {
+  return t.IsStrictAncestor(u, v);
+}
+bool SiblingHolds(const Tree& t, NodeId u, NodeId v) {
+  for (NodeId w = t.NextSibling(u); w != kNoNode; w = t.NextSibling(w)) {
+    if (w == v) return true;
+  }
+  return false;
+}
+bool SuccHolds(const Tree& t, NodeId u, NodeId v) {
+  return t.NextSibling(u) == v;
+}
+bool IdentityHolds(const Tree&, NodeId u, NodeId v) { return u == v; }
 
 TEST(AxisIntervalAxes, IntervalRowsMatchDenseMatrices) {
   std::mt19937 rng(23);
@@ -126,20 +156,25 @@ TEST(AxisIntervalAxes, IntervalRowsMatchDenseMatrices) {
   for (const Tree& t : trees) {
     AxisIndex index(t);
     const NodeId n = static_cast<NodeId>(t.size());
-    const std::pair<Result<const IntervalMatrix*>, const NodeMatrix*>
-        axes[] = {
-            {index.TryEdgeIntervals(), &index.EdgeMatrix()},
-            {index.TryDescendantIntervals(), &index.DescendantMatrix()},
-            {index.TrySiblingIntervals(), &index.SiblingMatrix()},
-            {index.TrySuccIntervals(), &index.SuccMatrix()},
-            {index.TryIdentityIntervals(), &index.IdentityMatrix()},
-        };
+    const std::pair<Result<const IntervalMatrix*>, DenseRelation> axes[] = {
+        {index.TryEdgeIntervals(), NavigationMatrix(t, EdgeHolds)},
+        {index.TryDescendantIntervals(), NavigationMatrix(t, DescendantHolds)},
+        {index.TrySiblingIntervals(), NavigationMatrix(t, SiblingHolds)},
+        {index.TrySuccIntervals(), NavigationMatrix(t, SuccHolds)},
+        {index.TryIdentityIntervals(), NavigationMatrix(t, IdentityHolds)},
+    };
     for (const auto& [intervals, dense] : axes) {
       ASSERT_TRUE(intervals.ok()) << intervals.status();
       const IntervalMatrix& im = **intervals;
-      ASSERT_EQ(im.ToDense(), *dense);
       for (NodeId u = 0; u < n; ++u) {
-        ASSERT_EQ(im.RowSet(u), dense->RowSet(u)) << "row " << u;
+        std::vector<NodeId> row;
+        for (NodeId v = 0; v < n; ++v) {
+          ASSERT_EQ(im.test(u, v), dense[u][v]) << "u=" << u << " v=" << v;
+          if (dense[u][v]) row.push_back(v);
+        }
+        ASSERT_EQ(im.RowVector(u), row) << "row " << u;
+        ASSERT_EQ(im.RowSet(u).ToVector(), row) << "row " << u;
+        ASSERT_EQ(im.RowWidth(u), static_cast<std::int64_t>(row.size()));
       }
     }
   }
@@ -167,8 +202,10 @@ TEST(AxisIntervalAxes, SpanCountsStayLinearOnAdversarialShapes) {
       // Every tau axis is span-sparse on the pre-order arena: at most
       // a couple of spans per row amortized, independent of shape.
       EXPECT_LE(im.StoredSpans(), 2 * n + 4);
-      // And the footprint beats one dense matrix outright at n=2000.
-      EXPECT_LT(im.ApproxBytes(), index.MatrixBytes());
+      // And the footprint beats one n-bit-per-row bitset relation
+      // (n * ceil(n/64) words) outright at n=2000.
+      EXPECT_LT(im.ApproxBytes(),
+                static_cast<std::int64_t>(n * ((n + 63) / 64) * 8));
     }
   }
 }
@@ -236,10 +273,8 @@ TEST(AxisIntervalMetamorphic, SelectorsStableUnderSiblingReorder) {
     AxisIndex index(t);
     AxisIndex reordered_index(reordered);
     for (const Formula& phi : selectors) {
-      Result<CompiledSelector> before =
-          CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
-      Result<CompiledSelector> after = CompileSelector(
-          reordered_index, phi, "x", "y", AxisRepr::kInterval);
+      Result<CompiledSelector> before = CompileSelector(index, phi);
+      Result<CompiledSelector> after = CompileSelector(reordered_index, phi);
       ASSERT_TRUE(before.ok()) << before.status();
       ASSERT_TRUE(after.ok()) << after.status();
       for (NodeId origin = 0; origin < static_cast<NodeId>(t.size());
@@ -320,10 +355,8 @@ TEST(AxisIntervalMetamorphic, PositiveSelectorsShrinkUnderLeafDeletion) {
     AxisIndex index(t);
     AxisIndex pruned_index(pruned);
     for (const Formula& phi : selectors) {
-      Result<CompiledSelector> before =
-          CompileSelector(index, phi, "x", "y", AxisRepr::kInterval);
-      Result<CompiledSelector> after =
-          CompileSelector(pruned_index, phi, "x", "y", AxisRepr::kInterval);
+      Result<CompiledSelector> before = CompileSelector(index, phi);
+      Result<CompiledSelector> after = CompileSelector(pruned_index, phi);
       ASSERT_TRUE(before.ok()) << before.status();
       ASSERT_TRUE(after.ok()) << after.status();
       for (NodeId origin = 0; origin < static_cast<NodeId>(t.size());
@@ -365,10 +398,8 @@ TEST(AxisIntervalBudget, MillionNodeChainFitsLinearBudgetDenseDoesNot) {
   interval_governor.set_memory_budget(kBudget);
   AxisIndex interval_index(t, &interval_governor);
   ASSERT_TRUE(interval_index.status().ok()) << interval_index.status();
-  Result<CompiledSelector> compiled =
-      CompileSelector(interval_index, phi, "x", "y", AxisRepr::kInterval);
+  Result<CompiledSelector> compiled = CompileSelector(interval_index, phi);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  EXPECT_EQ(compiled.value().repr(), AxisRepr::kInterval);
   // Grandchild on a chain: node u selects exactly {u + 2}.
   EXPECT_EQ(compiled.value().SelectFrom(0), std::vector<NodeId>{2});
   EXPECT_EQ(compiled.value().SelectFrom(kNodes / 2),
@@ -380,21 +411,10 @@ TEST(AxisIntervalBudget, MillionNodeChainFitsLinearBudgetDenseDoesNot) {
   EXPECT_GT(interval_governor.accountant()->peak(), 0);
   EXPECT_LE(interval_governor.accountant()->peak(), kBudget);
 
-  // Dense representation: the very first axis matrix wants
-  // n^2 / 8 bytes (~116 GiB) and trips the same budget up front, with
-  // the axis-index charge named in the breakdown.
-  ResourceGovernor dense_governor;
-  dense_governor.set_memory_budget(kBudget);
-  AxisIndex dense_index(t, &dense_governor);
-  ASSERT_TRUE(dense_index.status().ok()) << dense_index.status();
-  Result<CompiledSelector> dense =
-      CompileSelector(dense_index, phi, "x", "y", AxisRepr::kDense);
-  ASSERT_FALSE(dense.ok());
-  EXPECT_EQ(dense.status().code(), StatusCode::kResourceExhausted)
-      << dense.status();
-  EXPECT_NE(dense.status().message().find("axis-index"), std::string::npos)
-      << dense.status();
-  EXPECT_TRUE(dense_governor.accountant()->tripped());
+
+  // One n-bit-per-row relation needs n^2 / 8 bytes (~116 GiB) here,
+  // over 200 times the budget the whole interval compilation fits in.
+  static_assert(std::int64_t{kNodes} * kNodes / 8 > 200 * kBudget);
 }
 
 // ---------------------------------------------------------------------
@@ -417,7 +437,7 @@ TEST(AxisIntervalThreads, PerThreadIndexesCompileConcurrently) {
 
   // AxisIndex is documented not thread-safe; the supported pattern is
   // one index per runner.  Each thread builds its own over the shared
-  // (read-only) tree and compiles both representations.
+  // (read-only) tree and compiles.
   constexpr int kThreads = 8;
   std::vector<int> failures(kThreads, 0);
   {
@@ -425,10 +445,7 @@ TEST(AxisIntervalThreads, PerThreadIndexesCompileConcurrently) {
     for (int i = 0; i < kThreads; ++i) {
       threads.emplace_back([&, i] {
         AxisIndex index(t);
-        const AxisRepr repr =
-            i % 2 == 0 ? AxisRepr::kInterval : AxisRepr::kDense;
-        Result<CompiledSelector> compiled =
-            CompileSelector(index, phi, "x", "y", repr);
+        Result<CompiledSelector> compiled = CompileSelector(index, phi);
         if (!compiled.ok()) {
           ++failures[i];
           return;

@@ -18,6 +18,7 @@
 #include "src/logic/tree_eval.h"
 #include "src/tree/axis_index.h"
 #include "src/tree/generate.h"
+#include "src/tree/interval_matrix.h"
 #include "src/tree/term_io.h"
 
 namespace treewalk {
@@ -35,7 +36,7 @@ Tree Term(const std::string& source) {
   return *parsed;
 }
 
-// --- NodeSet / NodeMatrix primitives. ----------------------------------
+// --- NodeSet primitives. ----------------------------------------------
 
 TEST(NodeSet, BasicAlgebraAndDocumentOrder) {
   NodeSet s(130);
@@ -64,26 +65,6 @@ TEST(NodeSet, BasicAlgebraAndDocumentOrder) {
   EXPECT_FALSE(c.any());
 }
 
-TEST(NodeMatrix, TransposeAndReductions) {
-  NodeMatrix m(70);
-  m.set(0, 69);
-  m.set(69, 0);
-  m.set(5, 5);
-  NodeMatrix t = m.Transposed();
-  EXPECT_TRUE(t.test(69, 0));
-  EXPECT_TRUE(t.test(0, 69));
-  EXPECT_TRUE(t.test(5, 5));
-
-  NodeSet any = m.AnyPerRow();
-  EXPECT_EQ(any.ToVector(), (std::vector<NodeId>{0, 5, 69}));
-
-  NodeMatrix full(70);
-  full.Complement();  // all-zero -> all-one
-  EXPECT_TRUE(full.AllPerRow().all());
-  full.set(3, 3);  // still full
-  EXPECT_TRUE(full.test(3, 3));
-}
-
 // --- AxisIndex against Tree navigation, brute force. -------------------
 
 TEST(AxisIndex, MatchesTreePredicatesOnRandomTrees) {
@@ -94,6 +75,11 @@ TEST(AxisIndex, MatchesTreePredicatesOnRandomTrees) {
     options.num_nodes = 1 + static_cast<int>(rng() % 40);
     Tree tree = RandomTree(rng, options);
     AxisIndex index(tree);
+    const IntervalMatrix& edge = **index.TryEdgeIntervals();
+    const IntervalMatrix& desc = **index.TryDescendantIntervals();
+    const IntervalMatrix& succ = **index.TrySuccIntervals();
+    const IntervalMatrix& sibling = **index.TrySiblingIntervals();
+    const IntervalMatrix& identity = **index.TryIdentityIntervals();
     const NodeId n = static_cast<NodeId>(tree.size());
     for (NodeId u = 0; u < n; ++u) {
       EXPECT_EQ(index.Roots().test(u), tree.IsRoot(u));
@@ -102,15 +88,14 @@ TEST(AxisIndex, MatchesTreePredicatesOnRandomTrees) {
       EXPECT_EQ(index.LastChildren().test(u), tree.IsLastChild(u));
       EXPECT_EQ(index.LabelSet(tree.LabelName(tree.label(u))).test(u), true);
       for (NodeId v = 0; v < n; ++v) {
-        EXPECT_EQ(index.EdgeMatrix().test(u, v), tree.Parent(v) == u);
-        EXPECT_EQ(index.DescendantMatrix().test(u, v),
-                  tree.IsStrictAncestor(u, v));
-        EXPECT_EQ(index.SuccMatrix().test(u, v), tree.NextSibling(u) == v);
+        EXPECT_EQ(edge.test(u, v), tree.Parent(v) == u);
+        EXPECT_EQ(desc.test(u, v), tree.IsStrictAncestor(u, v));
+        EXPECT_EQ(succ.test(u, v), tree.NextSibling(u) == v);
         bool sib = u != v && tree.Parent(u) != kNoNode &&
                    tree.Parent(u) == tree.Parent(v) &&
                    tree.ChildIndex(u) < tree.ChildIndex(v);
-        EXPECT_EQ(index.SiblingMatrix().test(u, v), sib);
-        EXPECT_EQ(index.IdentityMatrix().test(u, v), u == v);
+        EXPECT_EQ(sibling.test(u, v), sib);
+        EXPECT_EQ(identity.test(u, v), u == v);
       }
       AttrId a = tree.FindAttribute("a");
       ASSERT_NE(a, kNoAttr);
@@ -123,29 +108,21 @@ TEST(AxisIndex, MatchesTreePredicatesOnRandomTrees) {
 
 // --- Compiled selector equivalence on targeted shapes. -----------------
 
-/// Asserts that CompileSelector succeeds on `selector` under BOTH
-/// matrix representations and that each agrees with the reference
-/// SelectNodes at every origin of `tree` — the three-way oracle
-/// interval == dense == reference.
+/// Asserts that CompileSelector succeeds on `selector` and agrees with
+/// the reference SelectNodes at every origin of `tree` — the oracle
+/// compiled == reference.
 void ExpectCompiledMatches(const Tree& tree, const std::string& selector) {
   AxisIndex index(tree);
   Formula formula = Parse(selector);
-  auto dense = CompileSelector(index, formula, "x", "y", AxisRepr::kDense);
-  ASSERT_TRUE(dense.ok()) << selector << ": " << dense.status().ToString();
-  auto interval =
-      CompileSelector(index, formula, "x", "y", AxisRepr::kInterval);
-  ASSERT_TRUE(interval.ok()) << selector << ": "
-                             << interval.status().ToString();
-  EXPECT_EQ(dense->repr(), AxisRepr::kDense);
-  EXPECT_EQ(interval->repr(), AxisRepr::kInterval);
+  auto compiled = CompileSelector(index, formula);
+  ASSERT_TRUE(compiled.ok()) << selector << ": "
+                             << compiled.status().ToString();
   for (NodeId origin = 0; origin < static_cast<NodeId>(tree.size());
        ++origin) {
     auto reference = SelectNodes(tree, formula, origin);
     ASSERT_TRUE(reference.ok()) << selector;
-    EXPECT_EQ(dense->SelectFrom(origin), *reference)
-        << selector << " (dense) at origin " << origin;
-    EXPECT_EQ(interval->SelectFrom(origin), *reference)
-        << selector << " (interval) at origin " << origin;
+    EXPECT_EQ(compiled->SelectFrom(origin), *reference)
+        << selector << " at origin " << origin;
   }
 }
 
@@ -341,21 +318,11 @@ TEST(CompiledSelectorProperty, MatchesReferenceOnRandomInstances) {
     Tree tree = RandomTree(rng, options);
     AxisIndex index(tree);
     Formula formula = gen.Gen(1 + static_cast<int>(rng() % 3), {"x", "y"});
-    auto compiled = CompileSelector(index, formula, "x", "y",
-                                    AxisRepr::kDense);
+    auto compiled = CompileSelector(index, formula);
     if (!compiled.ok()) {
       ++declined_instances;
-      // The compiler declines on formula shape, never on representation.
-      EXPECT_FALSE(
-          CompileSelector(index, formula, "x", "y", AxisRepr::kInterval)
-              .ok())
-          << formula.ToString();
       continue;
     }
-    auto interval =
-        CompileSelector(index, formula, "x", "y", AxisRepr::kInterval);
-    ASSERT_TRUE(interval.ok()) << formula.ToString() << ": "
-                               << interval.status().ToString();
     ++compiled_instances;
     for (NodeId origin = 0; origin < static_cast<NodeId>(tree.size());
          ++origin) {
@@ -364,13 +331,10 @@ TEST(CompiledSelectorProperty, MatchesReferenceOnRandomInstances) {
       ASSERT_EQ(compiled->SelectFrom(origin), *reference)
           << formula.ToString() << " on " << PrintTerm(tree) << " at origin "
           << origin;
-      ASSERT_EQ(interval->SelectFrom(origin), *reference)
-          << formula.ToString() << " (interval) on " << PrintTerm(tree)
-          << " at origin " << origin;
     }
   }
   // The acceptance bar: >= 1000 random (formula, tree) instances proven
-  // equal under both representations (each checked at every origin).
+  // equal to the reference (each checked at every origin).
   // Also make sure the fallback path is actually exercised.
   EXPECT_GE(compiled_instances, 1000);
   EXPECT_GT(declined_instances, 0);
@@ -381,8 +345,8 @@ TEST(CompiledSelectorProperty, MatchesReferenceOnRandomInstances) {
 // Exhaustive every-origin comparison is quadratic, so at n = 10^5 the
 // oracle samples: a fixed spread of origins checked against the
 // reference evaluator, plus ground-truth navigation for the
-// grandchildren selector.  kAuto must resolve to the interval
-// representation at this size — the dense matrix alone would be 1.25GB.
+// grandchildren selector.  An n-bit-per-row relation at this size would
+// be 1.25GB; the interval carrier stays O(n).
 TEST(CompiledSelectorLargeN, IntervalMatchesReferenceAtSampledOrigins) {
   std::mt19937 rng(3301);
   RandomTreeOptions options;
@@ -395,7 +359,6 @@ TEST(CompiledSelectorLargeN, IntervalMatchesReferenceAtSampledOrigins) {
   Formula grandchildren = Parse("exists z (E(x, z) & E(z, y))");
   auto compiled = CompileSelector(index, grandchildren);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  EXPECT_EQ(compiled->repr(), AxisRepr::kInterval);
 
   std::vector<NodeId> origins = {0, 1, 17, 4096, 50000, 99998, 99999};
   for (int i = 0; i < 40; ++i) {
@@ -422,7 +385,6 @@ TEST(CompiledSelectorLargeN, IntervalMatchesReferenceAtSampledOrigins) {
   Formula mixed = Parse("desc(x, y) & lab(y, #a) & !leaf(y)");
   auto compiled_mixed = CompileSelector(index, mixed);
   ASSERT_TRUE(compiled_mixed.ok()) << compiled_mixed.status().ToString();
-  EXPECT_EQ(compiled_mixed->repr(), AxisRepr::kInterval);
   for (NodeId origin : {NodeId{0}, NodeId{123}, NodeId{77777}}) {
     auto reference = SelectNodes(tree, mixed, origin);
     ASSERT_TRUE(reference.ok());
@@ -452,14 +414,10 @@ TEST(CompiledSentenceProperty, MatchesReferenceOnRandomInstances) {
     auto compiled = CompileSentence(index, sentence);
     if (!compiled.ok()) continue;
     ++compiled_instances;
-    auto interval = CompileSentence(index, sentence, AxisRepr::kInterval);
-    ASSERT_TRUE(interval.ok()) << sentence.ToString();
     auto reference = EvalTreeSentence(tree, sentence);
     ASSERT_TRUE(reference.ok()) << sentence.ToString();
     ASSERT_EQ(compiled->Eval(), *reference)
         << sentence.ToString() << " on " << PrintTerm(tree);
-    ASSERT_EQ(interval->Eval(), *reference)
-        << sentence.ToString() << " (interval) on " << PrintTerm(tree);
   }
   EXPECT_GE(compiled_instances, 300);
 }

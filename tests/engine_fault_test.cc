@@ -26,14 +26,30 @@ class EngineFaultTest : public ::testing::Test {
   void TearDown() override { FailpointRegistry::Global().DisableAll(); }
 };
 
-/// A program whose atp() selector the compiler accepts and whose
-/// compiled evaluation wants a full descendant matrix.
+/// A program with one atp() look-ahead whose quantifier-free selector
+/// the compiler accepts.
 Program SelectorProgram() {
   ProgramBuilder b(ProgramClass::kTwRL);
   b.SetStates("q0", "qf");
   b.DeclareRegister("X1", 1);
   b.OnLookAhead("#top", "q0", "true", "q1", "X1",
                 "desc(x, y) & lab(y, #leaf)", "p");
+  b.OnMove("#top", "q1", "true", "qf", Move::kStay);
+  b.OnMove("*", "p", "true", "qf", Move::kStay);
+  return std::move(b.Build()).value();
+}
+
+/// A quantifier-depth-2 look-ahead: the reference evaluator pays n^2
+/// per origin for it, so the planner compiles it on every tree past a
+/// handful of nodes.  On a 2000-node tree its axis relations alone
+/// outgrow a 64 KiB budget (GovernedInterpreter.
+/// MemoryBudgetTripsOnWideTreeSelectors trips on the same selector).
+Program QuantifiedSelectorProgram() {
+  ProgramBuilder b(ProgramClass::kTwRL);
+  b.SetStates("q0", "qf");
+  b.DeclareRegister("X1", 1);
+  b.OnLookAhead("#top", "q0", "true", "q1", "X1",
+                "exists z exists w (desc(x, y) & E(z, y) & E(w, z))", "p");
   b.OnMove("#top", "q1", "true", "qf", Move::kStay);
   b.OnMove("*", "p", "true", "qf", Move::kStay);
   return std::move(b.Build()).value();
@@ -98,7 +114,7 @@ TEST_F(EngineFaultTest, RetriesWithoutDegradationRepeatRungZero) {
 /// the first degradation rung — compile_selectors off — avoids the site
 /// entirely, so the retry succeeds with the exact reference verdict.
 TEST_F(EngineFaultTest, DegradationLadderRecoversFromAxisIndexFaults) {
-  Program p = SelectorProgram();
+  Program p = QuantifiedSelectorProgram();
   Tree t = FullTree(2, 4);
 
   // Reference verdict, no faults.
@@ -175,7 +191,7 @@ TEST_F(EngineFaultTest, AcceptanceScenarioFailsSickJobsAndSparesSiblings) {
   Program fast = std::move(HasLabelProgram("a")).value();
   Program parity = std::move(ParityProgram("a")).value();
   Program counter = std::move(ExponentialCounterProgram()).value();
-  Program hog = SelectorProgram();
+  Program hog = QuantifiedSelectorProgram();
   Tree small = FullTree(2, 3);
   Tree chain = FullTree(1, 29);
   AssignUniqueIds(chain);
@@ -193,14 +209,9 @@ TEST_F(EngineFaultTest, AcceptanceScenarioFailsSickJobsAndSparesSiblings) {
   jobs[1].options.max_steps = std::int64_t{1} << 60;
   jobs[1].options.detect_cycles = false;
   jobs[1].deadline_ms = 150;
-  jobs[2].program = &hog;  // wants ~500KiB matrices against a 64KiB budget
+  jobs[2].program = &hog;  // compiled: outgrows a 64KiB budget
   jobs[2].tree = &big;
   jobs[2].memory_budget_bytes = 64 << 10;
-  // Pin the legacy always-compile path: this scenario exercises the
-  // governor tripping on the matrix materialization, and the cost-based
-  // planner (kAuto) would sidestep it by picking the reference
-  // evaluator for this selector.
-  jobs[2].options.plan_mode = PlanMode::kFixed;
   jobs[3].program = nullptr;  // malformed
   jobs[3].tree = &small;
   jobs[4].program = &parity;  // healthy
@@ -216,6 +227,9 @@ TEST_F(EngineFaultTest, AcceptanceScenarioFailsSickJobsAndSparesSiblings) {
             StatusCode::kResourceExhausted);
   ASSERT_EQ(governed.results[2].attempts.size(), 1u);
   EXPECT_TRUE(governed.results[2].attempts[0].memory_tripped);
+  // The trip is the compiled path's: the axis index outgrew the budget.
+  const std::string& trip = governed.results[2].status.message();
+  EXPECT_NE(trip.find("axis-index"), std::string::npos) << trip;
   EXPECT_EQ(governed.results[3].status.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(governed.results[4].status.ok());
   EXPECT_EQ(governed.stats.failed, 3);

@@ -3,12 +3,12 @@
 
 // Shared body of the axis-interval differential fuzzer: decode any byte
 // string into a valid tree (TreeFromBytes), build the axis index, and
-// cross-check every interval-encoded axis against its dense oracle plus
-// the pre/post-order numbering invariant and one compiled selector in
-// both representations.  Driven by fuzz_axis_interval.cc under
-// libFuzzer and replayed over the seed corpus by fuzz_corpus_test.cc in
-// tier-1 builds.  Returns true iff every cross-check agrees; the tree
-// decode itself can never fail, so any false is a found bug.
+// cross-check every interval-encoded axis against Tree navigation, plus
+// the pre/post-order numbering invariant and one compiled selector.
+// Driven by fuzz_axis_interval.cc under libFuzzer and replayed over the
+// seed corpus by fuzz_corpus_test.cc in tier-1 builds.  Returns true iff
+// every cross-check agrees; the tree decode itself can never fail, so
+// any false is a found bug.
 
 #include <algorithm>
 #include <cstddef>
@@ -30,22 +30,37 @@ inline bool AxisIntervalAgrees(const std::uint8_t* data, std::size_t size,
   const NodeId n = static_cast<NodeId>(t.size());
   AxisIndex index(t);
 
-  // Every interval axis must densify to exactly its NodeMatrix oracle.
-  const auto agrees = [](Result<const IntervalMatrix*> intervals,
-                         const NodeMatrix& dense) {
-    return intervals.ok() && (*intervals.value()).ToDense() == dense;
+  // Every interval axis row must hold exactly the nodes Tree navigation
+  // relates to its origin.
+  const auto agrees = [&](Result<const IntervalMatrix*> intervals, auto holds) {
+    if (!intervals.ok()) return false;
+    const IntervalMatrix& im = *intervals.value();
+    for (NodeId u = 0; u < n; ++u) {
+      std::vector<NodeId> row;
+      for (NodeId v = 0; v < n; ++v) {
+        if (holds(u, v)) row.push_back(v);
+      }
+      if (im.RowVector(u) != row) return false;
+    }
+    return true;
   };
-  if (!agrees(index.TryEdgeIntervals(), index.EdgeMatrix())) return false;
-  if (!agrees(index.TryDescendantIntervals(), index.DescendantMatrix())) {
+  const auto edge = [&](NodeId u, NodeId v) { return t.Parent(v) == u; };
+  const auto desc = [&](NodeId u, NodeId v) {
+    return t.IsStrictAncestor(u, v);
+  };
+  const auto sib = [&](NodeId u, NodeId v) {
+    for (NodeId w = t.NextSibling(u); w != kNoNode; w = t.NextSibling(w)) {
+      if (w == v) return true;
+    }
     return false;
-  }
-  if (!agrees(index.TrySiblingIntervals(), index.SiblingMatrix())) {
-    return false;
-  }
-  if (!agrees(index.TrySuccIntervals(), index.SuccMatrix())) return false;
-  if (!agrees(index.TryIdentityIntervals(), index.IdentityMatrix())) {
-    return false;
-  }
+  };
+  const auto succ = [&](NodeId u, NodeId v) { return t.NextSibling(u) == v; };
+  const auto identity = [](NodeId u, NodeId v) { return u == v; };
+  if (!agrees(index.TryEdgeIntervals(), edge)) return false;
+  if (!agrees(index.TryDescendantIntervals(), desc)) return false;
+  if (!agrees(index.TrySiblingIntervals(), sib)) return false;
+  if (!agrees(index.TrySuccIntervals(), succ)) return false;
+  if (!agrees(index.TryIdentityIntervals(), identity)) return false;
 
   // Pre/post-order numbering: desc(u, v) <=> u < v and rank[v] < rank[u].
   const std::vector<NodeId>& rank = index.PostorderRanks();
@@ -57,15 +72,12 @@ inline bool AxisIntervalAgrees(const std::uint8_t* data, std::size_t size,
     }
   }
 
-  // One compiled selector through the guarded join, both
-  // representations, against direct navigation.
+  // One compiled selector through the guarded join, against direct
+  // navigation.
   Result<Formula> phi = ParseFormula("exists z (E(x, z) & E(z, y))");
   if (!phi.ok()) return false;
-  Result<CompiledSelector> interval =
-      CompileSelector(index, *phi, "x", "y", AxisRepr::kInterval);
-  Result<CompiledSelector> dense =
-      CompileSelector(index, *phi, "x", "y", AxisRepr::kDense);
-  if (!interval.ok() || !dense.ok()) return false;
+  Result<CompiledSelector> compiled = CompileSelector(index, *phi);
+  if (!compiled.ok()) return false;
   for (NodeId u = 0; u < n; ++u) {
     std::vector<NodeId> grandchildren;
     for (NodeId c = t.FirstChild(u); c != kNoNode; c = t.NextSibling(c)) {
@@ -74,8 +86,7 @@ inline bool AxisIntervalAgrees(const std::uint8_t* data, std::size_t size,
       }
     }
     std::sort(grandchildren.begin(), grandchildren.end());
-    if (interval.value().SelectFrom(u) != grandchildren) return false;
-    if (dense.value().SelectFrom(u) != grandchildren) return false;
+    if (compiled.value().SelectFrom(u) != grandchildren) return false;
   }
   return true;
 }

@@ -1,8 +1,8 @@
 // libFuzzer harness for the interval-encoded axis layer: any byte
 // string decodes to a valid tree (TreeFromBytes), and on every tree the
-// interval axes must densify to their NodeMatrix oracles, the pre/post-
-// order numbering must characterize ancestry, and a compiled selector
-// must agree across representations.  A disagreement is a bug, so trap.
+// interval axis rows must match Tree navigation, the pre/post-order
+// numbering must characterize ancestry, and a compiled selector must
+// match navigation.  A disagreement is a bug, so trap.
 
 #include <cstddef>
 #include <cstdint>

@@ -192,8 +192,8 @@ TEST(FuzzCorpus, ServeFrameSeedsReplayWithoutCrashing) {
 TEST(FuzzCorpus, AxisIntervalSeedsReplayWithoutCrashing) {
   // Mirrors fuzz_axis_interval.cc.  Unlike the parser corpora, every
   // byte string decodes to a valid tree, so "well-formed" here means
-  // the interval/dense differential check agreed — which must be true
-  // of every seed, not just one.
+  // the interval/navigation differential check agreed — which must be
+  // true of every seed, not just one.
   std::vector<std::filesystem::path> files = CorpusFiles("axis_interval");
   ASSERT_FALSE(files.empty());
   for (const std::filesystem::path& file : files) {

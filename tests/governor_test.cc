@@ -137,39 +137,42 @@ TEST(AxisIndex, TinyBudgetFailsConstructionStickily) {
   governor.set_memory_budget(16);  // smaller than one label bitset
   AxisIndex index(t, &governor);
   EXPECT_EQ(index.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(index.TryEdgeMatrix().status().code(),
+  EXPECT_EQ(index.TryEdgeIntervals().status().code(),
             StatusCode::kResourceExhausted);
-  EXPECT_EQ(index.TryDescendantMatrix().status().code(),
+  EXPECT_EQ(index.TryDescendantIntervals().status().code(),
             StatusCode::kResourceExhausted);
 }
 
 TEST(AxisIndex, GovernedMatrixChargesAndTripsBudget) {
-  Tree t = FullTree(2, 7);  // 255 nodes: one matrix is ~8KiB
+  Tree t = FullTree(2, 7);  // 255 nodes: one interval axis is ~8KiB
   ResourceGovernor governor;
   governor.set_memory_budget(64 << 10);
   AxisIndex index(t, &governor);
   ASSERT_TRUE(index.status().ok());
   std::int64_t base = governor.accountant()->used();
-  auto edge = index.TryEdgeMatrix();
+  auto edge = index.TryEdgeIntervals();
   ASSERT_TRUE(edge.ok()) << edge.status();
   EXPECT_GT(governor.accountant()->used(MemoryCategory::kAxisIndex), 0);
   EXPECT_GT(governor.accountant()->used(), base);
+  const std::int64_t edge_bytes = governor.accountant()->used() - base;
   // Memoized: a second request charges nothing further.
   std::int64_t after_first = governor.accountant()->used();
-  ASSERT_TRUE(index.TryEdgeMatrix().ok());
+  ASSERT_TRUE(index.TryEdgeIntervals().ok());
   EXPECT_EQ(governor.accountant()->used(), after_first);
 
-  // Exhaust the budget with the remaining matrices: eventually a Try
-  // accessor reports kResourceExhausted while earlier ones stay valid.
+  // Exhaust the budget with the next relation: a Try accessor reports
+  // kResourceExhausted while earlier ones stay valid.  desc has one
+  // span per internal node, as many rows as edge, so it costs about
+  // what edge did.
   ResourceGovernor small;
-  small.set_memory_budget(
-      governor.accountant()->used() + index.MatrixBytes() / 2);
+  small.set_memory_budget(after_first + edge_bytes / 2);
   AxisIndex tight(t, &small);
   ASSERT_TRUE(tight.status().ok());
-  ASSERT_TRUE(tight.TryEdgeMatrix().ok());
-  EXPECT_EQ(tight.TryDescendantMatrix().status().code(),
+  ASSERT_TRUE(tight.TryEdgeIntervals().ok());
+  EXPECT_EQ(tight.TryDescendantIntervals().status().code(),
             StatusCode::kResourceExhausted);
   EXPECT_TRUE(small.accountant()->tripped());
+  ASSERT_TRUE(tight.TryEdgeIntervals().ok());
 }
 
 /// The acceptance-criteria scenario's first leg: an (effectively)
@@ -210,17 +213,17 @@ TEST(GovernedInterpreter, DeadlineLeavesFastRunsUntouched) {
 }
 
 /// A quantifier-depth-2 selector over a wide tree: the compiled
-/// evaluator wants descendant matrices whose footprint exceeds the
-/// budget, so the run stops with kResourceExhausted (a compile-time
-/// budget trip is a hard error — falling back to the reference
-/// evaluator would evade the limit).
+/// evaluator wants axis relations whose footprint exceeds the budget,
+/// so the run stops with kResourceExhausted (a compile-time budget trip
+/// is a hard error — falling back to the reference evaluator would
+/// evade the limit).
 TEST(GovernedInterpreter, MemoryBudgetTripsOnWideTreeSelectors) {
   ProgramBuilder b(ProgramClass::kTwRL);
   b.SetStates("q0", "qf");
   b.DeclareRegister("X1", 1);
   // FO(exists*) with quantifier depth 2; after the compiler's
   // miniscoping every subformula has width <= 2, so the compiled path
-  // is taken — and its desc atom wants the full n^2 matrix.
+  // is taken — and its axis relations want O(n) descriptor rows each.
   const char* selector =
       "exists z exists w (desc(x, y) & E(z, y) & E(w, z))";
   b.OnLookAhead("#top", "q0", "true", "q1", "X1", selector, "p");
@@ -238,7 +241,7 @@ TEST(GovernedInterpreter, MemoryBudgetTripsOnWideTreeSelectors) {
   RunResult plain = std::move(Interpreter(p).Run(t)).value();
 
   ResourceGovernor governor;
-  governor.set_memory_budget(64 << 10);  // far below one 2000^2 matrix
+  governor.set_memory_budget(64 << 10);  // below one ~5k-row relation
   RunOptions options;
   options.governor = &governor;
   Interpreter interpreter(p, options);

@@ -1,11 +1,10 @@
 // Tests for the cost-based query planner (src/logic/planner.h) and its
 // tree-statistics substrate (src/tree/tree_stats.h): exact statistics on
 // known trees, snapshot preloading, formula feature extraction, the
-// dense/interval cost crossover (which must reproduce the legacy
-// kDenseAxisNodeLimit switch), interpreter pick counters, calibration
-// feedback, and the headline differential oracle proving that the
-// planned strategy returns exactly the same nodes as every fixed
-// strategy on >= 500 random (formula, tree) instances.
+// cost model, interpreter pick counters, calibration feedback, and the
+// headline differential oracle proving that the planned strategy, the
+// reference evaluator and the compiled evaluator return exactly the same
+// nodes on >= 500 random (formula, tree) instances.
 
 #include <gtest/gtest.h>
 
@@ -186,20 +185,11 @@ TreeStats SyntheticStats(std::int64_t n) {
   return s;
 }
 
-TEST(CostModel, DenseIntervalCrossoverMatchesLegacyLimit) {
-  // With default calibration, a span-1 workload's dense/interval cost
-  // ratio is n / 4096: the planner's crossover lands exactly on the
-  // legacy kDenseAxisNodeLimit, making it a strict generalization of
-  // the old fixed switch.
-  Formula f = Parse("desc(x, y)");
-  SelectorPlan small = PlanSelector(SyntheticStats(2048), f);
-  EXPECT_LT(small.cost_dense, small.cost_interval);
-  SelectorPlan large = PlanSelector(SyntheticStats(32768), f);
-  EXPECT_GT(large.cost_dense, large.cost_interval);
-  // Disjunctions widen interval rows and move the crossover up.
+TEST(CostModel, DisjunctionsWidenIntervalRows) {
+  SelectorPlan plain = PlanSelector(SyntheticStats(32768), Parse("desc(x, y)"));
   SelectorPlan with_or =
       PlanSelector(SyntheticStats(32768), Parse("desc(x, y) | sib(x, y)"));
-  EXPECT_GT(with_or.cost_interval / large.cost_interval, 1.5);
+  EXPECT_GT(with_or.cost_interval / plain.cost_interval, 1.5);
 }
 
 TEST(CostModel, ReferenceWinsForSingleOriginCheapSelector) {
@@ -211,37 +201,18 @@ TEST(CostModel, ReferenceWinsForSingleOriginCheapSelector) {
   SelectorPlan plan =
       PlanSelector(SyntheticStats(100000), Parse("E(x, y)"), {}, opts);
   EXPECT_EQ(plan.strategy, PlanStrategy::kReference);
-  EXPECT_LT(plan.cost_reference, plan.cost_dense);
   EXPECT_LT(plan.cost_reference, plan.cost_interval);
 }
 
-TEST(CostModel, ForcedReprRestrictsCompiledCandidates) {
-  Formula f = Parse("desc(x, y)");
-  PlanOptions force_interval;
-  force_interval.forced_repr = AxisRepr::kInterval;
-  SelectorPlan plan =
-      PlanSelector(SyntheticStats(2048), f, {}, force_interval);
-  // Dense would win on 2048 nodes, but it is not a candidate.
-  EXPECT_NE(plan.strategy, PlanStrategy::kCompiledDense);
-
-  PlanOptions force_dense;
-  force_dense.forced_repr = AxisRepr::kDense;
-  SelectorPlan plan2 =
-      PlanSelector(SyntheticStats(1 << 20), f, {}, force_dense);
-  EXPECT_NE(plan2.strategy, PlanStrategy::kCompiledInterval);
-}
-
-TEST(CostModel, XPathCompetesOnlyWhenOffered) {
-  Formula f = Parse("desc(x, y)");
-  SelectorPlan plain = PlanSelector(SyntheticStats(4096), f);
-  EXPECT_LT(plain.cost_xpath, 0.0);
-  EXPECT_NE(plain.strategy, PlanStrategy::kXPathDirect);
-
-  PlanOptions opts;
-  opts.offer_xpath = true;
-  opts.xpath_steps = 1;
-  SelectorPlan offered = PlanSelector(SyntheticStats(4096), f, {}, opts);
-  EXPECT_GE(offered.cost_xpath, 0.0);
+TEST(CostModel, CompiledWinsForQuantifiedSelectorOverEveryOrigin) {
+  // Every node an origin, quantifier depth 2: the reference evaluator
+  // pays n^2 per origin, the compiled path builds the relation once.
+  Formula quantified =
+      Parse("exists z (E(x, z) & exists w (E(z, w) & desc(w, y)))");
+  SelectorPlan plan = PlanSelector(SyntheticStats(4096), quantified);
+  EXPECT_EQ(plan.strategy, PlanStrategy::kCompiledInterval);
+  EXPECT_EQ(plan.repr, AxisRepr::kInterval);
+  EXPECT_LT(plan.cost_interval, plan.cost_reference);
 }
 
 TEST(CostModel, AtomEstimatesAreExactAndOrdered) {
@@ -282,14 +253,14 @@ TEST(Recalibrate, GeometricHalfStepTowardMeasurement) {
   EXPECT_NEAR(tuned.reference_visit_cost, 2.0 * base.reference_visit_cost,
               1e-9);
   // Unmeasured strategies keep their constants; bad samples are ignored.
-  EXPECT_EQ(tuned.dense_word_cost, base.dense_word_cost);
+  EXPECT_EQ(tuned.interval_span_cost, base.interval_span_cost);
   measured[0].nanos = 0.0;
   EXPECT_EQ(RecalibrateFromMeasurements(base, plan, measured), base);
 }
 
 // --- Interpreter pick counters. ----------------------------------------
 
-TEST(PlannerPicks, AutoCountsPicksFixedDoesNot) {
+TEST(PlannerPicks, OnePickPerDistinctSelectorAndCalibrationIsHonored) {
   auto program = Example32Program("a");
   ASSERT_TRUE(program.ok());
   std::mt19937 rng(99);
@@ -299,48 +270,36 @@ TEST(PlannerPicks, AutoCountsPicksFixedDoesNot) {
   options.num_nodes = 24;
   Tree t = RandomTree(rng, options);
 
-  RunOptions auto_opts;  // plan_mode defaults to kAuto
-  auto auto_run = Interpreter(*program, auto_opts).Run(t);
-  ASSERT_TRUE(auto_run.ok()) << auto_run.status().ToString();
-
-  RunOptions fixed_opts;
-  fixed_opts.plan_mode = PlanMode::kFixed;
-  auto fixed_run = Interpreter(*program, fixed_opts).Run(t);
-  ASSERT_TRUE(fixed_run.ok()) << fixed_run.status().ToString();
-
-  // Identical semantics either way...
-  EXPECT_EQ(auto_run->accepted, fixed_run->accepted);
-  EXPECT_EQ(auto_run->reason, fixed_run->reason);
-  EXPECT_EQ(auto_run->stats.steps, fixed_run->stats.steps);
-
-  // ...but only auto mode records picks (one per distinct selector).
-  const RunStats& a = auto_run->stats;
+  auto run = Interpreter(*program).Run(t);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  // Example 3.2 has two distinct atp() selectors, each planned at most
+  // once per run however often it fires.
+  const RunStats& a = run->stats;
+  const std::int64_t picks =
+      a.planner_picks_reference + a.planner_picks_interval;
   if (a.atp_calls > 0) {
-    EXPECT_GT(a.planner_picks_reference + a.planner_picks_dense +
-                  a.planner_picks_interval,
-              0);
+    EXPECT_GT(picks, 0);
   }
-  const RunStats& f = fixed_run->stats;
-  EXPECT_EQ(f.planner_picks_reference, 0);
-  EXPECT_EQ(f.planner_picks_dense, 0);
-  EXPECT_EQ(f.planner_picks_interval, 0);
+  EXPECT_LE(picks, 2);
+  EXPECT_LE(picks, a.atp_calls);
+  EXPECT_EQ(a.planner_picks_dense, 0);
 
   // Calibration constants are honored per-run: an absurdly expensive
   // compiled path forces every pick to the reference strategy.
   PlannerCalibration avoid_compile;
-  avoid_compile.dense_word_cost = 1e18;
   avoid_compile.interval_span_cost = 1e18;
   RunOptions ref_opts;
   ref_opts.planner_calibration = &avoid_compile;
   auto ref_run = Interpreter(*program, ref_opts).Run(t);
   ASSERT_TRUE(ref_run.ok());
-  EXPECT_EQ(ref_run->stats.planner_picks_dense, 0);
   EXPECT_EQ(ref_run->stats.planner_picks_interval, 0);
   EXPECT_EQ(ref_run->stats.compiled_selector_evals, 0);
-  EXPECT_EQ(ref_run->accepted, auto_run->accepted);
+  EXPECT_EQ(ref_run->accepted, run->accepted);
+  EXPECT_EQ(ref_run->reason, run->reason);
+  EXPECT_EQ(ref_run->stats.steps, run->stats.steps);
 }
 
-// --- The differential oracle: planned == every fixed strategy. ---------
+// --- The differential oracle: planned == reference == compiled. --------
 
 /// Random FO tree formulas over {x, y} (same generator family as
 /// tests/compiled_eval_test.cc, reproduced here so the two oracles can
@@ -416,13 +375,12 @@ class SelectorGen {
 };
 
 /// Evaluates `formula` from `origin` the way the interpreter would
-/// execute `plan`: reference directly, compiled via the planned repr
-/// with the runtime decline->reference fallback.
+/// execute `plan`: reference directly, compiled with the runtime
+/// decline->reference fallback.
 std::vector<NodeId> ExecutePlan(const Tree& tree, const AxisIndex& index,
                                 const Formula& formula,
                                 const SelectorPlan& plan, NodeId origin) {
-  if (plan.strategy == PlanStrategy::kCompiledDense ||
-      plan.strategy == PlanStrategy::kCompiledInterval) {
+  if (plan.strategy == PlanStrategy::kCompiledInterval) {
     auto compiled = CompileSelector(index, formula, "x", "y", plan.repr);
     if (compiled.ok()) return compiled->SelectFrom(origin);
   }
@@ -454,10 +412,7 @@ TEST(PlannerDifferentialOracle, PlannedMatchesEveryFixedStrategy) {
       ++compiled_picks;
     }
 
-    auto dense = CompileSelector(index, formula, "x", "y", AxisRepr::kDense);
-    auto interval =
-        CompileSelector(index, formula, "x", "y", AxisRepr::kInterval);
-    ASSERT_EQ(dense.ok(), interval.ok()) << formula.ToString();
+    auto interval = CompileSelector(index, formula);
 
     for (NodeId origin = 0; origin < static_cast<NodeId>(tree.size());
          ++origin) {
@@ -467,8 +422,7 @@ TEST(PlannerDifferentialOracle, PlannedMatchesEveryFixedStrategy) {
           << "planned " << PlanStrategyName(plan.strategy) << " for "
           << formula.ToString() << " on " << PrintTerm(tree) << " at origin "
           << origin;
-      if (dense.ok()) {
-        ASSERT_EQ(dense->SelectFrom(origin), *reference) << formula.ToString();
+      if (interval.ok()) {
         ASSERT_EQ(interval->SelectFrom(origin), *reference)
             << formula.ToString();
       }

@@ -1,6 +1,7 @@
 // Persistent compiled-selector cache (src/logic/selector_cache.h):
 // three-way oracle over random formula x tree instances, stale/corrupt
-// degradation, and fault injection.  The load-bearing property: a
+// degradation (including entries whose repr word is not the interval
+// payload's), and fault injection.  The load-bearing property: a
 // selector that came back from disk — answering for a tree that came
 // back from a snapshot — is indistinguishable from one compiled fresh,
 // which is itself held to the node-at-a-time reference evaluator.
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/atomic_file.h"
+#include "src/common/crc32c.h"
 #include "src/common/failpoint.h"
 #include "src/common/metrics.h"
 #include "src/logic/compile.h"
@@ -132,8 +134,7 @@ class SelectorGen {
 // tree, store to disk; (2) reload the tree from its snapshot image and
 // the selector from the cache (a real hit, asserted via metrics); (3)
 // at every origin, fresh == cached-on-mapped-tree == the reference
-// node-at-a-time evaluator.  >1000 compiled instances, both dense and
-// interval representations.
+// node-at-a-time evaluator.  >1000 compiled instances.
 TEST(SelectorCacheOracle, MappedTreePlusCachedSelectorMatchesReference) {
   const std::string dir = TempCacheDir("oracle");
   SelectorDiskCache cache(dir);
@@ -152,18 +153,16 @@ TEST(SelectorCacheOracle, MappedTreePlusCachedSelectorMatchesReference) {
     options.num_nodes = 1 + static_cast<int>(rng() % 14);
     Tree tree = RandomTree(rng, options);
     Formula formula = gen.Gen(1 + static_cast<int>(rng() % 3), {"x", "y"});
-    const AxisRepr repr =
-        rng() % 2 ? AxisRepr::kDense : AxisRepr::kInterval;
+    (void)rng();  // one spare draw per instance keeps this seed's stream
 
     AxisIndex index(tree);
-    auto fresh = CompileSelector(index, formula, "x", "y", repr);
+    auto fresh = CompileSelector(index, formula);
     if (!fresh.ok()) continue;  // outside the compilable fragment
     ++instances;
 
     SelectorCacheKey key;
     key.formula_hash = StableFormulaHash(formula, "x", "y");
     key.tree_hash = TreeContentHash(tree);
-    key.repr = repr;
     ASSERT_TRUE(cache.Store(key, *fresh).ok());
 
     auto mapped = TreeFromSnapshotImage(
@@ -171,9 +170,9 @@ TEST(SelectorCacheOracle, MappedTreePlusCachedSelectorMatchesReference) {
     ASSERT_TRUE(mapped.ok());
     AxisIndex mapped_index(*mapped);
     auto cached = CompileSelectorCached(mapped_index, formula, "x", "y",
-                                        repr, &cache, key.tree_hash);
+                                        AxisRepr::kInterval, &cache,
+                                        key.tree_hash);
     ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-    EXPECT_EQ(cached->repr(), fresh->repr());
     EXPECT_EQ(cached->RetainedBytes(), fresh->RetainedBytes())
         << formula.ToString();
 
@@ -203,22 +202,43 @@ TEST(SelectorCacheRoundTrip, EncodeDecodeIsExact) {
     tree = RandomTree(rng, options);
   }
   AxisIndex index(tree);
-  for (AxisRepr repr : {AxisRepr::kDense, AxisRepr::kInterval}) {
-    auto fresh = CompileSelector(
-        index, Parse("exists z (E(x, z) & E(z, y))"), "x", "y", repr);
-    ASSERT_TRUE(fresh.ok());
-    SelectorCacheKey key{1, 2, repr};
-    const std::string image = EncodeSelectorCacheEntry(key, *fresh);
-    auto decoded = DecodeSelectorCacheEntry(image, &key);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded->tree_size(), fresh->tree_size());
-    EXPECT_EQ(decoded->repr(), fresh->repr());
-    EXPECT_EQ(decoded->RetainedBytes(), fresh->RetainedBytes());
-    for (NodeId u = 0; u < static_cast<NodeId>(tree.size()); u += 17) {
+  auto fresh = CompileSelector(index, Parse("exists z (E(x, z) & E(z, y))"));
+  ASSERT_TRUE(fresh.ok());
+  SelectorCacheKey key{1, 2};
+  const std::string image = EncodeSelectorCacheEntry(key, *fresh);
+  auto decoded = DecodeSelectorCacheEntry(image, &key);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->tree_size(), fresh->tree_size());
+  EXPECT_EQ(decoded->RetainedBytes(), fresh->RetainedBytes());
+  for (NodeId u = 0; u < static_cast<NodeId>(tree.size()); u += 17) {
+    EXPECT_EQ(decoded->SelectFrom(u), fresh->SelectFrom(u));
+  }
+  // Deterministic bytes: same selector, same entry image.
+  EXPECT_EQ(EncodeSelectorCacheEntry(key, *fresh), image);
+}
+
+TEST(SelectorCacheRoundTrip, EmptyClipWindowsDecode) {
+  // Intersecting a sibling window with a disjoint broadcast column can
+  // leave a row's clip window inverted; the entry must still decode.
+  Formula phi = Parse("((val(a, y) = 0 | succ(y, y)) & (sib(x, y) & last(y)))");
+  std::mt19937 rng(23);
+  RandomTreeOptions options;
+  options.attributes = {"a", "b"};
+  options.value_range = 4;
+  for (int round = 0; round < 200; ++round) {
+    options.num_nodes = 2 + static_cast<int>(rng() % 8);
+    Tree tree = RandomTree(rng, options);
+    AxisIndex index(tree);
+    auto fresh = CompileSelector(index, phi);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    SelectorCacheKey key{5, 6};
+    auto decoded =
+        DecodeSelectorCacheEntry(EncodeSelectorCacheEntry(key, *fresh), &key);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString() << " round "
+                              << round;
+    for (NodeId u = 0; u < static_cast<NodeId>(tree.size()); ++u) {
       EXPECT_EQ(decoded->SelectFrom(u), fresh->SelectFrom(u));
     }
-    // Deterministic bytes: same selector, same entry image.
-    EXPECT_EQ(EncodeSelectorCacheEntry(key, *fresh), image);
   }
 }
 
@@ -231,10 +251,9 @@ TEST(SelectorCacheValidation, TruncationAndBitFlipsNeverDecodeWrong) {
     tree = RandomTree(rng, options);
   }
   AxisIndex index(tree);
-  auto fresh = CompileSelector(index, Parse("desc(x, y)"), "x", "y",
-                               AxisRepr::kInterval);
+  auto fresh = CompileSelector(index, Parse("desc(x, y)"));
   ASSERT_TRUE(fresh.ok());
-  SelectorCacheKey key{3, 4, AxisRepr::kInterval};
+  SelectorCacheKey key{3, 4};
   const std::string image = EncodeSelectorCacheEntry(key, *fresh);
 
   for (std::size_t len = 0; len < image.size(); ++len) {
@@ -267,13 +286,12 @@ TEST(SelectorCacheStale, MismatchedKeyIsRejectedAndFallsBack) {
   }
   AxisIndex index(tree);
   Formula phi = Parse("E(x, y)");
-  auto fresh = CompileSelector(index, phi, "x", "y", AxisRepr::kDense);
+  auto fresh = CompileSelector(index, phi);
   ASSERT_TRUE(fresh.ok());
 
   SelectorCacheKey key;
   key.formula_hash = StableFormulaHash(phi, "x", "y");
   key.tree_hash = TreeContentHash(tree);
-  key.repr = AxisRepr::kDense;
   ASSERT_TRUE(cache.Store(key, *fresh).ok());
 
   // Simulate a stale entry: the tree changed, the file did not.  The
@@ -298,7 +316,7 @@ TEST(SelectorCacheStale, MismatchedKeyIsRejectedAndFallsBack) {
   const std::int64_t fallbacks_before =
       CounterValue("treewalk_selector_cache_fallbacks_total");
   auto compiled = CompileSelectorCached(index, phi, "x", "y",
-                                        AxisRepr::kDense, &cache,
+                                        AxisRepr::kInterval, &cache,
                                         new_key.tree_hash);
   ASSERT_TRUE(compiled.ok());
   EXPECT_EQ(compiled->SelectFrom(0), fresh->SelectFrom(0));
@@ -318,7 +336,7 @@ TEST(SelectorCacheFailpoints, LoadAndStoreFaultsDegradeGracefully) {
   }
   AxisIndex index(tree);
   Formula phi = Parse("desc(x, y)");
-  auto fresh = CompileSelector(index, phi, "x", "y", AxisRepr::kDense);
+  auto fresh = CompileSelector(index, phi);
   ASSERT_TRUE(fresh.ok());
   const std::uint64_t tree_hash = TreeContentHash(tree);
 
@@ -328,13 +346,13 @@ TEST(SelectorCacheFailpoints, LoadAndStoreFaultsDegradeGracefully) {
   fault.message = "injected";
   FailpointRegistry::Global().Enable("selector_cache/store", fault);
   auto first = CompileSelectorCached(index, phi, "x", "y",
-                                     AxisRepr::kDense, &cache, tree_hash);
+                                     AxisRepr::kInterval, &cache, tree_hash);
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->SelectFrom(0), fresh->SelectFrom(0));
 
   // Second call stores for real; third hits.
   auto second = CompileSelectorCached(index, phi, "x", "y",
-                                      AxisRepr::kDense, &cache, tree_hash);
+                                      AxisRepr::kInterval, &cache, tree_hash);
   ASSERT_TRUE(second.ok());
 
   // Load fault counts as a fallback, not a crash, and the answer is
@@ -343,7 +361,7 @@ TEST(SelectorCacheFailpoints, LoadAndStoreFaultsDegradeGracefully) {
   const std::int64_t fallbacks_before =
       CounterValue("treewalk_selector_cache_fallbacks_total");
   auto third = CompileSelectorCached(index, phi, "x", "y",
-                                     AxisRepr::kDense, &cache, tree_hash);
+                                     AxisRepr::kInterval, &cache, tree_hash);
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(third->SelectFrom(0), fresh->SelectFrom(0));
   EXPECT_EQ(CounterValue("treewalk_selector_cache_fallbacks_total"),
@@ -354,12 +372,102 @@ TEST(SelectorCacheFailpoints, LoadAndStoreFaultsDegradeGracefully) {
   const std::int64_t hits_before =
       CounterValue("treewalk_selector_cache_hits_total");
   auto fourth = CompileSelectorCached(index, phi, "x", "y",
-                                      AxisRepr::kDense, &cache, tree_hash);
+                                      AxisRepr::kInterval, &cache, tree_hash);
   ASSERT_TRUE(fourth.ok());
   EXPECT_EQ(CounterValue("treewalk_selector_cache_hits_total"),
             hits_before + 1);
   EXPECT_EQ(fourth->SelectFrom(0), fresh->SelectFrom(0));
 }
+
+// --- The repr word. ----------------------------------------------------
+//
+// Every entry carries repr word 1 (the interval payload) and lives at
+// `<formula hash>-<tree hash>-1.twsel`.  An entry with any other word —
+// the retired dense payload wrote 2 — is rejected like a stale entry:
+// counted as a fallback and recompiled, never answered from.
+
+/// `image` with its repr word (header bytes 12..15) set to `word` and
+/// its CRC32C trailer recomputed, so only the word differs.
+std::string WithReprWord(std::string image, std::uint32_t word) {
+  std::string patched = image.substr(0, 12);
+  PutU32Le(word, patched);
+  patched += image.substr(16, image.size() - 20);
+  PutU32Le(Crc32c(patched), patched);
+  return patched;
+}
+
+TEST(SelectorCacheReprWord, DenseWordIsRejectedAndRecompiled) {
+  const std::string dir = TempCacheDir("repr");
+  SelectorDiskCache cache(dir);
+  Tree tree;
+  {
+    std::mt19937 rng(19);
+    RandomTreeOptions options;
+    options.num_nodes = 30;
+    tree = RandomTree(rng, options);
+  }
+  AxisIndex index(tree);
+  Formula phi = Parse("exists z (E(x, z) & E(z, y))");
+  auto fresh = CompileSelector(index, phi);
+  ASSERT_TRUE(fresh.ok());
+  SelectorCacheKey key;
+  key.formula_hash = StableFormulaHash(phi, "x", "y");
+  key.tree_hash = TreeContentHash(tree);
+  EXPECT_EQ(cache.EntryPath(key).substr(cache.EntryPath(key).size() - 8),
+            "-1.twsel");
+
+  const std::string image = EncodeSelectorCacheEntry(key, *fresh);
+  ASSERT_EQ(GetU32Le(image, 12), 1u);
+  ASSERT_EQ(WithReprWord(image, 1), image);
+  const std::string dense = WithReprWord(image, 2);
+  EXPECT_FALSE(DecodeSelectorCacheEntry(dense, nullptr).ok());
+  auto rejected = DecodeSelectorCacheEntry(dense, &key);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().code(), StatusCode::kNotFound);
+
+  // Stored at its key's path, the entry costs one fallback and the
+  // recompiled answer is the reference answer.
+  ASSERT_TRUE(WriteFileAtomic(cache.EntryPath(key), dense).ok());
+  const std::int64_t fallbacks_before =
+      CounterValue("treewalk_selector_cache_fallbacks_total");
+  const std::int64_t hits_before =
+      CounterValue("treewalk_selector_cache_hits_total");
+  auto compiled = CompileSelectorCached(index, phi, "x", "y",
+                                        AxisRepr::kInterval, &cache,
+                                        key.tree_hash);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_EQ(CounterValue("treewalk_selector_cache_fallbacks_total"),
+            fallbacks_before + 1);
+  EXPECT_EQ(CounterValue("treewalk_selector_cache_hits_total"), hits_before);
+  for (NodeId origin = 0; origin < static_cast<NodeId>(tree.size()); ++origin) {
+    auto reference = SelectNodes(tree, phi, origin);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(compiled->SelectFrom(origin), *reference) << origin;
+  }
+
+  // The recompile replaced the entry with an interval one.
+  auto reloaded = cache.Load(key);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+}
+
+#if defined(TREEWALK_SOURCE_DIR)
+TEST(SelectorCacheReprWord, CommittedCorpusSeeds) {
+  const std::string corpus =
+      std::string(TREEWALK_SOURCE_DIR) + "/tests/fuzz/corpus/snapshot/";
+  auto interval = ReadFileBytes(corpus + "selector_interval.twsel");
+  ASSERT_TRUE(interval.ok()) << interval.status().ToString();
+  auto decoded = DecodeSelectorCacheEntry(*interval, nullptr);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_GT(decoded->tree_size(), 0u);
+  (void)decoded->SelectFrom(0);
+
+  // The dense seed carries repr word 2 and is now rejected.
+  auto dense = ReadFileBytes(corpus + "selector_entry.twsel");
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  ASSERT_EQ(GetU32Le(*dense, 12), 2u);
+  EXPECT_FALSE(DecodeSelectorCacheEntry(*dense, nullptr).ok());
+}
+#endif  // TREEWALK_SOURCE_DIR
 
 TEST(StableFormulaHashTest, SeparatesFormulasAndVariableRoles) {
   Formula a = Parse("E(x, y)");

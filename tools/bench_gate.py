@@ -37,11 +37,11 @@ exits 0 without gating:
         --write-baseline
 
 --planner-contract adds the E21 acceptance check over the planner
-benchmark arms (BM_PlanAuto / BM_PlanReference / BM_PlanDense /
-BM_PlanInterval, see bench/bench_planner.cc): on every workload the
-auto arm must stay within --planner-margin (default 10%) of the best
-fixed arm, and each fixed strategy must be beaten outright by the auto
-arm on at least one workload.  Violations exit 1.
+benchmark arms (BM_PlanAuto / BM_PlanReference / BM_PlanInterval, see
+bench/bench_planner.cc): on every workload the auto arm must stay within
+--planner-margin (default 10%) of the best fixed arm, and each fixed
+strategy must be beaten outright by the auto arm on at least one
+workload.  Violations exit 1.
 
 Exit codes:
   0  ok (or --write-baseline completed)
@@ -66,7 +66,6 @@ AGGREGATE_SUFFIXES = ("_mean", "_median", "_stddev", "_cv", "_BigO", "_RMS")
 PLANNER_ARMS = {
     "BM_PlanAuto": "auto",
     "BM_PlanReference": "reference",
-    "BM_PlanDense": "dense",
     "BM_PlanInterval": "interval",
 }
 

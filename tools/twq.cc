@@ -1,23 +1,26 @@
 // twq — command-line front end for the treewalk library.
 //
 //   twq run <program.twp> <tree.{term,xml}> [--trace] [--graph]
+//       [--snapshot-cache <dir>] [--compile-cache <dir>]
 //       Run a tree-walking program (textual .twp format) on a tree.
+//       Unknown options are a usage error (exit 1).
 //   twq xpath <query> <tree.{term,xml}>
 //       Evaluate an XPath query from the root; also show the FO(exists*)
 //       compilation.
 //   twq check <program.twp>
 //       Parse and validate a program; print its canonical form.
 //   twq explain <tree> (--selector <phi> | --xpath <path> | --program <p.twp>)
-//       [--plan auto|fixed] [--axis-repr auto|interval|dense]
 //       [--origin N] [--evals] [--timing]
 //       Show what the cost-based planner (docs/PLANNER.md) would do for
-//       each selector: tree statistics, formula features, per-strategy
-//       cost estimates, the chosen plan, and per-operator cardinality
-//       estimates.  --evals executes the chosen plan from --origin
-//       (default: the root) and prints measured vs estimated rows.
-//       --timing times every candidate strategy and prints rescaled
-//       calibration constants (output is nondeterministic; everything
-//       else explain prints is byte-stable for golden tests).
+//       each selector: tree statistics, formula features, the reference
+//       and compiled-interval cost estimates, the chosen plan, and
+//       per-operator cardinality estimates.  An --xpath path is planned
+//       as its FO(exists*) compilation.  --evals executes the chosen
+//       plan from --origin (default: the root) and prints measured vs
+//       estimated rows.  --timing times both strategies and prints
+//       rescaled calibration constants (output is nondeterministic;
+//       everything else explain prints is byte-stable for golden
+//       tests).
 //   twq cat <expression> <tree.{term,xml}>
 //       Evaluate a caterpillar expression from the root.
 //   twq batch <manifest> [--jobs N] [--max-steps M] [--quiet]
@@ -92,8 +95,8 @@
 //                           and persists, later uses mmap in with zero
 //                           parsing.  Corrupt/stale entries re-parse.
 //   --compile-cache <dir>   Persist compiled selector relations keyed
-//                           by (formula, tree, representation); later
-//                           runs skip selector compilation entirely.
+//                           by (formula, tree); later runs skip
+//                           selector compilation entirely.
 //
 // Global options (any subcommand, docs/OBSERVABILITY.md):
 //   --metrics-out <file>   Write a metrics snapshot at exit: Prometheus
@@ -206,18 +209,11 @@ void EnsureDir(const std::string& dir) {
   ::mkdir(dir.c_str(), 0777);
 }
 
-std::optional<tw::PlanMode> ParsePlanMode(const char* arg) {
-  if (std::strcmp(arg, "auto") == 0) return tw::PlanMode::kAuto;
-  if (std::strcmp(arg, "fixed") == 0) return tw::PlanMode::kFixed;
-  return std::nullopt;
-}
-
 int CmdRun(int argc, char** argv) {
-  if (argc < 2) {
-    return Fail("usage: twq run <program.twp> <tree> [--trace] "
-                "[--axis-repr auto|interval|dense] [--plan auto|fixed] "
-                "[--snapshot-cache <dir>] [--compile-cache <dir>]");
-  }
+  const std::string usage =
+      "usage: twq run <program.twp> <tree> [--trace] [--graph] "
+      "[--snapshot-cache <dir>] [--compile-cache <dir>]";
+  if (argc < 2) return Fail(usage);
   std::string program_text;
   if (!ReadFile(argv[0], program_text)) {
     return Fail(std::string("cannot read program '") + argv[0] + "'");
@@ -226,36 +222,22 @@ int CmdRun(int argc, char** argv) {
   if (!program.ok()) return Fail("program: " + program.status().ToString());
 
   bool trace = false, graph = false;
-  tw::AxisRepr axis_repr = tw::AxisRepr::kAuto;
-  tw::PlanMode plan_mode = tw::PlanMode::kAuto;
   std::optional<tw::SnapshotCache> snapshot_cache;
   std::optional<tw::SelectorDiskCache> compile_cache;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0) trace = true;
-    if (std::strcmp(argv[i], "--graph") == 0) graph = true;
-    if (std::strcmp(argv[i], "--axis-repr") == 0 && i + 1 < argc) {
-      auto repr = tw::ParseAxisRepr(argv[++i]);
-      if (!repr.has_value()) {
-        return Fail(std::string("unknown --axis-repr '") + argv[i] +
-                    "' (want auto, interval, or dense)");
-      }
-      axis_repr = *repr;
-    }
-    if (std::strcmp(argv[i], "--plan") == 0 && i + 1 < argc) {
-      auto mode = ParsePlanMode(argv[++i]);
-      if (!mode.has_value()) {
-        return Fail(std::string("unknown --plan '") + argv[i] +
-                    "' (want auto or fixed)");
-      }
-      plan_mode = *mode;
-    }
-    if (std::strcmp(argv[i], "--snapshot-cache") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--trace") == 0) {
+      trace = true;
+    } else if (std::strcmp(argv[i], "--graph") == 0) {
+      graph = true;
+    } else if (std::strcmp(argv[i], "--snapshot-cache") == 0 && i + 1 < argc) {
       EnsureDir(argv[++i]);
       snapshot_cache.emplace(argv[i]);
-    }
-    if (std::strcmp(argv[i], "--compile-cache") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--compile-cache") == 0 && i + 1 < argc) {
       EnsureDir(argv[++i]);
       compile_cache.emplace(argv[i]);
+    } else {
+      return Fail(std::string("unknown run option '") + argv[i] + "'\n" +
+                  usage);
     }
   }
   auto tree = LoadTreeCached(
@@ -273,8 +255,6 @@ int CmdRun(int argc, char** argv) {
 
   tw::RunOptions options;
   options.record_trace = trace;
-  options.axis_repr = axis_repr;
-  options.plan_mode = plan_mode;
   if (compile_cache.has_value()) {
     options.selector_disk_cache = &*compile_cache;
   }
@@ -337,12 +317,9 @@ int CmdCheck(int argc, char** argv) {
 int CmdExplain(int argc, char** argv) {
   const char* usage =
       "usage: twq explain <tree> (--selector <phi> | --xpath <path> | "
-      "--program <p.twp>) [--plan auto|fixed] "
-      "[--axis-repr auto|interval|dense] [--origin N] [--evals] [--timing]";
+      "--program <p.twp>) [--origin N] [--evals] [--timing]";
   if (argc < 1) return Fail(usage);
   std::string selector_text, xpath_text, program_path;
-  tw::PlanMode plan_mode = tw::PlanMode::kAuto;
-  tw::AxisRepr axis_repr = tw::AxisRepr::kAuto;
   long long origin_arg = -1;
   bool evals = false, timing = false;
   for (int i = 1; i < argc; ++i) {
@@ -352,20 +329,6 @@ int CmdExplain(int argc, char** argv) {
       xpath_text = argv[++i];
     } else if (std::strcmp(argv[i], "--program") == 0 && i + 1 < argc) {
       program_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--plan") == 0 && i + 1 < argc) {
-      auto mode = ParsePlanMode(argv[++i]);
-      if (!mode.has_value()) {
-        return Fail(std::string("unknown --plan '") + argv[i] +
-                    "' (want auto or fixed)");
-      }
-      plan_mode = *mode;
-    } else if (std::strcmp(argv[i], "--axis-repr") == 0 && i + 1 < argc) {
-      auto repr = tw::ParseAxisRepr(argv[++i]);
-      if (!repr.has_value()) {
-        return Fail(std::string("unknown --axis-repr '") + argv[i] +
-                    "' (want auto, interval, or dense)");
-      }
-      axis_repr = *repr;
     } else if (std::strcmp(argv[i], "--origin") == 0 && i + 1 < argc) {
       origin_arg = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--evals") == 0) {
@@ -387,31 +350,23 @@ int CmdExplain(int argc, char** argv) {
   struct Item {
     std::string title;
     tw::Formula formula;
-    bool from_xpath = false;
-    int xpath_steps = 0;
   };
   std::vector<Item> items;
-  std::optional<tw::XPath> xpath;
   if (!selector_text.empty()) {
     auto parsed = tw::ParseFormula(selector_text);
     if (!parsed.ok()) return Fail("selector: " + parsed.status().ToString());
     tw::Status valid = tw::ValidateTreeFormula(*parsed);
     if (!valid.ok()) return Fail("selector: " + valid.ToString());
-    items.push_back(Item{parsed->ToString(), *parsed, false, 0});
+    items.push_back(Item{parsed->ToString(), *parsed});
   } else if (!xpath_text.empty()) {
     auto parsed = tw::ParseXPath(xpath_text);
     if (!parsed.ok()) return Fail("xpath: " + parsed.status().ToString());
-    xpath = *parsed;
-    int steps = 0;
-    for (const tw::XPathPath& p : parsed->paths) {
-      steps += static_cast<int>(p.steps.size());
-    }
     auto formula = tw::CompileXPathToFo(*parsed);
     if (!formula.ok()) {
       return Fail("xpath does not compile to FO(exists*): " +
                   formula.status().ToString());
     }
-    items.push_back(Item{xpath_text, *formula, true, steps});
+    items.push_back(Item{xpath_text, *formula});
   } else {
     std::string text;
     if (!ReadFile(program_path, text)) {
@@ -424,7 +379,7 @@ int CmdExplain(int argc, char** argv) {
       if (rule.action.kind != tw::Action::Kind::kLookAhead) continue;
       const std::string key = rule.action.selector.ToString();
       if (!seen.emplace(key, true).second) continue;
-      items.push_back(Item{key, rule.action.selector, false, 0});
+      items.push_back(Item{key, rule.action.selector});
     }
     if (items.empty()) {
       std::printf("program has no atp() selectors; nothing to plan\n");
@@ -455,38 +410,18 @@ int CmdExplain(int argc, char** argv) {
   for (const Item& item : items) {
     std::printf("selector: %s\n", item.title.c_str());
     tw::PlanOptions popts;
-    popts.forced_repr = axis_repr;
-    popts.offer_xpath = item.from_xpath;
-    popts.xpath_steps = item.xpath_steps;
     if (origin_arg >= 0) popts.expected_origins = 1;
-    tw::SelectorPlan plan = tw::PlanSelector(*stats, item.formula, cal, popts);
+    const tw::SelectorPlan plan =
+        tw::PlanSelector(*stats, item.formula, cal, popts);
     const tw::FormulaFeatures& f = plan.features;
     std::printf(
         "  features: size=%d atoms=%d quantifiers=%d width=%d "
         "negation-depth=%d guard=%s\n",
         f.size, f.atoms, f.quantifiers, f.width, f.negation_depth,
         f.has_range_guard ? "yes" : "no");
-    std::printf("  cost: reference=%.4g compiled-dense=%.4g "
-                "compiled-interval=%.4g",
-                plan.cost_reference, plan.cost_dense, plan.cost_interval);
-    if (plan.cost_xpath >= 0.0) {
-      std::printf(" xpath-direct=%.4g", plan.cost_xpath);
-    }
-    std::printf("\n");
-    if (plan_mode == tw::PlanMode::kFixed) {
-      // The legacy heuristics: always compile, representation by the
-      // kDenseAxisNodeLimit size threshold.
-      const tw::AxisRepr fixed = tw::ResolveAxisRepr(
-          axis_repr, static_cast<std::size_t>(stats->nodes));
-      plan.strategy = fixed == tw::AxisRepr::kDense
-                          ? tw::PlanStrategy::kCompiledDense
-                          : tw::PlanStrategy::kCompiledInterval;
-      plan.repr = fixed;
-      std::printf("  plan: %s (fixed mode: legacy heuristics)\n",
-                  tw::PlanStrategyName(plan.strategy));
-    } else {
-      std::printf("  plan: %s\n", tw::PlanStrategyName(plan.strategy));
-    }
+    std::printf("  cost: reference=%.4g compiled-interval=%.4g\n",
+                plan.cost_reference, plan.cost_interval);
+    std::printf("  plan: %s\n", tw::PlanStrategyName(plan.strategy));
     std::printf("  operators:\n");
     for (const tw::OperatorEstimate& op : plan.operators) {
       std::printf("    %*s%-*s rows=%-12.4g sel=%.4g%s\n", op.depth * 2, "",
@@ -501,19 +436,13 @@ int CmdExplain(int argc, char** argv) {
       switch (s) {
         case tw::PlanStrategy::kReference:
           return tw::SelectNodes(*tree, item.formula, origin);
-        case tw::PlanStrategy::kCompiledDense:
         case tw::PlanStrategy::kCompiledInterval: {
           tw::AxisIndex index(*tree, nullptr);
           if (!index.status().ok()) return index.status();
-          auto compiled = tw::CompileSelector(
-              index, item.formula, "x", "y",
-              s == tw::PlanStrategy::kCompiledDense ? tw::AxisRepr::kDense
-                                                    : tw::AxisRepr::kInterval);
+          auto compiled = tw::CompileSelector(index, item.formula);
           if (!compiled.ok()) return compiled.status();
           return compiled->SelectFrom(origin);
         }
-        case tw::PlanStrategy::kXPathDirect:
-          return tw::EvalXPath(*tree, *xpath, origin);
       }
       return tw::InvalidArgument("unknown strategy");
     };
@@ -546,13 +475,8 @@ int CmdExplain(int argc, char** argv) {
     if (timing) {
       std::vector<tw::StrategyMeasurement> measured;
       std::printf("  timing:");
-      std::vector<tw::PlanStrategy> candidates = {
-          tw::PlanStrategy::kReference, tw::PlanStrategy::kCompiledDense,
-          tw::PlanStrategy::kCompiledInterval};
-      if (item.from_xpath) {
-        candidates.push_back(tw::PlanStrategy::kXPathDirect);
-      }
-      for (tw::PlanStrategy s : candidates) {
+      for (tw::PlanStrategy s : {tw::PlanStrategy::kReference,
+                                 tw::PlanStrategy::kCompiledInterval}) {
         const auto start = std::chrono::steady_clock::now();
         auto result = run_strategy(s);
         const auto end = std::chrono::steady_clock::now();
@@ -570,10 +494,9 @@ int CmdExplain(int argc, char** argv) {
       const tw::PlannerCalibration tuned =
           tw::RecalibrateFromMeasurements(cal, plan, measured);
       std::printf(
-          "  recalibrated: reference_visit_cost=%.4g dense_word_cost=%.4g "
-          "interval_span_cost=%.4g xpath_step_cost=%.4g\n",
-          tuned.reference_visit_cost, tuned.dense_word_cost,
-          tuned.interval_span_cost, tuned.xpath_step_cost);
+          "  recalibrated: reference_visit_cost=%.4g "
+          "interval_span_cost=%.4g\n",
+          tuned.reference_visit_cost, tuned.interval_span_cost);
     }
   }
   return 0;
@@ -583,7 +506,6 @@ int CmdBatch(int argc, char** argv) {
   if (argc < 1) {
     return Fail("usage: twq batch <manifest> [--jobs N] [--max-steps M] "
                 "[--quiet] [--no-cache] [--no-compiled] "
-                "[--axis-repr auto|interval|dense] [--plan auto|fixed] "
                 "[--deadline-ms D] "
                 "[--memory-budget-mb B] [--retries R] "
                 "[--snapshot-cache <dir>] [--compile-cache <dir>] "
@@ -594,8 +516,6 @@ int CmdBatch(int argc, char** argv) {
   bool quiet = false;
   bool cache_selectors = true;
   bool compile_selectors = true;
-  tw::AxisRepr axis_repr = tw::AxisRepr::kAuto;
-  tw::PlanMode plan_mode = tw::PlanMode::kAuto;
   long long deadline_ms = 0;        // 0 = no deadline
   long long memory_budget_mb = 0;   // 0 = unlimited
   int retries = 0;                  // extra attempts beyond the first
@@ -619,20 +539,6 @@ int CmdBatch(int argc, char** argv) {
       cache_selectors = false;
     } else if (std::strcmp(argv[i], "--no-compiled") == 0) {
       compile_selectors = false;
-    } else if (std::strcmp(argv[i], "--axis-repr") == 0 && i + 1 < argc) {
-      auto repr = tw::ParseAxisRepr(argv[++i]);
-      if (!repr.has_value()) {
-        return Fail(std::string("unknown --axis-repr '") + argv[i] +
-                    "' (want auto, interval, or dense)");
-      }
-      axis_repr = *repr;
-    } else if (std::strcmp(argv[i], "--plan") == 0 && i + 1 < argc) {
-      auto mode = ParsePlanMode(argv[++i]);
-      if (!mode.has_value()) {
-        return Fail(std::string("unknown --plan '") + argv[i] +
-                    "' (want auto or fixed)");
-      }
-      plan_mode = *mode;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
       deadline_ms = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--memory-budget-mb") == 0 &&
@@ -766,8 +672,6 @@ int CmdBatch(int argc, char** argv) {
       if (max_steps > 0) job.options.max_steps = max_steps;
       job.options.cache_selectors = cache_selectors;
       job.options.compile_selectors = compile_selectors;
-      job.options.axis_repr = axis_repr;
-      job.options.plan_mode = plan_mode;
       if (compile_cache.has_value()) {
         job.options.selector_disk_cache = &*compile_cache;
       }
@@ -906,22 +810,16 @@ int CmdBatch(int argc, char** argv) {
                         .c_str()
                   : "");
   std::printf("steps=%lld atp_calls=%lld cache_hits=%lld cache_misses=%lld "
-              "compiled_evals=%lld (interval=%lld dense=%lld) "
-              "store_updates=%lld\n",
+              "compiled_evals=%lld store_updates=%lld\n",
               static_cast<long long>(s.steps),
               static_cast<long long>(s.atp_calls),
               static_cast<long long>(s.selector_cache_hits),
               static_cast<long long>(s.selector_cache_misses),
               static_cast<long long>(s.compiled_selector_evals),
-              static_cast<long long>(s.interval_selector_evals),
-              static_cast<long long>(s.dense_selector_evals),
               static_cast<long long>(s.store_updates));
-  if (s.planner_picks_reference + s.planner_picks_dense +
-          s.planner_picks_interval >
-      0) {
-    std::printf("planner_picks: reference=%lld dense=%lld interval=%lld\n",
+  if (s.planner_picks_reference + s.planner_picks_interval > 0) {
+    std::printf("planner_picks: reference=%lld interval=%lld\n",
                 static_cast<long long>(s.planner_picks_reference),
-                static_cast<long long>(s.planner_picks_dense),
                 static_cast<long long>(s.planner_picks_interval));
   }
   if (snapshot_cache.has_value()) {
