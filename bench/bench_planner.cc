@@ -24,6 +24,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -135,6 +137,37 @@ void BM_PlanInterval(benchmark::State& state, const char* selector) {
   state.counters["selected"] = static_cast<double>(selected);
 }
 
+/// Seeded evaluation from every origin, never materializing (E23): what
+/// the interpreter's compiled path costs below its threshold.  Not a
+/// fixed arm of the planner contract.
+void BM_PlanSeeded(benchmark::State& state, const char* selector) {
+  Tree t = Input(static_cast<int>(state.range(0)));
+  Formula phi = std::move(ParseFormula(selector)).value();
+  std::vector<NodeId> origins =
+      SpreadOrigins(t, static_cast<int>(state.range(1)));
+  auto answers = ReferenceAnswers(state, t, phi, origins);
+  if (answers.empty()) return;
+  std::size_t selected = 0;
+  for (auto _ : state) {
+    AxisIndex index(t);
+    auto seeded = PrepareSelector(index, phi);
+    if (!seeded.ok()) {
+      state.SkipWithError(seeded.status().ToString().c_str());
+      return;
+    }
+    selected = 0;
+    for (std::size_t i = 0; i < origins.size(); ++i) {
+      auto answer = seeded->SelectFrom(origins[i]);
+      if (!answer.ok() || *answer != answers[i]) {
+        state.SkipWithError("seeded/reference mismatch");
+        return;
+      }
+      selected += answer->size();
+    }
+  }
+  state.counters["selected"] = static_cast<double>(selected);
+}
+
 void BM_PlanAuto(benchmark::State& state, const char* selector) {
   Tree t = Input(static_cast<int>(state.range(0)));
   Formula phi = std::move(ParseFormula(selector)).value();
@@ -154,15 +187,39 @@ void BM_PlanAuto(benchmark::State& state, const char* selector) {
     picked = plan.strategy;
     selected = 0;
     if (plan.strategy == PlanStrategy::kCompiledInterval) {
+      // As the interpreter runs a compiled pick: seeded from each new
+      // origin, materialized at the plan's materialize_after-th.
       AxisIndex index(t);
-      auto compiled = CompileSelector(index, phi);
-      if (compiled.ok()) {
-        for (NodeId origin : origins) {
-          selected += compiled->SelectFrom(origin).size();
-        }
-        continue;
+      std::optional<SeededSelector> seeded;
+      std::optional<CompiledSelector> materialized;
+      bool declined = false;
+      if (plan.materialize_after > 1) {
+        auto prepared = PrepareSelector(index, phi);
+        declined = !prepared.ok();
+        if (prepared.ok()) seeded = std::move(prepared).value();
       }
+      for (std::size_t i = 0; i < origins.size() && !declined; ++i) {
+        if (!materialized.has_value() &&
+            static_cast<std::int64_t>(i) + 1 >= plan.materialize_after) {
+          auto compiled = CompileSelector(index, phi);
+          declined = !compiled.ok();
+          if (compiled.ok()) materialized = std::move(compiled).value();
+          seeded.reset();
+        }
+        if (materialized.has_value()) {
+          selected += materialized->SelectFrom(origins[i]).size();
+        } else if (seeded.has_value()) {
+          auto answer = seeded->SelectFrom(origins[i]);
+          if (!answer.ok()) {
+            state.SkipWithError(answer.status().ToString().c_str());
+            return;
+          }
+          selected += answer->size();
+        }
+      }
+      if (!declined) continue;
       // Runtime decline: reference fallback, same as the interpreter.
+      selected = 0;
     }
     for (NodeId origin : origins) {
       auto r = SelectNodes(t, phi, origin);
@@ -192,6 +249,8 @@ void BM_PlanAuto(benchmark::State& state, const char* selector) {
   BENCHMARK_CAPTURE(BM_PlanReference, workload, selector)             \
       ->Args({n, origins})->Unit(benchmark::kMicrosecond);            \
   BENCHMARK_CAPTURE(BM_PlanInterval, workload, selector)              \
+      ->Args({n, origins})->Unit(benchmark::kMicrosecond);            \
+  BENCHMARK_CAPTURE(BM_PlanSeeded, workload, selector)                \
       ->Args({n, origins})->Unit(benchmark::kMicrosecond);            \
   BENCHMARK_CAPTURE(BM_PlanAuto, workload, selector)                  \
       ->Args({n, origins})->Unit(benchmark::kMicrosecond)

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "src/logic/selector_cache.h"
 #include "src/logic/tree_eval.h"
 #include "src/tree/axis_index.h"
+#include "src/tree/delimited.h"
 #include "src/tree/generate.h"
 #include "src/tree/snapshot.h"
 #include "src/tree/term_io.h"
@@ -444,6 +446,149 @@ void BM_ColdStartSnapshotCache(benchmark::State& state) {
 
 BENCHMARK(BM_ColdStartParseCompile)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ColdStartSnapshotCache)->Unit(benchmark::kMillisecond);
+
+// --- E23: origin-seeded evaluation. ---------------------------------
+//
+// An atp() look-ahead asks its selector from the one node the walk
+// stands on.  The seeded arms answer that origin without materializing
+// the relation: per iteration a fresh axis index, PrepareSelector and
+// one SelectFrom from the root of delim(t), as `twq run` meets a
+// selector.  Cross-checked against navigation before timing.
+
+// The ROADMAP's look-ahead: a-labeled strict descendants with a
+// b-labeled child.
+constexpr const char* kDescLookahead =
+    "exists z (desc(x, y) & lab(y, a) & E(y, z) & lab(z, b))";
+// The root-guarded selector of perfbench's cli_run and serve_mixed.
+constexpr const char* kRootGuarded =
+    "exists z (root(x) & desc(x, z) & E(z, y) & lab(z, a) & lab(y, b))";
+
+std::vector<NodeId> DescLookaheadAnswer(const Tree& t, NodeId u) {
+  const Symbol a = t.FindLabel("a");
+  const Symbol b = t.FindLabel("b");
+  std::vector<NodeId> out;
+  for (NodeId y = u + 1; y < t.SubtreeEnd(u); ++y) {
+    if (t.label(y) != a) continue;
+    for (NodeId z = t.FirstChild(y); z != kNoNode; z = t.NextSibling(z)) {
+      if (t.label(z) == b) {
+        out.push_back(y);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<NodeId> RootGuardedAnswer(const Tree& t, NodeId u) {
+  const Symbol a = t.FindLabel("a");
+  const Symbol b = t.FindLabel("b");
+  std::vector<NodeId> out;
+  if (u != t.root()) return out;
+  for (NodeId z = u + 1; z < t.SubtreeEnd(u); ++z) {
+    if (t.label(z) != a) continue;
+    for (NodeId y = t.FirstChild(z); y != kNoNode; y = t.NextSibling(y)) {
+      if (t.label(y) == b) out.push_back(y);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Axis index + PrepareSelector + one SelectFrom(root) per iteration.
+void RunSeededFromRoot(benchmark::State& state, const Tree& t,
+                       const char* selector,
+                       std::vector<NodeId> (*truth)(const Tree&, NodeId)) {
+  Formula phi = std::move(ParseFormula(selector)).value();
+  const std::vector<NodeId> expected = truth(t, t.root());
+  std::size_t selected = 0;
+  for (auto _ : state) {
+    AxisIndex index(t);
+    Result<SeededSelector> seeded = PrepareSelector(index, phi);
+    if (!seeded.ok()) {
+      state.SkipWithError(seeded.status().ToString().c_str());
+      return;
+    }
+    Result<std::vector<NodeId>> answer = seeded->SelectFrom(t.root());
+    if (!answer.ok() || *answer != expected) {
+      state.SkipWithError("seeded/navigation mismatch");
+      return;
+    }
+    selected = answer->size();
+  }
+  state.counters["selected"] = static_cast<double>(selected);
+  state.counters["nodes"] = static_cast<double>(t.size());
+  // Seconds per delimited node and iteration.
+  state.counters["sec_per_node"] = benchmark::Counter(
+      static_cast<double>(t.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+// The ROADMAP workload over delim(Input(n)) for n = 10^4..10^6 (2.5x as
+// many delimited nodes); ns_per_node is the linearity check.
+void BM_SeededLookahead(benchmark::State& state) {
+  Tree t = Delimit(Input(static_cast<int>(state.range(0)))).tree;
+  RunSeededFromRoot(state, t, kDescLookahead, DescLookaheadAnswer);
+}
+BENCHMARK(BM_SeededLookahead)
+    ->Arg(10000)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+
+// cli_run's trade on delim(Input(10^5)): the seeded arm against the
+// path it replaces for a one-origin selector — axis index, content hash
+// and a `.twsel` hit, then the row read.
+const Tree& CliTree() {
+  static const Tree* tree = new Tree(Delimit(Input(100000)).tree);
+  return *tree;
+}
+
+void BM_SeededFromRoot(benchmark::State& state, const char* selector,
+                       std::vector<NodeId> (*truth)(const Tree&, NodeId)) {
+  RunSeededFromRoot(state, CliTree(), selector, truth);
+}
+
+void BM_TwselHitFromRoot(benchmark::State& state, const char* selector,
+                         std::vector<NodeId> (*truth)(const Tree&, NodeId)) {
+  const Tree& t = CliTree();
+  Formula phi = std::move(ParseFormula(selector)).value();
+  const std::vector<NodeId> expected = truth(t, t.root());
+  const std::string dir = "e23_twsel_cache";
+  std::filesystem::create_directories(dir);
+  SelectorDiskCache cache(dir);
+  {
+    // Warm the entry.
+    AxisIndex index(t);
+    Result<CompiledSelector> warm =
+        CompileSelectorCached(index, phi, "x", "y", AxisRepr::kInterval,
+                              &cache, TreeContentHash(t));
+    if (!warm.ok() || warm->SelectFrom(t.root()) != expected) {
+      state.SkipWithError("compiled/navigation mismatch");
+      return;
+    }
+  }
+  std::size_t selected = 0;
+  for (auto _ : state) {
+    AxisIndex index(t);
+    Result<CompiledSelector> hit =
+        CompileSelectorCached(index, phi, "x", "y", AxisRepr::kInterval,
+                              &cache, TreeContentHash(t));
+    if (!hit.ok()) {
+      state.SkipWithError(hit.status().ToString().c_str());
+      return;
+    }
+    selected = hit->SelectFrom(t.root()).size();
+  }
+  state.counters["selected"] = static_cast<double>(selected);
+}
+
+BENCHMARK_CAPTURE(BM_SeededFromRoot, chain, kChain, GreatGrandchildren)
+    ->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TwselHitFromRoot, chain, kChain, GreatGrandchildren)
+    ->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SeededFromRoot, guarded, kRootGuarded, RootGuardedAnswer)
+    ->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TwselHitFromRoot, guarded, kRootGuarded,
+                  RootGuardedAnswer)
+    ->Arg(100000)->Unit(benchmark::kMillisecond);
 
 // --- E15: resource-governor overhead. --------------------------------
 //

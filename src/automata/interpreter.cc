@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -58,8 +59,12 @@ struct InterpMetrics {
   Counter* store_updates;
   Counter* picks_reference;
   Counter* picks_interval;
+  Counter* seeded_evals;
+  Counter* materializations;
   Histogram* compiled_eval_us;
   Histogram* reference_eval_us;
+  Histogram* seeded_eval_us;
+  Histogram* materialize_us;
 
   static InterpMetrics& Get() {
     static InterpMetrics* metrics = [] {
@@ -102,6 +107,13 @@ struct InterpMetrics {
           "Cost-based planner strategy picks, one per distinct selector "
           "planned",
           {{"strategy", "compiled-interval"}});
+      m->seeded_evals = r.FindOrCreateCounter(
+          "treewalk_interp_seeded_evals_total",
+          "Selector evaluations answered by seeded evaluation from their "
+          "origin (a subset of the compiled path)");
+      m->materializations = r.FindOrCreateCounter(
+          "treewalk_interp_materializations_total",
+          "Selector relations materialized (compile or .twsel load)");
       m->compiled_eval_us = r.FindOrCreateHistogram(
           "treewalk_interp_selector_eval_us",
           "Selector evaluation latency by evaluator path", LatencyBucketsUs(),
@@ -110,6 +122,14 @@ struct InterpMetrics {
           "treewalk_interp_selector_eval_us",
           "Selector evaluation latency by evaluator path", LatencyBucketsUs(),
           {{"path", "reference"}});
+      m->seeded_eval_us = r.FindOrCreateHistogram(
+          "treewalk_interp_selector_eval_us",
+          "Selector evaluation latency by evaluator path", LatencyBucketsUs(),
+          {{"path", "seeded"}});
+      m->materialize_us = r.FindOrCreateHistogram(
+          "treewalk_interp_selector_eval_us",
+          "Selector evaluation latency by evaluator path", LatencyBucketsUs(),
+          {{"path", "materialize"}});
       return m;
     }();
     return *metrics;
@@ -179,6 +199,17 @@ class Runner {
 
  private:
   using ConfigKey = std::tuple<NodeId, std::string, Store>;
+
+  /// One canonical selector's evaluation path for this run.
+  struct SelectorState {
+    /// Planner picked the reference evaluator, or the compiler declined.
+    bool reference = false;
+    std::optional<SeededSelector> seeded;
+    std::optional<CompiledSelector> materialized;
+    /// Distinct origins (cache misses) at which to materialize.
+    std::int64_t materialize_after = 1;
+    std::int64_t origins = 0;
+  };
 
   Result<Outcome> Compute(NodeId start, const std::string& start_state,
                           Store store, int depth) {
@@ -336,80 +367,114 @@ class Runner {
     return selected;
   }
 
-  /// One selector evaluation, compiled when possible.  Each canonical
-  /// selector is compiled at most once per run against the lazily built
-  /// axis index; a selector the partial compiler declines is remembered
-  /// as a fallback and served by the reference SelectNodes, which also
-  /// reproduces the reference error behavior (docs/EVALUATOR.md).
+  /// One selector evaluation, compiled when possible (docs/EVALUATOR.md).
+  /// The planner is asked once per canonical selector.  A compiled pick
+  /// answers each new origin by seeded evaluation until the plan's
+  /// materialize_after-th distinct origin (cache miss), then materializes
+  /// the relation once — compile or `.twsel` load — and reads rows from
+  /// then on.  A reference pick or a compiler decline is served by the
+  /// reference SelectNodes, which also reproduces the reference error
+  /// behavior.
   Result<std::vector<NodeId>> EvalSelector(std::size_t canonical_id,
                                            const Formula& selector,
                                            NodeId origin) {
     if (options_.compile_selectors) {
-      auto it = compiled_.find(canonical_id);
-      if (it == compiled_.end()) {
-        // Ask the cost-based planner (src/logic/planner.h) once per
-        // canonical selector.  A reference pick is remembered as an
-        // empty compiled slot, exactly like a compiler decline, so later
-        // evaluations skip straight to SelectNodes.
-        if (!tree_stats_.has_value()) {
-          TreeStats scratch;
-          tree_stats_ = *GetOrComputeTreeStats(tree_, scratch);
-        }
-        PlannerCalibration calibration;
-        if (options_.planner_calibration != nullptr) {
-          calibration = *options_.planner_calibration;
-        }
-        const SelectorPlan plan =
-            PlanSelector(*tree_stats_, selector, calibration);
-        if (plan.strategy == PlanStrategy::kReference) {
-          ++stats_.planner_picks_reference;
-          compiled_.emplace(canonical_id, std::nullopt);
-          ScopedLatencyUs timer(InterpMetrics::Get().reference_eval_us);
-          return SelectNodes(tree_, selector, origin);
-        }
-        ++stats_.planner_picks_interval;
-        if (!axis_index_.has_value()) {
-          axis_index_.emplace(tree_, options_.governor);
-          // Construction charges the base bitsets; a trip surfaces here
-          // as the run's error rather than in a getter.
-          TREEWALK_RETURN_IF_ERROR(axis_index_->status());
-        }
-        if (options_.selector_disk_cache != nullptr &&
-            !tree_hash_.has_value()) {
-          // One content hash per run, shared by every cached compile.
-          tree_hash_ = TreeContentHash(tree_);
-        }
-        Result<CompiledSelector> compiled = CompileSelectorCached(
-            *axis_index_, selector, "x", "y", plan.repr,
-            options_.selector_disk_cache, tree_hash_.value_or(0));
-        if (!compiled.ok() &&
-            (compiled.status().code() == StatusCode::kResourceExhausted ||
-             compiled.status().code() == StatusCode::kDeadlineExceeded)) {
-          // Budget and deadline trips are hard errors for the whole run:
-          // falling back to the reference evaluator would evade the very
-          // limits the governor enforces.  Every other compile failure
-          // (width > 2, injected compiler faults) is a decline, served
-          // by the reference SelectNodes below.
-          return compiled.status();
-        }
-        std::optional<CompiledSelector> slot;
-        if (compiled.ok()) {
-          slot = std::move(compiled).value();
-          // The materialized relation stays alive for the run.
-          TREEWALK_RETURN_IF_ERROR(GovernorCharge(
-              options_.governor, MemoryCategory::kCompiledOps,
-              slot->RetainedBytes()));
-        }
-        it = compiled_.emplace(canonical_id, std::move(slot)).first;
+      auto [it, fresh] = selectors_.try_emplace(canonical_id);
+      SelectorState& state = it->second;
+      if (fresh) TREEWALK_RETURN_IF_ERROR(Plan(state, selector));
+      if (!state.reference && !state.materialized.has_value() &&
+          ++state.origins >= state.materialize_after) {
+        TREEWALK_RETURN_IF_ERROR(Materialize(state, selector));
       }
-      if (it->second.has_value()) {
+      if (state.materialized.has_value()) {
         ++stats_.compiled_selector_evals;
         ScopedLatencyUs timer(InterpMetrics::Get().compiled_eval_us);
-        return it->second->SelectFrom(origin);
+        return state.materialized->SelectFrom(origin);
+      }
+      if (state.seeded.has_value()) {
+        ++stats_.compiled_selector_evals;
+        ++stats_.seeded_selector_evals;
+        ScopedLatencyUs timer(InterpMetrics::Get().seeded_eval_us);
+        return state.seeded->SelectFrom(origin);
       }
     }
     ScopedLatencyUs timer(InterpMetrics::Get().reference_eval_us);
     return SelectNodes(tree_, selector, origin);
+  }
+
+  /// Budget and deadline trips are hard errors for the whole run:
+  /// falling back to the reference evaluator would evade the very limits
+  /// the governor enforces.  Every other compile failure (width > 2,
+  /// injected compiler faults) is a decline.
+  static bool IsHardError(const Status& status) {
+    return status.code() == StatusCode::kResourceExhausted ||
+           status.code() == StatusCode::kDeadlineExceeded;
+  }
+
+  /// Plans a selector met for the first time and, on a compiled pick
+  /// that will not materialize at once, prepares its seeded DAG.
+  Status Plan(SelectorState& state, const Formula& selector) {
+    if (!tree_stats_.has_value()) {
+      TreeStats scratch;
+      tree_stats_ = *GetOrComputeTreeStats(tree_, scratch);
+    }
+    PlannerCalibration calibration;
+    if (options_.planner_calibration != nullptr) {
+      calibration = *options_.planner_calibration;
+    }
+    const SelectorPlan plan = PlanSelector(*tree_stats_, selector, calibration);
+    if (plan.strategy == PlanStrategy::kReference) {
+      ++stats_.planner_picks_reference;
+      state.reference = true;
+      return Status::Ok();
+    }
+    ++stats_.planner_picks_interval;
+    state.materialize_after = plan.materialize_after;
+    if (!axis_index_.has_value()) {
+      axis_index_.emplace(tree_, options_.governor);
+      // Construction charges the base bitsets; a trip surfaces here as
+      // the run's error rather than in a getter.
+      TREEWALK_RETURN_IF_ERROR(axis_index_->status());
+    }
+    if (state.materialize_after <= 1) return Status::Ok();
+    Result<SeededSelector> seeded = PrepareSelector(*axis_index_, selector);
+    if (!seeded.ok()) {
+      if (IsHardError(seeded.status())) return seeded.status();
+      state.reference = true;
+      return Status::Ok();
+    }
+    state.seeded = std::move(seeded).value();
+    return Status::Ok();
+  }
+
+  /// Materializes a compiled selector's relation, through the disk cache
+  /// when one is configured; the seeded state is dropped (and its memo
+  /// released) on success.  A decline without a seeded fallback serves
+  /// the selector by the reference evaluator; with one, it stays seeded.
+  Status Materialize(SelectorState& state, const Formula& selector) {
+    ScopedLatencyUs timer(InterpMetrics::Get().materialize_us);
+    if (options_.selector_disk_cache != nullptr && !tree_hash_.has_value()) {
+      // One content hash per run, shared by every cached compile.
+      tree_hash_ = TreeContentHash(tree_);
+    }
+    Result<CompiledSelector> compiled = CompileSelectorCached(
+        *axis_index_, selector, "x", "y", AxisRepr::kInterval,
+        options_.selector_disk_cache, tree_hash_.value_or(0));
+    if (!compiled.ok()) {
+      if (IsHardError(compiled.status())) return compiled.status();
+      if (state.seeded.has_value()) {
+        state.materialize_after = std::numeric_limits<std::int64_t>::max();
+      } else {
+        state.reference = true;
+      }
+      return Status::Ok();
+    }
+    ++stats_.materializations;
+    state.seeded.reset();
+    state.materialized = std::move(compiled).value();
+    // The materialized relation stays alive for the run.
+    return GovernorCharge(options_.governor, MemoryCategory::kCompiledOps,
+                          state.materialized->RetainedBytes());
   }
 
   void FlushMetrics() const {
@@ -425,6 +490,8 @@ class Runner {
                                  stats_.compiled_selector_evals);
     m.picks_reference->Increment(stats_.planner_picks_reference);
     m.picks_interval->Increment(stats_.planner_picks_interval);
+    m.seeded_evals->Increment(stats_.seeded_selector_evals);
+    m.materializations->Increment(stats_.materializations);
     m.store_updates->Increment(stats_.store_updates);
   }
 
@@ -540,9 +607,8 @@ class Runner {
   /// Lazy tree statistics for the planner (snapshot-preloaded or one
   /// O(n) scan, computed at the first selector planned this run).
   std::optional<TreeStats> tree_stats_;
-  /// Per-canonical-selector compile result: absent = untried, nullopt =
-  /// compiler declined (reference fallback), value = compiled.
-  std::map<std::size_t, std::optional<CompiledSelector>> compiled_;
+  /// Per canonical selector; absent = not yet planned.
+  std::map<std::size_t, SelectorState> selectors_;
   RunStats stats_;
   std::vector<std::string> trace_;
 };

@@ -45,11 +45,13 @@ struct RunOptions {
   /// Set-at-a-time selector evaluation: the cost-based planner
   /// (src/logic/planner.h) scores the reference evaluator against the
   /// compiled path per distinct atp() selector, from tree statistics
-  /// and formula features.  A compiled pick compiles the selector once
-  /// per run into an interval-encoded satisfier relation over a per-run
-  /// axis index (src/logic/compile.h) and answers every SelectNodes
-  /// with a row read.  Composes with cache_selectors (the compiled
-  /// evaluator serves the cache misses).  Selectors the partial
+  /// and formula features.  A compiled pick compiles the selector's op
+  /// DAG over a per-run axis index (src/logic/compile.h) and evaluates
+  /// it seeded at each origin asked; once the planner's
+  /// materialize_after distinct origins have been asked, it
+  /// materializes the interval-encoded satisfier relation once and
+  /// answers with row reads.  Composes with cache_selectors (the
+  /// compiled evaluator serves the cache misses).  Selectors the partial
   /// compiler declines (three-plus-variable subformulas) fall back to
   /// the reference evaluator, so this is semantically invisible; turn
   /// off to ablate or to force the reference path.
@@ -60,11 +62,11 @@ struct RunOptions {
   /// outlive the run.
   const PlannerCalibration* planner_calibration = nullptr;
   /// Persistent compiled-selector cache (src/logic/selector_cache.h).
-  /// When non-null, each selector compile first consults the on-disk
-  /// cache keyed by (formula, tree content hash) and
-  /// persists fresh compiles back.  Any cache failure degrades to a
-  /// plain compile — semantically invisible, like compile_selectors
-  /// itself.  Must outlive the run.
+  /// When non-null, each materialization first consults the on-disk
+  /// cache keyed by (formula, tree content hash) and persists fresh
+  /// compiles back; seeded evaluation needs neither.  Any cache failure
+  /// degrades to a plain compile — semantically invisible, like
+  /// compile_selectors itself.  Must outlive the run.
   const SelectorDiskCache* selector_disk_cache = nullptr;
   /// Cooperative cancellation: when non-null and set, the run aborts
   /// with kCancelled at the next transition boundary.  The pointee must
@@ -102,9 +104,17 @@ struct RunStats {
   std::int64_t selector_cache_hits = 0;
   std::int64_t selector_cache_misses = 0;
   /// Selector evaluations answered by the compiled set-at-a-time
-  /// evaluator (subset of selector_cache_misses when the cache is on);
-  /// misses beyond this count fell back to the reference evaluator.
+  /// evaluator, seeded or materialized (subset of selector_cache_misses
+  /// when the cache is on); misses beyond this count fell back to the
+  /// reference evaluator.
   std::int64_t compiled_selector_evals = 0;
+  /// Compiled evaluations answered by seeded evaluation from their
+  /// origin, before the selector materialized (subset of
+  /// compiled_selector_evals).
+  std::int64_t seeded_selector_evals = 0;
+  /// Selector relations materialized (compiled or loaded from the disk
+  /// cache), at most one per distinct compiled selector.
+  std::int64_t materializations = 0;
   /// Planner strategy picks, one per distinct selector planned this run.
   /// A reference pick means the planner chose not to compile; compile
   /// *declines* after an interval pick still count as interval picks.

@@ -67,10 +67,17 @@ Result<std::vector<OpValue>> EvaluateOpsGoverned(const std::vector<Op>& ops,
         assert(op.set != nullptr);
         out.set = op.set;
         break;
-      case OpKind::kLoadMat:
+      case OpKind::kLoadMat: {
         assert(op.imat != nullptr);
-        out.imat = op.imat;
+        if (!op.transposed) {
+          out.imat = op.imat;
+          break;
+        }
+        auto r = IntervalMatrix::Transposed(*op.imat, pool_charge);
+        if (!r.ok()) return r.status();
+        out.imat = std::make_shared<IntervalMatrix>(std::move(r).value());
         break;
+      }
       case OpKind::kNotBool:
         out.b = !vals[op.a].b;
         break;

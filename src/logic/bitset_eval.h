@@ -2,6 +2,7 @@
 #define TREEWALK_LOGIC_BITSET_EVAL_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -31,7 +32,8 @@ namespace treewalk {
 enum class OpKind : std::uint8_t {
   kConstBool,   ///< literal truth value
   kLoadSet,     ///< precomputed NodeSet (axis-index unary predicate)
-  kLoadMat,     ///< precomputed IntervalMatrix (axis relation)
+  kLoadMat,     ///< precomputed IntervalMatrix (axis relation), or its
+                ///< transpose when Op::transposed is set
   kNotBool,     ///< !a
   kAndBool,     ///< a && b
   kOrBool,      ///< a || b
@@ -52,6 +54,17 @@ enum class OpKind : std::uint8_t {
                 ///< R[u][v] = exists w P[u][w] & Q[v][w] & (c < 0 || C[w])
 };
 
+/// The tau axis relation a kLoadMat stands for, or kNone for a derived
+/// matrix held in Op::imat.
+enum class Axis : std::uint8_t {
+  kNone,
+  kEdge,        ///< E(u, v): v is a child of u
+  kDescendant,  ///< desc(u, v): v is a strict descendant of u
+  kSibling,     ///< sib(u, v): same parent, u before v
+  kSucc,        ///< succ(u, v): v is the right sibling of u
+  kIdentity,    ///< u = v
+};
+
 struct Op {
   OpKind kind = OpKind::kConstBool;
   int a = -1;  ///< first operand op index
@@ -62,6 +75,14 @@ struct Op {
   /// a matrix and intersecting) is what keeps interval joins narrow.
   int c = -1;
   bool literal = false;  ///< kConstBool
+  /// kLoadMat of an axis relation.  Materialization resolves it to the
+  /// AxisIndex's interval matrix in `imat`; seeded evaluation reads its
+  /// rows by tree navigation and never builds the matrix.
+  Axis axis = Axis::kNone;
+  /// kLoadMat: the op's value is the relation's transpose.  EvaluateOps
+  /// builds it on first use; seeded evaluation reads the relation's
+  /// rows in the other orientation.
+  bool transposed = false;
   std::shared_ptr<const NodeSet> set;          ///< kLoadSet
   std::shared_ptr<const IntervalMatrix> imat;  ///< kLoadMat
 };
@@ -129,6 +150,63 @@ class CompiledSelector {
   bool literal_ = false;
   std::shared_ptr<const NodeSet> set_;
   std::shared_ptr<const IntervalMatrix> imat_;  // rows = x, cols = y
+};
+
+/// A binary FO selector phi(x, y) compiled against one tree but not
+/// materialized: SelectFrom(origin) evaluates the op DAG *seeded* at
+/// that origin (docs/EVALUATOR.md, "Seeded evaluation").  The root
+/// demands the origin's row and every matrix op pushes the demand down
+/// — through kCompose as a semijoin onto the joined variable — so only
+/// rows the origin can reach are computed, as span lists with no n-row
+/// descriptor array.  Axis atoms are read by tree navigation, so no axis
+/// relation is materialized.  Unary sets stay whole NodeSets.
+///
+/// Answers equal CompiledSelector::SelectFrom's for the same formula.
+/// Build with PrepareSelector() (src/logic/compile.h); the AxisIndex it
+/// was prepared against, and its tree, must outlive it.
+/// Origin-independent results — sets demanded whole, their span images,
+/// closed subformulas, transposes of derived loads — are computed on
+/// first use, kept for later origins and charged to the index's
+/// governor (kCompiledOps) until destruction; everything else is
+/// charged per origin and released.  Not thread-safe: one per run.
+class SeededSelector {
+ public:
+  SeededSelector(SeededSelector&&) noexcept;
+  SeededSelector& operator=(SeededSelector&&) noexcept;
+  ~SeededSelector();
+
+  /// All v with t |= phi(origin, v), in document order.  Fails only on a
+  /// governor budget or deadline trip.  `origin` must be a valid node.
+  Result<std::vector<NodeId>> SelectFrom(NodeId origin);
+
+ private:
+  friend class Compiler;
+  friend class SeededEvaluation;
+
+  /// Which shape the selector took (CompiledSelector::Shape's twin).
+  enum class Shape : std::uint8_t { kBool, kSetX, kSetY, kMat };
+
+  SeededSelector();
+  /// A derived load's matrix in orientation `transposed`: the stored
+  /// matrix or its memoized transpose.
+  Result<const IntervalMatrix*> Oriented(const Op& op, bool transposed);
+
+  std::size_t n_ = 0;
+  Shape shape_ = Shape::kBool;
+  int root_ = -1;
+  const Tree* tree_ = nullptr;
+  ResourceGovernor* governor_ = nullptr;
+  std::vector<Op> ops_;
+  /// Per op: a kAnyRow/kAllRow lies below it, so a partial row demand
+  /// is cheaper than the whole set.
+  std::vector<bool> reduces_;
+  // Origin-independent memo, per op index.
+  std::vector<std::shared_ptr<const NodeSet>> whole_sets_;
+  std::vector<std::shared_ptr<const std::vector<NodeSpan>>> images_;
+  std::vector<signed char> bools_;  ///< -1 unknown, else 0/1
+  std::map<const IntervalMatrix*, std::unique_ptr<const IntervalMatrix>>
+      transposes_;
+  std::unique_ptr<ScopedMemoryCharge> retained_;
 };
 
 /// A sentence compiled and evaluated against one tree.  Build with

@@ -56,25 +56,8 @@ class Compiler {
   Result<CompiledSelector> Selector(const Formula& formula,
                                     const std::string& x,
                                     const std::string& y) {
-    TREEWALK_FAILPOINT("compiler/compile");
-    TREEWALK_RETURN_IF_ERROR(GovernorCheckDeadlineNow(governor_));
-    if (!formula.valid()) return InvalidArgument("empty formula");
-    if (n_ == 0) return FailedPrecondition("cannot compile on an empty tree");
-    if (x == y) {
-      return FailedPrecondition("selector variables must be distinct");
-    }
-    TREEWALK_RETURN_IF_ERROR(ValidateTreeFormula(formula));
-    for (const std::string& v : formula.FreeVariables()) {
-      if (v != x && v != y) {
-        return InvalidArgument("selector has unexpected free variable '" + v +
-                               "'");
-      }
-    }
-    binding_[x] = 0;
-    binding_[y] = 1;
-    next_slot_ = 2;
-    TREEWALK_ASSIGN_OR_RETURN(
-        Val v, CompileNode(Miniscope(ToNegationNormalForm(formula))));
+    TREEWALK_ASSIGN_OR_RETURN(Val v, SelectorDag(formula, x, y));
+    TREEWALK_RETURN_IF_ERROR(ResolveAxisLoads());
     TREEWALK_ASSIGN_OR_RETURN(std::vector<OpValue> vals,
                               EvaluateOpsGoverned(ops_, n_, governor_));
     CompiledSelector out;
@@ -101,6 +84,49 @@ class Compiler {
     return out;
   }
 
+  /// The same DAG as Selector(), kept unevaluated for seeded evaluation.
+  Result<SeededSelector> Seeded(const Formula& formula, const std::string& x,
+                                const std::string& y) {
+    TREEWALK_ASSIGN_OR_RETURN(Val v, SelectorDag(formula, x, y));
+    SeededSelector out;
+    out.n_ = n_;
+    out.root_ = v.op;
+    out.tree_ = &tree_;
+    out.governor_ = governor_;
+    switch (v.shape) {
+      case Shape::kBool:
+        out.shape_ = SeededSelector::Shape::kBool;
+        break;
+      case Shape::kSet:
+        out.shape_ = v.a == 0 ? SeededSelector::Shape::kSetX
+                              : SeededSelector::Shape::kSetY;
+        break;
+      case Shape::kMat:
+        assert(v.a == 0 && v.b == 1);
+        out.shape_ = SeededSelector::Shape::kMat;
+        break;
+    }
+    const std::size_t count = ops_.size();
+    out.reduces_.assign(count, false);
+    for (std::size_t i = 0; i < count; ++i) {
+      const Op& op = ops_[i];
+      bool below = op.kind == OpKind::kAnyRow || op.kind == OpKind::kAllRow;
+      for (int child : {op.a, op.b, op.c}) {
+        if (child >= 0 && out.reduces_[static_cast<std::size_t>(child)]) {
+          below = true;
+        }
+      }
+      out.reduces_[i] = below;
+    }
+    out.whole_sets_.resize(count);
+    out.images_.resize(count);
+    out.bools_.assign(count, -1);
+    out.retained_ = std::make_unique<ScopedMemoryCharge>(
+        governor_, MemoryCategory::kCompiledOps);
+    out.ops_ = std::move(ops_);
+    return out;
+  }
+
   Result<CompiledSentence> Sentence(const Formula& formula) {
     TREEWALK_FAILPOINT("compiler/compile");
     TREEWALK_RETURN_IF_ERROR(GovernorCheckDeadlineNow(governor_));
@@ -115,6 +141,7 @@ class Compiler {
     if (v.shape != Shape::kBool) {
       return Internal("sentence compiled to an open shape");
     }
+    TREEWALK_RETURN_IF_ERROR(ResolveAxisLoads());
     TREEWALK_ASSIGN_OR_RETURN(std::vector<OpValue> vals,
                               EvaluateOpsGoverned(ops_, n_, governor_));
     CompiledSentence out;
@@ -135,6 +162,31 @@ class Compiler {
     int a = -1;
     int b = -1;
   };
+
+  /// Validates a selector and compiles its NNF/miniscoped op DAG into
+  /// ops_ without evaluating it: the front half Selector() and Seeded()
+  /// share, so both decline exactly the same formulas.
+  Result<Val> SelectorDag(const Formula& formula, const std::string& x,
+                          const std::string& y) {
+    TREEWALK_FAILPOINT("compiler/compile");
+    TREEWALK_RETURN_IF_ERROR(GovernorCheckDeadlineNow(governor_));
+    if (!formula.valid()) return InvalidArgument("empty formula");
+    if (n_ == 0) return FailedPrecondition("cannot compile on an empty tree");
+    if (x == y) {
+      return FailedPrecondition("selector variables must be distinct");
+    }
+    TREEWALK_RETURN_IF_ERROR(ValidateTreeFormula(formula));
+    for (const std::string& v : formula.FreeVariables()) {
+      if (v != x && v != y) {
+        return InvalidArgument("selector has unexpected free variable '" + v +
+                               "'");
+      }
+    }
+    binding_[x] = 0;
+    binding_[y] = 1;
+    next_slot_ = 2;
+    return CompileNode(Miniscope(ToNegationNormalForm(formula)));
+  }
 
   // --- Op emission with hash-consing. --------------------------------
 
@@ -160,12 +212,56 @@ class Compiler {
     op.set = std::move(s);
     return Emit(std::move(op), extra);
   }
+  /// A derived matrix (attribute-value join).
   int EmitLoadMat(std::shared_ptr<const IntervalMatrix> m) {
     std::uint64_t extra = reinterpret_cast<std::uintptr_t>(m.get());
     Op op;
     op.kind = OpKind::kLoadMat;
     op.imat = std::move(m);
     return Emit(std::move(op), extra);
+  }
+  /// An axis relation, or its transpose (Op::axis): resolved from the
+  /// index only when the DAG is materialized.
+  int EmitLoadAxis(Axis axis, bool transposed) {
+    // Small codes, so they never collide with a derived load's pointer.
+    std::uint64_t extra =
+        static_cast<std::uint64_t>(axis) * 2 + (transposed ? 1 : 0);
+    Op op;
+    op.kind = OpKind::kLoadMat;
+    op.axis = axis;
+    op.transposed = transposed;
+    return Emit(std::move(op), extra);
+  }
+
+  /// Materialization reads axis loads as the AxisIndex's interval
+  /// matrices (built and charged under kAxisIndex on first use).
+  Status ResolveAxisLoads() {
+    for (Op& op : ops_) {
+      if (op.axis == Axis::kNone) continue;
+      Result<const IntervalMatrix*> rel = InvalidArgument("no axis");
+      switch (op.axis) {
+        case Axis::kEdge:
+          rel = index_.TryEdgeIntervals();
+          break;
+        case Axis::kDescendant:
+          rel = index_.TryDescendantIntervals();
+          break;
+        case Axis::kSibling:
+          rel = index_.TrySiblingIntervals();
+          break;
+        case Axis::kSucc:
+          rel = index_.TrySuccIntervals();
+          break;
+        case Axis::kIdentity:
+          rel = index_.TryIdentityIntervals();
+          break;
+        case Axis::kNone:
+          break;
+      }
+      if (!rel.ok()) return rel.status();
+      op.imat = Alias(**rel);
+    }
+    return Status::Ok();
   }
   int Emit1(OpKind kind, int a) {
     Op op;
@@ -592,13 +688,13 @@ class Compiler {
       case AtomKind::kLabel:
         return UnarySet(node.terms[0], index_.LabelSet(node.symbol));
       case AtomKind::kEdge:
-        return BinaryAxis(node, &AxisIndex::TryEdgeIntervals);
+        return BinaryAxis(node, Axis::kEdge);
       case AtomKind::kSibling:
-        return BinaryAxis(node, &AxisIndex::TrySiblingIntervals);
+        return BinaryAxis(node, Axis::kSibling);
       case AtomKind::kDescendant:
-        return BinaryAxis(node, &AxisIndex::TryDescendantIntervals);
+        return BinaryAxis(node, Axis::kDescendant);
       case AtomKind::kSucc:
-        return BinaryAxis(node, &AxisIndex::TrySuccIntervals);
+        return BinaryAxis(node, Axis::kSucc);
       case AtomKind::kEq: {
         const Term& a = node.terms[0];
         const Term& b = node.terms[1];
@@ -616,25 +712,17 @@ class Compiler {
     return SetVal(EmitLoadSet(Alias(s)), slot);
   }
 
-  /// Irreflexive axis relation R(u, v), materialized by the AxisIndex
-  /// accessor `axis`: loads R (or its cached transpose when the terms
-  /// arrive in descending slot order) as a matrix; R(x, x) is uniformly
-  /// false for all four axes.
-  Result<Val> BinaryAxis(const FormulaNode& node,
-                         Result<const IntervalMatrix*> (AxisIndex::*axis)()
-                             const) {
-    TREEWALK_ASSIGN_OR_RETURN(const IntervalMatrix* rel, (index_.*axis)());
+  /// Irreflexive axis relation R(u, v): loads R (or its transpose, when
+  /// the terms arrive in descending slot order) as a matrix; R(x, x) is
+  /// uniformly false for all four axes.
+  Result<Val> BinaryAxis(const FormulaNode& node, Axis axis) {
     TREEWALK_ASSIGN_OR_RETURN(int su, SlotOf(node.terms[0].var));
     TREEWALK_ASSIGN_OR_RETURN(int sv, SlotOf(node.terms[1].var));
     if (su == sv) {
       return SetVal(EmitLoadSet(Alias(index_.Empty())), su);
     }
-    if (su < sv) {
-      return MatVal(EmitLoadMat(Alias(*rel)), su, sv);
-    }
-    TREEWALK_ASSIGN_OR_RETURN(std::shared_ptr<const IntervalMatrix> t,
-                              Transposed(*rel));
-    return MatVal(EmitLoadMat(std::move(t)), sv, su);
+    if (su < sv) return MatVal(EmitLoadAxis(axis, false), su, sv);
+    return MatVal(EmitLoadAxis(axis, true), sv, su);
   }
 
   Result<Val> NodeEq(const Term& a, const Term& b) {
@@ -644,9 +732,7 @@ class Compiler {
       return SetVal(EmitLoadSet(Alias(index_.Full())), sa);
     }
     // The identity matrix is symmetric; no transpose needed.
-    TREEWALK_ASSIGN_OR_RETURN(const IntervalMatrix* id,
-                              index_.TryIdentityIntervals());
-    return MatVal(EmitLoadMat(Alias(*id)), sa < sb ? sa : sb,
+    return MatVal(EmitLoadAxis(Axis::kIdentity, false), sa < sb ? sa : sb,
                   sa < sb ? sb : sa);
   }
 
@@ -712,31 +798,6 @@ class Compiler {
   // the governed op evaluation releases only its own transient charges,
   // so these stay charged for the compilation's lifetime.
 
-  /// Output size is data-dependent (O(input spans)), so construction
-  /// runs against a transient charge that bounds its peak, and the
-  /// survivor is then re-charged at its exact footprint for the
-  /// compilation's lifetime.
-  Result<std::shared_ptr<const IntervalMatrix>> Transposed(
-      const IntervalMatrix& m) {
-    auto found = transposed_.find(&m);
-    if (found != transposed_.end()) return found->second;
-    Result<IntervalMatrix> built = IntervalMatrix();
-    {
-      ScopedMemoryCharge building(governor_, MemoryCategory::kCompiledOps);
-      built = IntervalMatrix::Transposed(
-          m, governor_ != nullptr ? &building : nullptr);
-      if (built.ok()) {
-        TREEWALK_RETURN_IF_ERROR(GovernorCharge(governor_,
-                                                MemoryCategory::kCompiledOps,
-                                                (*built).ApproxBytes()));
-      }
-    }
-    if (!built.ok()) return built.status();
-    auto sp = std::make_shared<const IntervalMatrix>(std::move(built).value());
-    transposed_.emplace(&m, sp);
-    return sp;
-  }
-
   /// {u : attr(a, u) == attr(b, u)}.
   Result<std::shared_ptr<const NodeSet>> AttrPairSet(AttrId a, AttrId b) {
     auto [it, inserted] = attr_pair_sets_.try_emplace({a, b});
@@ -772,7 +833,10 @@ class Compiler {
     (void)col_values;
     Result<IntervalMatrix> built = IntervalMatrix();
     {
-      // Same charge discipline as the interval Transposed cache.
+      // The output size is data-dependent (O(column runs)), so the build
+      // runs against a transient charge that bounds its peak, and the
+      // survivor is re-charged at its exact footprint for the
+      // compilation's lifetime.
       ScopedMemoryCharge building(governor_, MemoryCategory::kCompiledOps);
       IntervalMatrixBuilder b(n_, governor_ != nullptr ? &building : nullptr);
       for (DataValue v : *values) {
@@ -823,8 +887,6 @@ class Compiler {
   std::map<std::string, int> binding_;
   int next_slot_ = 0;
 
-  std::map<const IntervalMatrix*, std::shared_ptr<const IntervalMatrix>>
-      transposed_;
   std::map<std::pair<AttrId, AttrId>, std::shared_ptr<const NodeSet>>
       attr_pair_sets_;
   std::map<std::pair<AttrId, AttrId>, std::shared_ptr<const IntervalMatrix>>
@@ -838,6 +900,14 @@ Result<CompiledSelector> CompileSelector(const AxisIndex& index,
                                          AxisRepr /*repr*/) {
   Compiler compiler(index);
   return compiler.Selector(formula, x, y);
+}
+
+Result<SeededSelector> PrepareSelector(const AxisIndex& index,
+                                       const Formula& formula,
+                                       const std::string& x,
+                                       const std::string& y) {
+  Compiler compiler(index);
+  return compiler.Seeded(formula, x, y);
 }
 
 Result<CompiledSentence> CompileSentence(const AxisIndex& index,

@@ -46,6 +46,17 @@ Result<CompiledSelector> CompileSelector(const AxisIndex& index,
                                          const std::string& y = "y",
                                          AxisRepr repr = AxisRepr::kInterval);
 
+/// Compiles the same op DAG as CompileSelector — declining exactly the
+/// formulas it declines — but does not evaluate it: the result answers
+/// each origin by seeded evaluation (SeededSelector, docs/EVALUATOR.md),
+/// at a cost bounded by the rows that origin reaches instead of the
+/// whole relation.  Unlike CompileSelector's result, the SeededSelector
+/// reads `index`, which must outlive it.
+Result<SeededSelector> PrepareSelector(const AxisIndex& index,
+                                       const Formula& formula,
+                                       const std::string& x = "x",
+                                       const std::string& y = "y");
+
 /// Compiles and evaluates a sentence (no free variables).
 Result<CompiledSentence> CompileSentence(const AxisIndex& index,
                                          const Formula& formula);

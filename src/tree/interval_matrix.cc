@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <span>
 #include <utility>
 
 namespace treewalk {
@@ -54,40 +55,6 @@ void AppendView(const SliceView& v, std::vector<NodeSpan>& out) {
   for (std::size_t i = 0; i < v.count; ++i) out.push_back(ViewAt(v, i));
 }
 
-/// out = [0, n) \ a, for normalized `a`.
-void ComplementInto(const std::vector<NodeSpan>& a, NodeId n,
-                    std::vector<NodeSpan>& out) {
-  NodeId cur = 0;
-  for (const NodeSpan& s : a) {
-    if (cur < s.begin) out.push_back({cur, s.begin});
-    cur = s.end;
-  }
-  if (cur < n) out.push_back({cur, n});
-}
-
-/// out = a ∩ b.  Iterates the shorter list, jumping into the longer
-/// with a rolling binary search: O(min·log max + |out|).
-void IntersectInto(const std::vector<NodeSpan>& a,
-                   const std::vector<NodeSpan>& b,
-                   std::vector<NodeSpan>& out) {
-  const std::vector<NodeSpan>* small = &a;
-  const std::vector<NodeSpan>* big = &b;
-  if (small->size() > big->size()) std::swap(small, big);
-  std::size_t j = 0;
-  for (const NodeSpan& s : *small) {
-    j = static_cast<std::size_t>(
-        std::partition_point(
-            big->begin() + static_cast<std::ptrdiff_t>(j), big->end(),
-            [&](const NodeSpan& t) { return t.end <= s.begin; }) -
-        big->begin());
-    for (std::size_t k = j; k < big->size() && (*big)[k].begin < s.end; ++k) {
-      NodeId lo = std::max(s.begin, (*big)[k].begin);
-      NodeId hi = std::min(s.end, (*big)[k].end);
-      if (lo < hi) out.push_back({lo, hi});
-    }
-  }
-}
-
 /// out = a \ b: each span of `a` with the overlapping holes of `b`
 /// cut out.  O(|a| + overlap + log); |out| >= |a| - |b| keeps it
 /// output-bounded.
@@ -116,25 +83,6 @@ void SubtractInto(const std::vector<NodeSpan>& a,
         out.push_back({cur, s.end});
         cur = s.end;
       }
-    }
-  }
-}
-
-/// out = a ∪ b; linear merge, coalescing overlap and adjacency.
-void UnionInto(const std::vector<NodeSpan>& a, const std::vector<NodeSpan>& b,
-               std::vector<NodeSpan>& out) {
-  std::size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
-    NodeSpan s;
-    if (j >= b.size() || (i < a.size() && a[i].begin <= b[j].begin)) {
-      s = a[i++];
-    } else {
-      s = b[j++];
-    }
-    if (!out.empty() && s.begin <= out.back().end) {
-      out.back().end = std::max(out.back().end, s.end);
-    } else {
-      out.push_back(s);
     }
   }
 }
@@ -225,6 +173,8 @@ void RemovePoint(std::map<NodeId, NodeId>& runs, NodeId u) {
   if (u + 1 < e) runs[u + 1] = e;
 }
 
+}  // namespace
+
 /// Maximal runs of set bits, normalized.
 std::vector<NodeSpan> SetToSpans(const NodeSet& s) {
   std::vector<NodeSpan> out;
@@ -245,7 +195,58 @@ std::vector<NodeSpan> SetToSpans(const NodeSet& s) {
   return out;
 }
 
-}  // namespace
+/// out = [0, n) \ a, for normalized `a`.
+void SpanComplement(std::span<const NodeSpan> a, NodeId n,
+                    std::vector<NodeSpan>& out) {
+  NodeId cur = 0;
+  for (const NodeSpan& s : a) {
+    if (cur < s.begin) out.push_back({cur, s.begin});
+    cur = s.end;
+  }
+  if (cur < n) out.push_back({cur, n});
+}
+
+/// out = a ∩ b.  Iterates the shorter list, jumping into the longer
+/// with a rolling binary search: O(min·log max + |out|).
+void SpanIntersect(std::span<const NodeSpan> a, std::span<const NodeSpan> b,
+                   std::vector<NodeSpan>& out) {
+  const std::span<const NodeSpan>* small = &a;
+  const std::span<const NodeSpan>* big = &b;
+  if (small->size() > big->size()) std::swap(small, big);
+  std::size_t j = 0;
+  for (const NodeSpan& s : *small) {
+    j = static_cast<std::size_t>(
+        std::partition_point(
+            big->begin() + static_cast<std::ptrdiff_t>(j), big->end(),
+            [&](const NodeSpan& t) { return t.end <= s.begin; }) -
+        big->begin());
+    for (std::size_t k = j; k < big->size() && (*big)[k].begin < s.end; ++k) {
+      NodeId lo = std::max(s.begin, (*big)[k].begin);
+      NodeId hi = std::min(s.end, (*big)[k].end);
+      if (lo < hi) out.push_back({lo, hi});
+    }
+  }
+}
+
+/// out = a ∪ b; linear merge, coalescing overlap and adjacency.
+void SpanUnion(std::span<const NodeSpan> a, std::span<const NodeSpan> b,
+               std::vector<NodeSpan>& out) {
+  const std::size_t first = out.size();
+  std::size_t i = 0, j = 0;
+  while (i < a.size() || j < b.size()) {
+    NodeSpan s;
+    if (j >= b.size() || (i < a.size() && a[i].begin <= b[j].begin)) {
+      s = a[i++];
+    } else {
+      s = b[j++];
+    }
+    if (out.size() > first && s.begin <= out.back().end) {
+      out.back().end = std::max(out.back().end, s.end);
+    } else {
+      out.push_back(s);
+    }
+  }
+}
 
 IntervalMatrix::IntervalMatrix(std::size_t n) : n_(n), rows_(n) {}
 
@@ -258,7 +259,7 @@ void IntervalMatrix::AppendLogicalRow(NodeId u,
   }
   std::vector<NodeSpan> pos;
   if (r.count > 0) AppendView(MakeView(pools_, r), pos);
-  ComplementInto(pos, static_cast<NodeId>(n_), out);
+  SpanComplement(pos, static_cast<NodeId>(n_), out);
 }
 
 bool IntervalMatrix::test(NodeId u, NodeId v) const {
@@ -471,7 +472,7 @@ Result<IntervalMatrix> IntervalMatrix::Combine(const IntervalMatrix& a,
       bool complemented;
       if (conjunction) {
         if (!fa && !fb) {
-          IntersectInto(bufa, bufb, out);
+          SpanIntersect(bufa, bufb, out);
           complemented = false;
         } else if (!fa && fb) {
           SubtractInto(bufa, bufb, out);
@@ -480,12 +481,12 @@ Result<IntervalMatrix> IntervalMatrix::Combine(const IntervalMatrix& a,
           SubtractInto(bufb, bufa, out);
           complemented = false;
         } else {
-          UnionInto(bufa, bufb, out);
+          SpanUnion(bufa, bufb, out);
           complemented = true;
         }
       } else {
         if (!fa && !fb) {
-          UnionInto(bufa, bufb, out);
+          SpanUnion(bufa, bufb, out);
           complemented = false;
         } else if (!fa && fb) {
           SubtractInto(bufb, bufa, out);
@@ -494,7 +495,7 @@ Result<IntervalMatrix> IntervalMatrix::Combine(const IntervalMatrix& a,
           SubtractInto(bufa, bufb, out);
           complemented = true;
         } else {
-          IntersectInto(bufa, bufb, out);
+          SpanIntersect(bufa, bufb, out);
           complemented = true;
         }
       }

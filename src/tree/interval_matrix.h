@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/governor.h"
@@ -18,6 +19,24 @@ struct NodeSpan {
   NodeId end = 0;  ///< exclusive
   friend bool operator==(const NodeSpan&, const NodeSpan&) = default;
 };
+
+/// Span-list algebra over normalized lists (sorted, disjoint,
+/// non-adjacent spans): the row algebra behind IntervalMatrix, shared
+/// with the row-at-a-time seeded evaluator (src/logic/bitset_eval.h).
+/// Each appends its normalized result to `out`, which must not alias
+/// an input.
+///
+/// out = [0, n) minus a.
+void SpanComplement(std::span<const NodeSpan> a, NodeId n,
+                    std::vector<NodeSpan>& out);
+/// out = a ∩ b in O(min·log max + |out|).
+void SpanIntersect(std::span<const NodeSpan> a, std::span<const NodeSpan> b,
+                   std::vector<NodeSpan>& out);
+/// out = a ∪ b by a linear merge.
+void SpanUnion(std::span<const NodeSpan> a, std::span<const NodeSpan> b,
+               std::vector<NodeSpan>& out);
+/// Maximal runs of set bits of `s`, normalized.
+std::vector<NodeSpan> SetToSpans(const NodeSet& s);
 
 /// Interval-encoded binary relation over Dom(t) x Dom(t): row u is a
 /// sorted list of disjoint, non-adjacent pre-order spans instead of an
@@ -72,6 +91,10 @@ class IntervalMatrix {
   /// Row u as a dense bitset / as sorted node ids.
   NodeSet RowSet(NodeId u) const;
   std::vector<NodeId> RowVector(NodeId u) const;
+  /// Appends row u's logical spans to `out` (RowSpans without the
+  /// per-call allocation; hot in Compose/Transposed and in seeded row
+  /// reads).
+  void AppendLogicalRow(NodeId u, std::vector<NodeSpan>& out) const;
 
   /// {u : exists v R(u, v)} / {u : forall v R(u, v)}; O(total spans).
   NodeSet AnyPerRow() const;
@@ -130,10 +153,6 @@ class IntervalMatrix {
                                         const IntervalMatrix& b,
                                         bool conjunction,
                                         ScopedMemoryCharge* charge);
-  /// Appends row u's logical spans to `out` (RowSpans without the
-  /// per-call allocation; hot in Compose/Transposed).
-  void AppendLogicalRow(NodeId u, std::vector<NodeSpan>& out) const;
-
   std::size_t n_ = 0;
   std::vector<Row> rows_;
   std::vector<std::shared_ptr<const Pool>> pools_;

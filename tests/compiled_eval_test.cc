@@ -108,21 +108,27 @@ TEST(AxisIndex, MatchesTreePredicatesOnRandomTrees) {
 
 // --- Compiled selector equivalence on targeted shapes. -----------------
 
-/// Asserts that CompileSelector succeeds on `selector` and agrees with
-/// the reference SelectNodes at every origin of `tree` — the oracle
-/// compiled == reference.
+/// Asserts that CompileSelector and PrepareSelector succeed on
+/// `selector` and agree with the reference SelectNodes at every origin of
+/// `tree` — the oracle seeded == materialized == reference.
 void ExpectCompiledMatches(const Tree& tree, const std::string& selector) {
   AxisIndex index(tree);
   Formula formula = Parse(selector);
   auto compiled = CompileSelector(index, formula);
   ASSERT_TRUE(compiled.ok()) << selector << ": "
                              << compiled.status().ToString();
+  auto seeded = PrepareSelector(index, formula);
+  ASSERT_TRUE(seeded.ok()) << selector << ": " << seeded.status().ToString();
   for (NodeId origin = 0; origin < static_cast<NodeId>(tree.size());
        ++origin) {
     auto reference = SelectNodes(tree, formula, origin);
     ASSERT_TRUE(reference.ok()) << selector;
     EXPECT_EQ(compiled->SelectFrom(origin), *reference)
         << selector << " at origin " << origin;
+    auto from_origin = seeded->SelectFrom(origin);
+    ASSERT_TRUE(from_origin.ok()) << from_origin.status().ToString();
+    EXPECT_EQ(*from_origin, *reference)
+        << selector << " seeded at origin " << origin;
   }
 }
 
@@ -201,9 +207,11 @@ TEST(CompiledSelector, DeclinesGracefully) {
   // Missing attribute: the reference errors, so the compiler declines
   // and callers fall back to get the identical error.
   EXPECT_FALSE(CompileSelector(index, Parse("val(nope, y) = 1")).ok());
+  EXPECT_FALSE(PrepareSelector(index, Parse("val(nope, y) = 1")).ok());
   EXPECT_FALSE(SelectNodes(tree, Parse("val(nope, y) = 1"), 0).ok());
   // Free variable outside {x, y}.
   EXPECT_FALSE(CompileSelector(index, Parse("desc(x, q)")).ok());
+  EXPECT_FALSE(PrepareSelector(index, Parse("desc(x, q)")).ok());
   // Genuinely width-3 subformula: no two-variable materialization.
   Formula wide = Parse("exists z (E(x, z) & E(z, y) & desc(x, y))");
   auto compiled = CompileSelector(index, wide);
@@ -218,6 +226,7 @@ TEST(CompiledSelector, DeclinesGracefully) {
   Tree empty;
   AxisIndex empty_index(empty);
   EXPECT_FALSE(CompileSelector(empty_index, Parse("desc(x, y)")).ok());
+  EXPECT_FALSE(PrepareSelector(empty_index, Parse("desc(x, y)")).ok());
 }
 
 // --- Random-formula property test: compiled == reference. --------------
@@ -319,6 +328,10 @@ TEST(CompiledSelectorProperty, MatchesReferenceOnRandomInstances) {
     AxisIndex index(tree);
     Formula formula = gen.Gen(1 + static_cast<int>(rng() % 3), {"x", "y"});
     auto compiled = CompileSelector(index, formula);
+    // The seeded path compiles the same DAG: it declines exactly when
+    // the materializing compile does.
+    auto seeded = PrepareSelector(index, formula);
+    ASSERT_EQ(seeded.ok(), compiled.ok()) << formula.ToString();
     if (!compiled.ok()) {
       ++declined_instances;
       continue;
@@ -331,6 +344,11 @@ TEST(CompiledSelectorProperty, MatchesReferenceOnRandomInstances) {
       ASSERT_EQ(compiled->SelectFrom(origin), *reference)
           << formula.ToString() << " on " << PrintTerm(tree) << " at origin "
           << origin;
+      auto from_origin = seeded->SelectFrom(origin);
+      ASSERT_TRUE(from_origin.ok()) << from_origin.status().ToString();
+      ASSERT_EQ(*from_origin, *reference)
+          << formula.ToString() << " seeded on " << PrintTerm(tree)
+          << " at origin " << origin;
     }
   }
   // The acceptance bar: >= 1000 random (formula, tree) instances proven
@@ -359,6 +377,8 @@ TEST(CompiledSelectorLargeN, IntervalMatchesReferenceAtSampledOrigins) {
   Formula grandchildren = Parse("exists z (E(x, z) & E(z, y))");
   auto compiled = CompileSelector(index, grandchildren);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  auto seeded = PrepareSelector(index, grandchildren);
+  ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
 
   std::vector<NodeId> origins = {0, 1, 17, 4096, 50000, 99998, 99999};
   for (int i = 0; i < 40; ++i) {
@@ -377,6 +397,10 @@ TEST(CompiledSelectorLargeN, IntervalMatchesReferenceAtSampledOrigins) {
     std::sort(expected.begin(), expected.end());
     EXPECT_EQ(compiled->SelectFrom(origin), expected)
         << "grandchildren at origin " << origin;
+    auto from_origin = seeded->SelectFrom(origin);
+    ASSERT_TRUE(from_origin.ok()) << from_origin.status().ToString();
+    EXPECT_EQ(*from_origin, expected)
+        << "seeded grandchildren at origin " << origin;
   }
 
   // A mixed-axis selector checked against the reference evaluator at a
@@ -385,11 +409,16 @@ TEST(CompiledSelectorLargeN, IntervalMatchesReferenceAtSampledOrigins) {
   Formula mixed = Parse("desc(x, y) & lab(y, #a) & !leaf(y)");
   auto compiled_mixed = CompileSelector(index, mixed);
   ASSERT_TRUE(compiled_mixed.ok()) << compiled_mixed.status().ToString();
+  auto seeded_mixed = PrepareSelector(index, mixed);
+  ASSERT_TRUE(seeded_mixed.ok()) << seeded_mixed.status().ToString();
   for (NodeId origin : {NodeId{0}, NodeId{123}, NodeId{77777}}) {
     auto reference = SelectNodes(tree, mixed, origin);
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(compiled_mixed->SelectFrom(origin), *reference)
         << "mixed at origin " << origin;
+    auto from_origin = seeded_mixed->SelectFrom(origin);
+    ASSERT_TRUE(from_origin.ok()) << from_origin.status().ToString();
+    EXPECT_EQ(*from_origin, *reference) << "seeded mixed at origin " << origin;
   }
 }
 

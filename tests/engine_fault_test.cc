@@ -41,8 +41,8 @@ Program SelectorProgram() {
 
 /// A quantifier-depth-2 look-ahead: the reference evaluator pays n^2
 /// per origin for it, so the planner compiles it on every tree past a
-/// handful of nodes.  On a 2000-node tree its axis relations alone
-/// outgrow a 64 KiB budget (GovernedInterpreter.
+/// handful of nodes.  On a 2000-node tree its compiled evaluation
+/// outgrows a 64 KiB budget (GovernedInterpreter.
 /// MemoryBudgetTripsOnWideTreeSelectors trips on the same selector).
 Program QuantifiedSelectorProgram() {
   ProgramBuilder b(ProgramClass::kTwRL);
@@ -113,9 +113,30 @@ TEST_F(EngineFaultTest, RetriesWithoutDegradationRepeatRungZero) {
 /// compiled path (a budget-class failure is a hard error there), and
 /// the first degradation rung — compile_selectors off — avoids the site
 /// entirely, so the retry succeeds with the exact reference verdict.
+/// A desc-E look-ahead asked at every node of a full traversal: on a
+/// path that is more distinct origins than its seeded-to-materialized
+/// threshold, so the run materializes the relation and builds the axis
+/// index's interval matrices (a look-ahead asked once is answered
+/// seeded, by tree navigation, and never allocates them).
+Program EveryNodeSelectorProgram() {
+  ProgramBuilder b(ProgramClass::kTwRL);
+  b.SetStates("fwd", "qf");
+  b.DeclareRegister("X1", 1);
+  b.OnMove("#top", "fwd", "true", "fwd", Move::kDown);
+  b.OnMove("#open", "fwd", "true", "fwd", Move::kRight);
+  b.OnLookAhead("*", "fwd", "true", "dn", "X1",
+                "exists z (desc(x, z) & E(z, y))", "acc");
+  b.OnMove("*", "acc", "true", "qf", Move::kStay);
+  b.OnMove("*", "dn", "true", "fwd", Move::kDown);
+  b.OnMove("#leaf", "fwd", "true", "back", Move::kUp);
+  b.OnMove("#close", "fwd", "true", "back", Move::kUp);
+  b.OnMove("*", "back", "true", "fwd", Move::kRight);
+  return std::move(b.Build()).value();
+}
+
 TEST_F(EngineFaultTest, DegradationLadderRecoversFromAxisIndexFaults) {
-  Program p = QuantifiedSelectorProgram();
-  Tree t = FullTree(2, 4);
+  Program p = EveryNodeSelectorProgram();
+  Tree t = FullTree(1, 60);
 
   // Reference verdict, no faults.
   BatchJob clean;
@@ -227,7 +248,9 @@ TEST_F(EngineFaultTest, AcceptanceScenarioFailsSickJobsAndSparesSiblings) {
             StatusCode::kResourceExhausted);
   ASSERT_EQ(governed.results[2].attempts.size(), 1u);
   EXPECT_TRUE(governed.results[2].attempts[0].memory_tripped);
-  // The trip is the compiled path's: the axis index outgrew the budget.
+  // The trip is the compiled path's (seeded evaluation's row batches,
+  // charged as compiled-ops); the breakdown names the axis index's
+  // share.
   const std::string& trip = governed.results[2].status.message();
   EXPECT_NE(trip.find("axis-index"), std::string::npos) << trip;
   EXPECT_EQ(governed.results[3].status.code(), StatusCode::kInvalidArgument);

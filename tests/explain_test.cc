@@ -72,6 +72,29 @@ TEST(ExplainGolden, OutputIsDeterministic) {
   EXPECT_EQ(Explain(args), Explain(args));
 }
 
+/// A compiled pick prints its seeded-to-materialized phase switch, and
+/// --evals answers the origin seeded: on a 61-node path the planner
+/// compiles the desc-E selector, and the root selects every node two
+/// or more levels down.
+TEST(ExplainGolden, CompiledPickRunsSeededAndNamesItsThreshold) {
+  std::string term;
+  for (int i = 0; i < 61; ++i) term += i == 0 ? "a" : "(a";
+  term += std::string(60, ')');
+  const std::string path = ::testing::TempDir() + "explain_path." +
+                           std::to_string(::getpid()) + ".term";
+  std::ofstream(path) << term << "\n";
+  const std::string got =
+      Explain(path + " --selector 'exists z (desc(x, z) & E(z, y))' --evals");
+  EXPECT_NE(got.find("  plan: compiled-interval (seeded, materialize after "),
+            std::string::npos)
+      << got;
+  EXPECT_NE(got.find("  evals: strategy=compiled-interval (seeded) origin=0 "
+                     "result=59 node(s)"),
+            std::string::npos)
+      << got;
+  std::remove(path.c_str());
+}
+
 TEST(ExplainGolden, RejectsBadInvocations) {
   const std::string devnull = " >/dev/null 2>&1";
   const std::string base =

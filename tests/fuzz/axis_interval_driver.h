@@ -4,7 +4,8 @@
 // Shared body of the axis-interval differential fuzzer: decode any byte
 // string into a valid tree (TreeFromBytes), build the axis index, and
 // cross-check every interval-encoded axis against Tree navigation, plus
-// the pre/post-order numbering invariant and one compiled selector.
+// the pre/post-order numbering invariant, one compiled selector both
+// materialized and seeded, and the seeded desc-E look-ahead.
 // Driven by fuzz_axis_interval.cc under libFuzzer and replayed over the
 // seed corpus by fuzz_corpus_test.cc in tier-1 builds.  Returns true iff
 // every cross-check agrees; the tree decode itself can never fail, so
@@ -72,12 +73,14 @@ inline bool AxisIntervalAgrees(const std::uint8_t* data, std::size_t size,
     }
   }
 
-  // One compiled selector through the guarded join, against direct
-  // navigation.
+  // One compiled selector through the guarded join, materialized and
+  // seeded, against direct navigation.
   Result<Formula> phi = ParseFormula("exists z (E(x, z) & E(z, y))");
   if (!phi.ok()) return false;
   Result<CompiledSelector> compiled = CompileSelector(index, *phi);
   if (!compiled.ok()) return false;
+  Result<SeededSelector> seeded = PrepareSelector(index, *phi);
+  if (!seeded.ok()) return false;
   for (NodeId u = 0; u < n; ++u) {
     std::vector<NodeId> grandchildren;
     for (NodeId c = t.FirstChild(u); c != kNoNode; c = t.NextSibling(c)) {
@@ -87,6 +90,34 @@ inline bool AxisIntervalAgrees(const std::uint8_t* data, std::size_t size,
     }
     std::sort(grandchildren.begin(), grandchildren.end());
     if (compiled.value().SelectFrom(u) != grandchildren) return false;
+    Result<std::vector<NodeId>> from_u = seeded.value().SelectFrom(u);
+    if (!from_u.ok() || from_u.value() != grandchildren) return false;
+  }
+
+  // The seeded desc-E look-ahead: a-labeled strict descendants with a
+  // b-labeled child.
+  Result<Formula> lookahead = ParseFormula(
+      "exists z (desc(x, y) & lab(y, a) & E(y, z) & lab(z, b))");
+  if (!lookahead.ok()) return false;
+  Result<SeededSelector> seeded_lookahead = PrepareSelector(index, *lookahead);
+  if (!seeded_lookahead.ok()) return false;
+  const Symbol a = t.FindLabel("a");
+  const Symbol b = t.FindLabel("b");
+  const auto has_b_child = [&](NodeId v) {
+    for (NodeId c = t.FirstChild(v); c != kNoNode; c = t.NextSibling(c)) {
+      if (t.label(c) == b) return true;
+    }
+    return false;
+  };
+  for (NodeId u = 0; u < n; ++u) {
+    std::vector<NodeId> expected;
+    for (NodeId v = u + 1; v < n; ++v) {
+      if (t.IsStrictAncestor(u, v) && t.label(v) == a && has_b_child(v)) {
+        expected.push_back(v);
+      }
+    }
+    Result<std::vector<NodeId>> from_u = seeded_lookahead.value().SelectFrom(u);
+    if (!from_u.ok() || from_u.value() != expected) return false;
   }
   return true;
 }

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <random>
 #include <thread>
 
 #include "src/automata/builder.h"
 #include "src/automata/interpreter.h"
 #include "src/automata/library.h"
+#include "src/logic/compile.h"
+#include "src/logic/parser.h"
 #include "src/tree/axis_index.h"
 #include "src/tree/generate.h"
 
@@ -175,6 +178,41 @@ TEST(AxisIndex, GovernedMatrixChargesAndTripsBudget) {
   ASSERT_TRUE(tight.TryEdgeIntervals().ok());
 }
 
+/// Seeded evaluation charges each origin's row batches to compiled-ops
+/// and releases them when the answer is returned; only the
+/// origin-independent memo stays charged, and it goes with the selector.
+/// No axis relation is built.
+TEST(GovernedSeededSelector, PerOriginChargesAreReleased) {
+  std::mt19937 rng(5);
+  RandomTreeOptions options;
+  options.num_nodes = 3000;
+  options.labels = {"a", "b"};
+  Tree t = RandomTree(rng, options);
+  ResourceGovernor governor;
+  governor.set_memory_budget(std::int64_t{1} << 30);
+  const MemoryAccountant& books = *governor.accountant();
+  AxisIndex index(t, &governor);
+  ASSERT_TRUE(index.status().ok());
+  const std::int64_t axis_bytes = books.used(MemoryCategory::kAxisIndex);
+  {
+    auto seeded = PrepareSelector(
+        index, std::move(ParseFormula("exists z (desc(x, y) & lab(y, a) & "
+                                      "E(y, z) & lab(z, b))"))
+                   .value());
+    ASSERT_TRUE(seeded.ok()) << seeded.status();
+    ASSERT_TRUE(seeded->SelectFrom(t.root()).ok());
+    const std::int64_t memo = books.used(MemoryCategory::kCompiledOps);
+    EXPECT_GT(memo, 0);  // the whole set exists z (E(y, z) & lab(z, b))
+    EXPECT_GT(books.peak(MemoryCategory::kCompiledOps), memo);
+    for (NodeId origin : {NodeId{1}, NodeId{500}, NodeId{2999}}) {
+      ASSERT_TRUE(seeded->SelectFrom(origin).ok());
+      EXPECT_EQ(books.used(MemoryCategory::kCompiledOps), memo);
+    }
+  }
+  EXPECT_EQ(books.used(MemoryCategory::kCompiledOps), 0);
+  EXPECT_EQ(books.used(MemoryCategory::kAxisIndex), axis_bytes);
+}
+
 /// The acceptance-criteria scenario's first leg: an (effectively)
 /// non-terminating run — the EXPTIME counter with cycle detection off —
 /// is stopped by the wall-clock deadline, not by max_steps.
@@ -223,7 +261,10 @@ TEST(GovernedInterpreter, MemoryBudgetTripsOnWideTreeSelectors) {
   b.DeclareRegister("X1", 1);
   // FO(exists*) with quantifier depth 2; after the compiler's
   // miniscoping every subformula has width <= 2, so the compiled path
-  // is taken — and its axis relations want O(n) descriptor rows each.
+  // is taken.  Asked once, from #top, it is evaluated seeded: the whole
+  // set exists z (E(z, y) & exists w E(w, z)) is reduced in 4096-row
+  // batches, which outgrow the budget (charged as compiled-ops, with
+  // the axis index's bitsets in the breakdown).
   const char* selector =
       "exists z exists w (desc(x, y) & E(z, y) & E(w, z))";
   b.OnLookAhead("#top", "q0", "true", "q1", "X1", selector, "p");

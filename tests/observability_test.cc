@@ -15,6 +15,7 @@
 
 #include "src/automata/builder.h"
 #include "src/automata/library.h"
+#include "src/automata/text_format.h"
 #include "src/common/failpoint.h"
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
@@ -101,6 +102,10 @@ TEST_F(ObservabilityTest, CountersReconcileExactlyWithEngineStats) {
             batch.stats.selector_cache_misses);
   EXPECT_EQ(m.Value("treewalk_interp_selector_evals_total", "compiled"),
             batch.stats.compiled_selector_evals);
+  EXPECT_EQ(m.Value("treewalk_interp_seeded_evals_total"),
+            batch.stats.seeded_selector_evals);
+  EXPECT_EQ(m.Value("treewalk_interp_materializations_total"),
+            batch.stats.materializations);
   EXPECT_EQ(m.Value("treewalk_interp_store_updates_total"),
             batch.stats.store_updates);
 
@@ -115,6 +120,56 @@ TEST_F(ObservabilityTest, CountersReconcileExactlyWithEngineStats) {
             static_cast<std::uint64_t>(batch.stats.jobs));
   EXPECT_EQ(m.Value("treewalk_engine_jobs_running"), 0);
   EXPECT_EQ(m.Value("treewalk_engine_workers"), 4);
+}
+
+/// A selector asked from every node of a traversal runs seeded, then
+/// materializes mid-run: both counters and both `path` timers reconcile
+/// exactly with EngineStats.
+TEST_F(ObservabilityTest, SeededAndMaterializedSelectorPathsReconcile) {
+  auto program = ParseProgramText(
+      "class twrl\nstates fwd qf\nregister X1 1\n"
+      "rule #top fwd [true] move down fwd\n"
+      "rule #open fwd [true] move right fwd\n"
+      "rule * fwd [true] atp X1 \"exists z (desc(x, z) & E(z, y))\" acc dn\n"
+      "rule * acc [true] move stay qf\n"
+      "rule * dn [true] move down fwd\n"
+      "rule #leaf fwd [true] move up back\n"
+      "rule #close fwd [true] move up back\n"
+      "rule * back [true] move right fwd\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  // A 61-node path asks from more origins than the planner's
+  // seeded-to-materialized threshold; a 3-node tree stays seeded.
+  std::vector<Tree> trees;
+  trees.push_back(FullTree(1, 60));
+  trees.push_back(FullTree(2, 1));
+  std::vector<BatchJob> jobs(2);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].program = &*program;
+    jobs[i].tree = &trees[i];
+  }
+  BatchResult batch =
+      std::move(BatchEngine({.num_threads = 2}).RunBatch(jobs)).value();
+  ASSERT_EQ(batch.stats.failed, 0);
+  ASSERT_GT(batch.stats.seeded_selector_evals, 0);
+  ASSERT_GT(batch.stats.materializations, 0);
+
+  const MetricsSnapshot& m = batch.metrics;
+  EXPECT_EQ(m.Value("treewalk_interp_seeded_evals_total"),
+            batch.stats.seeded_selector_evals);
+  EXPECT_EQ(m.Value("treewalk_interp_materializations_total"),
+            batch.stats.materializations);
+  EXPECT_EQ(m.Value("treewalk_interp_selector_evals_total", "compiled"),
+            batch.stats.compiled_selector_evals);
+  const MetricSample* seeded =
+      m.Find("treewalk_interp_selector_eval_us", "seeded");
+  ASSERT_NE(seeded, nullptr);
+  EXPECT_EQ(seeded->histogram.count,
+            static_cast<std::uint64_t>(batch.stats.seeded_selector_evals));
+  const MetricSample* materialize =
+      m.Find("treewalk_interp_selector_eval_us", "materialize");
+  ASSERT_NE(materialize, nullptr);
+  EXPECT_EQ(materialize->histogram.count,
+            static_cast<std::uint64_t>(batch.stats.materializations));
 }
 
 TEST_F(ObservabilityTest, RetriesAndFailuresReconcile) {

@@ -15,11 +15,13 @@
 
 #include "src/automata/interpreter.h"
 #include "src/automata/library.h"
+#include "src/automata/text_format.h"
 #include "src/logic/compile.h"
 #include "src/logic/parser.h"
 #include "src/logic/planner.h"
 #include "src/logic/tree_eval.h"
 #include "src/tree/axis_index.h"
+#include "src/tree/delimited.h"
 #include "src/tree/generate.h"
 #include "src/tree/snapshot.h"
 #include "src/tree/term_io.h"
@@ -299,6 +301,57 @@ TEST(PlannerPicks, OnePickPerDistinctSelectorAndCalibrationIsHonored) {
   EXPECT_EQ(ref_run->stats.steps, run->stats.steps);
 }
 
+/// An atp() at every node of a full traversal asks one compiled
+/// selector from more distinct origins than its materialize_after
+/// threshold: the first origins are answered seeded, then the selector
+/// materializes mid-run and the rest are row reads — with the verdict,
+/// reason and step count of a reference-only run.  A path keeps the
+/// threshold low: every origin's desc row reaches half the tree.
+TEST(PlannerPicks, SeededSelectorMaterializesPastItsThreshold) {
+  constexpr const char* kBelowChildren = "exists z (desc(x, z) & E(z, y))";
+  auto program = ParseProgramText(
+      std::string("class twrl\nstates fwd qf\nregister X1 1\n"
+                  "rule #top fwd [true] move down fwd\n"
+                  "rule #open fwd [true] move right fwd\n"
+                  "rule * fwd [true] atp X1 \"") +
+      kBelowChildren +
+      "\" acc dn\n"
+      "rule * acc [true] move stay qf\n"
+      "rule * dn [true] move down fwd\n"
+      "rule #leaf fwd [true] move up back\n"
+      "rule #close fwd [true] move up back\n"
+      "rule * back [true] move right fwd\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  Tree t = FullTree(1, 60);
+
+  const DelimitedTree delimited = Delimit(t);
+  const SelectorPlan plan =
+      PlanSelector(ComputeTreeStats(delimited.tree), Parse(kBelowChildren));
+  ASSERT_EQ(plan.strategy, PlanStrategy::kCompiledInterval);
+  ASSERT_GT(plan.materialize_after, 1);
+  ASSERT_LT(plan.materialize_after, 61);
+
+  auto run = Interpreter(*program).Run(t);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  RunOptions reference_only;
+  reference_only.compile_selectors = false;
+  auto ref_run = Interpreter(*program, reference_only).Run(t);
+  ASSERT_TRUE(ref_run.ok()) << ref_run.status().ToString();
+  EXPECT_EQ(run->accepted, ref_run->accepted);
+  EXPECT_EQ(run->reason, ref_run->reason);
+  EXPECT_EQ(run->stats.steps, ref_run->stats.steps);
+
+  // One atp per original node, each from a new origin: both phases ran.
+  const RunStats& s = run->stats;
+  EXPECT_EQ(s.selector_cache_misses, 61);
+  EXPECT_EQ(s.planner_picks_interval, 1);
+  EXPECT_EQ(s.compiled_selector_evals, 61);
+  EXPECT_EQ(s.seeded_selector_evals, plan.materialize_after - 1);
+  EXPECT_EQ(s.materializations, 1);
+  EXPECT_EQ(ref_run->stats.seeded_selector_evals, 0);
+  EXPECT_EQ(ref_run->stats.materializations, 0);
+}
+
 // --- The differential oracle: planned == reference == compiled. --------
 
 /// Random FO tree formulas over {x, y} (same generator family as
@@ -413,6 +466,8 @@ TEST(PlannerDifferentialOracle, PlannedMatchesEveryFixedStrategy) {
     }
 
     auto interval = CompileSelector(index, formula);
+    auto seeded = PrepareSelector(index, formula);
+    ASSERT_EQ(seeded.ok(), interval.ok()) << formula.ToString();
 
     for (NodeId origin = 0; origin < static_cast<NodeId>(tree.size());
          ++origin) {
@@ -425,6 +480,9 @@ TEST(PlannerDifferentialOracle, PlannedMatchesEveryFixedStrategy) {
       if (interval.ok()) {
         ASSERT_EQ(interval->SelectFrom(origin), *reference)
             << formula.ToString();
+        auto from_origin = seeded->SelectFrom(origin);
+        ASSERT_TRUE(from_origin.ok()) << from_origin.status().ToString();
+        ASSERT_EQ(*from_origin, *reference) << "seeded " << formula.ToString();
       }
     }
   }

@@ -9,7 +9,10 @@ any series regresses by more than the threshold (default 25%).
     tools/bench_gate.py --fresh-dir build-release/bench --baseline-dir .
     tools/bench_gate.py --fresh BENCH_selectors.json=build-release/bench/BENCH_selectors.json
 
-Series are matched by exact benchmark name.  A series present only in
+Series are matched by exact benchmark name and compared on cpu_time,
+except `UseRealTime` arms (a `/real_time` suffix in the name), which are
+compared on real_time: their cpu_time is only the main thread's idle
+CPU while the workers do the measured work.  A series present only in
 the fresh file is reported as NEW and not gated (commit a refreshed
 baseline to start gating it).  A series present only in the baseline is
 GONE and *fails* the gate with exit 3 — a silently vanished benchmark
@@ -92,7 +95,8 @@ def check_build_type(path, doc):
 
 
 def load_series(path):
-    """name -> cpu_time in ns for every non-aggregate benchmark row."""
+    """name -> time in ns for every non-aggregate benchmark row: real_time
+    for `/real_time` arms, cpu_time for every other row."""
     with open(path) as f:
         doc = json.load(f)
     check_build_type(path, doc)
@@ -104,10 +108,10 @@ def load_series(path):
             continue
         if row.get("run_type") == "aggregate":
             continue
-        cpu = row.get("cpu_time")
-        if cpu is None:
+        value = row.get("real_time" if "/real_time" in name else "cpu_time")
+        if value is None:
             continue
-        series[name] = cpu * unit_ns.get(row.get("time_unit", "ns"), 1.0)
+        series[name] = value * unit_ns.get(row.get("time_unit", "ns"), 1.0)
     return series
 
 
@@ -215,7 +219,7 @@ def main():
         "--threshold",
         type=float,
         default=0.25,
-        help="fractional cpu-time regression that fails the gate "
+        help="fractional time regression that fails the gate "
         "(default 0.25 = 25%%)",
     )
     parser.add_argument(

@@ -421,7 +421,14 @@ int CmdExplain(int argc, char** argv) {
         f.has_range_guard ? "yes" : "no");
     std::printf("  cost: reference=%.4g compiled-interval=%.4g\n",
                 plan.cost_reference, plan.cost_interval);
-    std::printf("  plan: %s\n", tw::PlanStrategyName(plan.strategy));
+    if (plan.strategy == tw::PlanStrategy::kCompiledInterval) {
+      std::printf("  plan: %s (seeded, materialize after %lld origin%s)\n",
+                  tw::PlanStrategyName(plan.strategy),
+                  static_cast<long long>(plan.materialize_after),
+                  plan.materialize_after == 1 ? "" : "s");
+    } else {
+      std::printf("  plan: %s\n", tw::PlanStrategyName(plan.strategy));
+    }
     std::printf("  operators:\n");
     for (const tw::OperatorEstimate& op : plan.operators) {
       std::printf("    %*s%-*s rows=%-12.4g sel=%.4g%s\n", op.depth * 2, "",
@@ -429,16 +436,23 @@ int CmdExplain(int argc, char** argv) {
                   op.selectivity, op.exact ? " exact" : "");
     }
 
-    // One evaluation of a strategy from `origin`; compiled declines
-    // surface as a non-OK status and are reported, not fatal.
-    auto run_strategy =
-        [&](tw::PlanStrategy s) -> tw::Result<std::vector<tw::NodeId>> {
+    // One evaluation of a strategy from `origin`: the compiled one
+    // seeded, as the interpreter answers a first origin, or
+    // materialized, which is what cost_interval prices.  Compiled
+    // declines surface as a non-OK status, reported, not fatal.
+    auto run_strategy = [&](tw::PlanStrategy s, bool seeded)
+        -> tw::Result<std::vector<tw::NodeId>> {
       switch (s) {
         case tw::PlanStrategy::kReference:
           return tw::SelectNodes(*tree, item.formula, origin);
         case tw::PlanStrategy::kCompiledInterval: {
           tw::AxisIndex index(*tree, nullptr);
           if (!index.status().ok()) return index.status();
+          if (seeded) {
+            auto prepared = tw::PrepareSelector(index, item.formula);
+            if (!prepared.ok()) return prepared.status();
+            return prepared->SelectFrom(origin);
+          }
           auto compiled = tw::CompileSelector(index, item.formula);
           if (!compiled.ok()) return compiled.status();
           return compiled->SelectFrom(origin);
@@ -450,12 +464,14 @@ int CmdExplain(int argc, char** argv) {
     if (evals) {
       const double est_per_origin =
           plan.estimated_rows / std::max<double>(1.0, stats->nodes);
-      auto result = run_strategy(plan.strategy);
+      auto result = run_strategy(plan.strategy, /*seeded=*/true);
       if (result.ok()) {
         std::printf(
-            "  evals: strategy=%s origin=%lld result=%zu node(s) "
+            "  evals: strategy=%s%s origin=%lld result=%zu node(s) "
             "estimated-per-origin=%.4g\n",
             tw::PlanStrategyName(plan.strategy),
+            plan.strategy == tw::PlanStrategy::kCompiledInterval ? " (seeded)"
+                                                                  : "",
             static_cast<long long>(origin), result->size(), est_per_origin);
       } else if (plan.strategy != tw::PlanStrategy::kReference) {
         auto fallback = tw::SelectNodes(*tree, item.formula, origin);
@@ -478,7 +494,7 @@ int CmdExplain(int argc, char** argv) {
       for (tw::PlanStrategy s : {tw::PlanStrategy::kReference,
                                  tw::PlanStrategy::kCompiledInterval}) {
         const auto start = std::chrono::steady_clock::now();
-        auto result = run_strategy(s);
+        auto result = run_strategy(s, /*seeded=*/false);
         const auto end = std::chrono::steady_clock::now();
         if (!result.ok()) {
           std::printf(" %s=declined", tw::PlanStrategyName(s));
