@@ -3,7 +3,7 @@
 // Each workload is one end-to-end selector-serving task — plan (auto arm
 // only), build whatever the strategy needs, and answer a fixed spread of
 // origins — timed cold, the honest bound for a run that meets the
-// selector once.  The three workloads are chosen so the two fixed
+// selector once.  The first three workloads are chosen so the two fixed
 // strategies (reference, compiled-interval) genuinely diverge:
 //
 //   cheap_guarded    a guarded single-join on a large tree: the
@@ -15,12 +15,21 @@
 //                    origin
 //   quantified_large the same selector shape on 8192 nodes:
 //                    compiled-interval wins, reference is ~seconds
+//   quantified_every the same selector from every node of a 1024-node
+//                    tree: one materialization shared by all origins
+//                    against seeded evaluation from each (no reference
+//                    arm)
 //
+// BM_PlanInterval materializes (CompileSelector) and reads rows;
+// BM_PlanSeeded evaluates seeded from each origin (PrepareSelector);
+// BM_PlanAuto runs PlannedSelector, exactly what the interpreter runs.
+// bench_every_origin extends quantified_every to other tree shapes and
+// selectors (E23).
 // The nightly contract (tools/bench_gate.py --planner-contract) holds
 // BM_PlanAuto within 10% of the best fixed arm on every workload and
 // requires it to beat each fixed strategy outright somewhere.  Compiled
-// arms cross-check against SelectNodes at every measured origin before
-// timing, so a win is only ever a win on identical answers.
+// arms cross-check against OracleAnswers at every measured origin
+// before timing, so a win is only ever a win on identical answers.
 
 #include <benchmark/benchmark.h>
 
@@ -31,6 +40,7 @@
 
 #include "src/logic/compile.h"
 #include "src/logic/parser.h"
+#include "src/logic/planned_selector.h"
 #include "src/logic/planner.h"
 #include "src/logic/tree_eval.h"
 #include "src/tree/axis_index.h"
@@ -63,19 +73,42 @@ std::vector<NodeId> SpreadOrigins(const Tree& t, int count) {
   return origins;
 }
 
-/// Reference answers at every origin; the oracle the compiled arms and
-/// the auto arm check against.
-std::vector<std::vector<NodeId>> ReferenceAnswers(
+/// Origins past which the oracle stops asking the reference evaluator
+/// at every origin: the every-origin workload would take minutes.
+constexpr std::size_t kReferenceOrigins = 256;
+
+/// The answers every arm is checked against: the reference evaluator's
+/// at every origin, or, past kReferenceOrigins origins, the materialized
+/// relation's (CompileSelector), itself checked against the reference
+/// at 8 spread origins.
+std::vector<std::vector<NodeId>> OracleAnswers(
     benchmark::State& state, const Tree& t, const Formula& phi,
     const std::vector<NodeId>& origins) {
   std::vector<std::vector<NodeId>> answers;
-  for (NodeId origin : origins) {
-    auto r = SelectNodes(t, phi, origin);
-    if (!r.ok()) {
-      state.SkipWithError(r.status().ToString().c_str());
+  if (origins.size() <= kReferenceOrigins) {
+    for (NodeId origin : origins) {
+      auto r = SelectNodes(t, phi, origin);
+      if (!r.ok()) {
+        state.SkipWithError(r.status().ToString().c_str());
+        return {};
+      }
+      answers.push_back(std::move(*r));
+    }
+    return answers;
+  }
+  AxisIndex index(t);
+  auto compiled = CompileSelector(index, phi);
+  if (!compiled.ok()) {
+    state.SkipWithError(compiled.status().ToString().c_str());
+    return {};
+  }
+  for (NodeId origin : origins) answers.push_back(compiled->SelectFrom(origin));
+  for (std::size_t i = 0; i < origins.size(); i += origins.size() / 8) {
+    auto r = SelectNodes(t, phi, origins[i]);
+    if (!r.ok() || *r != answers[i]) {
+      state.SkipWithError("materialized/reference mismatch");
       return {};
     }
-    answers.push_back(std::move(*r));
   }
   return answers;
 }
@@ -105,7 +138,7 @@ void BM_PlanInterval(benchmark::State& state, const char* selector) {
   Formula phi = std::move(ParseFormula(selector)).value();
   std::vector<NodeId> origins =
       SpreadOrigins(t, static_cast<int>(state.range(1)));
-  auto answers = ReferenceAnswers(state, t, phi, origins);
+  auto answers = OracleAnswers(state, t, phi, origins);
   if (answers.empty()) return;
   {
     AxisIndex index(t);
@@ -137,15 +170,15 @@ void BM_PlanInterval(benchmark::State& state, const char* selector) {
   state.counters["selected"] = static_cast<double>(selected);
 }
 
-/// Seeded evaluation from every origin, never materializing (E23): what
-/// the interpreter's compiled path costs below its threshold.  Not a
-/// fixed arm of the planner contract.
+/// Seeded evaluation from every origin, never materializing (E23): the
+/// compiled path alone, without the plan.  Not a fixed arm of the
+/// planner contract.
 void BM_PlanSeeded(benchmark::State& state, const char* selector) {
   Tree t = Input(static_cast<int>(state.range(0)));
   Formula phi = std::move(ParseFormula(selector)).value();
   std::vector<NodeId> origins =
       SpreadOrigins(t, static_cast<int>(state.range(1)));
-  auto answers = ReferenceAnswers(state, t, phi, origins);
+  auto answers = OracleAnswers(state, t, phi, origins);
   if (answers.empty()) return;
   std::size_t selected = 0;
   for (auto _ : state) {
@@ -177,52 +210,25 @@ void BM_PlanAuto(benchmark::State& state, const char* selector) {
   // computed once per run), so they sit outside the timing loop; the
   // plan itself is inside — the auto arm pays for its own decision.
   TreeStats stats = ComputeTreeStats(t);
-  auto answers = ReferenceAnswers(state, t, phi, origins);
+  auto answers = OracleAnswers(state, t, phi, origins);
   if (answers.empty()) return;
 
   std::size_t selected = 0;
   PlanStrategy picked = PlanStrategy::kReference;
   for (auto _ : state) {
-    SelectorPlan plan = PlanSelector(stats, phi);
-    picked = plan.strategy;
-    selected = 0;
-    if (plan.strategy == PlanStrategy::kCompiledInterval) {
-      // As the interpreter runs a compiled pick: seeded from each new
-      // origin, materialized at the plan's materialize_after-th.
-      AxisIndex index(t);
-      std::optional<SeededSelector> seeded;
-      std::optional<CompiledSelector> materialized;
-      bool declined = false;
-      if (plan.materialize_after > 1) {
-        auto prepared = PrepareSelector(index, phi);
-        declined = !prepared.ok();
-        if (prepared.ok()) seeded = std::move(prepared).value();
-      }
-      for (std::size_t i = 0; i < origins.size() && !declined; ++i) {
-        if (!materialized.has_value() &&
-            static_cast<std::int64_t>(i) + 1 >= plan.materialize_after) {
-          auto compiled = CompileSelector(index, phi);
-          declined = !compiled.ok();
-          if (compiled.ok()) materialized = std::move(compiled).value();
-          seeded.reset();
-        }
-        if (materialized.has_value()) {
-          selected += materialized->SelectFrom(origins[i]).size();
-        } else if (seeded.has_value()) {
-          auto answer = seeded->SelectFrom(origins[i]);
-          if (!answer.ok()) {
-            state.SkipWithError(answer.status().ToString().c_str());
-            return;
-          }
-          selected += answer->size();
-        }
-      }
-      if (!declined) continue;
-      // Runtime decline: reference fallback, same as the interpreter.
-      selected = 0;
+    // What the interpreter runs for one selector: PlannedSelector.
+    std::optional<AxisIndex> index;
+    auto planned =
+        PlannedSelector::Plan(t, stats, phi, PlannerCalibration{}, index,
+                              /*governor=*/nullptr);
+    if (!planned.ok()) {
+      state.SkipWithError(planned.status().ToString().c_str());
+      return;
     }
+    picked = planned->strategy();
+    selected = 0;
     for (NodeId origin : origins) {
-      auto r = SelectNodes(t, phi, origin);
+      auto r = planned->SelectFrom(origin);
       if (!r.ok()) {
         state.SkipWithError(r.status().ToString().c_str());
         return;
@@ -258,5 +264,16 @@ void BM_PlanAuto(benchmark::State& state, const char* selector) {
 PLANNER_WORKLOAD(cheap_guarded, kCheapGuarded, 8192, 256);
 PLANNER_WORKLOAD(quantified_small, kQuantified, 256, 8);
 PLANNER_WORKLOAD(quantified_large, kQuantified, 8192, 8);
+
+// Every node an origin, as a program asking its selector at each node
+// of a traversal does: seeded evaluation from each origin against one
+// materialization plus a row read each (E23).  No reference arm — at
+// ~0.1 s an origin it would run for minutes.
+BENCHMARK_CAPTURE(BM_PlanInterval, quantified_every, kQuantified)
+    ->Args({1024, 1024})->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_PlanSeeded, quantified_every, kQuantified)
+    ->Args({1024, 1024})->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_PlanAuto, quantified_every, kQuantified)
+    ->Args({1024, 1024})->Unit(benchmark::kMicrosecond);
 
 }  // namespace

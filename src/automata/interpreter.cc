@@ -1,24 +1,20 @@
 #include "src/automata/interpreter.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <tuple>
 #include <utility>
 
-#include <chrono>
-
 #include "src/common/failpoint.h"
 #include "src/common/governor.h"
 #include "src/common/metrics.h"
-#include "src/logic/compile.h"
+#include "src/logic/planned_selector.h"
 #include "src/logic/planner.h"
-#include "src/logic/selector_cache.h"
 #include "src/logic/tree_eval.h"
-#include "src/tree/snapshot.h"
 #include "src/relstore/store_eval.h"
 #include "src/tree/axis_index.h"
 #include "src/tree/tree_stats.h"
@@ -59,12 +55,8 @@ struct InterpMetrics {
   Counter* store_updates;
   Counter* picks_reference;
   Counter* picks_interval;
-  Counter* seeded_evals;
-  Counter* materializations;
   Histogram* compiled_eval_us;
   Histogram* reference_eval_us;
-  Histogram* seeded_eval_us;
-  Histogram* materialize_us;
 
   static InterpMetrics& Get() {
     static InterpMetrics* metrics = [] {
@@ -107,13 +99,6 @@ struct InterpMetrics {
           "Cost-based planner strategy picks, one per distinct selector "
           "planned",
           {{"strategy", "compiled-interval"}});
-      m->seeded_evals = r.FindOrCreateCounter(
-          "treewalk_interp_seeded_evals_total",
-          "Selector evaluations answered by seeded evaluation from their "
-          "origin (a subset of the compiled path)");
-      m->materializations = r.FindOrCreateCounter(
-          "treewalk_interp_materializations_total",
-          "Selector relations materialized (compile or .twsel load)");
       m->compiled_eval_us = r.FindOrCreateHistogram(
           "treewalk_interp_selector_eval_us",
           "Selector evaluation latency by evaluator path", LatencyBucketsUs(),
@@ -122,14 +107,6 @@ struct InterpMetrics {
           "treewalk_interp_selector_eval_us",
           "Selector evaluation latency by evaluator path", LatencyBucketsUs(),
           {{"path", "reference"}});
-      m->seeded_eval_us = r.FindOrCreateHistogram(
-          "treewalk_interp_selector_eval_us",
-          "Selector evaluation latency by evaluator path", LatencyBucketsUs(),
-          {{"path", "seeded"}});
-      m->materialize_us = r.FindOrCreateHistogram(
-          "treewalk_interp_selector_eval_us",
-          "Selector evaluation latency by evaluator path", LatencyBucketsUs(),
-          {{"path", "materialize"}});
       return m;
     }();
     return *metrics;
@@ -199,17 +176,6 @@ class Runner {
 
  private:
   using ConfigKey = std::tuple<NodeId, std::string, Store>;
-
-  /// One canonical selector's evaluation path for this run.
-  struct SelectorState {
-    /// Planner picked the reference evaluator, or the compiler declined.
-    bool reference = false;
-    std::optional<SeededSelector> seeded;
-    std::optional<CompiledSelector> materialized;
-    /// Distinct origins (cache misses) at which to materialize.
-    std::int64_t materialize_after = 1;
-    std::int64_t origins = 0;
-  };
 
   Result<Outcome> Compute(NodeId start, const std::string& start_state,
                           Store store, int depth) {
@@ -368,52 +334,38 @@ class Runner {
   }
 
   /// One selector evaluation, compiled when possible (docs/EVALUATOR.md).
-  /// The planner is asked once per canonical selector.  A compiled pick
-  /// answers each new origin by seeded evaluation until the plan's
-  /// materialize_after-th distinct origin (cache miss), then materializes
-  /// the relation once — compile or `.twsel` load — and reads rows from
-  /// then on.  A reference pick or a compiler decline is served by the
-  /// reference SelectNodes, which also reproduces the reference error
-  /// behavior.
+  /// Each canonical selector is planned once per run (PlannedSelector):
+  /// a compiled pick answers every origin by seeded evaluation, and a
+  /// reference pick or a compiler decline by the reference SelectNodes,
+  /// which also reproduces the reference error behavior.  The
+  /// `path="compiled"` timer covers the first evaluation's planning and
+  /// preparation too, so it times all of the compiled path's work.
   Result<std::vector<NodeId>> EvalSelector(std::size_t canonical_id,
                                            const Formula& selector,
                                            NodeId origin) {
-    if (options_.compile_selectors) {
-      auto [it, fresh] = selectors_.try_emplace(canonical_id);
-      SelectorState& state = it->second;
-      if (fresh) TREEWALK_RETURN_IF_ERROR(Plan(state, selector));
-      if (!state.reference && !state.materialized.has_value() &&
-          ++state.origins >= state.materialize_after) {
-        TREEWALK_RETURN_IF_ERROR(Materialize(state, selector));
-      }
-      if (state.materialized.has_value()) {
-        ++stats_.compiled_selector_evals;
-        ScopedLatencyUs timer(InterpMetrics::Get().compiled_eval_us);
-        return state.materialized->SelectFrom(origin);
-      }
-      if (state.seeded.has_value()) {
-        ++stats_.compiled_selector_evals;
-        ++stats_.seeded_selector_evals;
-        ScopedLatencyUs timer(InterpMetrics::Get().seeded_eval_us);
-        return state.seeded->SelectFrom(origin);
-      }
+    if (!options_.compile_selectors) {
+      ScopedLatencyUs timer(InterpMetrics::Get().reference_eval_us);
+      return SelectNodes(tree_, selector, origin);
     }
-    ScopedLatencyUs timer(InterpMetrics::Get().reference_eval_us);
-    return SelectNodes(tree_, selector, origin);
+    const auto start = std::chrono::steady_clock::now();
+    auto it = selectors_.find(canonical_id);
+    if (it == selectors_.end()) {
+      TREEWALK_ASSIGN_OR_RETURN(PlannedSelector planned, Plan(selector));
+      it = selectors_.emplace(canonical_id, std::move(planned)).first;
+    }
+    PlannedSelector& planned = it->second;
+    if (planned.compiled()) ++stats_.compiled_selector_evals;
+    Result<std::vector<NodeId>> selected = planned.SelectFrom(origin);
+    InterpMetrics& m = InterpMetrics::Get();
+    (planned.compiled() ? m.compiled_eval_us : m.reference_eval_us)
+        ->Observe(std::chrono::duration<double, std::micro>(
+                      std::chrono::steady_clock::now() - start)
+                      .count());
+    return selected;
   }
 
-  /// Budget and deadline trips are hard errors for the whole run:
-  /// falling back to the reference evaluator would evade the very limits
-  /// the governor enforces.  Every other compile failure (width > 2,
-  /// injected compiler faults) is a decline.
-  static bool IsHardError(const Status& status) {
-    return status.code() == StatusCode::kResourceExhausted ||
-           status.code() == StatusCode::kDeadlineExceeded;
-  }
-
-  /// Plans a selector met for the first time and, on a compiled pick
-  /// that will not materialize at once, prepares its seeded DAG.
-  Status Plan(SelectorState& state, const Formula& selector) {
+  /// Plans a selector met for the first time this run.
+  Result<PlannedSelector> Plan(const Formula& selector) {
     if (!tree_stats_.has_value()) {
       TreeStats scratch;
       tree_stats_ = *GetOrComputeTreeStats(tree_, scratch);
@@ -422,59 +374,16 @@ class Runner {
     if (options_.planner_calibration != nullptr) {
       calibration = *options_.planner_calibration;
     }
-    const SelectorPlan plan = PlanSelector(*tree_stats_, selector, calibration);
-    if (plan.strategy == PlanStrategy::kReference) {
+    TREEWALK_ASSIGN_OR_RETURN(
+        PlannedSelector planned,
+        PlannedSelector::Plan(tree_, *tree_stats_, selector, calibration,
+                              axis_index_, options_.governor));
+    if (planned.strategy() == PlanStrategy::kReference) {
       ++stats_.planner_picks_reference;
-      state.reference = true;
-      return Status::Ok();
+    } else {
+      ++stats_.planner_picks_interval;
     }
-    ++stats_.planner_picks_interval;
-    state.materialize_after = plan.materialize_after;
-    if (!axis_index_.has_value()) {
-      axis_index_.emplace(tree_, options_.governor);
-      // Construction charges the base bitsets; a trip surfaces here as
-      // the run's error rather than in a getter.
-      TREEWALK_RETURN_IF_ERROR(axis_index_->status());
-    }
-    if (state.materialize_after <= 1) return Status::Ok();
-    Result<SeededSelector> seeded = PrepareSelector(*axis_index_, selector);
-    if (!seeded.ok()) {
-      if (IsHardError(seeded.status())) return seeded.status();
-      state.reference = true;
-      return Status::Ok();
-    }
-    state.seeded = std::move(seeded).value();
-    return Status::Ok();
-  }
-
-  /// Materializes a compiled selector's relation, through the disk cache
-  /// when one is configured; the seeded state is dropped (and its memo
-  /// released) on success.  A decline without a seeded fallback serves
-  /// the selector by the reference evaluator; with one, it stays seeded.
-  Status Materialize(SelectorState& state, const Formula& selector) {
-    ScopedLatencyUs timer(InterpMetrics::Get().materialize_us);
-    if (options_.selector_disk_cache != nullptr && !tree_hash_.has_value()) {
-      // One content hash per run, shared by every cached compile.
-      tree_hash_ = TreeContentHash(tree_);
-    }
-    Result<CompiledSelector> compiled = CompileSelectorCached(
-        *axis_index_, selector, "x", "y", AxisRepr::kInterval,
-        options_.selector_disk_cache, tree_hash_.value_or(0));
-    if (!compiled.ok()) {
-      if (IsHardError(compiled.status())) return compiled.status();
-      if (state.seeded.has_value()) {
-        state.materialize_after = std::numeric_limits<std::int64_t>::max();
-      } else {
-        state.reference = true;
-      }
-      return Status::Ok();
-    }
-    ++stats_.materializations;
-    state.seeded.reset();
-    state.materialized = std::move(compiled).value();
-    // The materialized relation stays alive for the run.
-    return GovernorCharge(options_.governor, MemoryCategory::kCompiledOps,
-                          state.materialized->RetainedBytes());
+    return planned;
   }
 
   void FlushMetrics() const {
@@ -490,8 +399,6 @@ class Runner {
                                  stats_.compiled_selector_evals);
     m.picks_reference->Increment(stats_.planner_picks_reference);
     m.picks_interval->Increment(stats_.planner_picks_interval);
-    m.seeded_evals->Increment(stats_.seeded_selector_evals);
-    m.materializations->Increment(stats_.materializations);
     m.store_updates->Increment(stats_.store_updates);
   }
 
@@ -602,13 +509,13 @@ class Runner {
   std::vector<std::size_t> selector_ids_;
   std::vector<std::vector<int>> selector_rels_;
   std::map<SelectorKey, std::vector<NodeId>> selector_cache_;
+  /// Built by the run's first compiled pick (PlannedSelector::Plan).
   std::optional<AxisIndex> axis_index_;
-  std::optional<std::uint64_t> tree_hash_;  // lazy; disk-cache key half
   /// Lazy tree statistics for the planner (snapshot-preloaded or one
   /// O(n) scan, computed at the first selector planned this run).
   std::optional<TreeStats> tree_stats_;
   /// Per canonical selector; absent = not yet planned.
-  std::map<std::size_t, SelectorState> selectors_;
+  std::map<std::size_t, PlannedSelector> selectors_;
   RunStats stats_;
   std::vector<std::string> trace_;
 };

@@ -47,11 +47,9 @@ struct RunOptions {
   /// compiled path per distinct atp() selector, from tree statistics
   /// and formula features.  A compiled pick compiles the selector's op
   /// DAG over a per-run axis index (src/logic/compile.h) and evaluates
-  /// it seeded at each origin asked; once the planner's
-  /// materialize_after distinct origins have been asked, it
-  /// materializes the interval-encoded satisfier relation once and
-  /// answers with row reads.  Composes with cache_selectors (the
-  /// compiled evaluator serves the cache misses).  Selectors the partial
+  /// it seeded at each origin asked (src/logic/planned_selector.h).
+  /// Composes with cache_selectors (the compiled evaluator serves the
+  /// cache misses).  Selectors the partial
   /// compiler declines (three-plus-variable subformulas) fall back to
   /// the reference evaluator, so this is semantically invisible; turn
   /// off to ablate or to force the reference path.
@@ -62,11 +60,9 @@ struct RunOptions {
   /// outlive the run.
   const PlannerCalibration* planner_calibration = nullptr;
   /// Persistent compiled-selector cache (src/logic/selector_cache.h).
-  /// When non-null, each materialization first consults the on-disk
-  /// cache keyed by (formula, tree content hash) and persists fresh
-  /// compiles back; seeded evaluation needs neither.  Any cache failure
-  /// degrades to a plain compile — semantically invisible, like
-  /// compile_selectors itself.  Must outlive the run.
+  /// Not read by runs: seeded evaluation materializes no relation, so
+  /// there is nothing to load or persist.  Kept, like `twq
+  /// --compile-cache`, for perfbench/pbtool.cc, which sets it.
   const SelectorDiskCache* selector_disk_cache = nullptr;
   /// Cooperative cancellation: when non-null and set, the run aborts
   /// with kCancelled at the next transition boundary.  The pointee must
@@ -104,17 +100,9 @@ struct RunStats {
   std::int64_t selector_cache_hits = 0;
   std::int64_t selector_cache_misses = 0;
   /// Selector evaluations answered by the compiled set-at-a-time
-  /// evaluator, seeded or materialized (subset of selector_cache_misses
-  /// when the cache is on); misses beyond this count fell back to the
-  /// reference evaluator.
+  /// evaluator (subset of selector_cache_misses when the cache is on);
+  /// misses beyond this count fell back to the reference evaluator.
   std::int64_t compiled_selector_evals = 0;
-  /// Compiled evaluations answered by seeded evaluation from their
-  /// origin, before the selector materialized (subset of
-  /// compiled_selector_evals).
-  std::int64_t seeded_selector_evals = 0;
-  /// Selector relations materialized (compiled or loaded from the disk
-  /// cache), at most one per distinct compiled selector.
-  std::int64_t materializations = 0;
   /// Planner strategy picks, one per distinct selector planned this run.
   /// A reference pick means the planner chose not to compile; compile
   /// *declines* after an interval pick still count as interval picks.

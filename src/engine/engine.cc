@@ -532,8 +532,6 @@ Result<BatchResult> BatchEngine::RunBatch(const std::vector<BatchJob>& jobs,
     batch.stats.selector_cache_hits += r.run.stats.selector_cache_hits;
     batch.stats.selector_cache_misses += r.run.stats.selector_cache_misses;
     batch.stats.compiled_selector_evals += r.run.stats.compiled_selector_evals;
-    batch.stats.seeded_selector_evals += r.run.stats.seeded_selector_evals;
-    batch.stats.materializations += r.run.stats.materializations;
     batch.stats.planner_picks_reference += r.run.stats.planner_picks_reference;
     batch.stats.planner_picks_interval += r.run.stats.planner_picks_interval;
     batch.stats.store_updates += r.run.stats.store_updates;

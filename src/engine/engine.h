@@ -113,8 +113,6 @@ struct EngineStats {
   std::int64_t selector_cache_hits = 0;
   std::int64_t selector_cache_misses = 0;
   std::int64_t compiled_selector_evals = 0;
-  std::int64_t seeded_selector_evals = 0;
-  std::int64_t materializations = 0;
   /// Cost-based planner strategy picks (one per distinct selector per
   /// run).
   std::int64_t planner_picks_reference = 0;

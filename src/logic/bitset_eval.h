@@ -165,7 +165,8 @@ class CompiledSelector {
 /// Build with PrepareSelector() (src/logic/compile.h); the AxisIndex it
 /// was prepared against, and its tree, must outlive it.
 /// Origin-independent results — sets demanded whole, their span images,
-/// closed subformulas, transposes of derived loads — are computed on
+/// closed subformulas, transposes of derived loads, the ancestor-chain
+/// array that makes an ancestor row cost O(1 + its spans) — are computed on
 /// first use, kept for later origins and charged to the index's
 /// governor (kCompiledOps) until destruction; everything else is
 /// charged per origin and released.  Not thread-safe: one per run.
@@ -190,6 +191,10 @@ class SeededSelector {
   /// A derived load's matrix in orientation `transposed`: the stored
   /// matrix or its memoized transpose.
   Result<const IntervalMatrix*> Oriented(const Op& op, bool transposed);
+  /// Per node v, the top of the chain of ancestors-or-self of v with
+  /// consecutive ids (each the previous one's parent): an ancestor row
+  /// is one span per chain.  Built on first use.
+  Result<const std::vector<NodeId>*> ChainTops();
 
   std::size_t n_ = 0;
   Shape shape_ = Shape::kBool;
@@ -204,8 +209,10 @@ class SeededSelector {
   std::vector<std::shared_ptr<const NodeSet>> whole_sets_;
   std::vector<std::shared_ptr<const std::vector<NodeSpan>>> images_;
   std::vector<signed char> bools_;  ///< -1 unknown, else 0/1
+  std::vector<std::int64_t> set_runs_;  ///< runs of a whole set; -1 unknown
   std::map<const IntervalMatrix*, std::unique_ptr<const IntervalMatrix>>
       transposes_;
+  std::vector<NodeId> chain_top_;
   std::unique_ptr<ScopedMemoryCharge> retained_;
 };
 

@@ -121,6 +121,7 @@ class Compiler {
     out.whole_sets_.resize(count);
     out.images_.resize(count);
     out.bools_.assign(count, -1);
+    out.set_runs_.assign(count, -1);
     out.retained_ = std::make_unique<ScopedMemoryCharge>(
         governor_, MemoryCategory::kCompiledOps);
     out.ops_ = std::move(ops_);

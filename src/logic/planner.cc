@@ -366,29 +366,15 @@ SelectorPlan PlanSelector(const TreeStats& stats, const Formula& selector,
   plan.cost_reference = cal.reference_visit_cost * origins * atoms *
                         effective_y * std::pow(n, feat.quantifiers);
 
-  // --- Compiled: build the satisfier DAG once, then one row read per
-  // origin.  Rows start at one span for every tau axis; each
-  // disjunction can only widen them. --------------------------------
+  // --- Compiled: priced as building the satisfier DAG once, then one
+  // row read per origin.  Rows start at one span for every tau axis;
+  // each disjunction can only widen them.  A compiled pick is run
+  // seeded from each origin instead (src/logic/planned_selector.h;
+  // EXPERIMENTS.md E23 measures the two). ----------------------------
   const double spans = 1.0 + static_cast<double>(feat.or_count);
-  const double materialize =
-      cal.interval_span_cost * ops * n * spans + cal.compile_op_cost * ops;
-  plan.cost_interval = materialize + cal.interval_span_cost * origins * spans;
-
-  // --- Seeded: per origin, every op touches the rows that origin
-  // reaches — one more node per atom, plus an average subtree per desc
-  // atom and an average sibling run per sib atom — and every set op one
-  // O(n/64)-word pass, i.e. n/4096 spans at 64 word units a span.  A
-  // reached row costs an eighth of a materialized one: it builds no
-  // descriptor or pool, and the origin-independent sets are computed
-  // once per run (calibrated in EXPERIMENTS.md E23). ---------------
-  const double avg_desc = static_cast<double>(stats.sum_depths) / n;
-  const double avg_sib = static_cast<double>(stats.sib_pairs) / n;
-  const double reach = 1.0 + atoms + avg_desc * feat.desc_atoms +
-                       avg_sib * feat.sib_atoms;
-  plan.cost_seeded_origin =
-      cal.interval_span_cost * ops * spans * (reach / 8.0 + n / 4096.0);
-  plan.materialize_after = static_cast<std::int64_t>(
-      std::max(1.0, std::ceil(materialize / plan.cost_seeded_origin)));
+  plan.cost_interval =
+      cal.interval_span_cost * (ops * n * spans + origins * spans) +
+      cal.compile_op_cost * ops;
 
   // Deterministic: an exact tie goes to the reference evaluator.
   plan.strategy = plan.cost_interval < plan.cost_reference

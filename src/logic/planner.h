@@ -18,8 +18,8 @@ namespace treewalk {
 /// from origin u":
 ///   - the reference arena evaluator (per-origin recursive search),
 ///   - the compiled set-at-a-time path with interval-encoded rows
-///     (src/logic/compile.h), which materializes the whole relation once
-///     and then reads one row per origin.
+///     (src/logic/compile.h), evaluated seeded from each origin asked
+///     (src/logic/planned_selector.h).
 /// The planner is the one decision point between them: cheap exact
 /// tree statistics (TreeStats) plus structural formula features feed a
 /// per-strategy cost estimate, and the cheaper strategy wins.
@@ -117,15 +117,6 @@ struct SelectorPlan {
   /// Estimated total work units per strategy.
   double cost_reference = 0.0;
   double cost_interval = 0.0;
-  /// A compiled pick answers each new origin by seeded evaluation
-  /// (src/logic/compile.h, PrepareSelector); at the
-  /// `materialize_after`-th distinct origin it materializes the relation
-  /// once and reads rows from then on — the ski-rental point where the
-  /// summed per-origin cost `cost_seeded_origin` reaches one
-  /// materialization.  Both are in the same work units as the costs
-  /// above.
-  double cost_seeded_origin = 0.0;
-  std::int64_t materialize_after = 1;
   /// Estimated satisfier pairs of the whole selector phi(x, y).
   double estimated_rows = 0.0;
   /// Per-subformula estimates, pre-order over the AST.

@@ -173,8 +173,6 @@ void RemovePoint(std::map<NodeId, NodeId>& runs, NodeId u) {
   if (u + 1 < e) runs[u + 1] = e;
 }
 
-}  // namespace
-
 /// Maximal runs of set bits, normalized.
 std::vector<NodeSpan> SetToSpans(const NodeSet& s) {
   std::vector<NodeSpan> out;
@@ -194,6 +192,8 @@ std::vector<NodeSpan> SetToSpans(const NodeSet& s) {
   if (in) out.push_back({start, n});
   return out;
 }
+
+}  // namespace
 
 /// out = [0, n) \ a, for normalized `a`.
 void SpanComplement(std::span<const NodeSpan> a, NodeId n,

@@ -35,8 +35,6 @@ void SpanIntersect(std::span<const NodeSpan> a, std::span<const NodeSpan> b,
 /// out = a ∪ b by a linear merge.
 void SpanUnion(std::span<const NodeSpan> a, std::span<const NodeSpan> b,
                std::vector<NodeSpan>& out);
-/// Maximal runs of set bits of `s`, normalized.
-std::vector<NodeSpan> SetToSpans(const NodeSet& s);
 
 /// Interval-encoded binary relation over Dom(t) x Dom(t): row u is a
 /// sorted list of disjoint, non-adjacent pre-order spans instead of an
@@ -95,6 +93,11 @@ class IntervalMatrix {
   /// per-call allocation; hot in Compose/Transposed and in seeded row
   /// reads).
   void AppendLogicalRow(NodeId u, std::vector<NodeSpan>& out) const;
+  /// At least the number of spans AppendLogicalRow(u, ...) appends; O(1).
+  std::size_t RowSpanBound(NodeId u) const {
+    const Row& r = rows_[static_cast<std::size_t>(u)];
+    return r.count + (r.complemented ? 1 : 0);
+  }
 
   /// {u : exists v R(u, v)} / {u : forall v R(u, v)}; O(total spans).
   NodeSet AnyPerRow() const;

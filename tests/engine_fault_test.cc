@@ -113,30 +113,27 @@ TEST_F(EngineFaultTest, RetriesWithoutDegradationRepeatRungZero) {
 /// compiled path (a budget-class failure is a hard error there), and
 /// the first degradation rung — compile_selectors off — avoids the site
 /// entirely, so the retry succeeds with the exact reference verdict.
-/// A desc-E look-ahead asked at every node of a full traversal: on a
-/// path that is more distinct origins than its seeded-to-materialized
-/// threshold, so the run materializes the relation and builds the axis
-/// index's interval matrices (a look-ahead asked once is answered
-/// seeded, by tree navigation, and never allocates them).
-Program EveryNodeSelectorProgram() {
+/// The look-ahead of QuantifiedSelectorProgram narrowed to one node by
+/// its id: compiling it loads that id's attribute-value set, an axis
+/// index allocation behind the failpoint (seeded evaluation reads axis
+/// relations by tree navigation and never allocates them).
+Program IdGuardedSelectorProgram() {
   ProgramBuilder b(ProgramClass::kTwRL);
-  b.SetStates("fwd", "qf");
+  b.SetStates("q0", "qf");
   b.DeclareRegister("X1", 1);
-  b.OnMove("#top", "fwd", "true", "fwd", Move::kDown);
-  b.OnMove("#open", "fwd", "true", "fwd", Move::kRight);
-  b.OnLookAhead("*", "fwd", "true", "dn", "X1",
-                "exists z (desc(x, z) & E(z, y))", "acc");
-  b.OnMove("*", "acc", "true", "qf", Move::kStay);
-  b.OnMove("*", "dn", "true", "fwd", Move::kDown);
-  b.OnMove("#leaf", "fwd", "true", "back", Move::kUp);
-  b.OnMove("#close", "fwd", "true", "back", Move::kUp);
-  b.OnMove("*", "back", "true", "fwd", Move::kRight);
+  b.OnLookAhead(
+      "#top", "q0", "true", "q1", "X1",
+      "exists z exists w (desc(x, y) & E(z, y) & E(w, z) & val(id, y) = 9)",
+      "p");
+  b.OnMove("#top", "q1", "true", "qf", Move::kStay);
+  b.OnMove("*", "p", "true", "qf", Move::kStay);
   return std::move(b.Build()).value();
 }
 
 TEST_F(EngineFaultTest, DegradationLadderRecoversFromAxisIndexFaults) {
-  Program p = EveryNodeSelectorProgram();
-  Tree t = FullTree(1, 60);
+  Program p = IdGuardedSelectorProgram();
+  Tree t = FullTree(2, 4);
+  AssignUniqueIds(t);
 
   // Reference verdict, no faults.
   BatchJob clean;

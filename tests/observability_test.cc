@@ -20,6 +20,7 @@
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/engine/engine.h"
+#include "src/logic/planner.h"
 #include "src/tree/generate.h"
 
 namespace treewalk {
@@ -102,10 +103,6 @@ TEST_F(ObservabilityTest, CountersReconcileExactlyWithEngineStats) {
             batch.stats.selector_cache_misses);
   EXPECT_EQ(m.Value("treewalk_interp_selector_evals_total", "compiled"),
             batch.stats.compiled_selector_evals);
-  EXPECT_EQ(m.Value("treewalk_interp_seeded_evals_total"),
-            batch.stats.seeded_selector_evals);
-  EXPECT_EQ(m.Value("treewalk_interp_materializations_total"),
-            batch.stats.materializations);
   EXPECT_EQ(m.Value("treewalk_interp_store_updates_total"),
             batch.stats.store_updates);
 
@@ -122,10 +119,11 @@ TEST_F(ObservabilityTest, CountersReconcileExactlyWithEngineStats) {
   EXPECT_EQ(m.Value("treewalk_engine_workers"), 4);
 }
 
-/// A selector asked from every node of a traversal runs seeded, then
-/// materializes mid-run: both counters and both `path` timers reconcile
-/// exactly with EngineStats.
-TEST_F(ObservabilityTest, SeededAndMaterializedSelectorPathsReconcile) {
+/// The selector timers cover every evaluation: a compiled selector
+/// asked from every node of a traversal (each answered seeded) and a
+/// reference-planned one; each `path` histogram counts exactly its
+/// path's evaluations, reconciled with EngineStats.
+TEST_F(ObservabilityTest, SelectorTimersReconcileWithEvaluations) {
   auto program = ParseProgramText(
       "class twrl\nstates fwd qf\nregister X1 1\n"
       "rule #top fwd [true] move down fwd\n"
@@ -137,39 +135,39 @@ TEST_F(ObservabilityTest, SeededAndMaterializedSelectorPathsReconcile) {
       "rule #close fwd [true] move up back\n"
       "rule * back [true] move right fwd\n");
   ASSERT_TRUE(program.ok()) << program.status().ToString();
-  // A 61-node path asks from more origins than the planner's
-  // seeded-to-materialized threshold; a 3-node tree stays seeded.
-  std::vector<Tree> trees;
-  trees.push_back(FullTree(1, 60));
-  trees.push_back(FullTree(2, 1));
+  // On the 61-node path the planner compiles the selector; the second
+  // job's calibration prices compiling out, so it plans to the
+  // reference evaluator.
+  const Tree path = FullTree(1, 60);
+  PlannerCalibration avoid_compile;
+  avoid_compile.interval_span_cost = 1e18;
   std::vector<BatchJob> jobs(2);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].program = &*program;
-    jobs[i].tree = &trees[i];
+  for (BatchJob& job : jobs) {
+    job.program = &*program;
+    job.tree = &path;
   }
+  jobs[1].options.planner_calibration = &avoid_compile;
   BatchResult batch =
       std::move(BatchEngine({.num_threads = 2}).RunBatch(jobs)).value();
   ASSERT_EQ(batch.stats.failed, 0);
-  ASSERT_GT(batch.stats.seeded_selector_evals, 0);
-  ASSERT_GT(batch.stats.materializations, 0);
+  ASSERT_GT(batch.stats.compiled_selector_evals, 0);
+  ASSERT_GT(batch.stats.selector_cache_misses,
+            batch.stats.compiled_selector_evals);
 
   const MetricsSnapshot& m = batch.metrics;
-  EXPECT_EQ(m.Value("treewalk_interp_seeded_evals_total"),
-            batch.stats.seeded_selector_evals);
-  EXPECT_EQ(m.Value("treewalk_interp_materializations_total"),
-            batch.stats.materializations);
   EXPECT_EQ(m.Value("treewalk_interp_selector_evals_total", "compiled"),
             batch.stats.compiled_selector_evals);
-  const MetricSample* seeded =
-      m.Find("treewalk_interp_selector_eval_us", "seeded");
-  ASSERT_NE(seeded, nullptr);
-  EXPECT_EQ(seeded->histogram.count,
-            static_cast<std::uint64_t>(batch.stats.seeded_selector_evals));
-  const MetricSample* materialize =
-      m.Find("treewalk_interp_selector_eval_us", "materialize");
-  ASSERT_NE(materialize, nullptr);
-  EXPECT_EQ(materialize->histogram.count,
-            static_cast<std::uint64_t>(batch.stats.materializations));
+  const MetricSample* compiled =
+      m.Find("treewalk_interp_selector_eval_us", "compiled");
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(compiled->histogram.count,
+            static_cast<std::uint64_t>(batch.stats.compiled_selector_evals));
+  const MetricSample* reference =
+      m.Find("treewalk_interp_selector_eval_us", "reference");
+  ASSERT_NE(reference, nullptr);
+  EXPECT_EQ(reference->histogram.count,
+            static_cast<std::uint64_t>(batch.stats.selector_cache_misses -
+                                       batch.stats.compiled_selector_evals));
 }
 
 TEST_F(ObservabilityTest, RetriesAndFailuresReconcile) {

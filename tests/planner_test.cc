@@ -302,12 +302,10 @@ TEST(PlannerPicks, OnePickPerDistinctSelectorAndCalibrationIsHonored) {
 }
 
 /// An atp() at every node of a full traversal asks one compiled
-/// selector from more distinct origins than its materialize_after
-/// threshold: the first origins are answered seeded, then the selector
-/// materializes mid-run and the rest are row reads — with the verdict,
-/// reason and step count of a reference-only run.  A path keeps the
-/// threshold low: every origin's desc row reaches half the tree.
-TEST(PlannerPicks, SeededSelectorMaterializesPastItsThreshold) {
+/// selector from 61 distinct origins: each is answered seeded, with the
+/// verdict, reason and step count of a reference-only run.  On a path
+/// every origin's desc row reaches the rest of the tree.
+TEST(PlannerPicks, EveryNodeSelectorIsAnsweredSeeded) {
   constexpr const char* kBelowChildren = "exists z (desc(x, z) & E(z, y))";
   auto program = ParseProgramText(
       std::string("class twrl\nstates fwd qf\nregister X1 1\n"
@@ -328,8 +326,6 @@ TEST(PlannerPicks, SeededSelectorMaterializesPastItsThreshold) {
   const SelectorPlan plan =
       PlanSelector(ComputeTreeStats(delimited.tree), Parse(kBelowChildren));
   ASSERT_EQ(plan.strategy, PlanStrategy::kCompiledInterval);
-  ASSERT_GT(plan.materialize_after, 1);
-  ASSERT_LT(plan.materialize_after, 61);
 
   auto run = Interpreter(*program).Run(t);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
@@ -341,15 +337,12 @@ TEST(PlannerPicks, SeededSelectorMaterializesPastItsThreshold) {
   EXPECT_EQ(run->reason, ref_run->reason);
   EXPECT_EQ(run->stats.steps, ref_run->stats.steps);
 
-  // One atp per original node, each from a new origin: both phases ran.
+  // One atp per original node, each from a new origin, all compiled.
   const RunStats& s = run->stats;
   EXPECT_EQ(s.selector_cache_misses, 61);
   EXPECT_EQ(s.planner_picks_interval, 1);
   EXPECT_EQ(s.compiled_selector_evals, 61);
-  EXPECT_EQ(s.seeded_selector_evals, plan.materialize_after - 1);
-  EXPECT_EQ(s.materializations, 1);
-  EXPECT_EQ(ref_run->stats.seeded_selector_evals, 0);
-  EXPECT_EQ(ref_run->stats.materializations, 0);
+  EXPECT_EQ(ref_run->stats.compiled_selector_evals, 0);
 }
 
 // --- The differential oracle: planned == reference == compiled. --------

@@ -94,9 +94,10 @@
 //                           snapshot cache in <dir>: first use parses
 //                           and persists, later uses mmap in with zero
 //                           parsing.  Corrupt/stale entries re-parse.
-//   --compile-cache <dir>   Persist compiled selector relations keyed
-//                           by (formula, tree); later runs skip
-//                           selector compilation entirely.
+//   --compile-cache <dir>   Accepted for compatibility and ignored:
+//                           compiled selectors are evaluated seeded
+//                           from each origin and materialize no
+//                           relation to persist (docs/SNAPSHOT.md).
 //
 // Global options (any subcommand, docs/OBSERVABILITY.md):
 //   --metrics-out <file>   Write a metrics snapshot at exit: Prometheus
@@ -421,14 +422,10 @@ int CmdExplain(int argc, char** argv) {
         f.has_range_guard ? "yes" : "no");
     std::printf("  cost: reference=%.4g compiled-interval=%.4g\n",
                 plan.cost_reference, plan.cost_interval);
-    if (plan.strategy == tw::PlanStrategy::kCompiledInterval) {
-      std::printf("  plan: %s (seeded, materialize after %lld origin%s)\n",
-                  tw::PlanStrategyName(plan.strategy),
-                  static_cast<long long>(plan.materialize_after),
-                  plan.materialize_after == 1 ? "" : "s");
-    } else {
-      std::printf("  plan: %s\n", tw::PlanStrategyName(plan.strategy));
-    }
+    std::printf("  plan: %s%s\n", tw::PlanStrategyName(plan.strategy),
+                plan.strategy == tw::PlanStrategy::kCompiledInterval
+                    ? " (seeded)"
+                    : "");
     std::printf("  operators:\n");
     for (const tw::OperatorEstimate& op : plan.operators) {
       std::printf("    %*s%-*s rows=%-12.4g sel=%.4g%s\n", op.depth * 2, "",
@@ -437,8 +434,8 @@ int CmdExplain(int argc, char** argv) {
     }
 
     // One evaluation of a strategy from `origin`: the compiled one
-    // seeded, as the interpreter answers a first origin, or
-    // materialized, which is what cost_interval prices.  Compiled
+    // seeded, as the interpreter answers every origin, or materialized,
+    // which is what cost_interval prices.  Compiled
     // declines surface as a non-OK status, reported, not fatal.
     auto run_strategy = [&](tw::PlanStrategy s, bool seeded)
         -> tw::Result<std::vector<tw::NodeId>> {
