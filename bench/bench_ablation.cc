@@ -1,6 +1,7 @@
 // Ablations for the design choices DESIGN.md calls out:
-//   (a) exact cycle detection in the interpreter (a store copy + set
-//       insert per step) vs budget-only termination;
+//   (a) exact cycle detection in the interpreter (one hashed 8-byte
+//       configuration key per step, one store copy per distinct store
+//       version) vs budget-only termination;
 //   (b) the three tree-walking formalisms on one language (has-label):
 //       deterministic tw program, nondeterministic caterpillar product
 //       search, bottom-up hedge automaton.

@@ -1,6 +1,7 @@
 // E11: interpreter microbenchmarks — the cost centers of the Definition
 // 3.1 semantics: pure walking throughput, store updates via
-// active-domain FO, selector (atp) evaluation, and delimiting.
+// active-domain FO, and selector (atp) evaluation.  Delimiting is
+// timed by the gated bench_selectors (BM_Delimit).
 
 #include <benchmark/benchmark.h>
 
@@ -44,14 +45,6 @@ void BM_WalkThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * steps);
   state.counters["steps"] = static_cast<double>(steps);
-}
-
-void BM_Delimit(benchmark::State& state) {
-  Tree t = Input(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    DelimitedTree d = Delimit(t);
-    benchmark::DoNotOptimize(d.tree.size());
-  }
 }
 
 /// One relational store update: X := {x, y | X(x,y) | (P(x) & y = c)}.
@@ -107,8 +100,6 @@ void BM_GuardEval(benchmark::State& state) {
 }
 
 BENCHMARK(BM_WalkThroughput)->Arg(100)->Arg(1000)->Arg(10000)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Delimit)->Arg(100)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_StoreUpdate)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMicrosecond);

@@ -18,6 +18,7 @@
 
 #include "src/automata/interpreter.h"
 #include "src/automata/library.h"
+#include "src/automata/text_format.h"
 #include "src/common/atomic_file.h"
 #include "src/common/governor.h"
 #include "src/logic/compile.h"
@@ -647,5 +648,58 @@ BENCHMARK(BM_InterpreterWalkUngoverned)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_InterpreterWalkGoverned)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_InterpreterLookaheadUngoverned)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_InterpreterLookaheadGoverned)->Unit(benchmark::kMicrosecond);
+
+// --- E24: the walk loop and delim(t). -----------------------------------
+//
+// perfbench's walk-only program — a depth-first traversal looking for a
+// label no tree has, so it walks all of delim(t) and rejects — run on a
+// pre-delimited Input(n): the interpreter's step loop alone, with the
+// cycle memo on, reported as steps/s.  BM_Delimit times the transform
+// itself, which every `twq run` pays before the first step.
+
+constexpr const char* kWalkProgram =
+    "class tw\nstates fwd qf\n"
+    "rule needle fwd [true] move stay qf\n"
+    "rule #top fwd [true] move down fwd\n"
+    "rule #open fwd [true] move right fwd\n"
+    "rule * fwd [true] move down fwd\n"
+    "rule #leaf fwd [true] move up back\n"
+    "rule #close fwd [true] move up back\n"
+    "rule * back [true] move right fwd\n";
+
+void BM_WalkOnly(benchmark::State& state) {
+  const Program p = std::move(ParseProgramText(kWalkProgram)).value();
+  const DelimitedTree d = Delimit(Input(static_cast<int>(state.range(0))));
+  const Interpreter interpreter(p);
+  std::int64_t steps = 0;
+  for (auto _ : state) {
+    auto r = interpreter.RunDelimited(d.tree);
+    if (!r.ok()) {
+      state.SkipWithError(r.status().ToString().c_str());
+      return;
+    }
+    if (r->accepted) {
+      state.SkipWithError("the walk accepted");
+      return;
+    }
+    steps += r->stats.steps;
+  }
+  state.counters["steps_per_s"] = benchmark::Counter(
+      static_cast<double>(steps), benchmark::Counter::kIsRate);
+}
+
+void BM_Delimit(benchmark::State& state) {
+  const Tree t = Input(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    DelimitedTree d = Delimit(t);
+    benchmark::DoNotOptimize(d.tree.size());
+  }
+  state.counters["nodes_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(t.size()),
+      benchmark::Counter::kIsRate);
+}
+
+BENCHMARK(BM_WalkOnly)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Delimit)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 }  // namespace

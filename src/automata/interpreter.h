@@ -30,10 +30,12 @@ struct RunOptions {
   bool record_trace = false;
   std::size_t max_trace_entries = 1000;
   /// Ablation: exact cycle detection memoizes every configuration
-  /// (node, state, store) of a computation, which costs a store copy and
-  /// an ordered-set insert per step.  With detection off, a looping
-  /// computation runs into max_steps (kResourceExhausted) instead of
-  /// rejecting with kCycle; terminating runs are unaffected.
+  /// (node, state, store) of a computation — one 8-byte key per step in
+  /// a hash set, each distinct store content interned once — which
+  /// about halves the step throughput of a walk (E12a, E24).  With
+  /// detection off, a looping computation runs into max_steps
+  /// (kResourceExhausted) instead of rejecting with kCycle; terminating
+  /// runs are unaffected.
   bool detect_cycles = true;
   /// Per-run atp() selector-result cache keyed on (selector, origin
   /// node, fingerprint of the store relations the selector mentions).

@@ -1,6 +1,8 @@
 #include "src/tree/delimited.h"
 
 #include <cassert>
+#include <string_view>
+#include <vector>
 
 namespace treewalk {
 
@@ -11,61 +13,84 @@ bool IsDelimiterLabel(std::string_view label) {
 
 DelimitedTree Delimit(const Tree& tree) {
   assert(!tree.empty());
-  TreeBuilder wrapped;
-  std::vector<TreeBuilder::Ref> refs(tree.size(), -1);
-  TreeBuilder::Ref wtop = wrapped.AddRoot(kTopLabel);
-  wrapped.AddChild(wtop, kOpenLabel);
+  const NodeId n = static_cast<NodeId>(tree.size());
+  // Every node gains one delimiter child (#leaf) if it is a leaf and two
+  // (#open, #close) otherwise; #top and its #open / #close add three.
+  std::size_t leaves = 0;
+  for (NodeId u = 0; u < n; ++u) leaves += tree.IsLeaf(u) ? 1 : 0;
+  const std::size_t size = 3 + 3 * tree.size() - leaves;
 
-  // Recursive copy keeping #open before and #close after child blocks.
-  struct Copier {
-    const Tree& tree;
-    TreeBuilder& out;
-    std::vector<TreeBuilder::Ref>& refs;
-
-    TreeBuilder::Ref Copy(NodeId u, TreeBuilder::Ref parent) {
-      TreeBuilder::Ref ref = out.AddChild(parent, tree.LabelName(tree.label(u)));
-      refs[static_cast<std::size_t>(u)] = ref;
-      for (AttrId a = 0; a < static_cast<AttrId>(tree.num_attributes()); ++a) {
-        out.SetAttr(ref, tree.attributes().NameOf(a), tree.attr(a, u));
-      }
-      if (tree.IsLeaf(u)) {
-        out.AddChild(ref, kLeafLabel);
-      } else {
-        out.AddChild(ref, kOpenLabel);
-        for (NodeId c = tree.FirstChild(u); c != kNoNode;
-             c = tree.NextSibling(c)) {
-          Copy(c, ref);
-        }
-        out.AddChild(ref, kCloseLabel);
-      }
-      return ref;
-    }
-  };
-  Copier copier{tree, wrapped, refs};
-  copier.Copy(tree.root(), wtop);
-  wrapped.AddChild(wtop, kCloseLabel);
-
-  std::vector<NodeId> ref_to_node;
   DelimitedTree result;
-  result.tree = wrapped.Build(&ref_to_node);
-  result.tree.AdoptValues(tree);
+  result.to_delimited.resize(tree.size());
+  result.to_original.reserve(size);
+  PreorderTreeWriter writer(size);
 
-  // Delimiters carry kBottom in every attribute column.
-  result.to_delimited.assign(tree.size(), kNoNode);
-  result.to_original.assign(result.tree.size(), kNoNode);
-  for (NodeId u = 0; u < static_cast<NodeId>(tree.size()); ++u) {
-    NodeId d = ref_to_node[static_cast<std::size_t>(
-        refs[static_cast<std::size_t>(u)])];
+  // Labels are interned at first use in delim(t)'s document order, the
+  // order a TreeBuilder would give them, so symbols match across
+  // constructions (content hashes and cache keys depend on it).
+  std::vector<Symbol> symbol_of(tree.labels().size(), -1);
+  Symbol top_sym = -1, open_sym = -1, close_sym = -1, leaf_sym = -1;
+  const auto intern = [&writer](Symbol& cached, std::string_view name) {
+    if (cached < 0) cached = writer.InternLabel(name);
+    return cached;
+  };
+  const auto delimiter = [&](Symbol& cached, std::string_view name,
+                             NodeId parent) {
+    writer.Close(writer.Open(intern(cached, name), parent));
+    result.to_original.push_back(kNoNode);
+  };
+  const auto close_block = [&](NodeId u) {
+    const NodeId d = result.to_delimited[static_cast<std::size_t>(u)];
+    delimiter(close_sym, kCloseLabel, d);
+    writer.Close(d);
+  };
+
+  // One pass over t in document order.  `open_nodes` holds the original
+  // ancestors whose #close is still to come; u's parent is on top.
+  const NodeId wtop = writer.Open(intern(top_sym, kTopLabel), kNoNode);
+  result.to_original.push_back(kNoNode);
+  delimiter(open_sym, kOpenLabel, wtop);
+  std::vector<NodeId> open_nodes;
+  for (NodeId u = 0; u < n; ++u) {
+    const NodeId parent = tree.Parent(u);
+    while (!open_nodes.empty() && open_nodes.back() != parent) {
+      close_block(open_nodes.back());
+      open_nodes.pop_back();
+    }
+    const Symbol s = tree.label(u);
+    const NodeId d = writer.Open(
+        intern(symbol_of[static_cast<std::size_t>(s)], tree.LabelName(s)),
+        parent == kNoNode
+            ? wtop
+            : result.to_delimited[static_cast<std::size_t>(parent)]);
     result.to_delimited[static_cast<std::size_t>(u)] = d;
-    result.to_original[static_cast<std::size_t>(d)] = u;
-  }
-  for (NodeId d = 0; d < static_cast<NodeId>(result.tree.size()); ++d) {
-    if (result.to_original[static_cast<std::size_t>(d)] != kNoNode) continue;
-    for (AttrId a = 0; a < static_cast<AttrId>(result.tree.num_attributes());
-         ++a) {
-      result.tree.set_attr(a, d, kBottom);
+    result.to_original.push_back(u);
+    if (tree.IsLeaf(u)) {
+      delimiter(leaf_sym, kLeafLabel, d);
+      writer.Close(d);
+    } else {
+      delimiter(open_sym, kOpenLabel, d);
+      open_nodes.push_back(u);
     }
   }
+  while (!open_nodes.empty()) {
+    close_block(open_nodes.back());
+    open_nodes.pop_back();
+  }
+  delimiter(close_sym, kCloseLabel, wtop);
+  writer.Close(wtop);
+
+  // Attribute columns keep t's ids; delimiters carry kBottom.
+  for (AttrId a = 0; a < static_cast<AttrId>(tree.num_attributes()); ++a) {
+    std::vector<DataValue> column(size);
+    for (std::size_t d = 0; d < size; ++d) {
+      const NodeId u = result.to_original[d];
+      column[d] = u == kNoNode ? kBottom : tree.attr(a, u);
+    }
+    writer.AddAttribute(tree.attributes().NameOf(a), std::move(column));
+  }
+  result.tree = std::move(writer).Finish();
+  result.tree.AdoptValues(tree);
   return result;
 }
 

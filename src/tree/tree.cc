@@ -145,14 +145,59 @@ void TreeBuilder::SetAttrString(Ref node, std::string_view name,
   SetAttr(node, name, values_->ValueFor(text));
 }
 
+PreorderTreeWriter::PreorderTreeWriter(std::size_t expected_nodes) {
+  tree_.nodes_.reserve(expected_nodes);
+}
+
+NodeId PreorderTreeWriter::Open(Symbol label, NodeId parent) {
+  const NodeId id = static_cast<NodeId>(tree_.nodes_.size());
+  Tree::Node node;
+  node.label = label;
+  node.parent = parent;
+  if (parent != kNoNode) {
+    Tree::Node& p = tree_.nodes_[static_cast<std::size_t>(parent)];
+    node.child_index = p.num_children;
+    node.prev_sibling = p.last_child;
+    if (p.last_child != kNoNode) {
+      tree_.nodes_[static_cast<std::size_t>(p.last_child)].next_sibling = id;
+    } else {
+      p.first_child = id;
+    }
+    p.last_child = id;
+    ++p.num_children;
+  }
+  tree_.nodes_.push_back(node);
+  return id;
+}
+
+AttrId PreorderTreeWriter::AddAttribute(std::string_view name,
+                                        std::vector<DataValue> values) {
+  assert(tree_.attrs_.Find(name) < 0 && "attribute added twice");
+  const AttrId id = tree_.attrs_.Intern(name);
+  tree_.attr_values_.push_back(std::move(values));
+  return id;
+}
+
+Tree PreorderTreeWriter::Finish() && {
+  tree_.node_count_ = tree_.nodes_.size();
+  tree_.nodes_view_ = tree_.nodes_.data();
+  for (const std::vector<DataValue>& column : tree_.attr_values_) {
+    assert(column.size() == tree_.node_count_);
+    tree_.attr_views_.push_back(column.data());
+  }
+  return std::move(tree_);
+}
+
 Tree TreeBuilder::Build(std::vector<NodeId>* ref_to_node) const {
-  Tree tree;
-  tree.values_ = values_;
-  if (protos_.empty()) return tree;
+  if (protos_.empty()) {
+    Tree tree;
+    tree.values_ = values_;
+    return tree;
+  }
 
   // Lay nodes out in document order with an explicit DFS.
   std::vector<NodeId> mapping(protos_.size(), kNoNode);
-  tree.nodes_.reserve(protos_.size());
+  PreorderTreeWriter writer(protos_.size());
 
   struct Frame {
     Ref ref;
@@ -161,25 +206,10 @@ Tree TreeBuilder::Build(std::vector<NodeId>* ref_to_node) const {
   std::vector<Frame> stack;
 
   auto emit = [&](Ref ref, NodeId parent) {
-    NodeId id = static_cast<NodeId>(tree.nodes_.size());
+    const NodeId id = writer.Open(
+        writer.InternLabel(protos_[static_cast<std::size_t>(ref)].label),
+        parent);
     mapping[static_cast<std::size_t>(ref)] = id;
-    Tree::Node node;
-    node.label = tree.labels_.Intern(protos_[static_cast<std::size_t>(ref)].label);
-    node.parent = parent;
-    if (parent != kNoNode) {
-      Tree::Node& p = tree.nodes_[static_cast<std::size_t>(parent)];
-      node.child_index = p.num_children;
-      node.prev_sibling = p.last_child;
-      if (p.last_child != kNoNode) {
-        tree.nodes_[static_cast<std::size_t>(p.last_child)].next_sibling = id;
-      } else {
-        p.first_child = id;
-      }
-      p.last_child = id;
-      ++p.num_children;
-    }
-    tree.nodes_.push_back(node);
-    return id;
   };
 
   emit(0, kNoNode);
@@ -192,16 +222,13 @@ Tree TreeBuilder::Build(std::vector<NodeId>* ref_to_node) const {
       emit(child, mapping[static_cast<std::size_t>(frame.ref)]);
       stack.push_back(Frame{child});
     } else {
-      NodeId id = mapping[static_cast<std::size_t>(frame.ref)];
-      tree.nodes_[static_cast<std::size_t>(id)].subtree_end =
-          static_cast<NodeId>(tree.nodes_.size());
+      writer.Close(mapping[static_cast<std::size_t>(frame.ref)]);
       stack.pop_back();
     }
   }
-  // The shape is final: bind the views (AddAttribute below sizes
-  // columns off node_count_).
-  tree.node_count_ = tree.nodes_.size();
-  tree.nodes_view_ = tree.nodes_.data();
+  // The shape is final (AddAttribute below sizes columns off it).
+  Tree tree = std::move(writer).Finish();
+  tree.values_ = values_;
 
   // Attribute columns.
   for (std::size_t ref = 0; ref < protos_.size(); ++ref) {

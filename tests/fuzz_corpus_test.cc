@@ -17,6 +17,7 @@
 
 #include "src/automata/text_format.h"
 #include "tests/fuzz/axis_interval_driver.h"
+#include "tests/fuzz/program_driver.h"
 #include "src/common/journal.h"
 #include "src/engine/batch_journal.h"
 #include "src/logic/parser.h"
@@ -82,9 +83,17 @@ TEST(FuzzCorpus, XmlSeedsReplayWithoutCrashing) {
 }
 
 TEST(FuzzCorpus, ProgramSeedsReplayWithoutCrashing) {
-  ReplayCorpus("program", [](const std::string& s) {
-    return ParseProgramText(s).ok();
+  // Mirrors fuzz_program.cc: parse each seed and, when it parses, hold
+  // the interpreter's verdict on the driver's fixed tree against the
+  // configuration-graph evaluator's.
+  int compared = 0;
+  ReplayCorpus("program", [&compared](const std::string& s) {
+    const ProgramFuzzOutcome outcome = RunProgramFuzzInput(s);
+    EXPECT_TRUE(outcome.agrees) << "verdicts differ on seed:\n" << s;
+    compared += outcome.compared ? 1 : 0;
+    return outcome.parsed;
   });
+  EXPECT_GT(compared, 0) << "no program seed reached a verdict on both sides";
 }
 
 TEST(FuzzCorpus, JournalSeedsReplayWithoutCrashing) {

@@ -320,5 +320,44 @@ TEST(GovernedInterpreter, CycleMemoChargesAreReleasedAfterTheRun) {
   EXPECT_GT(governor.accountant()->peak(), 0);
 }
 
+/// The cycle memo charges its hash table before each doubling: a long
+/// walk under a budget smaller than the table it needs trips
+/// RESOURCE_EXHAUSTED naming cycle-memo, and the books never pass the
+/// budget — the table that would not fit is never allocated.
+TEST(GovernedInterpreter, LongWalkTripsTheCycleMemoBeforeItsTableGrows) {
+  // delim(FullTree(2, 12)) has 20,480 nodes; the full DFS visits ~29k
+  // configurations, a 64k-slot (512 KiB) table at the memo's 3/4 load.
+  Program p = std::move(HasLabelProgram("missing")).value();
+  Tree t = FullTree(2, 12);
+  RunResult plain = std::move(Interpreter(p).Run(t)).value();
+  EXPECT_FALSE(plain.accepted);
+
+  constexpr std::int64_t kBudget = 64 << 10;
+  ResourceGovernor governor;
+  governor.set_memory_budget(kBudget);
+  RunOptions options;
+  options.governor = &governor;
+  auto run = Interpreter(p, options).Run(t);
+  ASSERT_EQ(run.status().code(), StatusCode::kResourceExhausted)
+      << run.status();
+  EXPECT_NE(run.status().message().find("to cycle-memo"), std::string::npos)
+      << run.status();
+  EXPECT_TRUE(governor.accountant()->tripped());
+  EXPECT_LE(governor.accountant()->peak(), kBudget);
+  EXPECT_GT(governor.accountant()->peak(MemoryCategory::kCycleMemo), 0);
+  // The trip unwinds the computation, which releases the memo.
+  EXPECT_EQ(governor.accountant()->used(MemoryCategory::kCycleMemo), 0);
+
+  // Cycle detection off: no memo, so the same budget runs to the verdict.
+  ResourceGovernor unmemoized;
+  unmemoized.set_memory_budget(kBudget);
+  options.governor = &unmemoized;
+  options.detect_cycles = false;
+  RunResult walked = std::move(Interpreter(p, options).Run(t)).value();
+  EXPECT_EQ(walked.accepted, plain.accepted);
+  EXPECT_EQ(walked.stats, plain.stats);
+  EXPECT_EQ(unmemoized.accountant()->peak(MemoryCategory::kCycleMemo), 0);
+}
+
 }  // namespace
 }  // namespace treewalk

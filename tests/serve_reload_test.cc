@@ -141,24 +141,29 @@ TEST_F(ServeReloadTest, SwapIsAtomicAndMatchesSingleShotAnswers) {
 
 TEST_F(ServeReloadTest, InFlightQueryPinsOldGenerationUntilItAnswers) {
   // The old generation's "t" is big enough that a full scan takes real
-  // time; the new generation's "t" contains a needle, so a scan
-  // answered by the *new* corpus would ACCEPT.  The in-flight query
-  // must REJECT: it pinned the old generation at dispatch.
+  // time (917,504 steps over delim(t)'s ~655k nodes, just under the
+  // default 1M-step cap: tens of ms even in a release build); the new
+  // generation's "t" contains a needle, so a scan answered by the *new*
+  // corpus would ACCEPT.  The in-flight query must REJECT: it pinned
+  // the old generation at dispatch.
   auto gen0 = std::make_shared<ResidentTreeCache>(0, 0);
   ASSERT_TRUE(gen0->GetOrLoad("t", []() -> Result<Tree> {
-                    return Result<Tree>(FullTree(2, 16));
+                    return Result<Tree>(FullTree(2, 17));
                   })
                   .ok());
   std::weak_ptr<ResidentTreeCache> old_generation = gen0;
 
   ServerOptions options;
-  // Generous: under TSan the ~131k-node scan runs 10-20x slower than
+  // Generous: under TSan the ~262k-node scan runs 10-20x slower than
   // release, and the deadline is not what this test is about.
   options.default_deadline_ms = 120000;
   options.drain_deadline_ms = 120000;
   QueryServer server(options, gen0);
   gen0.reset();
   ASSERT_TRUE(server.Start().ok());
+  // Only the server holds the generation until a query pins it.
+  const long unpinned = old_generation.use_count();
+  auto gen1 = OneTreeCorpus("a(needle)", 1);
 
   std::atomic<bool> in_flight_accepted{false};
   std::atomic<bool> in_flight_done{false};
@@ -169,11 +174,15 @@ TEST_F(ServeReloadTest, InFlightQueryPinsOldGenerationUntilItAnswers) {
     in_flight_done.store(true, std::memory_order_release);
   });
 
-  // Swap while the scan runs.  (If the scan somehow finished first the
-  // pin assertion below is vacuous but the release assertion still
-  // holds; the tree is ~131k nodes, which comfortably outlives a swap.)
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  server.SwapCorpus(OneTreeCorpus("a(needle)", 1), 0.5);
+  // Swap once the scan's worker has pinned the old generation (one more
+  // reference than the server's own), while the scan still runs.
+  while (old_generation.use_count() <= unpinned &&
+         !in_flight_done.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  server.SwapCorpus(std::move(gen1), 0.5);
+  EXPECT_FALSE(in_flight_done.load(std::memory_order_acquire))
+      << "the scan answered before the swap, so the pin went untested";
   EXPECT_FALSE(old_generation.expired())
       << "old generation released while a query could still be pinned on it";
 
