@@ -231,8 +231,7 @@ class RuleTable {
 
 /// Exact cycle memo of one (sub)computation: the configurations
 /// (node, state, store) it has visited, so the first repeat rejects
-/// (Lemma 4.5's convention).  Keys live in an open-addressing table
-/// with linear probing.  Distinct store contents are interned to
+/// (Lemma 4.5's convention).  Distinct store contents are interned to
 /// version ids in order of first appearance and compared by
 /// Store::operator== (a fingerprint only picks the bucket), so two
 /// configurations share a key iff they are equal.  Version 0 is the
@@ -243,12 +242,19 @@ class RuleTable {
 ///
 /// A configuration packs into one 64-bit key — node lowest, then state
 /// id, then version id — each field as wide as the run needs.  Version
-/// ids stay below their field's all-ones value, so no configuration
-/// packs to the all-ones word that marks an empty slot; a computation
-/// that would need more versions fails instead of truncating a key.
+/// ids stay below their field's all-ones value; a computation that
+/// would need more versions fails instead of truncating a key.
 ///
-/// Memory is charged to kCycleMemo before it is allocated — the table's
-/// slots at first use and before each doubling, and 64 + 24·tuples per
+/// Keys are recorded 64 to a slot: a slot holds the word `key >> 6` and
+/// a mask whose bit `key & 63` is set once that key has been visited.
+/// A walk meets consecutive node ids in one state and one store version,
+/// so it fills one 16-byte slot per 64 configurations; in the worst
+/// case, one configuration per slot, a key costs a whole slot.  Slots
+/// live in an open-addressing table with linear probing.  A word has its
+/// top six bits clear, so the all-ones word marks an empty slot.
+///
+/// Memory is charged to kCycleMemo before it is allocated — 16 bytes per
+/// slot at first use and before each doubling, and 64 + 24·tuples per
 /// new store version — and released when the memo dies.
 class CycleMemo {
  public:
@@ -265,15 +271,24 @@ class CycleMemo {
       TREEWALK_ASSIGN_OR_RETURN(version_, Intern(store));
       store_changed_ = false;
     }
-    if ((size_ + 1) * 4 > slots_.size() * 3) {
-      TREEWALK_RETURN_IF_ERROR(Grow());
-    }
-    if (!Insert(static_cast<std::uint64_t>(u) |
-                static_cast<std::uint64_t>(state) << node_bits_ |
-                version_ << (node_bits_ + state_bits_))) {
+    const std::uint64_t key = static_cast<std::uint64_t>(u) |
+                              static_cast<std::uint64_t>(state) << node_bits_ |
+                              version_ << (node_bits_ + state_bits_);
+    const std::uint64_t word = key >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (key & 63);
+    if (slots_.empty()) TREEWALK_RETURN_IF_ERROR(Grow());
+    Slot* slot = Probe(word);
+    if (slot->word == kEmpty) {
+      if ((size_ + 1) * 4 > slots_.size() * 3) {
+        TREEWALK_RETURN_IF_ERROR(Grow());
+        slot = Probe(word);
+      }
+      slot->word = word;
+      ++size_;
+    } else if ((slot->bits & bit) != 0) {
       return false;
     }
-    ++size_;
+    slot->bits |= bit;
     return true;
   }
 
@@ -286,6 +301,11 @@ class CycleMemo {
   }
 
  private:
+  struct Slot {
+    std::uint64_t word;
+    std::uint64_t bits;
+  };
+
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
   static constexpr std::size_t kInitialSlots = 16;
 
@@ -295,28 +315,27 @@ class CycleMemo {
     return std::max(1, static_cast<int>(std::bit_width(count - 1)));
   }
 
-  /// Linear probing from the key's Fibonacci hash; false if present.
-  bool Insert(std::uint64_t key) {
+  /// Linear probing from the word's Fibonacci hash: the slot holding
+  /// `word`, or the empty slot where it would go.
+  Slot* Probe(std::uint64_t word) {
     const std::size_t mask = slots_.size() - 1;
-    auto i = static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
-    while (slots_[i] != kEmpty) {
-      if (slots_[i] == key) return false;
+    auto i = static_cast<std::size_t>((word * 0x9e3779b97f4a7c15ULL) >> shift_);
+    while (slots_[i].word != word && slots_[i].word != kEmpty) {
       i = (i + 1) & mask;
     }
-    slots_[i] = key;
-    return true;
+    return &slots_[i];
   }
 
   Status Grow() {
     const std::size_t capacity =
         slots_.empty() ? kInitialSlots : 2 * slots_.size();
     TREEWALK_RETURN_IF_ERROR(charge_.Add(static_cast<std::int64_t>(
-        (capacity - slots_.size()) * sizeof(std::uint64_t))));
-    std::vector<std::uint64_t> old =
-        std::exchange(slots_, std::vector<std::uint64_t>(capacity, kEmpty));
+        (capacity - slots_.size()) * sizeof(Slot))));
+    std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(capacity, Slot{kEmpty, 0}));
     shift_ = 64 - std::countr_zero(capacity);
-    for (std::uint64_t key : old) {
-      if (key != kEmpty) Insert(key);
+    for (const Slot& slot : old) {
+      if (slot.word != kEmpty) *Probe(slot.word) = slot;
     }
     return Status::Ok();
   }
@@ -344,8 +363,8 @@ class CycleMemo {
   const int node_bits_;
   const int state_bits_;
   ScopedMemoryCharge charge_;
-  std::vector<std::uint64_t> slots_;
-  std::size_t size_ = 0;
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;  // occupied slots
   int shift_ = 64;
   std::vector<Store> versions_;
   std::unordered_multimap<std::uint64_t, std::uint64_t> by_fingerprint_;
@@ -399,7 +418,12 @@ class Runner {
   }
 
  private:
-  Result<Outcome> Compute(NodeId start, int start_state, Store store,
+  /// Runs one (sub)computation from (start, start_state) on a store that
+  /// starts as `borrowed`.  Borrowing is safe: a caller is suspended
+  /// while its subcomputation runs and writes its own store only after
+  /// the subcomputation returns, and a computation copies `borrowed`
+  /// before its first write, so nobody writes a store that is lent out.
+  Result<Outcome> Compute(NodeId start, int start_state, const Store& borrowed,
                           int depth) {
     if (depth > options_.max_depth) {
       return ResourceExhausted("atp nesting exceeded max_depth=" +
@@ -409,6 +433,14 @@ class Runner {
 
     NodeId u = start;
     int state = start_state;
+    // The current store: `borrowed` until the first write, then `owned`,
+    // copied from it right before that write.
+    std::optional<Store> owned;
+    const Store* store = &borrowed;
+    const auto writable = [&]() -> Store& {
+      if (!owned.has_value()) store = &owned.emplace(borrowed);
+      return *owned;
+    };
     // The memo lives for this (sub)computation; its budget charge is
     // released with it at scope exit.
     CycleMemo memo(tree_.size(), table_.num_states(), options_.governor);
@@ -424,15 +456,15 @@ class Runner {
       if (state == table_.final_state()) {
         Outcome out;
         out.accepted = true;
-        if (store.num_relations() > 0) out.returned = store.At(0);
+        if (store->num_relations() > 0) out.returned = store->At(0);
         return out;
       }
       if (options_.detect_cycles) {
-        TREEWALK_ASSIGN_OR_RETURN(bool fresh, memo.Visit(u, state, store));
+        TREEWALK_ASSIGN_OR_RETURN(bool fresh, memo.Visit(u, state, *store));
         if (!fresh) return Rejected(RejectReason::kCycle);
       }
 
-      TREEWALK_ASSIGN_OR_RETURN(int rule_index, FindRule(u, state, store));
+      TREEWALK_ASSIGN_OR_RETURN(int rule_index, FindRule(u, state, *store));
       if (rule_index < 0) return Rejected(RejectReason::kStuck);
       const Rule& rule = program_.rules()[static_cast<std::size_t>(rule_index)];
 
@@ -456,15 +488,15 @@ class Runner {
           break;
         }
         case Action::Kind::kUpdate: {
-          StoreContext context = MakeContext(u, store);
+          StoreContext context = MakeContext(u, *store);
           TREEWALK_ASSIGN_OR_RETURN(
               Relation result,
               EvalStoreFormula(context, action.update, action.update_vars));
           TREEWALK_RETURN_IF_ERROR(CheckDiscipline(result, "update"));
           if (options_.detect_cycles) {
-            TREEWALK_RETURN_IF_ERROR(memo.BeforeStoreWrite(store));
+            TREEWALK_RETURN_IF_ERROR(memo.BeforeStoreWrite(*store));
           }
-          TREEWALK_RETURN_IF_ERROR(store.Replace(
+          TREEWALK_RETURN_IF_ERROR(writable().Replace(
               static_cast<std::size_t>(action.register_index),
               std::move(result)));
           ++stats_.store_updates;
@@ -476,7 +508,7 @@ class Runner {
           const auto index = static_cast<std::size_t>(rule_index);
           TREEWALK_ASSIGN_OR_RETURN(
               std::vector<NodeId> selected,
-              Select(index, action.selector, u, store));
+              Select(index, action.selector, u, *store));
           if (program_.program_class() == ProgramClass::kTwL &&
               selected.size() > 1) {
             return FailedPrecondition(
@@ -484,11 +516,11 @@ class Runner {
                 std::to_string(selected.size()) +
                 " nodes; Definition 5.1 allows at most one");
           }
-          Relation collected(store.At(0).arity());
+          Relation collected(store->At(0).arity());
           for (NodeId v : selected) {
             TREEWALK_ASSIGN_OR_RETURN(
                 Outcome sub,
-                Compute(v, table_.call_state(index), store, depth + 1));
+                Compute(v, table_.call_state(index), *store, depth + 1));
             if (!sub.accepted) {
               return Rejected(RejectReason::kSubcomputationRejected);
             }
@@ -496,9 +528,9 @@ class Runner {
           }
           TREEWALK_RETURN_IF_ERROR(CheckDiscipline(collected, "look-ahead"));
           if (options_.detect_cycles) {
-            TREEWALK_RETURN_IF_ERROR(memo.BeforeStoreWrite(store));
+            TREEWALK_RETURN_IF_ERROR(memo.BeforeStoreWrite(*store));
           }
-          TREEWALK_RETURN_IF_ERROR(store.Replace(
+          TREEWALK_RETURN_IF_ERROR(writable().Replace(
               static_cast<std::size_t>(action.register_index),
               std::move(collected)));
           ++stats_.store_updates;
@@ -506,7 +538,7 @@ class Runner {
         }
       }
       state = table_.next_state(static_cast<std::size_t>(rule_index));
-      std::size_t tuples = store.TotalTuples();
+      std::size_t tuples = store->TotalTuples();
       if (tuples > stats_.max_store_tuples) {
         // Store growth is charged at its high-water mark across the
         // whole run (monotone; never released).

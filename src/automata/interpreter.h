@@ -30,9 +30,9 @@ struct RunOptions {
   bool record_trace = false;
   std::size_t max_trace_entries = 1000;
   /// Ablation: exact cycle detection memoizes every configuration
-  /// (node, state, store) of a computation — one 8-byte key per step in
-  /// a hash set, each distinct store content interned once — which
-  /// about halves the step throughput of a walk (E12a, E24).  With
+  /// (node, state, store) of a computation — one bit per configuration
+  /// in 16-byte hash slots of 64, each distinct store content interned
+  /// once — which costs a walk ~1.3× its step time (E12a, E25).  With
   /// detection off, a looping computation runs into max_steps
   /// (kResourceExhausted) instead of rejecting with kCycle; terminating
   /// runs are unaffected.

@@ -325,10 +325,12 @@ TEST(GovernedInterpreter, CycleMemoChargesAreReleasedAfterTheRun) {
 /// RESOURCE_EXHAUSTED naming cycle-memo, and the books never pass the
 /// budget — the table that would not fit is never allocated.
 TEST(GovernedInterpreter, LongWalkTripsTheCycleMemoBeforeItsTableGrows) {
-  // delim(FullTree(2, 12)) has 20,480 nodes; the full DFS visits ~29k
-  // configurations, a 64k-slot (512 KiB) table at the memo's 3/4 load.
+  // delim(FullTree(2, 15)) has 163,840 nodes; the full DFS visits
+  // 229,376 configurations, 64 to a 16-byte slot where their node ids
+  // run consecutively.  The table outgrows the budget at its 8,192-slot
+  // doubling (a 128 KiB table).
   Program p = std::move(HasLabelProgram("missing")).value();
-  Tree t = FullTree(2, 12);
+  Tree t = FullTree(2, 15);
   RunResult plain = std::move(Interpreter(p).Run(t)).value();
   EXPECT_FALSE(plain.accepted);
 
@@ -357,6 +359,28 @@ TEST(GovernedInterpreter, LongWalkTripsTheCycleMemoBeforeItsTableGrows) {
   EXPECT_EQ(walked.accepted, plain.accepted);
   EXPECT_EQ(walked.stats, plain.stats);
   EXPECT_EQ(unmemoized.accountant()->peak(MemoryCategory::kCycleMemo), 0);
+}
+
+TEST(GovernedInterpreter, CycleMemoCostsUnderAByteAStepOnAWalk) {
+  // A DFS meets runs of consecutive node ids in one state, and the memo
+  // records 64 of them in one 16-byte slot, ~0.6 bytes a step.  A memo
+  // that spends a slot or a hashed key per configuration cannot stay
+  // under a byte a step.
+  Program p = std::move(HasLabelProgram("missing")).value();
+  Tree t = FullTree(2, 14);
+  ResourceGovernor governor;
+  governor.set_memory_budget(std::int64_t{1} << 30);
+  RunOptions options;
+  options.governor = &governor;
+  RunResult run = std::move(Interpreter(p, options).Run(t)).value();
+  EXPECT_FALSE(run.accepted);
+  ASSERT_GT(run.stats.steps, 0);
+  const std::int64_t peak =
+      governor.accountant()->peak(MemoryCategory::kCycleMemo);
+  EXPECT_GT(peak, 0);
+  EXPECT_LE(peak, run.stats.steps)
+      << peak << " memo bytes for " << run.stats.steps << " steps";
+  EXPECT_EQ(governor.accountant()->used(MemoryCategory::kCycleMemo), 0);
 }
 
 }  // namespace
