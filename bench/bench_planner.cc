@@ -1,51 +1,43 @@
-// E21: the cost-based planner vs. each fixed strategy (docs/PLANNER.md).
+// E21: the reference evaluator against the compiled path, materialized
+// and seeded (docs/PLANNER.md).
 //
-// Each workload is one end-to-end selector-serving task — plan (auto arm
-// only), build whatever the strategy needs, and answer a fixed spread of
-// origins — timed cold, the honest bound for a run that meets the
-// selector once.  The first three workloads are chosen so the two fixed
-// strategies (reference, compiled-interval) genuinely diverge:
+// Each workload is one end-to-end selector-serving task — build whatever
+// the path needs, and answer a fixed spread of origins — timed cold, the
+// honest bound for a run that meets the selector once:
 //
 //   cheap_guarded    a guarded single-join on a large tree: the
 //                    reference evaluator answers from the origins'
-//                    children while the compiled strategy must first
-//                    build an 8192-node satisfier relation
+//                    children while materializing must first build an
+//                    8192-node satisfier relation
 //   quantified_small a quantifier-depth-2 selector on a 256-node tree:
-//                    compiled-interval wins, reference pays n^2 per
-//                    origin
-//   quantified_large the same selector shape on 8192 nodes:
-//                    compiled-interval wins, reference is ~seconds
+//                    the reference evaluator pays n^2 per origin
+//   quantified_large the same selector shape on 8192 nodes: the
+//                    reference evaluator takes ~seconds
 //   quantified_every the same selector from every node of a 1024-node
 //                    tree: one materialization shared by all origins
 //                    against seeded evaluation from each (no reference
 //                    arm)
 //
-// BM_PlanInterval materializes (CompileSelector) and reads rows;
-// BM_PlanSeeded evaluates seeded from each origin (PrepareSelector);
-// BM_PlanAuto runs PlannedSelector, exactly what the interpreter runs.
-// bench_every_origin extends quantified_every to other tree shapes and
-// selectors (E23).
-// The nightly contract (tools/bench_gate.py --planner-contract) holds
-// BM_PlanAuto within 10% of the best fixed arm on every workload and
-// requires it to beat each fixed strategy outright somewhere.  Compiled
-// arms cross-check against OracleAnswers at every measured origin
-// before timing, so a win is only ever a win on identical answers.
+// BM_PlanReference runs SelectNodes from each origin; BM_PlanInterval
+// materializes (CompileSelector) and reads rows; BM_PlanSeeded evaluates
+// seeded from each origin (PrepareSelector), which is what the
+// interpreter runs for every selector the compiler accepts
+// (src/logic/planned_selector.h).  bench_every_origin extends
+// quantified_every to other tree shapes and selectors (E23).  Compiled
+// arms cross-check against OracleAnswers at every measured origin before
+// timing, so a win is only ever a win on identical answers.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/logic/compile.h"
 #include "src/logic/parser.h"
-#include "src/logic/planned_selector.h"
-#include "src/logic/planner.h"
 #include "src/logic/tree_eval.h"
 #include "src/tree/axis_index.h"
 #include "src/tree/generate.h"
-#include "src/tree/tree_stats.h"
 
 namespace {
 
@@ -170,9 +162,8 @@ void BM_PlanInterval(benchmark::State& state, const char* selector) {
   state.counters["selected"] = static_cast<double>(selected);
 }
 
-/// Seeded evaluation from every origin, never materializing (E23): the
-/// compiled path alone, without the plan.  Not a fixed arm of the
-/// planner contract.
+/// Seeded evaluation from every origin, never materializing (E23): what
+/// the interpreter runs for a selector the compiler accepts.
 void BM_PlanSeeded(benchmark::State& state, const char* selector) {
   Tree t = Input(static_cast<int>(state.range(0)));
   Formula phi = std::move(ParseFormula(selector)).value();
@@ -201,64 +192,12 @@ void BM_PlanSeeded(benchmark::State& state, const char* selector) {
   state.counters["selected"] = static_cast<double>(selected);
 }
 
-void BM_PlanAuto(benchmark::State& state, const char* selector) {
-  Tree t = Input(static_cast<int>(state.range(0)));
-  Formula phi = std::move(ParseFormula(selector)).value();
-  std::vector<NodeId> origins =
-      SpreadOrigins(t, static_cast<int>(state.range(1)));
-  // Stats are cached per tree in production (snapshot-preloaded or
-  // computed once per run), so they sit outside the timing loop; the
-  // plan itself is inside — the auto arm pays for its own decision.
-  TreeStats stats = ComputeTreeStats(t);
-  auto answers = OracleAnswers(state, t, phi, origins);
-  if (answers.empty()) return;
-
-  std::size_t selected = 0;
-  PlanStrategy picked = PlanStrategy::kReference;
-  for (auto _ : state) {
-    // What the interpreter runs for one selector: PlannedSelector.
-    std::optional<AxisIndex> index;
-    auto planned =
-        PlannedSelector::Plan(t, stats, phi, PlannerCalibration{}, index,
-                              /*governor=*/nullptr);
-    if (!planned.ok()) {
-      state.SkipWithError(planned.status().ToString().c_str());
-      return;
-    }
-    picked = planned->strategy();
-    selected = 0;
-    for (NodeId origin : origins) {
-      auto r = planned->SelectFrom(origin);
-      if (!r.ok()) {
-        state.SkipWithError(r.status().ToString().c_str());
-        return;
-      }
-      selected += r->size();
-    }
-  }
-  // Re-check the last answer set against the oracle.
-  state.SetLabel(PlanStrategyName(picked));
-  std::size_t expected = 0;
-  for (const auto& a : answers) expected += a.size();
-  if (selected != expected) {
-    state.SkipWithError("planned/reference cardinality mismatch");
-    return;
-  }
-  state.counters["selected"] = static_cast<double>(selected);
-}
-
-// The auto arm registers LAST so it runs immediately after the fixed
-// arms it is gated against (--planner-contract compares within one
-// run); putting the multi-second losing arms between auto and its
-// nearest rival lets thermal/frequency drift fake a contract miss.
 #define PLANNER_WORKLOAD(workload, selector, n, origins)              \
   BENCHMARK_CAPTURE(BM_PlanReference, workload, selector)             \
       ->Args({n, origins})->Unit(benchmark::kMicrosecond);            \
   BENCHMARK_CAPTURE(BM_PlanInterval, workload, selector)              \
       ->Args({n, origins})->Unit(benchmark::kMicrosecond);            \
   BENCHMARK_CAPTURE(BM_PlanSeeded, workload, selector)                \
-      ->Args({n, origins})->Unit(benchmark::kMicrosecond);            \
-  BENCHMARK_CAPTURE(BM_PlanAuto, workload, selector)                  \
       ->Args({n, origins})->Unit(benchmark::kMicrosecond)
 
 PLANNER_WORKLOAD(cheap_guarded, kCheapGuarded, 8192, 256);
@@ -272,8 +211,6 @@ PLANNER_WORKLOAD(quantified_large, kQuantified, 8192, 8);
 BENCHMARK_CAPTURE(BM_PlanInterval, quantified_every, kQuantified)
     ->Args({1024, 1024})->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_PlanSeeded, quantified_every, kQuantified)
-    ->Args({1024, 1024})->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_PlanAuto, quantified_every, kQuantified)
     ->Args({1024, 1024})->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -16,11 +16,9 @@
 #include "src/common/governor.h"
 #include "src/common/metrics.h"
 #include "src/logic/planned_selector.h"
-#include "src/logic/planner.h"
 #include "src/logic/tree_eval.h"
 #include "src/relstore/store_eval.h"
 #include "src/tree/axis_index.h"
-#include "src/tree/tree_stats.h"
 
 namespace treewalk {
 
@@ -94,13 +92,15 @@ struct InterpMetrics {
           "treewalk_interp_store_updates_total", "Register store writes");
       m->picks_reference = r.FindOrCreateCounter(
           "treewalk_planner_picks_total",
-          "Cost-based planner strategy picks, one per distinct selector "
-          "planned",
+          "Distinct selectors prepared per run, by the evaluator that "
+          "answers them: compiled-interval if the compiler accepted, "
+          "reference if it declined",
           {{"strategy", "reference"}});
       m->picks_interval = r.FindOrCreateCounter(
           "treewalk_planner_picks_total",
-          "Cost-based planner strategy picks, one per distinct selector "
-          "planned",
+          "Distinct selectors prepared per run, by the evaluator that "
+          "answers them: compiled-interval if the compiler accepted, "
+          "reference if it declined",
           {{"strategy", "compiled-interval"}});
       m->compiled_eval_us = r.FindOrCreateHistogram(
           "treewalk_interp_selector_eval_us",
@@ -587,12 +587,12 @@ class Runner {
   }
 
   /// One selector evaluation, compiled when possible (docs/EVALUATOR.md).
-  /// Each canonical selector is planned once per run (PlannedSelector):
-  /// a compiled pick answers every origin by seeded evaluation, and a
-  /// reference pick or a compiler decline by the reference SelectNodes,
-  /// which also reproduces the reference error behavior.  The
-  /// `path="compiled"` timer covers the first evaluation's planning and
-  /// preparation too, so it times all of the compiled path's work.
+  /// Each canonical selector is prepared once per run (PlannedSelector):
+  /// it answers every origin by seeded evaluation, or, if the compiler
+  /// declined it, by the reference SelectNodes, which also reproduces the
+  /// reference error behavior.  The `path="compiled"` timer covers the
+  /// first evaluation's preparation too, so it times all of the compiled
+  /// path's work.
   Result<std::vector<NodeId>> EvalSelector(std::size_t canonical_id,
                                            const Formula& selector,
                                            NodeId origin) {
@@ -603,7 +603,12 @@ class Runner {
     const auto start = std::chrono::steady_clock::now();
     auto it = selectors_.find(canonical_id);
     if (it == selectors_.end()) {
-      TREEWALK_ASSIGN_OR_RETURN(PlannedSelector planned, Plan(selector));
+      TREEWALK_ASSIGN_OR_RETURN(
+          PlannedSelector planned,
+          PlannedSelector::Prepare(tree_, selector, axis_index_,
+                                   options_.governor));
+      ++(planned.compiled() ? stats_.planner_picks_interval
+                            : stats_.planner_picks_reference);
       it = selectors_.emplace(canonical_id, std::move(planned)).first;
     }
     PlannedSelector& planned = it->second;
@@ -615,28 +620,6 @@ class Runner {
                       std::chrono::steady_clock::now() - start)
                       .count());
     return selected;
-  }
-
-  /// Plans a selector met for the first time this run.
-  Result<PlannedSelector> Plan(const Formula& selector) {
-    if (!tree_stats_.has_value()) {
-      TreeStats scratch;
-      tree_stats_ = *GetOrComputeTreeStats(tree_, scratch);
-    }
-    PlannerCalibration calibration;
-    if (options_.planner_calibration != nullptr) {
-      calibration = *options_.planner_calibration;
-    }
-    TREEWALK_ASSIGN_OR_RETURN(
-        PlannedSelector planned,
-        PlannedSelector::Plan(tree_, *tree_stats_, selector, calibration,
-                              axis_index_, options_.governor));
-    if (planned.strategy() == PlanStrategy::kReference) {
-      ++stats_.planner_picks_reference;
-    } else {
-      ++stats_.planner_picks_interval;
-    }
-    return planned;
   }
 
   void FlushMetrics() const {
@@ -754,12 +737,9 @@ class Runner {
   std::vector<std::size_t> selector_ids_;
   std::vector<std::vector<int>> selector_rels_;
   std::map<SelectorKey, std::vector<NodeId>> selector_cache_;
-  /// Built by the run's first compiled pick (PlannedSelector::Plan).
+  /// Built by the run's first selector (PlannedSelector::Prepare).
   std::optional<AxisIndex> axis_index_;
-  /// Lazy tree statistics for the planner (snapshot-preloaded or one
-  /// O(n) scan, computed at the first selector planned this run).
-  std::optional<TreeStats> tree_stats_;
-  /// Per canonical selector; absent = not yet planned.
+  /// Per canonical selector; absent = not yet prepared.
   std::map<std::size_t, PlannedSelector> selectors_;
   RunStats stats_;
   std::vector<std::string> trace_;

@@ -15,7 +15,6 @@
 namespace treewalk {
 
 class SelectorDiskCache;     // src/logic/selector_cache.h
-struct PlannerCalibration;   // src/logic/planner.h
 
 /// Resource limits for a run.  Exceeding any limit aborts the run with
 /// kResourceExhausted (an *error*, distinct from semantic rejection).
@@ -44,23 +43,16 @@ struct RunOptions {
   /// node skip re-evaluating the FO selector.  Semantically invisible:
   /// SelectNodes is pure over the (immutable) run input.
   bool cache_selectors = true;
-  /// Set-at-a-time selector evaluation: the cost-based planner
-  /// (src/logic/planner.h) scores the reference evaluator against the
-  /// compiled path per distinct atp() selector, from tree statistics
-  /// and formula features.  A compiled pick compiles the selector's op
-  /// DAG over a per-run axis index (src/logic/compile.h) and evaluates
-  /// it seeded at each origin asked (src/logic/planned_selector.h).
-  /// Composes with cache_selectors (the compiled evaluator serves the
-  /// cache misses).  Selectors the partial
-  /// compiler declines (three-plus-variable subformulas) fall back to
-  /// the reference evaluator, so this is semantically invisible; turn
-  /// off to ablate or to force the reference path.
+  /// Compiled selector evaluation: each distinct atp() selector's op
+  /// DAG is compiled once per run over a per-run axis index
+  /// (src/logic/compile.h) and evaluated seeded at each origin asked
+  /// (src/logic/planned_selector.h); only a selector the partial
+  /// compiler declines (three-plus-variable subformulas) is answered by
+  /// the reference evaluator.  Composes with cache_selectors (the
+  /// compiled evaluator serves the cache misses) and is semantically
+  /// invisible.  Product code never turns it off; it is the tests'
+  /// switch to the reference oracle.
   bool compile_selectors = true;
-  /// Cost-model constants for planning; null uses the built-in
-  /// defaults.  Passed by pointer so calibration stays per-run and
-  /// deterministic — there is no global mutable calibration.  Must
-  /// outlive the run.
-  const PlannerCalibration* planner_calibration = nullptr;
   /// Persistent compiled-selector cache (src/logic/selector_cache.h).
   /// Not read by runs: seeded evaluation materializes no relation, so
   /// there is nothing to load or persist.  Kept, like `twq
@@ -105,12 +97,12 @@ struct RunStats {
   /// evaluator (subset of selector_cache_misses when the cache is on);
   /// misses beyond this count fell back to the reference evaluator.
   std::int64_t compiled_selector_evals = 0;
-  /// Planner strategy picks, one per distinct selector planned this run.
-  /// A reference pick means the planner chose not to compile; compile
-  /// *declines* after an interval pick still count as interval picks.
+  /// One pick per distinct selector prepared this run: interval when the
+  /// compiler accepted it (answered seeded), reference when it declined.
+  /// The three fields keep their names for perfbench/pbtool.cc, which
+  /// reports them as logic.planner_picks.*.
   std::int64_t planner_picks_reference = 0;
-  /// Always 0; kept for perfbench/pbtool.cc, which reports it as
-  /// logic.planner_picks.dense.
+  /// Always 0.
   std::int64_t planner_picks_dense = 0;
   std::int64_t planner_picks_interval = 0;
   /// Register writes (update rules and look-ahead collections).

@@ -204,9 +204,8 @@ bool IsRetryable(const Status& status) {
 
 /// Applies degradation rung `rung` (see RetryPolicy) to `options`.
 void ApplyRung(int rung, const RetryPolicy& retry, RunOptions& options) {
-  if (rung >= 1) options.compile_selectors = false;
-  if (rung >= 2) options.cache_selectors = false;
-  if (rung >= 3) {
+  if (rung >= 1) options.cache_selectors = false;
+  if (rung >= 2) {
     options.detect_cycles = false;
     options.max_steps = std::min(options.max_steps,
                                  retry.degraded_max_steps);
@@ -288,7 +287,7 @@ void RunRetryLadder(const BatchJob& job, const Tree& delimited_tree,
                              " cancelled before it started");
       return;
     }
-    int rung = retry.degrade ? std::min(attempt_no, 3) : 0;
+    int rung = retry.degrade ? std::min(attempt_no, 2) : 0;
     if (record_started) record_started(attempt_no, rung);
     if (attempt_no > 0) metrics.retries->Increment();
     JobResult::Attempt attempt;

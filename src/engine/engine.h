@@ -29,15 +29,17 @@ class BatchJournal;
 /// footprint, in order:
 ///
 ///   rung 0  as submitted
-///   rung 1  compile_selectors off (no axis index / bitset matrices)
-///   rung 2  + cache_selectors off (no per-run selector cache)
-///   rung 3  + detect_cycles off, max_steps capped at degraded_max_steps
+///   rung 1  cache_selectors off (no per-run selector cache)
+///   rung 2  + detect_cycles off, max_steps capped at degraded_max_steps
 ///
-/// A success on rung > 0 is still an exact result — the toggled options
-/// are all semantically invisible except the rung-3 cycle policy, where
-/// a looping run reports kResourceExhausted (step cap) instead of
-/// rejecting with kCycle.  The rung of every attempt is recorded in
-/// JobResult::attempts.
+/// No rung changes the selector evaluator: the reference evaluator is
+/// orders of magnitude slower than seeded evaluation on the selectors
+/// the compiler accepts, so a rung that forced it would turn a memory
+/// trip into a deadline trip.  A success on rung > 0 is still an exact
+/// result — the toggled options are all semantically invisible except
+/// the rung-2 cycle policy, where a looping run reports
+/// kResourceExhausted (step cap) instead of rejecting with kCycle.  The
+/// rung of every attempt is recorded in JobResult::attempts.
 struct RetryPolicy {
   /// Total attempts (1 = no retries).
   int max_attempts = 1;
@@ -49,7 +51,7 @@ struct RetryPolicy {
   std::int64_t max_backoff_ms = 1000;
   /// Walk the degradation ladder on retries (off = retry as submitted).
   bool degrade = true;
-  /// Step cap applied at rung 3, replacing cycle detection as the
+  /// Step cap applied at rung 2, replacing cycle detection as the
   /// termination guarantee.
   std::int64_t degraded_max_steps = 1 << 20;
 };
@@ -113,8 +115,8 @@ struct EngineStats {
   std::int64_t selector_cache_hits = 0;
   std::int64_t selector_cache_misses = 0;
   std::int64_t compiled_selector_evals = 0;
-  /// Cost-based planner strategy picks (one per distinct selector per
-  /// run).
+  /// Selector picks (one per distinct selector per run): interval when
+  /// the compiler accepted the selector, reference when it declined.
   std::int64_t planner_picks_reference = 0;
   std::int64_t planner_picks_interval = 0;
   std::int64_t store_updates = 0;

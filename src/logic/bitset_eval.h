@@ -216,17 +216,6 @@ class SeededSelector {
   std::unique_ptr<ScopedMemoryCharge> retained_;
 };
 
-/// A sentence compiled and evaluated against one tree.  Build with
-/// CompileSentence() (src/logic/compile.h).
-class CompiledSentence {
- public:
-  bool Eval() const { return value_; }
-
- private:
-  friend class Compiler;
-  bool value_ = false;
-};
-
 }  // namespace treewalk
 
 #endif  // TREEWALK_LOGIC_BITSET_EVAL_H_

@@ -128,28 +128,6 @@ class Compiler {
     return out;
   }
 
-  Result<CompiledSentence> Sentence(const Formula& formula) {
-    TREEWALK_FAILPOINT("compiler/compile");
-    TREEWALK_RETURN_IF_ERROR(GovernorCheckDeadlineNow(governor_));
-    if (!formula.valid()) return InvalidArgument("empty formula");
-    if (n_ == 0) return FailedPrecondition("cannot compile on an empty tree");
-    TREEWALK_RETURN_IF_ERROR(ValidateTreeFormula(formula));
-    if (!formula.FreeVariables().empty()) {
-      return InvalidArgument("sentence expected, found free variables");
-    }
-    TREEWALK_ASSIGN_OR_RETURN(
-        Val v, CompileNode(Miniscope(ToNegationNormalForm(formula))));
-    if (v.shape != Shape::kBool) {
-      return Internal("sentence compiled to an open shape");
-    }
-    TREEWALK_RETURN_IF_ERROR(ResolveAxisLoads());
-    TREEWALK_ASSIGN_OR_RETURN(std::vector<OpValue> vals,
-                              EvaluateOpsGoverned(ops_, n_, governor_));
-    CompiledSentence out;
-    out.value_ = vals[v.op].b;
-    return out;
-  }
-
  private:
   /// Shape of a compiled subformula value.  kSet carries its variable's
   /// slot in `a`; kMat carries (row, col) slots in (a, b) with a < b.
@@ -522,8 +500,8 @@ class Compiler {
   /// the slot by a row reduction — or, when the parts straddle two other
   /// variables, by the guarded-join composition.  Scope extraction
   /// (exists w (A & B) = A & exists w B for w-free A, dually for
-  /// forall/or) relies on the domain being nonempty, which Selector()/
-  /// Sentence() guarantee.
+  /// forall/or) relies on the domain being nonempty, which Selector()
+  /// and Seeded() guarantee.
   Result<Val> CompileQuantifier(bool exists, const std::string& w,
                                 const Formula& body) {
     FormulaKind dual = exists ? FormulaKind::kOr : FormulaKind::kAnd;
@@ -909,12 +887,6 @@ Result<SeededSelector> PrepareSelector(const AxisIndex& index,
                                        const std::string& y) {
   Compiler compiler(index);
   return compiler.Seeded(formula, x, y);
-}
-
-Result<CompiledSentence> CompileSentence(const AxisIndex& index,
-                                         const Formula& formula) {
-  Compiler compiler(index);
-  return compiler.Sentence(formula);
 }
 
 }  // namespace treewalk

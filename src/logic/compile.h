@@ -30,10 +30,9 @@ namespace treewalk {
 /// which also reproduces the reference error behavior exactly; the
 /// compiled path never diverges from the oracle, it only declines.
 ///
-/// Results are self-contained copies: the AxisIndex and Tree need only
-/// outlive the CompileSelector/CompileSentence call itself, not the
-/// returned object.  Compile once per (selector, tree); reuse across
-/// origins.
+/// CompileSelector's result is a self-contained copy: the AxisIndex and
+/// Tree need only outlive the call itself, not the returned object.
+/// Compile once per (selector, tree); reuse across origins.
 
 /// Compiles a binary selector phi(x, y) against the tree behind `index`.
 /// Free variables must be within {x, y} (either may be unused).
@@ -56,10 +55,6 @@ Result<SeededSelector> PrepareSelector(const AxisIndex& index,
                                        const Formula& formula,
                                        const std::string& x = "x",
                                        const std::string& y = "y");
-
-/// Compiles and evaluates a sentence (no free variables).
-Result<CompiledSentence> CompileSentence(const AxisIndex& index,
-                                         const Formula& formula);
 
 }  // namespace treewalk
 

@@ -20,13 +20,10 @@ bool IsHardError(const Status& status) {
 
 }  // namespace
 
-Result<PlannedSelector> PlannedSelector::Plan(
-    const Tree& tree, const TreeStats& stats, const Formula& formula,
-    const PlannerCalibration& calibration, std::optional<AxisIndex>& index,
+Result<PlannedSelector> PlannedSelector::Prepare(
+    const Tree& tree, const Formula& formula, std::optional<AxisIndex>& index,
     ResourceGovernor* governor) {
-  const SelectorPlan plan = PlanSelector(stats, formula, calibration);
-  PlannedSelector planned(tree, formula, plan.strategy);
-  if (plan.strategy == PlanStrategy::kReference) return planned;
+  PlannedSelector planned(tree, formula);
   if (!index.has_value()) {
     index.emplace(tree, governor);
     // Construction charges the base bitsets; a trip surfaces here as
@@ -38,6 +35,8 @@ Result<PlannedSelector> PlannedSelector::Plan(
     planned.seeded_ = std::move(seeded).value();
   } else if (IsHardError(seeded.status())) {
     return seeded.status();
+  } else {
+    planned.decline_ = seeded.status();
   }
   return planned;
 }

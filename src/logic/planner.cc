@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -287,127 +286,23 @@ struct FeatureWalk {
   }
 };
 
-/// True if the top-level structure (through the outer existential block
-/// and positive conjunctions) contains a desc or E atom — the shape the
-/// reference evaluator's range planner turns into subtree/children
-/// enumeration instead of a whole-tree scan.
-bool HasRangeGuard(const Formula& f) {
-  const FormulaNode& node = f.node();
-  switch (node.kind) {
-    case FormulaKind::kExists:
-      return HasRangeGuard(node.children[0]);
-    case FormulaKind::kAnd:
-      return HasRangeGuard(node.children[0]) ||
-             HasRangeGuard(node.children[1]);
-    case FormulaKind::kAtom:
-      return node.atom == AtomKind::kDescendant ||
-             node.atom == AtomKind::kEdge;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
-
-const char* PlanStrategyName(PlanStrategy s) {
-  switch (s) {
-    case PlanStrategy::kReference:
-      return "reference";
-    case PlanStrategy::kCompiledInterval:
-      return "compiled-interval";
-  }
-  return "?";
-}
 
 FormulaFeatures AnalyzeFormula(const Formula& f) {
   FormulaFeatures feat;
   if (!f.valid()) return feat;
   FeatureWalk{&feat}.Walk(f, 0, 0);
-  feat.has_range_guard = HasRangeGuard(f);
   return feat;
 }
 
-SelectorPlan PlanSelector(const TreeStats& stats, const Formula& selector,
-                          const PlannerCalibration& cal,
-                          const PlanOptions& opts) {
+SelectorPlan PlanSelector(const TreeStats& stats, const Formula& selector) {
   SelectorPlan plan;
-  if (!selector.valid() || stats.nodes <= 0) {
-    plan.strategy = PlanStrategy::kReference;
-    return plan;
-  }
+  if (!selector.valid() || stats.nodes <= 0) return plan;
+  plan.strategy = PlanStrategy::kCompiledInterval;
   plan.features = AnalyzeFormula(selector);
-  const FormulaFeatures& feat = plan.features;
-
-  const double n = static_cast<double>(stats.nodes);
-  const double ops = std::max(1, feat.size);
-  const double atoms = std::max(1, feat.atoms);
-  const double origins =
-      opts.expected_origins >= 0.0 ? std::max(1.0, opts.expected_origins) : n;
-
-  const Est whole =
-      Estimate(selector, stats, 0, &plan.operators);
-  plan.estimated_rows = plan.operators.empty() ? 0.0 : plan.operators[0].rows;
-  (void)whole;
-
-  // --- Reference: per-origin recursive search. ----------------------
-  // Each origin enumerates candidate y (the full tree, or the guard's
-  // average match count when the range planner applies) and pays the n
-  // candidates of every quantifier on top.
-  double effective_y = n;
-  if (feat.has_range_guard) {
-    // desc guards bound y to the origin's subtree (avg = sum_depths/n
-    // matches per origin); E guards to its children (avg fanout).  Use
-    // whichever guard shape is present, preferring the tighter E.
-    const double avg_desc = static_cast<double>(stats.sum_depths) / n;
-    const double avg_edge = static_cast<double>(stats.edges) / n;
-    effective_y =
-        std::max(1.0, feat.edge_atoms > 0 ? avg_edge : avg_desc);
-  }
-  plan.cost_reference = cal.reference_visit_cost * origins * atoms *
-                        effective_y * std::pow(n, feat.quantifiers);
-
-  // --- Compiled: priced as building the satisfier DAG once, then one
-  // row read per origin.  Rows start at one span for every tau axis;
-  // each disjunction can only widen them.  A compiled pick is run
-  // seeded from each origin instead (src/logic/planned_selector.h;
-  // EXPERIMENTS.md E23 measures the two). ----------------------------
-  const double spans = 1.0 + static_cast<double>(feat.or_count);
-  plan.cost_interval =
-      cal.interval_span_cost * (ops * n * spans + origins * spans) +
-      cal.compile_op_cost * ops;
-
-  // Deterministic: an exact tie goes to the reference evaluator.
-  plan.strategy = plan.cost_interval < plan.cost_reference
-                      ? PlanStrategy::kCompiledInterval
-                      : PlanStrategy::kReference;
+  Estimate(selector, stats, 0, &plan.operators);
+  plan.estimated_rows = plan.operators[0].rows;
   return plan;
-}
-
-PlannerCalibration RecalibrateFromMeasurements(
-    const PlannerCalibration& base, const SelectorPlan& plan,
-    const std::vector<StrategyMeasurement>& measured) {
-  PlannerCalibration out = base;
-  for (const StrategyMeasurement& m : measured) {
-    if (m.nanos <= 0.0) continue;
-    double predicted = 0.0;
-    double* constant = nullptr;
-    switch (m.strategy) {
-      case PlanStrategy::kReference:
-        predicted = plan.cost_reference;
-        constant = &out.reference_visit_cost;
-        break;
-      case PlanStrategy::kCompiledInterval:
-        predicted = plan.cost_interval;
-        constant = &out.interval_span_cost;
-        break;
-    }
-    if (constant == nullptr || predicted <= 0.0) continue;
-    // Geometric half-step toward measured/predicted: repeated runs
-    // converge on constants in nanoseconds-per-unit without
-    // oscillating on a single noisy sample.
-    *constant *= std::sqrt(m.nanos / predicted);
-  }
-  return out;
 }
 
 }  // namespace treewalk

@@ -1,7 +1,6 @@
 #ifndef TREEWALK_LOGIC_PLANNER_H_
 #define TREEWALK_LOGIC_PLANNER_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,40 +10,26 @@
 
 namespace treewalk {
 
-/// Cost-based strategy selection for selector evaluation
+/// Tree statistics and formula features for `twq explain`
 /// (docs/PLANNER.md).
 ///
-/// The engine has two ways to answer "which nodes satisfy phi(x, y)
-/// from origin u":
-///   - the reference arena evaluator (per-origin recursive search),
-///   - the compiled set-at-a-time path with interval-encoded rows
-///     (src/logic/compile.h), evaluated seeded from each origin asked
-///     (src/logic/planned_selector.h).
-/// The planner is the one decision point between them: cheap exact
-/// tree statistics (TreeStats) plus structural formula features feed a
-/// per-strategy cost estimate, and the cheaper strategy wins.
+/// Which evaluator answers a selector is not decided here: a run
+/// prepares every selector for seeded evaluation and answers it with
+/// the reference evaluator only when the compiler declines
+/// (src/logic/planned_selector.h).  What remains is an estimator:
+/// cheap exact tree statistics (TreeStats) plus structural formula
+/// features feed per-operator cardinality estimates, which `twq
+/// explain` prints.  Runs never compute it.
 ///
-/// The planner is advisory about *performance*, never about
-/// *correctness*: both strategies agree byte-for-byte (the differential
-/// oracle in tests/planner_test.cc holds that line), and a compiled
-/// pick that the partial compiler declines at runtime still falls back
-/// to the reference evaluator exactly as before.  The planner does not
-/// try to predict compiler declines — raw quantifier width is not
-/// decidable evidence (miniscoping and the guarded join compile many
-/// width-3 formulas), so the runtime fallback stays the safety net.
-///
-/// Determinism: planning is a pure function of (stats, formula,
-/// calibration).  Calibration constants are passed by value or const
-/// pointer — there is no global mutable state — so results cannot
-/// depend on what other threads ran first.
+/// Determinism: PlanSelector is a pure function of (stats, formula), so
+/// explain's output is golden-testable.
 
+/// Kept for perfbench/pbtool.cc, which replays a compiled pick's
+/// evaluation only when PlanSelector says kCompiledInterval.
 enum class PlanStrategy {
   kReference = 0,
   kCompiledInterval,
 };
-
-/// "reference", "compiled-interval".
-const char* PlanStrategyName(PlanStrategy s);
 
 /// Structural features of a selector, extracted in one AST walk.
 struct FormulaFeatures {
@@ -70,33 +55,12 @@ struct FormulaFeatures {
   int unary_atoms = 0;      ///< root/leaf/first/last
   int node_eq_atoms = 0;
   int data_atoms = 0;       ///< equalities over attribute values
-  /// A positive desc/E guard at the top level of the (stripped)
-  /// existential block — the shape the reference evaluator's range
-  /// planner prunes to subtree/children enumeration.
-  bool has_range_guard = false;
 
   friend bool operator==(const FormulaFeatures&,
                          const FormulaFeatures&) = default;
 };
 
 FormulaFeatures AnalyzeFormula(const Formula& f);
-
-/// Unit costs, in arbitrary "work units" (roughly: one 64-bit word of
-/// bitset algebra = 1, so one span of range algebra, which stands for
-/// up to 64 word-parallel bits, costs 64).  `twq explain --timing`
-/// measures both strategies and prints rescaled constants
-/// (RecalibrateFromMeasurements); nothing updates these globally.
-struct PlannerCalibration {
-  /// Reference evaluator: cost of visiting one node in one atom check.
-  double reference_visit_cost = 4.0;
-  /// Compiled: cost per span per row of range algebra.
-  double interval_span_cost = 64.0;
-  /// One-time compile overhead per op (normalization, hash-consing).
-  double compile_op_cost = 32.0;
-
-  friend bool operator==(const PlannerCalibration&,
-                         const PlannerCalibration&) = default;
-};
 
 /// Cardinality estimate for one subformula, in pre-order; rendered by
 /// `twq explain`.
@@ -109,49 +73,24 @@ struct OperatorEstimate {
 };
 
 struct SelectorPlan {
+  /// Kept for perfbench/pbtool.cc: kCompiledInterval for every valid
+  /// selector on a non-empty tree, kReference otherwise.
   PlanStrategy strategy = PlanStrategy::kReference;
   /// Always kInterval; kept for perfbench/pbtool.cc, which passes it to
   /// CompileSelector.
   AxisRepr repr = AxisRepr::kInterval;
   FormulaFeatures features;
-  /// Estimated total work units per strategy.
-  double cost_reference = 0.0;
-  double cost_interval = 0.0;
   /// Estimated satisfier pairs of the whole selector phi(x, y).
   double estimated_rows = 0.0;
   /// Per-subformula estimates, pre-order over the AST.
   std::vector<OperatorEstimate> operators;
 };
 
-struct PlanOptions {
-  /// Expected number of distinct origins the selector will be evaluated
-  /// from.  The interpreter does not know this upfront and uses the
-  /// node count (every-node worst case); `twq explain --origin` uses 1.
-  double expected_origins = -1.0;  ///< -1: default to stats.nodes
-};
-
-/// Plans evaluation of `selector` (free variables within {x, y})
-/// against a tree summarized by `stats`.  Pure function; never fails —
-/// a degenerate input (empty tree, invalid formula) costs out to the
-/// reference strategy, which is total.
-SelectorPlan PlanSelector(const TreeStats& stats, const Formula& selector,
-                          const PlannerCalibration& cal = {},
-                          const PlanOptions& opts = {});
-
-/// One measured strategy run, for calibration feedback.
-struct StrategyMeasurement {
-  PlanStrategy strategy = PlanStrategy::kReference;
-  double nanos = 0.0;
-};
-
-/// Returns `base` with each measured strategy's unit cost rescaled
-/// halfway (geometric damping) toward measured/predicted, so repeated
-/// `twq explain --timing` runs converge instead of oscillating.
-/// Strategies without a measurement (or with a non-positive predicted
-/// cost) keep their constants; compile_op_cost is never rescaled.
-PlannerCalibration RecalibrateFromMeasurements(
-    const PlannerCalibration& base, const SelectorPlan& plan,
-    const std::vector<StrategyMeasurement>& measured);
+/// Estimates `selector` (free variables within {x, y}) against a tree
+/// summarized by `stats`: its features and per-operator estimates.
+/// Pure function; never fails — a degenerate input (empty tree, invalid
+/// formula) returns an empty plan with strategy kReference.
+SelectorPlan PlanSelector(const TreeStats& stats, const Formula& selector);
 
 }  // namespace treewalk
 

@@ -123,8 +123,9 @@ struct ServerCounters {
   std::atomic<std::int64_t> quarantined{0};
   /// Completed corpus generation swaps (SwapCorpus calls).
   std::atomic<std::int64_t> reloads{0};
-  /// Cost-based planner strategy picks accumulated from served queries'
-  /// RunStats (see src/logic/planner.h).
+  /// Selector picks accumulated from served queries' RunStats: one per
+  /// distinct selector per run, interval when the compiler accepted it,
+  /// reference when it declined (docs/PLANNER.md).
   std::atomic<std::int64_t> planner_picks_reference{0};
   std::atomic<std::int64_t> planner_picks_interval{0};
 };

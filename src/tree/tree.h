@@ -142,7 +142,7 @@ class Tree {
   const NodeId* snapshot_postorder() const { return postorder_view_; }
 
   /// Whole-tree statistics preloaded from a snapshot's stats section,
-  /// or nullptr for a parsed/built tree.  The cost-based planner
+  /// or nullptr for a parsed/built tree.  `twq explain`'s estimator
   /// (src/logic/planner.h) uses these instead of re-scanning the tree;
   /// GetOrComputeTreeStats (src/tree/tree_stats.h) is the one caller.
   const struct TreeStats* snapshot_stats() const {

@@ -8,12 +8,12 @@
 
 namespace treewalk {
 
-/// Cheap whole-tree summary statistics for the cost-based planner
-/// (src/logic/planner.h).  Every field is exact, not sampled: the axis
-/// atoms of the tree vocabulary have closed-form cardinalities in these
-/// terms (desc = sum_depths, E = edges, sib = sib_pairs, succ =
-/// succ_pairs), which is what makes the planner's per-operator
-/// estimates exact at the leaves.
+/// Cheap whole-tree summary statistics for `twq explain`'s estimator
+/// (src/logic/planner.h); runs do not compute them.  Every field is
+/// exact, not sampled: the axis atoms of the tree vocabulary have
+/// closed-form cardinalities in these terms (desc = sum_depths, E =
+/// edges, sib = sib_pairs, succ = succ_pairs), which is what makes the
+/// per-operator estimates exact at the leaves.
 ///
 /// Computed in one O(n) pass (plus O(n log n) per attribute column for
 /// distinct-value counts) by ComputeTreeStats(), or preloaded from a

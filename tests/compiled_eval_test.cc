@@ -422,34 +422,5 @@ TEST(CompiledSelectorLargeN, IntervalMatchesReferenceAtSampledOrigins) {
   }
 }
 
-TEST(CompiledSentenceProperty, MatchesReferenceOnRandomInstances) {
-  std::mt19937 rng(42);
-  SelectorGen gen(rng);
-  RandomTreeOptions options;
-  options.attributes = {"a", "b"};
-  options.value_range = 4;
-
-  int compiled_instances = 0;
-  int attempts = 0;
-  while (compiled_instances < 400 && attempts < 4000) {
-    ++attempts;
-    options.num_nodes = 1 + static_cast<int>(rng() % 12);
-    Tree tree = RandomTree(rng, options);
-    AxisIndex index(tree);
-    Formula body = gen.Gen(1 + static_cast<int>(rng() % 2), {"x", "y"});
-    Formula sentence =
-        rng() % 2 ? Formula::Exists("x", Formula::Exists("y", body))
-                  : Formula::Forall("x", Formula::Forall("y", body));
-    auto compiled = CompileSentence(index, sentence);
-    if (!compiled.ok()) continue;
-    ++compiled_instances;
-    auto reference = EvalTreeSentence(tree, sentence);
-    ASSERT_TRUE(reference.ok()) << sentence.ToString();
-    ASSERT_EQ(compiled->Eval(), *reference)
-        << sentence.ToString() << " on " << PrintTerm(tree);
-  }
-  EXPECT_GE(compiled_instances, 300);
-}
-
 }  // namespace
 }  // namespace treewalk

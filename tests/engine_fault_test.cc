@@ -7,13 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "src/automata/builder.h"
+#include "src/automata/interpreter.h"
 #include "src/automata/library.h"
+#include "src/automata/text_format.h"
 #include "src/common/failpoint.h"
+#include "src/common/governor.h"
 #include "src/engine/engine.h"
 #include "src/tree/generate.h"
 
@@ -40,8 +44,8 @@ Program SelectorProgram() {
 }
 
 /// A quantifier-depth-2 look-ahead: the reference evaluator pays n^2
-/// per origin for it, so the planner compiles it on every tree past a
-/// handful of nodes.  On a 2000-node tree its compiled evaluation
+/// per origin for it; the compiler accepts it, so runs answer it
+/// seeded.  On a 2000-node tree its compiled evaluation
 /// outgrows a 64 KiB budget (GovernedInterpreter.
 /// MemoryBudgetTripsOnWideTreeSelectors trips on the same selector).
 Program QuantifiedSelectorProgram() {
@@ -109,14 +113,13 @@ TEST_F(EngineFaultTest, RetriesWithoutDegradationRepeatRungZero) {
   EXPECT_EQ(batch.stats.degraded_successes, 0);
 }
 
-/// Ladder recovery: a persistent axis-index allocation fault kills the
-/// compiled path (a budget-class failure is a hard error there), and
-/// the first degradation rung — compile_selectors off — avoids the site
-/// entirely, so the retry succeeds with the exact reference verdict.
-/// The look-ahead of QuantifiedSelectorProgram narrowed to one node by
-/// its id: compiling it loads that id's attribute-value set, an axis
-/// index allocation behind the failpoint (seeded evaluation reads axis
-/// relations by tree navigation and never allocates them).
+/// No rung changes the selector evaluator, so a persistent axis-index
+/// allocation fault — a budget-class failure, hard for the compiled
+/// path — fails the job on every rung.  The look-ahead of
+/// QuantifiedSelectorProgram narrowed to one node by its id: compiling
+/// it loads that id's attribute-value set, an axis index allocation
+/// behind the failpoint (seeded evaluation reads axis relations by tree
+/// navigation and never allocates them).
 Program IdGuardedSelectorProgram() {
   ProgramBuilder b(ProgramClass::kTwRL);
   b.SetStates("q0", "qf");
@@ -130,26 +133,79 @@ Program IdGuardedSelectorProgram() {
   return std::move(b.Build()).value();
 }
 
-TEST_F(EngineFaultTest, DegradationLadderRecoversFromAxisIndexFaults) {
+TEST_F(EngineFaultTest, DegradationLadderDoesNotEscapeAxisIndexFaults) {
   Program p = IdGuardedSelectorProgram();
   Tree t = FullTree(2, 4);
   AssignUniqueIds(t);
 
-  // Reference verdict, no faults.
+  FailpointRegistry::Config config;
+  config.code = StatusCode::kResourceExhausted;
+  config.max_fires = 0;  // keep firing on every attempt
+  FailpointRegistry::Global().Enable("axis_index/alloc", config);
+
+  BatchJob job;
+  job.program = &p;
+  job.tree = &t;
+  job.retry.max_attempts = 3;
+  BatchResult batch =
+      std::move(BatchEngine({.num_threads = 1}).RunBatch({job})).value();
+  const JobResult& r = batch.results[0];
+  EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted) << r.status;
+  ASSERT_EQ(r.attempts.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(r.attempts[static_cast<std::size_t>(i)].rung, i);
+    EXPECT_EQ(r.attempts[static_cast<std::size_t>(i)].status.code(),
+              StatusCode::kResourceExhausted)
+        << "attempt " << i;
+  }
+  EXPECT_EQ(batch.stats.retries, 2);
+  EXPECT_EQ(batch.stats.degraded_successes, 0);
+}
+
+/// Ladder recovery: rung 1 turns the per-run selector cache off.  A
+/// program asking a selector at every node of a path caches one answer
+/// per origin.  Under a budget halfway between the run's peak with and
+/// without the cache, the submitted attempt trips and the retry on
+/// rung 1 succeeds with the clean run's verdict.
+TEST_F(EngineFaultTest, DegradationLadderRecoversFromSelectorCacheOverflow) {
+  auto program = ParseProgramText(
+      "class twrl\nstates fwd qf\nregister X1 1\n"
+      "rule #top fwd [true] move down fwd\n"
+      "rule #open fwd [true] move right fwd\n"
+      "rule * fwd [true] atp X1 \"exists z (desc(x, z) & E(z, y))\" acc dn\n"
+      "rule * acc [true] move stay qf\n"
+      "rule * dn [true] move down fwd\n"
+      "rule #leaf fwd [true] move up back\n"
+      "rule #close fwd [true] move up back\n"
+      "rule * back [true] move right fwd\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  const Tree path = FullTree(1, 60);
+
+  auto peak_bytes = [&](bool cache_selectors) {
+    ResourceGovernor governor;
+    governor.set_memory_budget(std::int64_t{1} << 40);
+    RunOptions options;
+    options.cache_selectors = cache_selectors;
+    options.governor = &governor;
+    auto run = Interpreter(*program, options).Run(path);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    return governor.accountant()->peak();
+  };
+  const std::int64_t with_cache = peak_bytes(true);
+  const std::int64_t without_cache = peak_bytes(false);
+  ASSERT_GT(with_cache, without_cache + 4096);
+
   BatchJob clean;
-  clean.program = &p;
-  clean.tree = &t;
+  clean.program = &*program;
+  clean.tree = &path;
   BatchResult reference =
       std::move(BatchEngine({.num_threads = 1}).RunBatch({clean})).value();
   ASSERT_TRUE(reference.results[0].status.ok());
 
-  FailpointRegistry::Config config;
-  config.code = StatusCode::kResourceExhausted;
-  config.max_fires = 0;  // keep firing: only degradation can get past it
-  FailpointRegistry::Global().Enable("axis_index/alloc", config);
-
   BatchJob job = clean;
+  job.memory_budget_bytes = (with_cache + without_cache) / 2;
   job.retry.max_attempts = 3;
+  job.retry.initial_backoff_ms = 0;
   BatchResult batch =
       std::move(BatchEngine({.num_threads = 1}).RunBatch({job})).value();
   const JobResult& r = batch.results[0];
@@ -157,9 +213,16 @@ TEST_F(EngineFaultTest, DegradationLadderRecoversFromAxisIndexFaults) {
   ASSERT_EQ(r.attempts.size(), 2u);
   EXPECT_EQ(r.attempts[0].rung, 0);
   EXPECT_EQ(r.attempts[0].status.code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(r.attempts[0].memory_tripped);
+  EXPECT_NE(r.attempts[0].status.message().find("selector-cache"),
+            std::string::npos)
+      << r.attempts[0].status;
   EXPECT_EQ(r.attempts[1].rung, 1);
   EXPECT_TRUE(r.attempts[1].status.ok());
-  EXPECT_EQ(r.run.accepted, reference.results[0].run.accepted);
+  const RunResult& clean_run = reference.results[0].run;
+  EXPECT_EQ(r.run.accepted, clean_run.accepted);
+  EXPECT_EQ(r.run.reason, clean_run.reason);
+  EXPECT_EQ(r.run.stats.steps, clean_run.stats.steps);
   EXPECT_EQ(batch.stats.retries, 1);
   EXPECT_EQ(batch.stats.degraded_successes, 1);
 }

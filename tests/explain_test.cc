@@ -1,9 +1,8 @@
 // Golden-file tests for `twq explain` (tools/twq.cc, docs/PLANNER.md).
-// Everything explain prints outside the --timing section is a pure
-// function of (tree, selector, flags), so the full output is held
-// byte-for-byte against committed golden files — any change to the
-// format, the cost model, or the estimates shows up as a reviewable
-// golden diff.
+// Everything explain prints is a pure function of (tree, selector,
+// flags), so the full output is held byte-for-byte against committed
+// golden files — any change to the format, the evaluator a selector
+// gets, or the estimates shows up as a reviewable golden diff.
 
 #include <gtest/gtest.h>
 
@@ -72,9 +71,9 @@ TEST(ExplainGolden, OutputIsDeterministic) {
   EXPECT_EQ(Explain(args), Explain(args));
 }
 
-/// A compiled pick says it runs seeded, and --evals answers the origin
-/// seeded: on a 61-node path the planner compiles the desc-E selector,
-/// and the root selects every node two or more levels down.
+/// A selector the compiler accepts says it runs seeded, and --evals
+/// answers the origin seeded: on a 61-node path the root selects every
+/// node two or more levels down.
 TEST(ExplainGolden, CompiledPickRunsSeeded) {
   std::string term;
   for (int i = 0; i < 61; ++i) term += i == 0 ? "a" : "(a";
@@ -110,21 +109,41 @@ TEST(ExplainGolden, RejectsBadInvocations) {
                          " explain examples/trees/uniform.term --selector "
                          "'desc(x, y)' --plan sometimes" + devnull).c_str()),
             0);
+  // --origin takes a node id: not a word, a sign or a trailing suffix.
+  for (const char* origin : {"abc", "-4", "3x"}) {
+    const std::string cmd = base +
+                            " explain examples/trees/uniform.term --selector "
+                            "'desc(x, y)' --evals --origin " +
+                            origin + " 2>&1 >/dev/null";
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr) << cmd;
+    std::string err;
+    char buffer[256];
+    while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) err += buffer;
+    const int rc = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(rc)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << cmd;
+    EXPECT_NE(err.find("usage: twq explain"), std::string::npos)
+        << cmd << "\n" << err;
+  }
 
-  // Unknown options, including the retired plan-mode and matrix
-  // representation flags, are a usage error (exit 1) on every subcommand
-  // that plans selectors — never silently ignored.
+  // Unknown options, including the retired plan-mode, matrix
+  // representation, timing and evaluator flags, are a usage error
+  // (exit 1) on every subcommand that answers selectors — never silently
+  // ignored.
   const std::string commands[] = {
       " run examples/programs/example32.twp examples/trees/uniform.term",
       " batch examples/batch.manifest --quiet",
       " explain examples/trees/uniform.term --selector 'desc(x, y)'",
   };
-  // The last flag is assembled from two pieces so a search for the
-  // retired spelling finds no live use of it.
+  // The last two flags are assembled from two pieces so a search for
+  // the retired spellings finds no live use of them.
   const std::string bad_flags[] = {
       " --bogus",
       " --plan fixed",
+      " --timing",
       std::string(" --axis") + "-repr dense",
+      std::string(" --no-") + "compiled",
   };
   for (const std::string& command : commands) {
     for (const std::string& flags : bad_flags) {

@@ -120,9 +120,9 @@ TEST_F(ObservabilityTest, CountersReconcileExactlyWithEngineStats) {
 }
 
 /// The selector timers cover every evaluation: a compiled selector
-/// asked from every node of a traversal (each answered seeded) and a
-/// reference-planned one; each `path` histogram counts exactly its
-/// path's evaluations, reconciled with EngineStats.
+/// asked from every node of a traversal (each answered seeded) and the
+/// same selector on the reference evaluator; each `path` histogram
+/// counts exactly its path's evaluations, reconciled with EngineStats.
 TEST_F(ObservabilityTest, SelectorTimersReconcileWithEvaluations) {
   auto program = ParseProgramText(
       "class twrl\nstates fwd qf\nregister X1 1\n"
@@ -135,18 +135,15 @@ TEST_F(ObservabilityTest, SelectorTimersReconcileWithEvaluations) {
       "rule #close fwd [true] move up back\n"
       "rule * back [true] move right fwd\n");
   ASSERT_TRUE(program.ok()) << program.status().ToString();
-  // On the 61-node path the planner compiles the selector; the second
-  // job's calibration prices compiling out, so it plans to the
-  // reference evaluator.
+  // The first job answers the selector seeded; the second turns
+  // compilation off, so the reference evaluator answers it.
   const Tree path = FullTree(1, 60);
-  PlannerCalibration avoid_compile;
-  avoid_compile.interval_span_cost = 1e18;
   std::vector<BatchJob> jobs(2);
   for (BatchJob& job : jobs) {
     job.program = &*program;
     job.tree = &path;
   }
-  jobs[1].options.planner_calibration = &avoid_compile;
+  jobs[1].options.compile_selectors = false;
   BatchResult batch =
       std::move(BatchEngine({.num_threads = 2}).RunBatch(jobs)).value();
   ASSERT_EQ(batch.stats.failed, 0);

@@ -1,14 +1,16 @@
-// Tests for the cost-based query planner (src/logic/planner.h) and its
-// tree-statistics substrate (src/tree/tree_stats.h): exact statistics on
-// known trees, snapshot preloading, formula feature extraction, the
-// cost model, interpreter pick counters, calibration feedback, and the
-// headline differential oracle proving that the planned strategy, the
-// reference evaluator and the compiled evaluator return exactly the same
-// nodes on >= 500 random (formula, tree) instances.
+// Tests for the selector estimator behind `twq explain`
+// (src/logic/planner.h), its tree-statistics substrate
+// (src/tree/tree_stats.h), and the one rule that picks a selector's
+// evaluator (src/logic/planned_selector.h): exact statistics on known
+// trees, snapshot preloading, formula feature extraction, operator
+// estimates, interpreter pick counters, and the headline differential
+// oracle proving that PlannedSelector, the reference evaluator, the
+// materialized compiled relation and seeded evaluation return exactly
+// the same nodes on >= 500 random (formula, tree) instances.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -18,10 +20,10 @@
 #include "src/automata/text_format.h"
 #include "src/logic/compile.h"
 #include "src/logic/parser.h"
+#include "src/logic/planned_selector.h"
 #include "src/logic/planner.h"
 #include "src/logic/tree_eval.h"
 #include "src/tree/axis_index.h"
-#include "src/tree/delimited.h"
 #include "src/tree/generate.h"
 #include "src/tree/snapshot.h"
 #include "src/tree/term_io.h"
@@ -79,7 +81,7 @@ TEST(TreeStats, EmptyTreeIsAllZero) {
 }
 
 TEST(TreeStats, AtomCardinalitiesAreExactOnRandomTrees) {
-  // The closed forms the planner's leaf estimates rely on, checked
+  // The closed forms the estimator's leaf estimates rely on, checked
   // against brute-force enumeration of the actual relations.
   std::mt19937 rng(411);
   RandomTreeOptions options;
@@ -123,7 +125,7 @@ TEST(TreeStats, SnapshotRoundTripPreloadsExactStats) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   // The loaded tree carries preloaded stats, and they are *exactly* the
-  // stats a fresh scan computes — the planner sees no difference
+  // stats a fresh scan computes — the estimator sees no difference
   // between snapshot-backed and parsed trees.
   ASSERT_NE(loaded->snapshot_stats(), nullptr);
   EXPECT_EQ(*loaded->snapshot_stats(), ComputeTreeStats(*loaded));
@@ -154,21 +156,9 @@ TEST(FormulaFeatures, CountsStructure) {
   EXPECT_EQ(f.edge_atoms, 1);
   EXPECT_EQ(f.label_atoms, 1);
   EXPECT_EQ(f.width, 3);  // x, y, z live simultaneously
-  EXPECT_TRUE(f.has_range_guard);
 }
 
-TEST(FormulaFeatures, RangeGuardRequiresPositiveTopLevelAxis) {
-  EXPECT_TRUE(AnalyzeFormula(Parse("desc(x, y) & lab(y, a)"))
-                  .has_range_guard);
-  EXPECT_TRUE(AnalyzeFormula(Parse("exists z (E(x, z))")).has_range_guard);
-  // Negated or disjoined axes do not bound the search range.
-  EXPECT_FALSE(AnalyzeFormula(Parse("!desc(x, y)")).has_range_guard);
-  EXPECT_FALSE(AnalyzeFormula(Parse("desc(x, y) | lab(y, a)"))
-                   .has_range_guard);
-  EXPECT_FALSE(AnalyzeFormula(Parse("lab(y, a)")).has_range_guard);
-}
-
-// --- Cost model. -------------------------------------------------------
+// --- Operator estimates. -----------------------------------------------
 
 /// Synthetic stats for a balanced-ish tree of n nodes, enough structure
 /// for every estimate to be finite and positive.
@@ -185,36 +175,6 @@ TreeStats SyntheticStats(std::int64_t n) {
   s.succ_pairs = n - 1;
   s.label_counts = {n / 2, n - n / 2};
   return s;
-}
-
-TEST(CostModel, DisjunctionsWidenIntervalRows) {
-  SelectorPlan plain = PlanSelector(SyntheticStats(32768), Parse("desc(x, y)"));
-  SelectorPlan with_or =
-      PlanSelector(SyntheticStats(32768), Parse("desc(x, y) | sib(x, y)"));
-  EXPECT_GT(with_or.cost_interval / plain.cost_interval, 1.5);
-}
-
-TEST(CostModel, ReferenceWinsForSingleOriginCheapSelector) {
-  // One origin, one guarded atom: the reference evaluator enumerates a
-  // handful of children, while any compiled path must first build the
-  // full satisfier relation.  The planner must not compile.
-  PlanOptions opts;
-  opts.expected_origins = 1;
-  SelectorPlan plan =
-      PlanSelector(SyntheticStats(100000), Parse("E(x, y)"), {}, opts);
-  EXPECT_EQ(plan.strategy, PlanStrategy::kReference);
-  EXPECT_LT(plan.cost_reference, plan.cost_interval);
-}
-
-TEST(CostModel, CompiledWinsForQuantifiedSelectorOverEveryOrigin) {
-  // Every node an origin, quantifier depth 2: the reference evaluator
-  // pays n^2 per origin, the compiled path builds the relation once.
-  Formula quantified =
-      Parse("exists z (E(x, z) & exists w (E(z, w) & desc(w, y)))");
-  SelectorPlan plan = PlanSelector(SyntheticStats(4096), quantified);
-  EXPECT_EQ(plan.strategy, PlanStrategy::kCompiledInterval);
-  EXPECT_EQ(plan.repr, AxisRepr::kInterval);
-  EXPECT_LT(plan.cost_interval, plan.cost_reference);
 }
 
 TEST(CostModel, AtomEstimatesAreExactAndOrdered) {
@@ -240,65 +200,99 @@ TEST(CostModel, DegenerateInputsFallBackToReference) {
   Formula invalid;
   EXPECT_EQ(PlanSelector(SyntheticStats(64), invalid).strategy,
             PlanStrategy::kReference);
-}
-
-// --- Calibration feedback. ---------------------------------------------
-
-TEST(Recalibrate, GeometricHalfStepTowardMeasurement) {
-  SelectorPlan plan = PlanSelector(SyntheticStats(4096), Parse("desc(x, y)"));
-  ASSERT_GT(plan.cost_reference, 0.0);
-  // A measurement 4x the prediction scales the constant by sqrt(4) = 2.
-  std::vector<StrategyMeasurement> measured = {
-      {PlanStrategy::kReference, 4.0 * plan.cost_reference}};
-  PlannerCalibration base;
-  PlannerCalibration tuned = RecalibrateFromMeasurements(base, plan, measured);
-  EXPECT_NEAR(tuned.reference_visit_cost, 2.0 * base.reference_visit_cost,
-              1e-9);
-  // Unmeasured strategies keep their constants; bad samples are ignored.
-  EXPECT_EQ(tuned.interval_span_cost, base.interval_span_cost);
-  measured[0].nanos = 0.0;
-  EXPECT_EQ(RecalibrateFromMeasurements(base, plan, measured), base);
+  // Any valid selector on a non-empty tree reads as compiled.
+  EXPECT_EQ(PlanSelector(SyntheticStats(64), Parse("desc(x, y)")).strategy,
+            PlanStrategy::kCompiledInterval);
 }
 
 // --- Interpreter pick counters. ----------------------------------------
 
-TEST(PlannerPicks, OnePickPerDistinctSelectorAndCalibrationIsHonored) {
+/// Example 3.2's two selectors, `desc(x, y) & lab(y, delta)` among
+/// them, are each prepared once per run however often they fire.  The
+/// compiler accepts both, so every evaluation is seeded, with the
+/// verdict, reason and step count of a reference-only run.
+TEST(PlannerPicks, OnePickPerDistinctSelectorAndAcceptedSelectorsRunSeeded) {
   auto program = Example32Program("a");
   ASSERT_TRUE(program.ok());
   std::mt19937 rng(99);
   RandomTreeOptions options;
-  options.labels = {"a", "sigma", "delta"};
+  // Only the labels Example 3.2 has rules for, and one attribute value,
+  // so every delta check passes and the run asks both selectors often.
+  options.labels = {"sigma", "delta"};
   options.attributes = {"a"};
+  options.value_range = 1;
   options.num_nodes = 24;
   Tree t = RandomTree(rng, options);
 
   auto run = Interpreter(*program).Run(t);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
-  // Example 3.2 has two distinct atp() selectors, each planned at most
-  // once per run however often it fires.
   const RunStats& a = run->stats;
-  const std::int64_t picks =
-      a.planner_picks_reference + a.planner_picks_interval;
-  if (a.atp_calls > 0) {
-    EXPECT_GT(picks, 0);
-  }
-  EXPECT_LE(picks, 2);
-  EXPECT_LE(picks, a.atp_calls);
+  ASSERT_TRUE(run->accepted);
+  ASSERT_GT(a.atp_calls, 2);
+  EXPECT_EQ(a.planner_picks_interval, 2);
+  EXPECT_EQ(a.planner_picks_reference, 0);
   EXPECT_EQ(a.planner_picks_dense, 0);
+  EXPECT_EQ(a.compiled_selector_evals, a.selector_cache_misses);
 
-  // Calibration constants are honored per-run: an absurdly expensive
-  // compiled path forces every pick to the reference strategy.
-  PlannerCalibration avoid_compile;
-  avoid_compile.interval_span_cost = 1e18;
-  RunOptions ref_opts;
-  ref_opts.planner_calibration = &avoid_compile;
-  auto ref_run = Interpreter(*program, ref_opts).Run(t);
-  ASSERT_TRUE(ref_run.ok());
+  RunOptions reference_only;
+  reference_only.compile_selectors = false;
+  auto ref_run = Interpreter(*program, reference_only).Run(t);
+  ASSERT_TRUE(ref_run.ok()) << ref_run.status().ToString();
   EXPECT_EQ(ref_run->stats.planner_picks_interval, 0);
+  EXPECT_EQ(ref_run->stats.planner_picks_reference, 0);
   EXPECT_EQ(ref_run->stats.compiled_selector_evals, 0);
   EXPECT_EQ(ref_run->accepted, run->accepted);
   EXPECT_EQ(ref_run->reason, run->reason);
   EXPECT_EQ(ref_run->stats.steps, run->stats.steps);
+}
+
+/// A selector the compiler declines (a 4-cycle of variables) counts one
+/// reference pick and is answered by the reference evaluator at every
+/// origin.  On a tree the pattern is unsatisfiable — y has one parent,
+/// so z = w, and sib is irreflexive — so every answer is empty.
+TEST(PlannerPicks, CompilerDeclineCountsOneReferencePick) {
+  constexpr const char* kFourCycle =
+      "exists z exists w (desc(x, z) & desc(x, w) & sib(z, w) & E(z, y) & "
+      "E(w, y))";
+  Tree t = FullTree(3, 3);
+  const Formula phi = Parse(kFourCycle);
+  std::optional<AxisIndex> index;
+  auto planned = PlannedSelector::Prepare(t, phi, index, nullptr);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_FALSE(planned->compiled());
+  EXPECT_EQ(planned->decline().message(),
+            "subformula needs more than two variables");
+  for (NodeId origin = 0; origin < static_cast<NodeId>(t.size()); ++origin) {
+    auto reference = SelectNodes(t, phi, origin);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    auto answer = planned->SelectFrom(origin);
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_EQ(*answer, *reference) << "origin " << origin;
+  }
+
+  auto program = ParseProgramText(
+      std::string("class twrl\nstates q0 qf\nregister X1 1\n"
+                  "rule #top q0 [true] atp X1 \"") +
+      kFourCycle +
+      "\" q1 p\n"
+      "rule #top q1 [true] move stay qf\n"
+      "rule * p [true] move stay qf\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  RunOptions traced;
+  traced.record_trace = true;
+  auto run = Interpreter(*program, traced).Run(t);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->stats.planner_picks_reference, 1);
+  EXPECT_EQ(run->stats.planner_picks_interval, 0);
+  EXPECT_EQ(run->stats.compiled_selector_evals, 0);
+
+  RunOptions reference_only = traced;
+  reference_only.compile_selectors = false;
+  auto ref_run = Interpreter(*program, reference_only).Run(t);
+  ASSERT_TRUE(ref_run.ok()) << ref_run.status().ToString();
+  EXPECT_EQ(run->accepted, ref_run->accepted);
+  EXPECT_EQ(run->stats.subcomputations, ref_run->stats.subcomputations);
+  EXPECT_EQ(run->trace, ref_run->trace);
 }
 
 /// An atp() at every node of a full traversal asks one compiled
@@ -322,11 +316,6 @@ TEST(PlannerPicks, EveryNodeSelectorIsAnsweredSeeded) {
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   Tree t = FullTree(1, 60);
 
-  const DelimitedTree delimited = Delimit(t);
-  const SelectorPlan plan =
-      PlanSelector(ComputeTreeStats(delimited.tree), Parse(kBelowChildren));
-  ASSERT_EQ(plan.strategy, PlanStrategy::kCompiledInterval);
-
   auto run = Interpreter(*program).Run(t);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   RunOptions reference_only;
@@ -345,7 +334,8 @@ TEST(PlannerPicks, EveryNodeSelectorIsAnsweredSeeded) {
   EXPECT_EQ(ref_run->stats.compiled_selector_evals, 0);
 }
 
-// --- The differential oracle: planned == reference == compiled. --------
+// --- The differential oracle: planned == reference == materialized ==
+// seeded. ---------------------------------------------------------------
 
 /// Random FO tree formulas over {x, y} (same generator family as
 /// tests/compiled_eval_test.cc, reproduced here so the two oracles can
@@ -420,54 +410,39 @@ class SelectorGen {
   std::mt19937& rng_;
 };
 
-/// Evaluates `formula` from `origin` the way the interpreter would
-/// execute `plan`: reference directly, compiled with the runtime
-/// decline->reference fallback.
-std::vector<NodeId> ExecutePlan(const Tree& tree, const AxisIndex& index,
-                                const Formula& formula,
-                                const SelectorPlan& plan, NodeId origin) {
-  if (plan.strategy == PlanStrategy::kCompiledInterval) {
-    auto compiled = CompileSelector(index, formula, "x", "y", plan.repr);
-    if (compiled.ok()) return compiled->SelectFrom(origin);
-  }
-  auto reference = SelectNodes(tree, formula, origin);
-  EXPECT_TRUE(reference.ok()) << formula.ToString();
-  return reference.ok() ? *reference : std::vector<NodeId>{};
-}
-
 TEST(PlannerDifferentialOracle, PlannedMatchesEveryFixedStrategy) {
   std::mt19937 rng(20260809);
   SelectorGen gen(rng);
   RandomTreeOptions options;
 
   int instances = 0;
-  int reference_picks = 0;
-  int compiled_picks = 0;
+  int accepted = 0;
+  int declined = 0;
   while (instances < 520) {
     options.num_nodes = 1 + static_cast<int>(rng() % 18);
     Tree tree = RandomTree(rng, options);
-    TreeStats stats = ComputeTreeStats(tree);
-    AxisIndex index(tree);
+    std::optional<AxisIndex> index;
     Formula formula = gen.Gen(1 + static_cast<int>(rng() % 3), {"x", "y"});
     ++instances;
 
-    SelectorPlan plan = PlanSelector(stats, formula);
-    if (plan.strategy == PlanStrategy::kReference) {
-      ++reference_picks;
-    } else {
-      ++compiled_picks;
-    }
+    // What the interpreter runs for one selector.
+    auto planned = PlannedSelector::Prepare(tree, formula, index, nullptr);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    ++(planned->compiled() ? accepted : declined);
 
-    auto interval = CompileSelector(index, formula);
-    auto seeded = PrepareSelector(index, formula);
+    auto interval = CompileSelector(*index, formula);
+    auto seeded = PrepareSelector(*index, formula);
     ASSERT_EQ(seeded.ok(), interval.ok()) << formula.ToString();
+    ASSERT_EQ(planned->compiled(), seeded.ok()) << formula.ToString();
 
     for (NodeId origin = 0; origin < static_cast<NodeId>(tree.size());
          ++origin) {
       auto reference = SelectNodes(tree, formula, origin);
       ASSERT_TRUE(reference.ok()) << formula.ToString();
-      ASSERT_EQ(ExecutePlan(tree, index, formula, plan, origin), *reference)
-          << "planned " << PlanStrategyName(plan.strategy) << " for "
+      auto answer = planned->SelectFrom(origin);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      ASSERT_EQ(*answer, *reference)
+          << (planned->compiled() ? "seeded" : "declined") << " "
           << formula.ToString() << " on " << PrintTerm(tree) << " at origin "
           << origin;
       if (interval.ok()) {
@@ -479,11 +454,12 @@ TEST(PlannerDifferentialOracle, PlannedMatchesEveryFixedStrategy) {
       }
     }
   }
-  // The oracle only proves something if the planner actually exercises
-  // both sides of the decision on this distribution.
+  // The oracle only proves something if the stream exercises both sides
+  // of the rule: selectors the compiler accepts and selectors it
+  // declines.
   EXPECT_GE(instances, 500);
-  EXPECT_GT(reference_picks, 0);
-  EXPECT_GT(compiled_picks, 0);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(declined, 0);
 }
 
 }  // namespace

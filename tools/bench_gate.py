@@ -39,16 +39,9 @@ exits 0 without gating:
     tools/bench_gate.py --fresh-dir build-release/bench --baseline-dir . \
         --write-baseline
 
---planner-contract adds the E21 acceptance check over the planner
-benchmark arms (BM_PlanAuto / BM_PlanReference / BM_PlanInterval, see
-bench/bench_planner.cc): on every workload the auto arm must stay within
---planner-margin (default 10%) of the best fixed arm, and each fixed
-strategy must be beaten outright by the auto arm on at least one
-workload.  Violations exit 1.
-
 Exit codes:
   0  ok (or --write-baseline completed)
-  1  regression over threshold, or planner contract violated
+  1  regression over threshold
   2  bad invocation, malformed/missing fresh JSON, or a debug-build
      file on either side (baselines and candidates must both come from
      the release preset)
@@ -65,12 +58,6 @@ import shutil
 import sys
 
 AGGREGATE_SUFFIXES = ("_mean", "_median", "_stddev", "_cv", "_BigO", "_RMS")
-
-PLANNER_ARMS = {
-    "BM_PlanAuto": "auto",
-    "BM_PlanReference": "reference",
-    "BM_PlanInterval": "interval",
-}
 
 
 def check_build_type(path, doc):
@@ -149,55 +136,6 @@ def compare(baseline_path, fresh_path, threshold, report):
     return regressions, gone
 
 
-def planner_contract(series, margin, report):
-    """E21: auto within `margin` of the best fixed arm per workload, and
-    each fixed arm beaten by auto somewhere.  Returns violation lines."""
-    workloads = {}  # suffix -> {arm: ns}
-    for name, ns in series.items():
-        prefix, _, suffix = name.partition("/")
-        if prefix in PLANNER_ARMS and suffix:
-            workloads.setdefault(suffix, {})[PLANNER_ARMS[prefix]] = ns
-    violations = []
-    beaten = set()
-    if not workloads:
-        violations.append(
-            "planner-contract: no BM_Plan* series found in the fresh file"
-        )
-        return violations
-    for suffix in sorted(workloads):
-        arms = workloads[suffix]
-        fixed = {a: ns for a, ns in arms.items() if a != "auto"}
-        if "auto" not in arms or not fixed:
-            violations.append(
-                f"planner-contract: workload {suffix} lacks auto or fixed arms"
-            )
-            continue
-        auto_ns = arms["auto"]
-        best_arm = min(fixed, key=fixed.get)
-        best_ns = fixed[best_arm]
-        ratio = auto_ns / best_ns if best_ns > 0 else float("inf")
-        for arm, ns in fixed.items():
-            if auto_ns < ns:
-                beaten.add(arm)
-        tag = "OK" if ratio <= 1 + margin else "VIOLATE"
-        report.append(
-            f"  {tag:8} planner {suffix}: auto {auto_ns:.0f}ns vs best fixed "
-            f"({best_arm}) {best_ns:.0f}ns ({(ratio - 1) * 100:+.1f}%)"
-        )
-        if ratio > 1 + margin:
-            violations.append(
-                f"planner-contract: {suffix}: auto loses "
-                f"{(ratio - 1) * 100:.1f}% to {best_arm} "
-                f"(allowed {margin:.0%})"
-            )
-    for arm in sorted(set(PLANNER_ARMS.values()) - {"auto"} - beaten):
-        violations.append(
-            f"planner-contract: auto never beats fixed strategy '{arm}' "
-            "on any workload"
-        )
-    return violations
-
-
 def main():
     parser = argparse.ArgumentParser(
         description="fail CI on >threshold benchmark regressions"
@@ -234,19 +172,6 @@ def main():
         help="validate each fresh file and copy it over its baseline "
         "path instead of gating (intentional perf-change refresh)",
     )
-    parser.add_argument(
-        "--planner-contract",
-        action="store_true",
-        help="also enforce the E21 planner contract on BM_Plan* series "
-        "(bench/bench_planner.cc)",
-    )
-    parser.add_argument(
-        "--planner-margin",
-        type=float,
-        default=0.10,
-        help="fraction the auto arm may lose to the best fixed arm "
-        "under --planner-contract (default 0.10 = 10%%)",
-    )
     args = parser.parse_args()
 
     pairs = []  # (baseline_path, fresh_path)
@@ -278,7 +203,6 @@ def main():
 
     all_regressions = []
     all_gone = []
-    all_violations = []
     for baseline_path, fresh_path in pairs:
         name = os.path.basename(fresh_path)
         if not os.path.exists(fresh_path):
@@ -300,10 +224,6 @@ def main():
             regressions, gone = compare(
                 baseline_path, fresh_path, args.threshold, report
             )
-            if args.planner_contract:
-                all_violations += planner_contract(
-                    load_series(fresh_path), args.planner_margin, report
-                )
         except (json.JSONDecodeError, OSError, ValueError) as e:
             print(f"bench_gate: {name}: {e}")
             return 2
@@ -320,13 +240,10 @@ def main():
         for name, series in all_gone:
             print(f"  {name}: {series}")
         return 3
-    if all_regressions or all_violations:
-        if all_regressions:
-            print("bench_gate: FAIL — regressions over threshold:")
-            for name, series, ratio in all_regressions:
-                print(f"  {name}: {series} {(ratio - 1) * 100:+.1f}%")
-        for line in all_violations:
-            print(f"bench_gate: FAIL — {line}")
+    if all_regressions:
+        print("bench_gate: FAIL — regressions over threshold:")
+        for name, series, ratio in all_regressions:
+            print(f"  {name}: {series} {(ratio - 1) * 100:+.1f}%")
         return 1
     print("bench_gate: PASS")
     return 0

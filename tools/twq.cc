@@ -10,17 +10,15 @@
 //   twq check <program.twp>
 //       Parse and validate a program; print its canonical form.
 //   twq explain <tree> (--selector <phi> | --xpath <path> | --program <p.twp>)
-//       [--origin N] [--evals] [--timing]
-//       Show what the cost-based planner (docs/PLANNER.md) would do for
-//       each selector: tree statistics, formula features, the reference
-//       and compiled-interval cost estimates, the chosen plan, and
-//       per-operator cardinality estimates.  An --xpath path is planned
-//       as its FO(exists*) compilation.  --evals executes the chosen
-//       plan from --origin (default: the root) and prints measured vs
-//       estimated rows.  --timing times both strategies and prints
-//       rescaled calibration constants (output is nondeterministic;
-//       everything else explain prints is byte-stable for golden
-//       tests).
+//       [--origin N] [--evals]
+//       Show how each selector is answered (docs/PLANNER.md): tree
+//       statistics, formula features, the evaluator a run uses —
+//       compiled-interval (seeded), or reference when the compiler
+//       declines — and per-operator cardinality estimates.  An --xpath
+//       path is explained as its FO(exists*) compilation.  --evals
+//       answers from --origin (default: the root) as a run does and
+//       prints measured vs estimated rows.  The output is byte-stable
+//       for golden tests.
 //   twq cat <expression> <tree.{term,xml}>
 //       Evaluate a caterpillar expression from the root.
 //   twq batch <manifest> [--jobs N] [--max-steps M] [--quiet]
@@ -118,6 +116,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -142,12 +142,11 @@
 #include "src/engine/input_cache.h"
 #include "src/engine/manifest.h"
 #include "src/engine/shutdown.h"
-#include "src/logic/compile.h"
 #include "src/logic/parser.h"
+#include "src/logic/planned_selector.h"
 #include "src/logic/planner.h"
 #include "src/logic/selector_cache.h"
 #include "src/server/server.h"
-#include "src/logic/tree_eval.h"
 #include "src/tree/axis_index.h"
 #include "src/tree/tree_stats.h"
 #include "src/simulation/config_graph.h"
@@ -311,18 +310,17 @@ int CmdCheck(int argc, char** argv) {
   return 0;
 }
 
-/// `twq explain`: render the cost-based planner's view of one or more
-/// selectors against a tree (docs/PLANNER.md).  All output except the
-/// --timing section is a pure function of the inputs, so a golden-file
-/// test can hold the format (tests/explain_test.cc).
+/// `twq explain`: render how each selector is answered against a tree
+/// (docs/PLANNER.md).  All output is a pure function of the inputs, so
+/// a golden-file test can hold the format (tests/explain_test.cc).
 int CmdExplain(int argc, char** argv) {
   const char* usage =
       "usage: twq explain <tree> (--selector <phi> | --xpath <path> | "
-      "--program <p.twp>) [--origin N] [--evals] [--timing]";
+      "--program <p.twp>) [--origin N] [--evals]";
   if (argc < 1) return Fail(usage);
   std::string selector_text, xpath_text, program_path;
   long long origin_arg = -1;
-  bool evals = false, timing = false;
+  bool evals = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--selector") == 0 && i + 1 < argc) {
       selector_text = argv[++i];
@@ -331,11 +329,18 @@ int CmdExplain(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--program") == 0 && i + 1 < argc) {
       program_path = argv[++i];
     } else if (std::strcmp(argv[i], "--origin") == 0 && i + 1 < argc) {
-      origin_arg = std::atoll(argv[++i]);
+      // A node id in decimal digits; a sign or any other character is a
+      // usage error.
+      const char* text = argv[++i];
+      char* end = nullptr;
+      errno = 0;
+      origin_arg = std::strtoll(text, &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+          *end != '\0' || errno != 0) {
+        return Fail(usage);
+      }
     } else if (std::strcmp(argv[i], "--evals") == 0) {
       evals = true;
-    } else if (std::strcmp(argv[i], "--timing") == 0) {
-      timing = true;
     } else {
       return Fail(std::string("unknown explain option '") + argv[i] + "'");
     }
@@ -402,114 +407,44 @@ int CmdExplain(int argc, char** argv) {
 
   tw::NodeId origin = origin_arg >= 0 ? static_cast<tw::NodeId>(origin_arg)
                                       : tree->root();
-  if ((evals || timing) && !tree->Valid(origin)) {
+  if (evals && !tree->Valid(origin)) {
     return Fail("--origin " + std::to_string(origin_arg) +
                 " is not a node of the tree");
   }
 
-  const tw::PlannerCalibration cal;
+  std::optional<tw::AxisIndex> index;  // shared by the items, as in a run
   for (const Item& item : items) {
     std::printf("selector: %s\n", item.title.c_str());
-    tw::PlanOptions popts;
-    if (origin_arg >= 0) popts.expected_origins = 1;
-    const tw::SelectorPlan plan =
-        tw::PlanSelector(*stats, item.formula, cal, popts);
+    const tw::SelectorPlan plan = tw::PlanSelector(*stats, item.formula);
     const tw::FormulaFeatures& f = plan.features;
     std::printf(
         "  features: size=%d atoms=%d quantifiers=%d width=%d "
-        "negation-depth=%d guard=%s\n",
-        f.size, f.atoms, f.quantifiers, f.width, f.negation_depth,
-        f.has_range_guard ? "yes" : "no");
-    std::printf("  cost: reference=%.4g compiled-interval=%.4g\n",
-                plan.cost_reference, plan.cost_interval);
-    std::printf("  plan: %s%s\n", tw::PlanStrategyName(plan.strategy),
-                plan.strategy == tw::PlanStrategy::kCompiledInterval
-                    ? " (seeded)"
-                    : "");
+        "negation-depth=%d\n",
+        f.size, f.atoms, f.quantifiers, f.width, f.negation_depth);
+    auto planned =
+        tw::PlannedSelector::Prepare(*tree, item.formula, index, nullptr);
+    if (!planned.ok()) return Fail("prepare: " + planned.status().ToString());
+    const std::string strategy =
+        planned->compiled()
+            ? "compiled-interval (seeded)"
+            : "reference (compiler declined: " +
+                  planned->decline().message() + ")";
+    std::printf("  plan: %s\n", strategy.c_str());
     std::printf("  operators:\n");
     for (const tw::OperatorEstimate& op : plan.operators) {
       std::printf("    %*s%-*s rows=%-12.4g sel=%.4g%s\n", op.depth * 2, "",
                   std::max(1, 24 - op.depth * 2), op.op.c_str(), op.rows,
                   op.selectivity, op.exact ? " exact" : "");
     }
-
-    // One evaluation of a strategy from `origin`: the compiled one
-    // seeded, as the interpreter answers every origin, or materialized,
-    // which is what cost_interval prices.  Compiled
-    // declines surface as a non-OK status, reported, not fatal.
-    auto run_strategy = [&](tw::PlanStrategy s, bool seeded)
-        -> tw::Result<std::vector<tw::NodeId>> {
-      switch (s) {
-        case tw::PlanStrategy::kReference:
-          return tw::SelectNodes(*tree, item.formula, origin);
-        case tw::PlanStrategy::kCompiledInterval: {
-          tw::AxisIndex index(*tree, nullptr);
-          if (!index.status().ok()) return index.status();
-          if (seeded) {
-            auto prepared = tw::PrepareSelector(index, item.formula);
-            if (!prepared.ok()) return prepared.status();
-            return prepared->SelectFrom(origin);
-          }
-          auto compiled = tw::CompileSelector(index, item.formula);
-          if (!compiled.ok()) return compiled.status();
-          return compiled->SelectFrom(origin);
-        }
-      }
-      return tw::InvalidArgument("unknown strategy");
-    };
-
     if (evals) {
-      const double est_per_origin =
-          plan.estimated_rows / std::max<double>(1.0, stats->nodes);
-      auto result = run_strategy(plan.strategy, /*seeded=*/true);
-      if (result.ok()) {
-        std::printf(
-            "  evals: strategy=%s%s origin=%lld result=%zu node(s) "
-            "estimated-per-origin=%.4g\n",
-            tw::PlanStrategyName(plan.strategy),
-            plan.strategy == tw::PlanStrategy::kCompiledInterval ? " (seeded)"
-                                                                  : "",
-            static_cast<long long>(origin), result->size(), est_per_origin);
-      } else if (plan.strategy != tw::PlanStrategy::kReference) {
-        auto fallback = tw::SelectNodes(*tree, item.formula, origin);
-        if (!fallback.ok()) {
-          return Fail("evals: " + fallback.status().ToString());
-        }
-        std::printf(
-            "  evals: compile declined (%s); reference fallback "
-            "origin=%lld result=%zu node(s) estimated-per-origin=%.4g\n",
-            result.status().message().c_str(),
-            static_cast<long long>(origin), fallback->size(), est_per_origin);
-      } else {
-        return Fail("evals: " + result.status().ToString());
-      }
-    }
-
-    if (timing) {
-      std::vector<tw::StrategyMeasurement> measured;
-      std::printf("  timing:");
-      for (tw::PlanStrategy s : {tw::PlanStrategy::kReference,
-                                 tw::PlanStrategy::kCompiledInterval}) {
-        const auto start = std::chrono::steady_clock::now();
-        auto result = run_strategy(s, /*seeded=*/false);
-        const auto end = std::chrono::steady_clock::now();
-        if (!result.ok()) {
-          std::printf(" %s=declined", tw::PlanStrategyName(s));
-          continue;
-        }
-        const double ns = static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-                .count());
-        measured.push_back(tw::StrategyMeasurement{s, ns});
-        std::printf(" %s=%.0fns", tw::PlanStrategyName(s), ns);
-      }
-      std::printf("\n");
-      const tw::PlannerCalibration tuned =
-          tw::RecalibrateFromMeasurements(cal, plan, measured);
+      auto result = planned->SelectFrom(origin);
+      if (!result.ok()) return Fail("evals: " + result.status().ToString());
       std::printf(
-          "  recalibrated: reference_visit_cost=%.4g "
-          "interval_span_cost=%.4g\n",
-          tuned.reference_visit_cost, tuned.interval_span_cost);
+          "  evals: strategy=%s origin=%lld result=%zu node(s) "
+          "estimated-per-origin=%.4g\n",
+          planned->compiled() ? "compiled-interval (seeded)" : "reference",
+          static_cast<long long>(origin), result->size(),
+          plan.estimated_rows / std::max<double>(1.0, stats->nodes));
     }
   }
   return 0;
@@ -518,7 +453,7 @@ int CmdExplain(int argc, char** argv) {
 int CmdBatch(int argc, char** argv) {
   if (argc < 1) {
     return Fail("usage: twq batch <manifest> [--jobs N] [--max-steps M] "
-                "[--quiet] [--no-cache] [--no-compiled] "
+                "[--quiet] [--no-cache] "
                 "[--deadline-ms D] "
                 "[--memory-budget-mb B] [--retries R] "
                 "[--snapshot-cache <dir>] [--compile-cache <dir>] "
@@ -528,7 +463,6 @@ int CmdBatch(int argc, char** argv) {
   long long max_steps = 0;  // 0 = interpreter default
   bool quiet = false;
   bool cache_selectors = true;
-  bool compile_selectors = true;
   long long deadline_ms = 0;        // 0 = no deadline
   long long memory_budget_mb = 0;   // 0 = unlimited
   int retries = 0;                  // extra attempts beyond the first
@@ -550,8 +484,6 @@ int CmdBatch(int argc, char** argv) {
       quiet = true;
     } else if (std::strcmp(argv[i], "--no-cache") == 0) {
       cache_selectors = false;
-    } else if (std::strcmp(argv[i], "--no-compiled") == 0) {
-      compile_selectors = false;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
       deadline_ms = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--memory-budget-mb") == 0 &&
@@ -684,7 +616,6 @@ int CmdBatch(int argc, char** argv) {
       job.tree = trees[m.tree_path].get();
       if (max_steps > 0) job.options.max_steps = max_steps;
       job.options.cache_selectors = cache_selectors;
-      job.options.compile_selectors = compile_selectors;
       if (compile_cache.has_value()) {
         job.options.selector_disk_cache = &*compile_cache;
       }
@@ -831,6 +762,8 @@ int CmdBatch(int argc, char** argv) {
               static_cast<long long>(s.compiled_selector_evals),
               static_cast<long long>(s.store_updates));
   if (s.planner_picks_reference + s.planner_picks_interval > 0) {
+    // One pick per distinct selector per job: interval if the compiler
+    // accepted it (answered seeded), reference if it declined.
     std::printf("planner_picks: reference=%lld interval=%lld\n",
                 static_cast<long long>(s.planner_picks_reference),
                 static_cast<long long>(s.planner_picks_interval));
