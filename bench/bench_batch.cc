@@ -1,6 +1,6 @@
 // E11 batch: throughput of the src/engine thread pool on a fixed 64-job
 // mixed workload at 1/2/4/8 threads, with a determinism cross-check
-// against the serial run, plus the selector cache on/off ablation.
+// against the serial run, plus the write-ahead journal's overhead.
 //
 // Scaling is only visible when the host actually has multiple cores;
 // the jobs/s counter at each thread count is the figure of merit.
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "src/automata/builder.h"
 #include "src/automata/library.h"
 #include "src/engine/batch_journal.h"
 #include "src/engine/engine.h"
@@ -103,59 +102,6 @@ void BM_Batch64Jobs(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
-/// A tw^{r,l} program that fires the *same* FO(exists*) selector k
-/// times from the root — the repeated-(selector, origin) pattern the
-/// per-run cache exists for (programs whose walks revisit a node, or
-/// that call one look-ahead from several states).  Example 3.2 fires
-/// each selector at distinct origins and gets no hits by design.
-Program RepeatedSelectorProgram(int k) {
-  ProgramBuilder b(ProgramClass::kTwRL);
-  b.SetStates("q0", "qf");
-  b.DeclareRegister("X1", 1);
-  for (int i = 0; i < k; ++i) {
-    b.OnLookAhead("#top", "q" + std::to_string(i), "true",
-                  "q" + std::to_string(i + 1), "X1",
-                  "desc(x, y) & lab(y, #leaf)", "p");
-  }
-  b.OnMove("#top", "q" + std::to_string(k), "true", "qf", Move::kStay);
-  b.OnMove("*", "p", "true", "qf", Move::kStay);
-  return std::move(b.Build()).value();
-}
-
-/// Selector cache ablation: k = 8 firings of one selector per job, with
-/// the cache on vs. off.  With the cache, 1 miss + 7 hits per job —
-/// the O(n^2) selector evaluation happens once instead of 8 times.
-void BM_BatchSelectorCache(benchmark::State& state) {
-  const Workload& w = SharedWorkload();
-  Program p = RepeatedSelectorProgram(8);
-  std::vector<BatchJob> jobs;
-  for (const Tree& t : w.trees) {
-    BatchJob job;
-    job.program = &p;
-    job.tree = &t;
-    job.options.max_steps = 100'000'000;
-    job.options.cache_selectors = state.range(0) != 0;
-    jobs.push_back(job);
-  }
-  BatchEngine engine({.num_threads = 1});
-  std::int64_t hits = 0;
-  for (auto _ : state) {
-    auto batch = engine.RunBatch(jobs);
-    if (!batch.ok()) {
-      state.SkipWithError(batch.status().ToString().c_str());
-      break;
-    }
-    if (batch->stats.failed != 0) {
-      state.SkipWithError("a cache-ablation job failed");
-      break;
-    }
-    hits = batch->stats.selector_cache_hits;
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(jobs.size()));
-  state.counters["cache_hits"] = static_cast<double>(hits);
-}
-
 /// E16 journal overhead: the same 64-job workload with every job
 /// journaled (2 records per job: one started, one finished), at
 /// state.range(0) threads and state.range(1) as the fsync cadence
@@ -208,7 +154,5 @@ BENCHMARK(BM_Batch64Jobs)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 BENCHMARK(BM_Batch64JobsJournaled)
     ->Args({1, 0})->Args({4, 0})->Args({1, 1})->Args({4, 1})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_BatchSelectorCache)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <optional>
 #include <span>
 #include <string_view>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -49,8 +48,6 @@ struct InterpMetrics {
   Counter* steps;
   Counter* subcomputations;
   Counter* atp_calls;
-  Counter* cache_hits;
-  Counter* cache_misses;
   Counter* compiled_evals;
   Counter* reference_evals;
   Counter* store_updates;
@@ -72,14 +69,6 @@ struct InterpMetrics {
                                 "atp() subcomputations spawned");
       m->atp_calls = r.FindOrCreateCounter("treewalk_interp_atp_calls_total",
                                            "atp() rule firings");
-      m->cache_hits = r.FindOrCreateCounter(
-          "treewalk_interp_selector_cache_total",
-          "Selector evaluations answered from the per-run cache",
-          {{"outcome", "hit"}});
-      m->cache_misses = r.FindOrCreateCounter(
-          "treewalk_interp_selector_cache_total",
-          "Selector evaluations answered from the per-run cache",
-          {{"outcome", "miss"}});
       m->compiled_evals = r.FindOrCreateCounter(
           "treewalk_interp_selector_evals_total",
           "Actual selector evaluations by evaluator path",
@@ -379,25 +368,16 @@ class Runner {
         tree_(tree),
         options_(options),
         table_(program, tree) {
-    // Selector identities for the atp() cache.  Rules whose selectors
-    // print identically evaluate identically, so they share one cache
-    // id (the first such rule's index).  Also collect the store
-    // relations each selector mentions for its cache-key fingerprint;
-    // selectors are tree formulas, so this is empty today — keeping it
-    // in the key means the cache stays correct if selectors ever gain
-    // store atoms.
+    // Selector identities: rules whose selectors print identically
+    // evaluate identically, so they share one prepared selector, keyed
+    // by the first such rule's index.
     selector_ids_.resize(program.rules().size(), 0);
-    selector_rels_.resize(program.rules().size());
     std::map<std::string, std::size_t> first_use;
     for (std::size_t i = 0; i < program.rules().size(); ++i) {
       const Rule& rule = program.rules()[i];
       if (rule.action.kind != Action::Kind::kLookAhead) continue;
       selector_ids_[i] =
           first_use.emplace(rule.action.selector.ToString(), i).first->second;
-      for (const std::string& name : rule.action.selector.RelationNames()) {
-        int index = program.initial_store().IndexOf(name);
-        if (index >= 0) selector_rels_[i].push_back(index);
-      }
     }
   }
 
@@ -508,7 +488,7 @@ class Runner {
           const auto index = static_cast<std::size_t>(rule_index);
           TREEWALK_ASSIGN_OR_RETURN(
               std::vector<NodeId> selected,
-              Select(index, action.selector, u, *store));
+              Select(index, action.selector, u));
           if (program_.program_class() == ProgramClass::kTwL &&
               selected.size() > 1) {
             return FailedPrecondition(
@@ -551,56 +531,24 @@ class Runner {
     }
   }
 
-  /// SelectNodes with the per-run cache in front (Definition 3.1's
-  /// atp() node selection).  The key is (selector id = rule index,
-  /// origin, fingerprint of the store relations the selector mentions);
-  /// since selectors are store-free tree formulas the fingerprint is a
-  /// constant, and repeated fan-outs from one origin hit the cache.
+  /// Definition 3.1's atp() node selection from `origin`, compiled when
+  /// possible (docs/EVALUATOR.md).  Each canonical selector is prepared
+  /// once per run (PlannedSelector): it answers every origin by seeded
+  /// evaluation, or, if the compiler declined it, by the reference
+  /// SelectNodes, which also reproduces the reference error behavior.
+  /// Every call evaluates; nothing is remembered per origin.  The
+  /// `path="compiled"` timer covers the first evaluation's preparation
+  /// too, so it times all of the compiled path's work.
   Result<std::vector<NodeId>> Select(std::size_t rule_index,
-                                     const Formula& selector, NodeId origin,
-                                     const Store& store) {
+                                     const Formula& selector, NodeId origin) {
     TREEWALK_FAILPOINT("interpreter/select");
-    if (!options_.cache_selectors) {
-      ++stats_.selector_cache_misses;
-      return EvalSelector(selector_ids_[rule_index], selector, origin);
-    }
-    std::uint64_t store_fp = 0;
-    for (int rel : selector_rels_[rule_index]) {
-      store_fp ^= store.At(static_cast<std::size_t>(rel)).Fingerprint() +
-                  0x9e3779b97f4a7c15ULL + (store_fp << 6) + (store_fp >> 2);
-    }
-    SelectorKey key{selector_ids_[rule_index], origin, store_fp};
-    auto it = selector_cache_.find(key);
-    if (it != selector_cache_.end()) {
-      ++stats_.selector_cache_hits;
-      return it->second;
-    }
     ++stats_.selector_cache_misses;
-    TREEWALK_ASSIGN_OR_RETURN(
-        std::vector<NodeId> selected,
-        EvalSelector(selector_ids_[rule_index], selector, origin));
-    TREEWALK_RETURN_IF_ERROR(GovernorCharge(
-        options_.governor, MemoryCategory::kSelectorCache,
-        48 + static_cast<std::int64_t>(selected.size()) * 8));
-    selector_cache_.emplace(key, selected);
-    return selected;
-  }
-
-  /// One selector evaluation, compiled when possible (docs/EVALUATOR.md).
-  /// Each canonical selector is prepared once per run (PlannedSelector):
-  /// it answers every origin by seeded evaluation, or, if the compiler
-  /// declined it, by the reference SelectNodes, which also reproduces the
-  /// reference error behavior.  The `path="compiled"` timer covers the
-  /// first evaluation's preparation too, so it times all of the compiled
-  /// path's work.
-  Result<std::vector<NodeId>> EvalSelector(std::size_t canonical_id,
-                                           const Formula& selector,
-                                           NodeId origin) {
     if (!options_.compile_selectors) {
       ScopedLatencyUs timer(InterpMetrics::Get().reference_eval_us);
       return SelectNodes(tree_, selector, origin);
     }
     const auto start = std::chrono::steady_clock::now();
+    const std::size_t canonical_id = selector_ids_[rule_index];
     auto it = selectors_.find(canonical_id);
     if (it == selectors_.end()) {
       TREEWALK_ASSIGN_OR_RETURN(
@@ -628,8 +576,6 @@ class Runner {
     m.steps->Increment(stats_.steps);
     m.subcomputations->Increment(stats_.subcomputations);
     m.atp_calls->Increment(stats_.atp_calls);
-    m.cache_hits->Increment(stats_.selector_cache_hits);
-    m.cache_misses->Increment(stats_.selector_cache_misses);
     m.compiled_evals->Increment(stats_.compiled_selector_evals);
     m.reference_evals->Increment(stats_.selector_cache_misses -
                                  stats_.compiled_selector_evals);
@@ -728,15 +674,11 @@ class Runner {
     trace_.push_back(std::move(entry));
   }
 
-  using SelectorKey = std::tuple<std::size_t, NodeId, std::uint64_t>;
-
   const Program& program_;
   const Tree& tree_;
   const RunOptions& options_;
   const RuleTable table_;
   std::vector<std::size_t> selector_ids_;
-  std::vector<std::vector<int>> selector_rels_;
-  std::map<SelectorKey, std::vector<NodeId>> selector_cache_;
   /// Built by the run's first selector (PlannedSelector::Prepare).
   std::optional<AxisIndex> axis_index_;
   /// Per canonical selector; absent = not yet prepared.

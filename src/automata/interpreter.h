@@ -36,27 +36,19 @@ struct RunOptions {
   /// (kResourceExhausted) instead of rejecting with kCycle; terminating
   /// runs are unaffected.
   bool detect_cycles = true;
-  /// Per-run atp() selector-result cache keyed on (selector, origin
-  /// node, fingerprint of the store relations the selector mentions).
-  /// Selectors are tree formulas — they cannot read the store — so the
-  /// fingerprint component is constant and repeated fan-outs from one
-  /// node skip re-evaluating the FO selector.  Semantically invisible:
-  /// SelectNodes is pure over the (immutable) run input.
-  bool cache_selectors = true;
   /// Compiled selector evaluation: each distinct atp() selector's op
   /// DAG is compiled once per run over a per-run axis index
   /// (src/logic/compile.h) and evaluated seeded at each origin asked
   /// (src/logic/planned_selector.h); only a selector the partial
   /// compiler declines (three-plus-variable subformulas) is answered by
-  /// the reference evaluator.  Composes with cache_selectors (the
-  /// compiled evaluator serves the cache misses) and is semantically
-  /// invisible.  Product code never turns it off; it is the tests'
-  /// switch to the reference oracle.
+  /// the reference evaluator.  Semantically invisible.  Product code
+  /// never turns it off; it is the tests' switch to the reference
+  /// oracle.
   bool compile_selectors = true;
   /// Persistent compiled-selector cache (src/logic/selector_cache.h).
   /// Not read by runs: seeded evaluation materializes no relation, so
-  /// there is nothing to load or persist.  Kept, like `twq
-  /// --compile-cache`, for perfbench/pbtool.cc, which sets it.
+  /// there is nothing to load or persist.  Kept for
+  /// perfbench/pbtool.cc, which sets it.
   const SelectorDiskCache* selector_disk_cache = nullptr;
   /// Cooperative cancellation: when non-null and set, the run aborts
   /// with kCancelled at the next transition boundary.  The pointee must
@@ -66,8 +58,8 @@ struct RunOptions {
   /// Per-run resource governor (src/common/governor.h).  When non-null,
   /// the deadline is polled at every transition boundary (beside the
   /// cancel flag; a trip aborts with kDeadlineExceeded) and the run's
-  /// growing structures — cycle memo, trace, store tuples, selector
-  /// cache, axis index, compiled selectors — charge its memory budget
+  /// growing structures — cycle memo, trace, store tuples, axis index,
+  /// compiled selectors — charge its memory budget
   /// (a trip aborts with kResourceExhausted and a category breakdown).
   /// Not thread-safe: one governor per run; must outlive the run.
   ResourceGovernor* governor = nullptr;
@@ -90,12 +82,14 @@ struct RunStats {
   std::int64_t subcomputations = 0;
   /// atp() rule firings (each may spawn several subcomputations).
   std::int64_t atp_calls = 0;
-  /// Selector evaluations answered from / added to the per-run cache.
+  /// Always 0: no run remembers a selector's answer.  The two fields
+  /// keep their names for perfbench/pbtool.cc, which reads them.
   std::int64_t selector_cache_hits = 0;
+  /// Selector evaluations: one per node selection an atp() rule makes.
   std::int64_t selector_cache_misses = 0;
   /// Selector evaluations answered by the compiled set-at-a-time
-  /// evaluator (subset of selector_cache_misses when the cache is on);
-  /// misses beyond this count fell back to the reference evaluator.
+  /// evaluator (a subset of selector_cache_misses); the rest ran the
+  /// reference evaluator.
   std::int64_t compiled_selector_evals = 0;
   /// One pick per distinct selector prepared this run: interval when the
   /// compiler accepted it (answered seeded), reference when it declined.

@@ -34,8 +34,6 @@ const char* MemoryCategoryName(MemoryCategory category) {
       return "store";
     case MemoryCategory::kTrace:
       return "trace";
-    case MemoryCategory::kSelectorCache:
-      return "selector-cache";
     case MemoryCategory::kMappedSnapshot:
       return "mapped-snapshot";
     case MemoryCategory::kResidentTree:

@@ -21,11 +21,10 @@ enum class MemoryCategory {
   kCycleMemo,       ///< cycle-detection configuration memo (per computation)
   kStore,           ///< register store tuple growth (peak, monotone)
   kTrace,           ///< recorded trace entries
-  kSelectorCache,   ///< per-run atp() selector-result cache
   kMappedSnapshot,  ///< mmap-ed tree snapshot regions (src/tree/snapshot.h)
   kResidentTree,    ///< daemon-resident corpus trees (src/engine/input_cache.h)
 };
-inline constexpr int kNumMemoryCategories = 8;
+inline constexpr int kNumMemoryCategories = 7;
 
 const char* MemoryCategoryName(MemoryCategory category);
 
@@ -45,8 +44,8 @@ class MemoryAccountant {
   /// with the full breakdown once the total would exceed the budget;
   /// a failed charge is not recorded, and `tripped()` latches.
   Status Charge(MemoryCategory category, std::int64_t bytes);
-  /// Returns previously charged bytes (scope-exit of a memo, cache
-  /// eviction).  Never fails; clamped at zero.
+  /// Returns previously charged bytes (scope-exit of a memo, an unmapped
+  /// snapshot).  Never fails; clamped at zero.
   void Release(MemoryCategory category, std::int64_t bytes);
 
   std::int64_t budget() const { return budget_; }

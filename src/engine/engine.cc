@@ -204,8 +204,7 @@ bool IsRetryable(const Status& status) {
 
 /// Applies degradation rung `rung` (see RetryPolicy) to `options`.
 void ApplyRung(int rung, const RetryPolicy& retry, RunOptions& options) {
-  if (rung >= 1) options.cache_selectors = false;
-  if (rung >= 2) {
+  if (rung >= 1) {
     options.detect_cycles = false;
     options.max_steps = std::min(options.max_steps,
                                  retry.degraded_max_steps);
@@ -287,7 +286,7 @@ void RunRetryLadder(const BatchJob& job, const Tree& delimited_tree,
                              " cancelled before it started");
       return;
     }
-    int rung = retry.degrade ? std::min(attempt_no, 2) : 0;
+    int rung = retry.degrade ? std::min(attempt_no, 1) : 0;
     if (record_started) record_started(attempt_no, rung);
     if (attempt_no > 0) metrics.retries->Increment();
     JobResult::Attempt attempt;
@@ -342,8 +341,7 @@ void RecordJobOutcome(const JobResult& out, EngineMetrics& metrics) {
 }  // namespace
 
 JobResult RunResidentJob(const BatchJob& job, const Tree& delimited_tree,
-                         const std::atomic<bool>& cancel,
-                         std::uint64_t backoff_seed) {
+                         const std::atomic<bool>& cancel) {
   EngineMetrics& metrics = EngineMetrics::Get();
   JobResult out;
   if (job.program == nullptr) {
@@ -366,8 +364,7 @@ JobResult RunResidentJob(const BatchJob& job, const Tree& delimited_tree,
   PreInternConstants(*job.program, delimited_tree);
   metrics.jobs_running->Add(1);
   const auto job_start = std::chrono::steady_clock::now();
-  std::uint64_t rng_state =
-      Mix64(backoff_seed ^ (0x9e3779b97f4a7c15ULL * (job.job_id + 1)));
+  std::uint64_t rng_state = Mix64(0x9e3779b97f4a7c15ULL * (job.job_id + 1));
   {
     ScopedSpan job_span("job", "\"job\":" + std::to_string(job.job_id));
     RunRetryLadder(job, delimited_tree, cancel, rng_state, job.job_id,
@@ -528,8 +525,7 @@ Result<BatchResult> BatchEngine::RunBatch(const std::vector<BatchJob>& jobs,
     batch.stats.steps += r.run.stats.steps;
     batch.stats.subcomputations += r.run.stats.subcomputations;
     batch.stats.atp_calls += r.run.stats.atp_calls;
-    batch.stats.selector_cache_hits += r.run.stats.selector_cache_hits;
-    batch.stats.selector_cache_misses += r.run.stats.selector_cache_misses;
+    batch.stats.selector_evals += r.run.stats.selector_cache_misses;
     batch.stats.compiled_selector_evals += r.run.stats.compiled_selector_evals;
     batch.stats.planner_picks_reference += r.run.stats.planner_picks_reference;
     batch.stats.planner_picks_interval += r.run.stats.planner_picks_interval;

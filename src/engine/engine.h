@@ -24,20 +24,18 @@ class BatchJournal;
 /// so simultaneous retry storms across jobs desynchronize instead of
 /// thundering in lockstep.  The sleep polls the batch's cancel flag
 /// every few milliseconds; cancellation during backoff does not hang
-/// the worker.  With `degrade` set, each retry also steps
-/// down a degradation ladder that trades evaluation features for
-/// footprint, in order:
+/// the worker.  With `degrade` set, every retry also steps down to
+/// rung 1 of a degradation ladder that trades evaluation features for
+/// footprint (attempts run rungs 0, 1, 1, ...):
 ///
 ///   rung 0  as submitted
-///   rung 1  cache_selectors off (no per-run selector cache)
-///   rung 2  + detect_cycles off, max_steps capped at degraded_max_steps
+///   rung 1  detect_cycles off, max_steps capped at degraded_max_steps
 ///
 /// No rung changes the selector evaluator: the reference evaluator is
 /// orders of magnitude slower than seeded evaluation on the selectors
 /// the compiler accepts, so a rung that forced it would turn a memory
-/// trip into a deadline trip.  A success on rung > 0 is still an exact
-/// result — the toggled options are all semantically invisible except
-/// the rung-2 cycle policy, where a looping run reports
+/// trip into a deadline trip.  A success on rung 1 is still an exact
+/// result except for the cycle policy: a looping run reports
 /// kResourceExhausted (step cap) instead of rejecting with kCycle.  The
 /// rung of every attempt is recorded in JobResult::attempts.
 struct RetryPolicy {
@@ -51,7 +49,7 @@ struct RetryPolicy {
   std::int64_t max_backoff_ms = 1000;
   /// Walk the degradation ladder on retries (off = retry as submitted).
   bool degrade = true;
-  /// Step cap applied at rung 2, replacing cycle detection as the
+  /// Step cap applied at rung 1, replacing cycle detection as the
   /// termination guarantee.
   std::int64_t degraded_max_steps = 1 << 20;
 };
@@ -112,8 +110,8 @@ struct EngineStats {
   std::int64_t steps = 0;
   std::int64_t subcomputations = 0;
   std::int64_t atp_calls = 0;
-  std::int64_t selector_cache_hits = 0;
-  std::int64_t selector_cache_misses = 0;
+  /// Selector evaluations (RunStats::selector_cache_misses).
+  std::int64_t selector_evals = 0;
   std::int64_t compiled_selector_evals = 0;
   /// Selector picks (one per distinct selector per run): interval when
   /// the compiler accepted the selector, reference when it declined.
@@ -177,12 +175,12 @@ struct EngineOptions {
 /// may execute concurrently against one tree (interning is the only
 /// mutation and is internally synchronized).  `job.tree` is ignored;
 /// `delimited_tree` must be the Delimit() image.  `cancel` is polled
-/// cooperatively (the server's drain flag).  Shares its attempt executor
-/// with BatchEngine::RunBatch, so semantics cannot drift between the
-/// two front ends.
+/// cooperatively (the server's drain flag).  Backoff jitter between
+/// `job.retry` attempts is seeded from `job.job_id`.  Shares its
+/// attempt executor with BatchEngine::RunBatch, so semantics cannot
+/// drift between the two front ends.
 JobResult RunResidentJob(const BatchJob& job, const Tree& delimited_tree,
-                         const std::atomic<bool>& cancel,
-                         std::uint64_t backoff_seed = 0);
+                         const std::atomic<bool>& cancel);
 
 class BatchEngine {
  public:

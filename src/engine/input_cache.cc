@@ -14,7 +14,6 @@ namespace {
 
 /// Resident-cache instrument family (docs/OBSERVABILITY.md).
 struct CacheMetrics {
-  Counter* evictions;
   Gauge* resident_bytes;
   Gauge* resident_trees;
 
@@ -22,9 +21,6 @@ struct CacheMetrics {
     static CacheMetrics* metrics = [] {
       auto* m = new CacheMetrics;
       MetricsRegistry& r = MetricsRegistry::Global();
-      m->evictions = r.FindOrCreateCounter(
-          "treewalk_input_cache_evictions_total",
-          "Resident corpus trees evicted by the byte-capped LRU");
       m->resident_bytes = r.FindOrCreateGauge(
           "treewalk_input_cache_resident_bytes",
           "Approximate bytes of corpus trees held by the resident cache");
@@ -74,9 +70,7 @@ Result<Tree> SnapshotCache::LoadOrParse(
 
 ResidentTreeCache::ResidentTreeCache(std::int64_t capacity_bytes,
                                      std::uint64_t generation)
-    : capacity_bytes_(capacity_bytes),
-      generation_(generation),
-      accountant_(capacity_bytes) {}
+    : generation_(generation), accountant_(capacity_bytes) {}
 
 std::int64_t ResidentTreeCache::ApproxTreeBytes(const Tree& tree) {
   const auto nodes = static_cast<std::int64_t>(tree.size());
@@ -89,37 +83,11 @@ std::int64_t ResidentTreeCache::ApproxTreeBytes(const Tree& tree) {
          nodes * (64 + 8 * static_cast<std::int64_t>(tree.num_attributes()));
 }
 
-void ResidentTreeCache::EvictLockedUntilFits(std::int64_t incoming_bytes) {
-  if (capacity_bytes_ <= 0) return;
-  CacheMetrics& metrics = CacheMetrics::Get();
-  while (!lru_.empty() &&
-         accountant_.used() + incoming_bytes > capacity_bytes_) {
-    const std::string& victim = lru_.back();
-    auto it = entries_.find(victim);
-    accountant_.Release(MemoryCategory::kResidentTree,
-                        it->second.prepared->approx_bytes);
-    // The shared_ptr keeps an in-flight query's tree alive; only the
-    // cache's reference dies here.
-    entries_.erase(it);
-    lru_.pop_back();
-    ++evictions_;
-    metrics.evictions->Increment();
-  }
-  metrics.resident_bytes->Set(accountant_.used());
-  metrics.resident_trees->Set(static_cast<std::int64_t>(entries_.size()));
-}
-
 Result<std::shared_ptr<const ResidentTreeCache::Prepared>>
 ResidentTreeCache::GetOrLoad(const std::string& name,
                              const std::function<Result<Tree>()>& load) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(name);
-  if (it != entries_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return it->second.prepared;
-  }
-  // Load under the lock: GetOrLoad is the (serial) preload path; the
-  // concurrent query path is Lookup(), which never loads.
+  if (it != entries_.end()) return it->second;
   TREEWALK_ASSIGN_OR_RETURN(Tree source, load());
   if (source.empty()) {
     return InvalidArgument("corpus tree '" + name + "' is empty");
@@ -129,16 +97,10 @@ ResidentTreeCache::GetOrLoad(const std::string& name,
   prepared->source_nodes = source.size();
   prepared->delimited = std::move(Delimit(source).tree);
   prepared->approx_bytes = ApproxTreeBytes(prepared->delimited);
-  EvictLockedUntilFits(prepared->approx_bytes);
-  Status charge =
-      accountant_.Charge(MemoryCategory::kResidentTree, prepared->approx_bytes);
-  if (!charge.ok()) {
-    // Even an empty cache cannot admit it: refuse rather than blow the
-    // cap (the tree itself dies with `prepared` here).
-    return charge;
-  }
-  lru_.push_front(name);
-  entries_[name] = Entry{prepared, lru_.begin()};
+  // A refused tree dies with `prepared` here; what is resident stays.
+  TREEWALK_RETURN_IF_ERROR(
+      accountant_.Charge(MemoryCategory::kResidentTree, prepared->approx_bytes));
+  entries_.emplace(name, prepared);
   CacheMetrics& metrics = CacheMetrics::Get();
   metrics.resident_bytes->Set(accountant_.used());
   metrics.resident_trees->Set(static_cast<std::int64_t>(entries_.size()));
@@ -146,32 +108,9 @@ ResidentTreeCache::GetOrLoad(const std::string& name,
 }
 
 std::shared_ptr<const ResidentTreeCache::Prepared> ResidentTreeCache::Lookup(
-    const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
+    const std::string& name) const {
   auto it = entries_.find(name);
-  if (it == entries_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return it->second.prepared;
-}
-
-std::int64_t ResidentTreeCache::resident_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return accountant_.used();
-}
-
-std::int64_t ResidentTreeCache::resident_trees() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::int64_t>(entries_.size());
-}
-
-std::int64_t ResidentTreeCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
-}
-
-std::int64_t ResidentTreeCache::peak_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return accountant_.peak(MemoryCategory::kResidentTree);
+  return it == entries_.end() ? nullptr : it->second;
 }
 
 }  // namespace treewalk

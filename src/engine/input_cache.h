@@ -4,9 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -66,31 +64,29 @@ class SnapshotCache {
   mutable Stats stats_;
 };
 
-/// Byte-capped LRU of daemon-resident, already-delimited corpus trees —
-/// what makes `twq serve` safe to point at a corpus bigger than RAM.
-/// The cap is enforced through a MemoryAccountant (category
+/// One generation of the daemon-resident corpus: already-delimited
+/// trees, byte-capped through a MemoryAccountant (category
 /// kResidentTree), the same machinery that bounds per-run structures,
-/// so a resident corpus shows up in the standard breakdown and high
-/// water (treewalk_governor_memory_peak_bytes{category="resident-tree"})
-/// instead of being invisibly "free".
+/// so a refused tree's kResourceExhausted carries the standard
+/// breakdown.
 ///
-/// Entries are handed out as shared_ptr<const Prepared>: eviction drops
-/// the cache's reference, never the tree under an in-flight query.  The
-/// accountant's books therefore track *cache-held* bytes; pinned bytes
-/// of evicted-but-running entries drain as those queries finish.
+/// A generation is immutable once published.  The preload calls
+/// GetOrLoad() for each tree, in name order; a tree is admitted only if
+/// it fits in what is left of the cap, and the rest are refused with
+/// kResourceExhausted.  Nothing is ever evicted, so every tree the
+/// preload admitted stays answerable for the generation's lifetime.
+/// Entries are handed out as shared_ptr<const Prepared>.
 ///
-/// A single tree larger than the whole cap is refused with
-/// kResourceExhausted (loading it could never be admitted), and every
-/// eviction increments treewalk_input_cache_evictions_total.
-///
-/// Live reload (docs/SERVER.md): the daemon treats one cache instance
-/// as one immutable corpus *generation*.  A SIGHUP builds a fresh
-/// generation off-thread and swaps it in under the server's shared_ptr;
-/// queries pin the generation they started on, so the old instance —
-/// and its accountant's books — dies exactly when its last pin drops.
+/// Live reload (docs/SERVER.md): a SIGHUP builds a fresh generation
+/// off-thread and swaps it in under the server's shared_ptr; queries
+/// pin the generation they started on, so the old instance — and its
+/// accountant's books — dies exactly when its last pin drops.
 /// `generation()` labels which build a cache came from.
 ///
-/// Thread-safe; one instance serves all connection threads.
+/// Thread-safety: GetOrLoad() runs before the generation is published
+/// (the server's mutex-guarded swap, or its construction, orders those
+/// writes before every query); after that the instance is only read,
+/// and its const members are safe from any number of threads.
 class ResidentTreeCache {
  public:
   /// One resident corpus entry, immutable after load.
@@ -101,49 +97,38 @@ class ResidentTreeCache {
     std::int64_t approx_bytes;  ///< accounting charge for this entry
   };
 
-  /// `capacity_bytes <= 0` means unlimited (tracked, never evicted).
-  /// `generation` labels a reload cycle (0 = the startup corpus).
+  /// `capacity_bytes <= 0` means unlimited.  `generation` labels a
+  /// reload cycle (0 = the startup corpus).
   explicit ResidentTreeCache(std::int64_t capacity_bytes,
                              std::uint64_t generation = 0);
 
-  /// The entry for `name`, loading (and delimiting) it via `load` on a
-  /// miss.  Eviction of least-recently-used entries makes room; a load
-  /// too large for the cap fails with kResourceExhausted, and `load`
-  /// failures propagate verbatim (nothing is cached).
+  /// The entry for `name`, loading (and delimiting) it via `load` if it
+  /// is not resident yet.  A tree that does not fit in what is left of
+  /// the cap is refused with kResourceExhausted, and `load` failures
+  /// propagate verbatim; either way nothing is admitted.  Preload only:
+  /// never call it on a published generation.
   Result<std::shared_ptr<const Prepared>> GetOrLoad(
       const std::string& name, const std::function<Result<Tree>()>& load);
 
   /// The entry for `name`, or null — never loads (the server's query
-  /// path over a fixed preloaded corpus).
-  std::shared_ptr<const Prepared> Lookup(const std::string& name);
+  /// path over a published generation).
+  std::shared_ptr<const Prepared> Lookup(const std::string& name) const;
 
   /// Approximate accounting bytes of `tree` (nodes + attribute columns
-  /// + interner pools).  Exposed so tests can predict eviction points.
+  /// + interner pools).  Exposed so tests can predict what fits.
   static std::int64_t ApproxTreeBytes(const Tree& tree);
 
-  std::int64_t capacity_bytes() const { return capacity_bytes_; }
+  std::int64_t capacity_bytes() const { return accountant_.budget(); }
   std::uint64_t generation() const { return generation_; }
-  std::int64_t resident_bytes() const;
-  std::int64_t resident_trees() const;
-  std::int64_t evictions() const;
-  /// High-water cache-held bytes since construction.
-  std::int64_t peak_bytes() const;
+  std::int64_t resident_bytes() const { return accountant_.used(); }
+  std::int64_t resident_trees() const {
+    return static_cast<std::int64_t>(entries_.size());
+  }
 
  private:
-  struct Entry {
-    std::shared_ptr<const Prepared> prepared;
-    std::list<std::string>::iterator lru_it;  // position in lru_
-  };
-
-  void EvictLockedUntilFits(std::int64_t incoming_bytes);
-
-  const std::int64_t capacity_bytes_;
   const std::uint64_t generation_;
-  mutable std::mutex mu_;
-  MemoryAccountant accountant_;        // guarded by mu_
-  std::list<std::string> lru_;         // front = most recent
-  std::unordered_map<std::string, Entry> entries_;
-  std::int64_t evictions_ = 0;
+  MemoryAccountant accountant_;
+  std::unordered_map<std::string, std::shared_ptr<const Prepared>> entries_;
 };
 
 }  // namespace treewalk

@@ -214,17 +214,17 @@ double MillisSince(Clock::time_point start) {
 }  // namespace
 
 QueryServer::QueryServer(ServerOptions options,
-                         std::shared_ptr<ResidentTreeCache> corpus)
+                         std::shared_ptr<const ResidentTreeCache> corpus)
     : options_(std::move(options)), corpus_(std::move(corpus)) {
   ServerMetrics::Get().corpus_generation->Set(
       corpus_ ? static_cast<std::int64_t>(corpus_->generation()) : 0);
 }
 
-QueryServer::QueryServer(ServerOptions options, ResidentTreeCache* corpus)
+QueryServer::QueryServer(ServerOptions options,
+                         const ResidentTreeCache* corpus)
     : QueryServer(std::move(options),
-                  std::shared_ptr<ResidentTreeCache>(corpus,
-                                                     [](ResidentTreeCache*) {
-                                                     })) {}
+                  std::shared_ptr<const ResidentTreeCache>(
+                      corpus, [](const ResidentTreeCache*) {})) {}
 
 QueryServer::~QueryServer() {
   bool needs_teardown;
@@ -581,7 +581,7 @@ std::string QueryServer::ExecuteQuery(const QueryRequest& query) {
   // but this shared_ptr (and the entry's own pin below) keeps the tree
   // alive and the answer consistent — no query ever observes a
   // half-swapped generation.
-  std::shared_ptr<ResidentTreeCache> corpus = this->corpus();
+  std::shared_ptr<const ResidentTreeCache> corpus = this->corpus();
   std::shared_ptr<const ResidentTreeCache::Prepared> tree =
       corpus->Lookup(query.tree_name);
   if (tree == nullptr) {
@@ -611,10 +611,8 @@ std::string QueryServer::ExecuteQuery(const QueryRequest& query) {
           ? std::min<std::int64_t>(query.deadline_ms, options_.max_deadline_ms)
           : options_.default_deadline_ms;
   job.memory_budget_bytes = options_.request_memory_budget_bytes;
-  job.retry = options_.retry;
   job.job_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  JobResult result =
-      RunResidentJob(job, tree->delimited, cancel_, options_.backoff_seed);
+  JobResult result = RunResidentJob(job, tree->delimited, cancel_);
 
   if (!result.status.ok()) {
     if (result.status.code() == StatusCode::kCancelled) {
@@ -692,12 +690,10 @@ StatsMap QueryServer::BuildStats() const {
       reserved_bytes_.load(std::memory_order_relaxed));
   put("server.draining", draining_.load(std::memory_order_acquire) ? 1 : 0);
   put("server.ready", ready() ? 1 : 0);
-  std::shared_ptr<ResidentTreeCache> corpus = this->corpus();
+  std::shared_ptr<const ResidentTreeCache> corpus = this->corpus();
   put("corpus.generation", static_cast<std::int64_t>(corpus->generation()));
   put("corpus.resident_trees", corpus->resident_trees());
   put("corpus.resident_bytes", corpus->resident_bytes());
-  put("corpus.peak_bytes", corpus->peak_bytes());
-  put("corpus.evictions", corpus->evictions());
   put("corpus.capacity_bytes", corpus->capacity_bytes());
   return stats;
 }
@@ -708,20 +704,20 @@ bool QueryServer::ready() const {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     if (!started_ || terminated_) return false;
   }
-  std::shared_ptr<ResidentTreeCache> corpus = this->corpus();
+  std::shared_ptr<const ResidentTreeCache> corpus = this->corpus();
   return corpus != nullptr && corpus->resident_trees() > 0;
 }
 
-std::shared_ptr<ResidentTreeCache> QueryServer::corpus() const {
+std::shared_ptr<const ResidentTreeCache> QueryServer::corpus() const {
   std::lock_guard<std::mutex> lock(corpus_mu_);
   return corpus_;
 }
 
-void QueryServer::SwapCorpus(std::shared_ptr<ResidentTreeCache> next,
+void QueryServer::SwapCorpus(std::shared_ptr<const ResidentTreeCache> next,
                              double build_ms) {
   if (next == nullptr) return;
   ServerMetrics& metrics = ServerMetrics::Get();
-  std::shared_ptr<ResidentTreeCache> old;
+  std::shared_ptr<const ResidentTreeCache> old;
   {
     std::lock_guard<std::mutex> lock(corpus_mu_);
     old = std::move(corpus_);

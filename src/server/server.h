@@ -15,6 +15,10 @@
 ///               are kResourceExhausted (execution)
 ///   time        every request runs under a deadline (client budget
 ///               clamped to max_deadline_ms, else default_deadline_ms)
+///   retries     none: a query runs one attempt.  The client owns
+///               end-to-end retries (src/client); a retry budget
+///               multiplied across a full queue would defeat the
+///               deadline math
 ///   sockets     at most max_connections clients; slow readers/writers
 ///               are reaped after io_timeout_ms
 ///
@@ -80,13 +84,6 @@ struct ServerOptions {
   /// Slow-client guard: a connection that keeps a frame read or write
   /// blocked longer than this is reaped.
   std::int64_t io_timeout_ms = 5000;
-  /// Retry policy applied to every query.  The RetryPolicy default
-  /// (max_attempts = 1) means no server-side retries: the client owns
-  /// end-to-end retries, and a retry budget multiplied across a full
-  /// queue would defeat the deadline math.
-  RetryPolicy retry;
-  /// Seeds backoff jitter when retry.max_attempts > 1.
-  std::uint64_t backoff_seed = 0;
   /// Poison-request quarantine: a formula x tree pair whose governor
   /// trips (deadline / memory) this many times *consecutively* is shed
   /// with a typed kQuarantined instead of re-burning a worker —
@@ -138,15 +135,15 @@ class QueryServer {
  public:
   /// `corpus` is the startup generation; queries resolve tree names
   /// through Lookup() only — every generation is preloaded before it is
-  /// swapped in, so the hot path never does I/O.  SwapCorpus() replaces
-  /// it atomically at reload.
+  /// handed over and only read after, so the hot path never does I/O.
+  /// SwapCorpus() replaces it atomically at reload.
   QueryServer(ServerOptions options,
-              std::shared_ptr<ResidentTreeCache> corpus);
+              std::shared_ptr<const ResidentTreeCache> corpus);
   /// Borrowed-corpus convenience for callers that own the cache for the
   /// server's whole lifetime (tests, benchmarks).  `corpus` must then
   /// outlive the server; SwapCorpus() still works and simply drops the
   /// non-owning reference.
-  QueryServer(ServerOptions options, ResidentTreeCache* corpus);
+  QueryServer(ServerOptions options, const ResidentTreeCache* corpus);
   ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;
@@ -175,7 +172,7 @@ class QueryServer {
   /// The corpus generation new queries will pin (never null after
   /// construction).  In-flight queries may still be running on an
   /// earlier generation they pinned at dispatch.
-  std::shared_ptr<ResidentTreeCache> corpus() const;
+  std::shared_ptr<const ResidentTreeCache> corpus() const;
 
   /// Atomic live-reload swap: `next` becomes the generation every
   /// query dispatched from now on pins; queries already running keep
@@ -185,7 +182,8 @@ class QueryServer {
   /// treewalk_server_reload_latency_ms.  The quarantine table is
   /// cleared — a new corpus deserves a fresh verdict.  Null `next` is
   /// ignored (a failed reload keeps the old generation serving).
-  void SwapCorpus(std::shared_ptr<ResidentTreeCache> next, double build_ms);
+  void SwapCorpus(std::shared_ptr<const ResidentTreeCache> next,
+                  double build_ms);
 
   const ServerCounters& counters() const { return counters_; }
 
@@ -234,7 +232,7 @@ class QueryServer {
 
   ServerOptions options_;
   mutable std::mutex corpus_mu_;
-  std::shared_ptr<ResidentTreeCache> corpus_;  // guarded by corpus_mu_
+  std::shared_ptr<const ResidentTreeCache> corpus_;  // guarded by corpus_mu_
   ServerCounters counters_;
 
   /// Consecutive governor-trip streaks by formula x tree fingerprint,

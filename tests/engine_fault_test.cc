@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -152,8 +153,9 @@ TEST_F(EngineFaultTest, DegradationLadderDoesNotEscapeAxisIndexFaults) {
   const JobResult& r = batch.results[0];
   EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted) << r.status;
   ASSERT_EQ(r.attempts.size(), 3u);
+  // Rungs 0, 1, 1: every retry after the first stays on the last rung.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(r.attempts[static_cast<std::size_t>(i)].rung, i);
+    EXPECT_EQ(r.attempts[static_cast<std::size_t>(i)].rung, std::min(i, 1));
     EXPECT_EQ(r.attempts[static_cast<std::size_t>(i)].status.code(),
               StatusCode::kResourceExhausted)
         << "attempt " << i;
@@ -162,12 +164,13 @@ TEST_F(EngineFaultTest, DegradationLadderDoesNotEscapeAxisIndexFaults) {
   EXPECT_EQ(batch.stats.degraded_successes, 0);
 }
 
-/// Ladder recovery: rung 1 turns the per-run selector cache off.  A
-/// program asking a selector at every node of a path caches one answer
-/// per origin.  Under a budget halfway between the run's peak with and
-/// without the cache, the submitted attempt trips and the retry on
-/// rung 1 succeeds with the clean run's verdict.
-TEST_F(EngineFaultTest, DegradationLadderRecoversFromSelectorCacheOverflow) {
+/// A program asking a selector at every node of a path used to keep one
+/// answer per origin in a per-run cache, and on FullTree(1, 60) its
+/// governor peak was 47,208 bytes with that cache and 1,960 without.
+/// Under the budget halfway between them, which tripped the submitted
+/// attempt and needed a retry with the cache off, the job now succeeds
+/// on its first attempt with the clean run's verdict, reason and steps.
+TEST_F(EngineFaultTest, EveryNodeSelectorJobFitsTheBudgetItUsedToTrip) {
   auto program = ParseProgramText(
       "class twrl\nstates fwd qf\nregister X1 1\n"
       "rule #top fwd [true] move down fwd\n"
@@ -181,20 +184,6 @@ TEST_F(EngineFaultTest, DegradationLadderRecoversFromSelectorCacheOverflow) {
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   const Tree path = FullTree(1, 60);
 
-  auto peak_bytes = [&](bool cache_selectors) {
-    ResourceGovernor governor;
-    governor.set_memory_budget(std::int64_t{1} << 40);
-    RunOptions options;
-    options.cache_selectors = cache_selectors;
-    options.governor = &governor;
-    auto run = Interpreter(*program, options).Run(path);
-    EXPECT_TRUE(run.ok()) << run.status().ToString();
-    return governor.accountant()->peak();
-  };
-  const std::int64_t with_cache = peak_bytes(true);
-  const std::int64_t without_cache = peak_bytes(false);
-  ASSERT_GT(with_cache, without_cache + 4096);
-
   BatchJob clean;
   clean.program = &*program;
   clean.tree = &path;
@@ -203,28 +192,22 @@ TEST_F(EngineFaultTest, DegradationLadderRecoversFromSelectorCacheOverflow) {
   ASSERT_TRUE(reference.results[0].status.ok());
 
   BatchJob job = clean;
-  job.memory_budget_bytes = (with_cache + without_cache) / 2;
+  job.memory_budget_bytes = 24'584;
   job.retry.max_attempts = 3;
   job.retry.initial_backoff_ms = 0;
   BatchResult batch =
       std::move(BatchEngine({.num_threads = 1}).RunBatch({job})).value();
   const JobResult& r = batch.results[0];
   ASSERT_TRUE(r.status.ok()) << r.status;
-  ASSERT_EQ(r.attempts.size(), 2u);
+  ASSERT_EQ(r.attempts.size(), 1u);
   EXPECT_EQ(r.attempts[0].rung, 0);
-  EXPECT_EQ(r.attempts[0].status.code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(r.attempts[0].memory_tripped);
-  EXPECT_NE(r.attempts[0].status.message().find("selector-cache"),
-            std::string::npos)
-      << r.attempts[0].status;
-  EXPECT_EQ(r.attempts[1].rung, 1);
-  EXPECT_TRUE(r.attempts[1].status.ok());
+  EXPECT_FALSE(r.attempts[0].memory_tripped);
   const RunResult& clean_run = reference.results[0].run;
   EXPECT_EQ(r.run.accepted, clean_run.accepted);
   EXPECT_EQ(r.run.reason, clean_run.reason);
   EXPECT_EQ(r.run.stats.steps, clean_run.stats.steps);
-  EXPECT_EQ(batch.stats.retries, 1);
-  EXPECT_EQ(batch.stats.degraded_successes, 1);
+  EXPECT_EQ(batch.stats.retries, 0);
+  EXPECT_EQ(batch.stats.memory_trips, 0);
 }
 
 /// A mid-batch injected fault fails exactly the job that hits the site;

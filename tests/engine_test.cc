@@ -157,9 +157,10 @@ TEST(BatchEngine, CooperativeCancellationAbortsLongRuns) {
   }
 }
 
-/// Two atp() rules with the *same* selector firing at the same node:
-/// the second must hit the per-run selector cache.
-TEST(SelectorCache, RepeatedSelectorAtOneNodeHits) {
+/// Two atp() rules with the *same* selector firing at the same node
+/// share one prepared selector, and each firing evaluates it: no run
+/// remembers a selector's answer, so selector_cache_hits stays 0.
+TEST(SelectorCache, RepeatedSelectorAtOneNodeIsEvaluatedEachTime) {
   ProgramBuilder b(ProgramClass::kTwRL);
   b.SetStates("q0", "qf");
   b.DeclareRegister("X1", 1);
@@ -172,54 +173,24 @@ TEST(SelectorCache, RepeatedSelectorAtOneNodeHits) {
   b.OnMove("*", "p", "true", "qf", Move::kStay);
   Program p = std::move(b.Build()).value();
 
-  Tree t = FullTree(2, 2);
-  Interpreter interpreter(p);
-  RunResult r = std::move(interpreter.Run(t)).value();
+  RunResult r = std::move(Interpreter(p).Run(FullTree(2, 2))).value();
   EXPECT_TRUE(r.accepted);
   EXPECT_EQ(r.stats.atp_calls, 2);
-  EXPECT_EQ(r.stats.selector_cache_misses, 1);
-  EXPECT_EQ(r.stats.selector_cache_hits, 1);
-
-  // With the cache disabled both firings evaluate the selector; the
-  // run itself is unchanged.
-  RunOptions no_cache;
-  no_cache.cache_selectors = false;
-  RunResult r2 =
-      std::move(Interpreter(p, no_cache).Run(t)).value();
-  EXPECT_TRUE(r2.accepted);
-  EXPECT_EQ(r2.stats.selector_cache_hits, 0);
-  EXPECT_EQ(r2.stats.selector_cache_misses, 2);
-  EXPECT_EQ(r2.stats.steps, r.stats.steps);
+  EXPECT_EQ(r.stats.selector_cache_hits, 0);
+  EXPECT_EQ(r.stats.selector_cache_misses, 2);
+  EXPECT_EQ(r.stats.compiled_selector_evals, 2);
+  EXPECT_EQ(r.stats.planner_picks_interval, 1);
 }
 
 TEST(SelectorCache, CountersAreConsistentAcrossTheLibrary) {
   Workload w = MixedWorkload();
   BatchResult batch =
       std::move(BatchEngine({.num_threads = 1}).RunBatch(w.jobs)).value();
-  EXPECT_EQ(batch.stats.selector_cache_hits + batch.stats.selector_cache_misses,
-            batch.stats.atp_calls);
+  EXPECT_EQ(batch.stats.selector_evals, batch.stats.atp_calls);
   for (const JobResult& r : batch.results) {
     ASSERT_TRUE(r.status.ok());
-    EXPECT_EQ(r.run.stats.selector_cache_hits +
-                  r.run.stats.selector_cache_misses,
-              r.run.stats.atp_calls);
-  }
-}
-
-TEST(SelectorCache, DisablingTheCacheChangesNoVerdictOrStepCount) {
-  Workload w = MixedWorkload();
-  std::vector<BatchJob> no_cache_jobs = w.jobs;
-  for (BatchJob& job : no_cache_jobs) job.options.cache_selectors = false;
-  BatchResult cached =
-      std::move(BatchEngine({.num_threads = 1}).RunBatch(w.jobs)).value();
-  BatchResult plain = std::move(
-      BatchEngine({.num_threads = 1}).RunBatch(no_cache_jobs)).value();
-  ASSERT_EQ(cached.results.size(), plain.results.size());
-  for (std::size_t i = 0; i < cached.results.size(); ++i) {
-    EXPECT_EQ(cached.results[i].run.accepted, plain.results[i].run.accepted);
-    EXPECT_EQ(cached.results[i].run.reason, plain.results[i].run.reason);
-    EXPECT_EQ(cached.results[i].run.stats.steps,
-              plain.results[i].run.stats.steps);
+    EXPECT_EQ(r.run.stats.selector_cache_hits, 0);
+    EXPECT_EQ(r.run.stats.selector_cache_misses, r.run.stats.atp_calls);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -39,6 +40,18 @@ std::string Explain(const std::string& args) {
                           out + " 2>&1";
   EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd << "\n" << ReadWholeFile(out);
   return ReadWholeFile(out);
+}
+
+/// Runs a shell command line, keeps its stderr in `err` and returns its
+/// exit code (-1 if it did not exit).
+int RunCapturingStderr(const std::string& cmd, std::string& err) {
+  FILE* pipe = ::popen((cmd + " 2>&1 >/dev/null").c_str(), "r");
+  if (pipe == nullptr) return -1;
+  err.clear();
+  char buffer[256];
+  while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) err += buffer;
+  const int rc = ::pclose(pipe);
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
 std::string Golden(const std::string& name) {
@@ -110,19 +123,13 @@ TEST(ExplainGolden, RejectsBadInvocations) {
                          "'desc(x, y)' --plan sometimes" + devnull).c_str()),
             0);
   // --origin takes a node id: not a word, a sign or a trailing suffix.
+  std::string err;
   for (const char* origin : {"abc", "-4", "3x"}) {
     const std::string cmd = base +
                             " explain examples/trees/uniform.term --selector "
                             "'desc(x, y)' --evals --origin " +
-                            origin + " 2>&1 >/dev/null";
-    FILE* pipe = ::popen(cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr) << cmd;
-    std::string err;
-    char buffer[256];
-    while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) err += buffer;
-    const int rc = ::pclose(pipe);
-    ASSERT_TRUE(WIFEXITED(rc)) << cmd;
-    EXPECT_EQ(WEXITSTATUS(rc), 1) << cmd;
+                            origin;
+    EXPECT_EQ(RunCapturingStderr(cmd, err), 1) << cmd;
     EXPECT_NE(err.find("usage: twq explain"), std::string::npos)
         << cmd << "\n" << err;
   }
@@ -136,7 +143,7 @@ TEST(ExplainGolden, RejectsBadInvocations) {
       " batch examples/batch.manifest --quiet",
       " explain examples/trees/uniform.term --selector 'desc(x, y)'",
   };
-  // The last two flags are assembled from two pieces so a search for
+  // The last three flags are assembled from two pieces so a search for
   // the retired spellings finds no live use of them.
   const std::string bad_flags[] = {
       " --bogus",
@@ -144,6 +151,7 @@ TEST(ExplainGolden, RejectsBadInvocations) {
       " --timing",
       std::string(" --axis") + "-repr dense",
       std::string(" --no-") + "compiled",
+      std::string(" --no-") + "cache",
   };
   for (const std::string& command : commands) {
     for (const std::string& flags : bad_flags) {
@@ -152,6 +160,37 @@ TEST(ExplainGolden, RejectsBadInvocations) {
       ASSERT_TRUE(WIFEXITED(rc)) << cmd;
       EXPECT_EQ(WEXITSTATUS(rc), 1) << cmd;
     }
+  }
+  // The retired selector-cache switch gets batch's usage line.
+  const std::string no_cache = base + commands[1] + " --no-" + "cache";
+  EXPECT_EQ(RunCapturingStderr(no_cache, err), 1) << no_cache;
+  EXPECT_NE(err.find("usage: twq batch"), std::string::npos) << err;
+}
+
+/// `--compile-cache <dir>` is accepted and ignored by run and batch:
+/// the command succeeds and the directory is never created.  Without
+/// its argument the flag is a usage error.
+TEST(ExplainGolden, CompileCacheIsAcceptedAndCreatesNothing) {
+  const std::string base =
+      std::string("cd ") + TREEWALK_SOURCE_DIR + " && " + TREEWALK_TWQ_PATH;
+  const std::string dir = ::testing::TempDir() + "compile_cache." +
+                          std::to_string(::getpid());
+  const std::string commands[] = {
+      " run examples/programs/example32.twp examples/trees/uniform.term",
+      " batch examples/batch.manifest --quiet",
+  };
+  for (const std::string& command : commands) {
+    const std::string cmd =
+        base + command + " --compile-cache " + dir + " >/dev/null 2>&1";
+    const int rc = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(rc)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(rc), 0) << cmd;
+    struct stat st;
+    EXPECT_NE(::stat(dir.c_str(), &st), 0) << cmd << " created " << dir;
+    std::string err;
+    const std::string missing = base + command + " --compile-cache";
+    EXPECT_EQ(RunCapturingStderr(missing, err), 1) << missing;
+    EXPECT_NE(err.find("usage: twq"), std::string::npos) << err;
   }
 }
 

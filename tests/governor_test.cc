@@ -52,12 +52,12 @@ TEST(MemoryAccountant, RejectsChargeOverBudgetAndLatches) {
 
 TEST(MemoryAccountant, BreakdownNamesChargedCategories) {
   MemoryAccountant accountant(1 << 20);
-  ASSERT_TRUE(accountant.Charge(MemoryCategory::kSelectorCache, 4096).ok());
+  ASSERT_TRUE(accountant.Charge(MemoryCategory::kStore, 4096).ok());
   ASSERT_TRUE(accountant.Charge(MemoryCategory::kCycleMemo, 100).ok());
   std::string breakdown = accountant.Breakdown();
   // Zero categories are omitted to keep the message readable.
   for (MemoryCategory c :
-       {MemoryCategory::kSelectorCache, MemoryCategory::kCycleMemo}) {
+       {MemoryCategory::kStore, MemoryCategory::kCycleMemo}) {
     EXPECT_NE(breakdown.find(MemoryCategoryName(c)), std::string::npos)
         << breakdown;
   }

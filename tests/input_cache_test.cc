@@ -1,9 +1,9 @@
-// ResidentTreeCache (src/engine/input_cache.h): the byte-capped LRU
-// that makes `twq serve` safe to point at a corpus larger than RAM.
-// Covered here: LRU eviction order, accountant-charged occupancy and
-// the eviction metric, refusal of entries larger than the whole cap,
-// load-failure propagation, shared_ptr survival of an evicted entry
-// under an in-flight query, and the never-loading Lookup() hot path.
+// ResidentTreeCache (src/engine/input_cache.h): one byte-capped,
+// immutable corpus generation — what makes `twq serve` safe to point at
+// a corpus larger than RAM.  Covered here: admission in load order up to
+// the cap, accountant-charged occupancy and its gauges, refusal of
+// entries larger than the whole cap, load-failure propagation, and the
+// never-loading Lookup() hot path.
 
 #include <gtest/gtest.h>
 
@@ -58,7 +58,6 @@ TEST(ResidentTreeCache, GetOrLoadCachesAndLookupNeverLoads) {
 
   EXPECT_EQ(cache.resident_trees(), 1);
   EXPECT_GT(cache.resident_bytes(), 0);
-  EXPECT_EQ(cache.evictions(), 0);
 }
 
 TEST(ResidentTreeCache, LoadFailuresPropagateAndCacheNothing) {
@@ -72,49 +71,31 @@ TEST(ResidentTreeCache, LoadFailuresPropagateAndCacheNothing) {
   EXPECT_EQ(cache.Lookup("bad"), nullptr);
 }
 
-TEST(ResidentTreeCache, EvictsLeastRecentlyUsedWhenOverCap) {
+TEST(ResidentTreeCache, KeepsWhatFitsAndRefusesTheRest) {
   if (kMetricsEnabled) MetricsRegistry::Global().ResetForTest();
   ResidentTreeCache cache(CapacityFor(2));
   ASSERT_TRUE(cache.GetOrLoad("a", SmallTree).ok());
   ASSERT_TRUE(cache.GetOrLoad("b", SmallTree).ok());
-  EXPECT_EQ(cache.resident_trees(), 2);
-  EXPECT_EQ(cache.evictions(), 0);
+  auto refused = cache.GetOrLoad("c", SmallTree);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(refused.status().message().find("resident-tree"),
+            std::string::npos)
+      << refused.status();
 
-  // Touch "a" so "b" is the LRU victim when "c" arrives.
-  ASSERT_NE(cache.Lookup("a"), nullptr);
-  ASSERT_TRUE(cache.GetOrLoad("c", SmallTree).ok());
+  // Every admitted tree stays answerable; the refused one never was.
   EXPECT_EQ(cache.resident_trees(), 2);
-  EXPECT_EQ(cache.evictions(), 1);
   EXPECT_NE(cache.Lookup("a"), nullptr);
-  EXPECT_EQ(cache.Lookup("b"), nullptr);
-  EXPECT_NE(cache.Lookup("c"), nullptr);
-
-  // Occupancy stays under the cap, and the high water saw both phases.
+  EXPECT_NE(cache.Lookup("b"), nullptr);
+  EXPECT_EQ(cache.Lookup("c"), nullptr);
   EXPECT_LE(cache.resident_bytes(), cache.capacity_bytes());
-  EXPECT_GE(cache.peak_bytes(), cache.resident_bytes());
 
   if (kMetricsEnabled) {
     MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-    EXPECT_EQ(snap.Value("treewalk_input_cache_evictions_total"), 1);
     EXPECT_EQ(snap.Value("treewalk_input_cache_resident_trees"), 2);
     EXPECT_EQ(snap.Value("treewalk_input_cache_resident_bytes"),
               cache.resident_bytes());
   }
-}
-
-TEST(ResidentTreeCache, EvictionNeverDropsAnInFlightEntry) {
-  ResidentTreeCache cache(CapacityFor(1));
-  auto pinned = std::move(cache.GetOrLoad("a", SmallTree)).value();
-  std::size_t pinned_size = pinned->delimited.size();
-
-  // Loading "b" evicts "a" from the cache…
-  ASSERT_TRUE(cache.GetOrLoad("b", SmallTree).ok());
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
-  EXPECT_EQ(cache.evictions(), 1);
-
-  // …but the in-flight handle keeps the tree alive and intact.
-  EXPECT_EQ(pinned->delimited.size(), pinned_size);
-  EXPECT_EQ(pinned->name, "a");
 }
 
 TEST(ResidentTreeCache, RefusesASingleTreeLargerThanTheWholeCap) {
@@ -124,7 +105,7 @@ TEST(ResidentTreeCache, RefusesASingleTreeLargerThanTheWholeCap) {
   });
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-  // Nothing was cached, and nothing already resident was evicted for it.
+  // Nothing was admitted.
   EXPECT_EQ(cache.resident_trees(), 0);
   EXPECT_EQ(cache.resident_bytes(), 0);
 }

@@ -97,12 +97,10 @@ TEST_F(ObservabilityTest, CountersReconcileExactlyWithEngineStats) {
             batch.stats.subcomputations);
   EXPECT_EQ(m.Value("treewalk_interp_atp_calls_total"),
             batch.stats.atp_calls);
-  EXPECT_EQ(m.Value("treewalk_interp_selector_cache_total", "hit"),
-            batch.stats.selector_cache_hits);
-  EXPECT_EQ(m.Value("treewalk_interp_selector_cache_total", "miss"),
-            batch.stats.selector_cache_misses);
   EXPECT_EQ(m.Value("treewalk_interp_selector_evals_total", "compiled"),
             batch.stats.compiled_selector_evals);
+  EXPECT_EQ(m.Value("treewalk_interp_selector_evals_total", "reference"),
+            batch.stats.selector_evals - batch.stats.compiled_selector_evals);
   EXPECT_EQ(m.Value("treewalk_interp_store_updates_total"),
             batch.stats.store_updates);
 
@@ -148,8 +146,7 @@ TEST_F(ObservabilityTest, SelectorTimersReconcileWithEvaluations) {
       std::move(BatchEngine({.num_threads = 2}).RunBatch(jobs)).value();
   ASSERT_EQ(batch.stats.failed, 0);
   ASSERT_GT(batch.stats.compiled_selector_evals, 0);
-  ASSERT_GT(batch.stats.selector_cache_misses,
-            batch.stats.compiled_selector_evals);
+  ASSERT_GT(batch.stats.selector_evals, batch.stats.compiled_selector_evals);
 
   const MetricsSnapshot& m = batch.metrics;
   EXPECT_EQ(m.Value("treewalk_interp_selector_evals_total", "compiled"),
@@ -163,7 +160,7 @@ TEST_F(ObservabilityTest, SelectorTimersReconcileWithEvaluations) {
       m.Find("treewalk_interp_selector_eval_us", "reference");
   ASSERT_NE(reference, nullptr);
   EXPECT_EQ(reference->histogram.count,
-            static_cast<std::uint64_t>(batch.stats.selector_cache_misses -
+            static_cast<std::uint64_t>(batch.stats.selector_evals -
                                        batch.stats.compiled_selector_evals));
 }
 

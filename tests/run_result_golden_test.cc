@@ -304,7 +304,6 @@ std::vector<Variant> Variants() {
   variants.push_back({"tight", tight});
   RunOptions reference;
   reference.compile_selectors = false;
-  reference.cache_selectors = false;
   reference.record_trace = true;
   variants.push_back({"reference", reference});
   return variants;

@@ -4,15 +4,23 @@
 // bad program, deadline), drain cancels in-flight work cooperatively,
 // the books reconcile (admitted == ok + error + drained), and the
 // SIGHUP/Install re-entrancy contract of src/engine/shutdown holds.
-// The subprocess leg runs tools/serve_smoke.sh against the real twq
-// binary and asserts the documented drain exit code 75.
+// The subprocess legs run tools/serve_smoke.sh against the real twq
+// binary and assert the documented drain exit code 75, and check that
+// `twq serve --cache-budget-mb` answers every tree it logs as loaded.
 
 #include <gtest/gtest.h>
+
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +33,7 @@
 #include "src/engine/shutdown.h"
 #include "src/server/frame.h"
 #include "src/server/server.h"
+#include "src/tree/delimited.h"
 #include "src/tree/generate.h"
 #include "src/tree/term_io.h"
 #include "tests/serve_test_util.h"
@@ -237,20 +246,42 @@ TEST_F(ServeTest, TinyDeadlineIsTypedDeadlineExceeded) {
   ExpectBooksReconcile();
 }
 
+/// kScanProgram with a guard on every rule that quantifies twice over
+/// the 40 values X1 starts with: each step checks 1,600 value pairs,
+/// and a scan of "big" takes ~229k steps, so however fast the walk
+/// gets, a run holds its worker far past a 10 ms drain grace and past
+/// anything a test does meanwhile; the tests end it by draining.
+std::string GuardedScanProgram() {
+  std::string init = "init X1 {";
+  for (int v = 1; v <= 40; ++v) init += " (" + std::to_string(v) + ")";
+  const std::string guard =
+      " [forall u forall v ((X1(u) | !(X1(u))) & (X1(v) | !(X1(v))))] ";
+  return "class twr\nstates fwd qf\nregister X1 1\n" + init + " }\n" +
+         "rule needle fwd [true] move stay qf\n" +
+         "rule #top fwd" + guard + "move down fwd\n" +
+         "rule #open fwd" + guard + "move right fwd\n" +
+         "rule * fwd" + guard + "move down fwd\n" +
+         "rule #leaf fwd" + guard + "move up back\n" +
+         "rule #close fwd" + guard + "move up back\n" +
+         "rule * back" + guard + "move right fwd\n";
+}
+
 TEST_F(ServeTest, FullQueueShedsWithTypedOverloaded) {
   ServerOptions options;
-  options.max_queue = 1;  // one slot: a slow scan fills the queue
+  options.max_queue = 1;  // one slot: a scan that never ends in time
   options.num_workers = 1;
   options.default_deadline_ms = 60000;
   options.max_deadline_ms = 60000;
+  options.drain_deadline_ms = 10;
   StartServer(options);
 
-  std::thread slow([this] {
+  const std::string scan = GuardedScanProgram();
+  std::thread slow([this, &scan] {
     Client client(server_->port());
     if (client.fd < 0) return;
     MessageType type;
     std::string body;
-    (void)Exchange(client.fd, QueryFrame("big", kScanProgram), type, body);
+    (void)Exchange(client.fd, QueryFrame("big", scan), type, body);
   });
   while (server_->counters().requests_admitted.load() < 1) {
     std::this_thread::yield();
@@ -261,7 +292,11 @@ TEST_F(ServeTest, FullQueueShedsWithTypedOverloaded) {
   EXPECT_EQ(error.code, WireError::kOverloaded);
   EXPECT_EQ(server_->counters().shed_queue.load(), 1);
   EXPECT_EQ(server_->counters().requests_admitted.load(), 1);
+  // The drain cancels the scan.
+  server_->BeginDrain();
+  server_->AwaitTermination();
   slow.join();
+  EXPECT_EQ(server_->counters().drained.load(), 1);
   ExpectBooksReconcile();
 }
 
@@ -357,11 +392,12 @@ TEST_F(ServeTest, DrainCancelsInFlightScansAndBooksReconcile) {
   StartServer(options);
 
   constexpr int kFleet = 8;
+  const std::string scan = GuardedScanProgram();
   std::atomic<int> cancelled{0}, finished{0}, lost{0};
   std::vector<std::thread> fleet;
   fleet.reserve(kFleet);
   for (int i = 0; i < kFleet; ++i) {
-    fleet.emplace_back([this, &cancelled, &finished, &lost] {
+    fleet.emplace_back([this, &scan, &cancelled, &finished, &lost] {
       Client client(server_->port());
       if (client.fd < 0) {
         lost.fetch_add(1);
@@ -369,7 +405,7 @@ TEST_F(ServeTest, DrainCancelsInFlightScansAndBooksReconcile) {
       }
       MessageType type;
       std::string body;
-      if (!Exchange(client.fd, QueryFrame("big", kScanProgram), type, body)) {
+      if (!Exchange(client.fd, QueryFrame("big", scan), type, body)) {
         // The drain shut the socket before the response got out; the
         // server books the request anyway.
         lost.fetch_add(1);
@@ -396,7 +432,7 @@ TEST_F(ServeTest, DrainCancelsInFlightScansAndBooksReconcile) {
   EXPECT_EQ(c.requests_admitted.load(), kFleet);
   EXPECT_EQ(c.requests_admitted.load(),
             c.served_ok.load() + c.served_error.load() + c.drained.load());
-  // One worker over eight multi-millisecond scans and a 10 ms grace:
+  // One worker over eight scans that each outlast the 10 ms grace:
   // stragglers must exist, so the cancel path must have fired.
   EXPECT_GT(c.drained.load(), 0);
   // Client-observed outcomes are a subset of the server's books (a
@@ -464,6 +500,125 @@ TEST(ServeSmokeTest, DaemonServesLoadAndExits75OnSigterm) {
                         "/tools/serve_smoke.sh " + TREEWALK_TWQ_PATH + " " +
                         TREEWALK_LOADGEN_PATH + " 800 > /dev/null 2>&1";
   EXPECT_EQ(std::system(command.c_str()), 0);
+}
+#endif
+
+#if defined(TREEWALK_TWQ_PATH)
+/// A corpus that does not fit `--cache-budget-mb 1`: a.term and b.term
+/// each take ~641 KiB and c.term ~161 KiB.  The preload admits a, then
+/// refuses b (it would pass the budget) and still admits c, which fits
+/// in what is left.  Every tree the log reports as loaded answers a
+/// query; the skipped one is logged with its kResourceExhausted and
+/// answers kNotFound.
+TEST(ServeSmokeTest, CacheBudgetServesEveryLoadedTreeAndSkipsTheRest) {
+  const Tree big = FullTree(2, 11);
+  const Tree small = FullTree(2, 9);
+  const std::int64_t big_bytes =
+      ResidentTreeCache::ApproxTreeBytes(Delimit(big).tree);
+  const std::int64_t small_bytes =
+      ResidentTreeCache::ApproxTreeBytes(Delimit(small).tree);
+  ASSERT_GT(2 * big_bytes, 1 << 20);
+  ASSERT_LE(big_bytes + small_bytes, 1 << 20);
+
+  // Kills the daemon and removes the workspace on every exit path.  The
+  // read end of the daemon's stdout stays open until then: the drain
+  // summary is written there at exit.
+  struct Workspace {
+    std::string dir = ::testing::TempDir() + "serve_budget_XXXXXX";
+    pid_t daemon = -1;
+    int stdout_fd = -1;
+    ~Workspace() {
+      if (daemon > 0) {
+        kill(daemon, SIGKILL);
+        waitpid(daemon, nullptr, 0);
+      }
+      if (stdout_fd >= 0) close(stdout_fd);
+      std::system(("rm -rf '" + dir + "'").c_str());
+    }
+  } work;
+  ASSERT_NE(mkdtemp(work.dir.data()), nullptr);
+  const std::string corpus = work.dir + "/corpus";
+  ASSERT_EQ(mkdir(corpus.c_str(), 0755), 0);
+  std::ofstream(corpus + "/a.term") << PrintTerm(big) << "\n";
+  std::ofstream(corpus + "/b.term") << PrintTerm(big) << "\n";
+  std::ofstream(corpus + "/c.term") << PrintTerm(small) << "\n";
+  const std::string log = work.dir + "/serve.err";
+
+  int out[2];
+  ASSERT_EQ(pipe(out), 0);
+  work.stdout_fd = out[0];
+  work.daemon = fork();
+  ASSERT_GE(work.daemon, 0);
+  if (work.daemon == 0) {
+    // Child: stdout into the pipe, the log into a file.  No gtest here.
+    dup2(out[1], STDOUT_FILENO);
+    const int err = open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (err >= 0) dup2(err, STDERR_FILENO);
+    close(out[0]);
+    execl(TREEWALK_TWQ_PATH, TREEWALK_TWQ_PATH, "serve", corpus.c_str(),
+          "--port", "0", "--workers", "1", "--cache-budget-mb", "1",
+          static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  close(out[1]);
+
+  // `listening on <host>:<port>` follows the preload; wait up to 30 s.
+  std::string listening;
+  pollfd ready{out[0], POLLIN, 0};
+  while (listening.find('\n') == std::string::npos &&
+         poll(&ready, 1, 30000) > 0) {
+    char buffer[256];
+    const ssize_t n = read(out[0], buffer, sizeof(buffer));
+    if (n <= 0) break;
+    listening.append(buffer, static_cast<std::size_t>(n));
+  }
+  ASSERT_EQ(listening.rfind("listening on ", 0), 0u) << listening;
+  const int port = std::atoi(listening.c_str() + listening.rfind(':') + 1);
+
+  // Log lines: "twq serve: loaded <name> (...)" and
+  // "twq serve: skipping <name>: <status>".
+  std::vector<std::string> loaded, skipped;
+  std::ifstream in(log);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream words(line);
+    std::string twq, serve, verb, name;
+    words >> twq >> serve >> verb >> name;
+    if (verb == "loaded") loaded.push_back(name);
+    if (verb == "skipping") {
+      skipped.push_back(name.substr(0, name.find(':')));
+      EXPECT_NE(line.find("RESOURCE_EXHAUSTED"), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(loaded, (std::vector<std::string>{"a.term", "c.term"}));
+  EXPECT_EQ(skipped, (std::vector<std::string>{"b.term"}));
+
+  for (const std::string name : {"a.term", "b.term", "c.term"}) {
+    const int fd = Connect(port);
+    ASSERT_GE(fd, 0);
+    MessageType type;
+    std::string body;
+    const bool exchanged =
+        Exchange(fd, QueryFrame(name, kAcceptAllProgram), type, body);
+    close(fd);
+    ASSERT_TRUE(exchanged) << name;
+    if (name == "b.term") {
+      ASSERT_EQ(type, MessageType::kError);
+      Result<ErrorMsg> error = DecodeError(body);
+      ASSERT_TRUE(error.ok());
+      EXPECT_EQ(error->code, WireError::kNotFound);
+    } else {
+      ASSERT_EQ(type, MessageType::kQueryResult) << name;
+      Result<QueryResultMsg> result = DecodeQueryResult(body);
+      ASSERT_TRUE(result.ok());
+      EXPECT_TRUE(result->accepted) << name;
+    }
+  }
+
+  kill(work.daemon, SIGTERM);
+  int status = 0;
+  ASSERT_EQ(waitpid(work.daemon, &status, 0), work.daemon);
+  work.daemon = -1;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 75) << status;
 }
 #endif
 

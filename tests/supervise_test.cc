@@ -169,6 +169,19 @@ class SuperviseTest : public ::testing::Test {
     return static_cast<pid_t>(pid);
   }
 
+  /// The pid the pidfile names once it is a live process other than
+  /// `killed` (the incarnation just SIGKILLed); -1 if none within
+  /// `budget`.
+  pid_t AwaitNewDaemon(pid_t killed, std::chrono::milliseconds budget) {
+    const auto deadline = std::chrono::steady_clock::now() + budget;
+    while (true) {
+      const pid_t pid = ReadPidfile();
+      if (pid > 0 && pid != killed && kill(pid, 0) == 0) return pid;
+      if (std::chrono::steady_clock::now() >= deadline) return -1;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+
   /// fork/exec the shell supervisor around `twq serve` on `port`.
   void StartSupervisor(int port) {
     const std::string supervise =
@@ -248,6 +261,20 @@ TEST_F(SuperviseTest, KillLoopRestartsCleanlyWithZeroWrongAnswers) {
   std::atomic<bool> stop{false};
   FleetTally tally;
   std::vector<std::thread> fleet;
+  // Stops and joins the fleet on every exit path: a failed ASSERT must
+  // not leave joinable threads behind (std::terminate would end the
+  // process before TearDown stops the supervisor and its daemon).
+  struct FleetStopper {
+    std::atomic<bool>& stop;
+    std::vector<std::thread>& fleet;
+    ~FleetStopper() { Join(); }
+    void Join() {
+      stop.store(true, std::memory_order_release);
+      for (std::thread& t : fleet) {
+        if (t.joinable()) t.join();
+      }
+    }
+  } stopper{stop, fleet};
   fleet.reserve(kFleet);
   for (int i = 0; i < kFleet; ++i) {
     fleet.emplace_back(FleetWorker, port, i, std::cref(stop),
@@ -256,14 +283,17 @@ TEST_F(SuperviseTest, KillLoopRestartsCleanlyWithZeroWrongAnswers) {
 
   std::uint64_t rng = 0xdeadULL;
   int restarts_observed = 0;
+  pid_t killed = -1;
   for (int cycle = 0; cycle < kKillCycles; ++cycle) {
     // Let the fleet run a random slice so the SIGKILL lands at varied
     // points: mid-query, mid-write, mid-accept, idle.
     std::this_thread::sleep_for(
         std::chrono::milliseconds(10 + NextRand(rng) % 120));
-    pid_t daemon = ReadPidfile();
-    ASSERT_GT(daemon, 0) << "no pidfile before kill #" << cycle;
+    const pid_t daemon = AwaitNewDaemon(killed, std::chrono::seconds(10));
+    ASSERT_GT(daemon, 0) << "no pidfile naming a live daemon before kill #"
+                         << cycle;
     ASSERT_EQ(kill(daemon, SIGKILL), 0) << "kill #" << cycle;
+    killed = daemon;
     ASSERT_TRUE(AwaitReady(port, std::chrono::seconds(30)))
         << "daemon not ready again after SIGKILL #" << cycle;
     ++restarts_observed;
@@ -292,8 +322,7 @@ TEST_F(SuperviseTest, KillLoopRestartsCleanlyWithZeroWrongAnswers) {
 
   // Quiesce the fleet, then the books must reconcile exactly on the
   // final incarnation.
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : fleet) t.join();
+  stopper.Join();
   {
     ClientOptions stats_options;
     stats_options.endpoint.port = port;

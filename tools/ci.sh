@@ -11,7 +11,8 @@
 #   tools/ci.sh fuzz            # Clang libFuzzer smoke (30s per target)
 #
 # Presets:
-#   release  RelWithDebInfo; full ctest pass, then the benchmark ctest
+#   release  RelWithDebInfo; full ctest pass, the perfbench/ build
+#            (twq + pbtool, -Werror), then the benchmark ctest
 #            configuration (-C bench -L bench) and the regression gate
 #            (tools/bench_gate.py vs the committed BENCH_*.json).
 #   asan     Debug + ASan/UBSan; full ctest pass, then an explicit
@@ -38,6 +39,14 @@ for preset in $presets; do
   case "$preset" in
     release)
       (cd "$root" && ctest --preset release -j "$jobs")
+      # The end-to-end benchmark's stand-alone build (perfbench/, whose
+      # CMakeLists adds -Wall -Wextra): twq and its helper pbtool, held
+      # to zero warnings.  pbtool reads library names no other target
+      # uses (RunStats::selector_cache_*, CompileSelectorCached,
+      # PlanSelector), so a library change must keep it compiling.
+      cmake -S "$root/perfbench" -B "$root/build-perfbench" \
+        -DCMAKE_CXX_FLAGS=-Werror
+      cmake --build "$root/build-perfbench" -j "$jobs" --target twq pbtool
       # End-to-end daemon smoke: start `twq serve`, drive it with
       # twq_loadgen, SIGHUP-reload, then SIGTERM and assert the graceful
       # drain exit code 75 (see docs/SERVER.md).

@@ -50,16 +50,17 @@
 //       [--request-budget-mb RB] [--deadline-ms D] [--max-deadline-ms MD]
 //       [--drain-ms MS] [--io-timeout-ms T] [--cache-budget-mb CB]
 //       [--snapshot-cache <dir>] [--quiet]
-//       Long-lived query daemon (docs/SERVER.md): preloads every tree
-//       in <corpus-dir> (.term/.xml/.twsnap, keyed by file name) into a
-//       byte-capped resident cache, then serves concurrent queries over
-//       a length-prefixed binary TCP protocol with admission control
-//       and load shedding.  Prints `listening on <host>:<port>` once
-//       ready (--port 0 binds an ephemeral port).  First SIGINT/SIGTERM
-//       drains gracefully — stop accepting, finish in-flight within
-//       --drain-ms, exit 75; a second signal aborts.  SIGHUP triggers a
-//       live corpus reload: the driver rebuilds the resident cache from
-//       the (possibly changed) corpus directory and swaps it in
+//       Long-lived query daemon (docs/SERVER.md): preloads the trees
+//       in <corpus-dir> (.term/.xml/.twsnap, keyed by file name) in name
+//       order, skipping any that would pass --cache-budget-mb, then
+//       serves concurrent queries over a length-prefixed binary TCP
+//       protocol with admission control and load shedding.  Prints
+//       `listening on <host>:<port>` once ready (--port 0 binds an
+//       ephemeral port).  First SIGINT/SIGTERM drains gracefully —
+//       stop accepting, finish in-flight within --drain-ms, exit 75; a
+//       second signal aborts.  SIGHUP triggers a live corpus reload:
+//       the daemon builds the next generation from the (possibly
+//       changed) corpus directory and swaps it in
 //       atomically; in-flight queries finish on the generation they
 //       started on.  --max-consecutive-failures N quarantines a
 //       formula x tree pair after N consecutive governor trips
@@ -92,10 +93,11 @@
 //                           snapshot cache in <dir>: first use parses
 //                           and persists, later uses mmap in with zero
 //                           parsing.  Corrupt/stale entries re-parse.
-//   --compile-cache <dir>   Accepted for compatibility and ignored:
-//                           compiled selectors are evaluated seeded
-//                           from each origin and materialize no
-//                           relation to persist (docs/SNAPSHOT.md).
+//   --compile-cache <dir>   Accepted for compatibility and ignored
+//                           (<dir> is not created): compiled selectors
+//                           are evaluated seeded from each origin and
+//                           materialize no relation to persist
+//                           (docs/SNAPSHOT.md).
 //
 // Global options (any subcommand, docs/OBSERVABILITY.md):
 //   --metrics-out <file>   Write a metrics snapshot at exit: Prometheus
@@ -145,7 +147,6 @@
 #include "src/logic/parser.h"
 #include "src/logic/planned_selector.h"
 #include "src/logic/planner.h"
-#include "src/logic/selector_cache.h"
 #include "src/server/server.h"
 #include "src/tree/axis_index.h"
 #include "src/tree/tree_stats.h"
@@ -223,7 +224,6 @@ int CmdRun(int argc, char** argv) {
 
   bool trace = false, graph = false;
   std::optional<tw::SnapshotCache> snapshot_cache;
-  std::optional<tw::SelectorDiskCache> compile_cache;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0) {
       trace = true;
@@ -233,8 +233,7 @@ int CmdRun(int argc, char** argv) {
       EnsureDir(argv[++i]);
       snapshot_cache.emplace(argv[i]);
     } else if (std::strcmp(argv[i], "--compile-cache") == 0 && i + 1 < argc) {
-      EnsureDir(argv[++i]);
-      compile_cache.emplace(argv[i]);
+      ++i;  // accepted and ignored
     } else {
       return Fail(std::string("unknown run option '") + argv[i] + "'\n" +
                   usage);
@@ -255,9 +254,6 @@ int CmdRun(int argc, char** argv) {
 
   tw::RunOptions options;
   options.record_trace = trace;
-  if (compile_cache.has_value()) {
-    options.selector_disk_cache = &*compile_cache;
-  }
   tw::Interpreter interpreter(*program, options);
   auto r = interpreter.Run(*tree);
   if (!r.ok()) return Fail("run: " + r.status().ToString());
@@ -451,18 +447,15 @@ int CmdExplain(int argc, char** argv) {
 }
 
 int CmdBatch(int argc, char** argv) {
-  if (argc < 1) {
-    return Fail("usage: twq batch <manifest> [--jobs N] [--max-steps M] "
-                "[--quiet] [--no-cache] "
-                "[--deadline-ms D] "
-                "[--memory-budget-mb B] [--retries R] "
-                "[--snapshot-cache <dir>] [--compile-cache <dir>] "
-                "[--journal <path> [--resume] [--journal-sync N]]");
-  }
+  const std::string usage =
+      "usage: twq batch <manifest> [--jobs N] [--max-steps M] [--quiet] "
+      "[--deadline-ms D] [--memory-budget-mb B] [--retries R] "
+      "[--snapshot-cache <dir>] [--compile-cache <dir>] "
+      "[--journal <path> [--resume] [--journal-sync N]]";
+  if (argc < 1) return Fail(usage);
   int num_threads = 1;
   long long max_steps = 0;  // 0 = interpreter default
   bool quiet = false;
-  bool cache_selectors = true;
   long long deadline_ms = 0;        // 0 = no deadline
   long long memory_budget_mb = 0;   // 0 = unlimited
   int retries = 0;                  // extra attempts beyond the first
@@ -474,7 +467,6 @@ int CmdBatch(int argc, char** argv) {
   // adds a power-loss barrier after every Nth finished job.
   int journal_sync = 0;
   std::optional<tw::SnapshotCache> snapshot_cache;
-  std::optional<tw::SelectorDiskCache> compile_cache;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       num_threads = std::atoi(argv[++i]);
@@ -482,8 +474,6 @@ int CmdBatch(int argc, char** argv) {
       max_steps = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
-    } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-      cache_selectors = false;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
       deadline_ms = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--memory-budget-mb") == 0 &&
@@ -501,10 +491,10 @@ int CmdBatch(int argc, char** argv) {
       EnsureDir(argv[++i]);
       snapshot_cache.emplace(argv[i]);
     } else if (std::strcmp(argv[i], "--compile-cache") == 0 && i + 1 < argc) {
-      EnsureDir(argv[++i]);
-      compile_cache.emplace(argv[i]);
+      ++i;  // accepted and ignored
     } else {
-      return Fail(std::string("unknown batch option '") + argv[i] + "'");
+      return Fail(std::string("unknown batch option '") + argv[i] + "'\n" +
+                  usage);
     }
   }
   if (resume && journal_path.empty()) {
@@ -615,10 +605,6 @@ int CmdBatch(int argc, char** argv) {
       job.program = programs[m.program_path].get();
       job.tree = trees[m.tree_path].get();
       if (max_steps > 0) job.options.max_steps = max_steps;
-      job.options.cache_selectors = cache_selectors;
-      if (compile_cache.has_value()) {
-        job.options.selector_disk_cache = &*compile_cache;
-      }
       job.deadline_ms = deadline_ms;
       job.memory_budget_bytes = memory_budget_mb * 1024 * 1024;
       job.retry.max_attempts = 1 + std::max(0, retries);
@@ -732,12 +718,11 @@ int CmdBatch(int argc, char** argv) {
     }
     const tw::JobResult& r = batch.results[e.job_index];
     if (!quiet) {
-      std::printf("[%zu] %s %s %s steps=%lld atp=%lld hits=%lld%s\n", i,
+      std::printf("[%zu] %s %s %s steps=%lld atp=%lld%s\n", i,
                   r.run.accepted ? "ACCEPT" : "REJECT",
                   e.program_path.c_str(), e.tree_path.c_str(),
                   static_cast<long long>(r.run.stats.steps),
                   static_cast<long long>(r.run.stats.atp_calls),
-                  static_cast<long long>(r.run.stats.selector_cache_hits),
                   r.attempts.size() > 1 && r.attempts.back().rung > 0
                       ? " (degraded)"
                       : "");
@@ -753,12 +738,11 @@ int CmdBatch(int argc, char** argv) {
                   ? (", " + std::to_string(skipped) + " skipped (journaled)")
                         .c_str()
                   : "");
-  std::printf("steps=%lld atp_calls=%lld cache_hits=%lld cache_misses=%lld "
+  std::printf("steps=%lld atp_calls=%lld selector_evals=%lld "
               "compiled_evals=%lld store_updates=%lld\n",
               static_cast<long long>(s.steps),
               static_cast<long long>(s.atp_calls),
-              static_cast<long long>(s.selector_cache_hits),
-              static_cast<long long>(s.selector_cache_misses),
+              static_cast<long long>(s.selector_evals),
               static_cast<long long>(s.compiled_selector_evals),
               static_cast<long long>(s.store_updates));
   if (s.planner_picks_reference + s.planner_picks_interval > 0) {
@@ -904,8 +888,9 @@ int CmdServe(int argc, char** argv) {
             path, snapshot_cache.has_value() ? &*snapshot_cache : nullptr);
       });
       if (!entry.ok()) {
-        // One bad file degrades the corpus, it does not sink the daemon —
-        // queries naming it get kNotFound.
+        // A file that cannot be loaded, or does not fit in what is left
+        // of --cache-budget-mb, degrades the corpus; it does not sink
+        // the daemon — queries naming it get kNotFound.
         std::fprintf(stderr, "twq serve: skipping %s: %s\n", name.c_str(),
                      entry.status().ToString().c_str());
         continue;

@@ -59,7 +59,10 @@ restarts=0
 while :; do
   "$TWQ" "$@" &
   child=$!
-  [ -n "$PIDFILE" ] && echo "$child" > "$PIDFILE"
+  # Write-then-rename, so a reader never sees a truncated pidfile.
+  if [ -n "$PIDFILE" ]; then
+    echo "$child" > "$PIDFILE.tmp" && mv -f "$PIDFILE.tmp" "$PIDFILE"
+  fi
   # `wait` returns early when a trapped signal arrives; loop until the
   # child is really gone so drains are never abandoned half-way.
   while :; do
