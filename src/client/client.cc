@@ -9,8 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
-#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -31,8 +29,6 @@ struct ClientMetrics {
   Counter* transport_errors;
   Counter* breaker_opened;
   Counter* breaker_shed;
-  Counter* hedges_launched;
-  Counter* hedges_won;
 
   static ClientMetrics& Get() {
     static ClientMetrics* metrics = [] {
@@ -55,14 +51,6 @@ struct ClientMetrics {
       m->breaker_shed = r.FindOrCreateCounter(
           "treewalk_client_breaker_shed_total",
           "Queries failed fast locally because the breaker was open");
-      m->hedges_launched = r.FindOrCreateCounter(
-          "treewalk_client_hedges_total",
-          "Hedged requests launched against the secondary endpoint",
-          {{"outcome", "launched"}});
-      m->hedges_won = r.FindOrCreateCounter(
-          "treewalk_client_hedges_total",
-          "Hedged requests launched against the secondary endpoint",
-          {{"outcome", "won"}});
       return m;
     }();
     return *metrics;
@@ -113,68 +101,24 @@ int ConnectTo(const Endpoint& target, std::int64_t timeout_ms) {
   return fd;
 }
 
-bool ReadFullTimed(int fd, unsigned char* buf, std::size_t len,
-                   Clock::time_point deadline) {
-  std::size_t done = 0;
-  while (done < len) {
-    std::int64_t left = MillisLeft(deadline);
-    if (left <= 0) return false;
-    struct pollfd pfd = {fd, POLLIN, 0};
-    int pr = poll(&pfd, 1, static_cast<int>(left));
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (pr == 0) return false;
-    ssize_t n = recv(fd, buf + done, len - done, 0);
-    if (n == 0) return false;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool WriteFullTimed(int fd, const char* buf, std::size_t len,
-                    Clock::time_point deadline) {
-  std::size_t done = 0;
-  while (done < len) {
-    std::int64_t left = MillisLeft(deadline);
-    if (left <= 0) return false;
-    struct pollfd pfd = {fd, POLLOUT, 0};
-    int pr = poll(&pfd, 1, static_cast<int>(left));
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (pr == 0) return false;
-    ssize_t n = send(fd, buf + done, len - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 /// One framed request/response on an already-connected socket.
 bool ExchangeOn(int fd, const std::string& request, std::int64_t wait_ms,
                 MessageType& type, std::string& body) {
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(wait_ms);
-  if (!WriteFullTimed(fd, request.data(), request.size(), deadline)) {
+  if (WriteFull(fd, request.data(), request.size(), deadline) !=
+      IoStatus::kOk) {
     return false;
   }
   unsigned char prefix[4];
-  if (!ReadFullTimed(fd, prefix, sizeof(prefix), deadline)) return false;
+  if (ReadFull(fd, prefix, sizeof(prefix), deadline) != IoStatus::kOk) {
+    return false;
+  }
   Result<std::uint32_t> len = DecodeFrameLength(prefix);
   if (!len.ok()) return false;
   std::string payload(*len, '\0');
-  if (!ReadFullTimed(fd, reinterpret_cast<unsigned char*>(payload.data()),
-                     payload.size(), deadline)) {
+  if (ReadFull(fd, reinterpret_cast<unsigned char*>(payload.data()),
+               payload.size(), deadline) != IoStatus::kOk) {
     return false;
   }
   Result<Frame> frame = DecodeFramePayload(payload);
@@ -251,12 +195,8 @@ QueryClient::~QueryClient() {
 
 Status QueryClient::Connect() {
   if (fd_ >= 0) return Status::Ok();
-  int fd = ConnectTo(options_.endpoint, options_.connect_timeout_ms);
-  {
-    std::lock_guard<std::mutex> lock(fd_mu_);
-    fd_ = fd;
-  }
-  if (fd < 0) {
+  fd_ = ConnectTo(options_.endpoint, options_.connect_timeout_ms);
+  if (fd_ < 0) {
     counters_.transport_errors.fetch_add(1, std::memory_order_relaxed);
     ClientMetrics::Get().transport_errors->Increment();
     return ResourceExhausted("cannot connect to " + options_.endpoint.host +
@@ -271,138 +211,14 @@ QueryClient::ExchangeResult QueryClient::ExchangePrimary(
   ExchangeResult out;
   if (fd_ < 0 && !Connect().ok()) return out;
   if (!ExchangeOn(fd_, request, wait_ms, out.type, out.body)) {
-    {
-      std::lock_guard<std::mutex> lock(fd_mu_);
-      close(fd_);
-      fd_ = -1;
-    }
+    close(fd_);
+    fd_ = -1;
     counters_.transport_errors.fetch_add(1, std::memory_order_relaxed);
     ClientMetrics::Get().transport_errors->Increment();
     return out;
   }
   out.transport_ok = true;
   return out;
-}
-
-QueryClient::ExchangeResult QueryClient::ExchangeOneShot(
-    const Endpoint& target, const std::string& request, std::int64_t wait_ms,
-    HedgeSlot* slot) {
-  ExchangeResult out;
-  int fd = ConnectTo(target, options_.connect_timeout_ms);
-  if (fd < 0) {
-    counters_.transport_errors.fetch_add(1, std::memory_order_relaxed);
-    ClientMetrics::Get().transport_errors->Increment();
-    return out;
-  }
-  if (slot != nullptr) {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    slot->fd = fd;
-  }
-  out.transport_ok = ExchangeOn(fd, request, wait_ms, out.type, out.body);
-  if (!out.transport_ok) {
-    counters_.transport_errors.fetch_add(1, std::memory_order_relaxed);
-    ClientMetrics::Get().transport_errors->Increment();
-  }
-  if (slot != nullptr) {
-    // Hold the lock across reset+close (mirroring fd_mu_) so the
-    // abort's load+shutdown cannot land on a recycled descriptor.
-    std::lock_guard<std::mutex> lock(slot->mu);
-    slot->fd = -1;
-    close(fd);
-  } else {
-    close(fd);
-  }
-  return out;
-}
-
-QueryClient::ExchangeResult QueryClient::ExchangeHedged(
-    const std::string& request, std::int64_t wait_ms, bool& hedge_won) {
-  // The primary runs on a worker thread so this thread can launch the
-  // hedge mid-flight; first *successful* completion wins and the
-  // loser's socket is shut down (an aborted read, not a leak).
-  struct Race {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool primary_done = false;
-    bool hedge_done = false;
-    ExchangeResult primary;
-    ExchangeResult hedge;
-  } race;
-
-  std::thread primary_thread([&] {
-    ExchangeResult r = ExchangePrimary(request, wait_ms);
-    std::lock_guard<std::mutex> lock(race.mu);
-    race.primary = std::move(r);
-    race.primary_done = true;
-    race.cv.notify_all();
-  });
-
-  std::thread hedge_thread;
-  HedgeSlot hedge_slot;
-  bool hedge_launched = false;
-  {
-    std::unique_lock<std::mutex> lock(race.mu);
-    race.cv.wait_for(lock,
-                     std::chrono::milliseconds(options_.hedge_delay_ms),
-                     [&] { return race.primary_done; });
-    if (!race.primary_done ||
-        !(race.primary.transport_ok &&
-          race.primary.type == MessageType::kQueryResult)) {
-      hedge_launched = true;
-    }
-  }
-  if (hedge_launched) {
-    counters_.hedges_launched.fetch_add(1, std::memory_order_relaxed);
-    ClientMetrics::Get().hedges_launched->Increment();
-    hedge_thread = std::thread([&] {
-      ExchangeResult r =
-          ExchangeOneShot(options_.hedge, request, wait_ms, &hedge_slot);
-      std::lock_guard<std::mutex> lock(race.mu);
-      race.hedge = std::move(r);
-      race.hedge_done = true;
-      race.cv.notify_all();
-    });
-  }
-
-  ExchangeResult winner;
-  {
-    std::unique_lock<std::mutex> lock(race.mu);
-    auto success = [](const ExchangeResult& r) {
-      return r.transport_ok && r.type == MessageType::kQueryResult;
-    };
-    race.cv.wait(lock, [&] {
-      if (race.primary_done && success(race.primary)) return true;
-      if (race.hedge_done && success(race.hedge)) return true;
-      return race.primary_done && (!hedge_launched || race.hedge_done);
-    });
-    if (race.hedge_done && success(race.hedge) &&
-        !(race.primary_done && success(race.primary))) {
-      winner = race.hedge;
-      hedge_won = true;
-      counters_.hedges_won.fetch_add(1, std::memory_order_relaxed);
-      ClientMetrics::Get().hedges_won->Increment();
-    } else if (race.primary_done) {
-      winner = race.primary;
-    } else {
-      winner = race.hedge;  // hedge answered (non-result) first
-    }
-  }
-  // Abort whichever side is still in flight so the joins below are
-  // prompt: the primary via the persistent fd, the hedge via its slot.
-  {
-    std::lock_guard<std::mutex> lock(race.mu);
-    {
-      std::lock_guard<std::mutex> fd_lock(fd_mu_);
-      if (!race.primary_done && fd_ >= 0) shutdown(fd_, SHUT_RDWR);
-    }
-    std::lock_guard<std::mutex> hedge_lock(hedge_slot.mu);
-    if (!race.hedge_done && hedge_slot.fd >= 0) {
-      shutdown(hedge_slot.fd, SHUT_RDWR);
-    }
-  }
-  primary_thread.join();
-  if (hedge_thread.joinable()) hedge_thread.join();
-  return winner;
 }
 
 QueryOutcome QueryClient::Query(const std::string& tree_name,
@@ -470,10 +286,7 @@ QueryOutcome QueryClient::Query(const std::string& tree_name,
     }
     ++out.attempts;
 
-    ExchangeResult got =
-        options_.hedge.port != 0
-            ? ExchangeHedged(request, wait_ms, out.hedge_won)
-            : ExchangePrimary(request, wait_ms);
+    ExchangeResult got = ExchangePrimary(request, wait_ms);
 
     bool retryable;
     if (!got.transport_ok) {
@@ -522,9 +335,14 @@ QueryOutcome QueryClient::Query(const std::string& tree_name,
 
     // Full-jitter exponential backoff, clamped to the remaining budget
     // (sleeping past the deadline would turn a retry into a timeout).
-    std::int64_t window =
-        std::min(options_.retry.max_backoff_ms,
-                 options_.retry.initial_backoff_ms << (attempt - 1));
+    // The window is min(initial << (attempt - 1), max), computed so that
+    // a long retry ladder can neither overflow nor over-shift.
+    const ClientRetry& retry = options_.retry;
+    const int shift = attempt - 1;
+    std::int64_t window = retry.max_backoff_ms;
+    if (shift < 62 && retry.initial_backoff_ms <= (window >> shift)) {
+      window = retry.initial_backoff_ms << shift;
+    }
     if (window > 0) {
       std::int64_t sleep_ms = static_cast<std::int64_t>(
           NextRand(rng_state_) % static_cast<std::uint64_t>(window + 1));

@@ -8,9 +8,8 @@
 /// resets and refusals, and a raw socket loop turns each into a
 /// user-visible failure.  QueryClient turns them into a bounded retry:
 ///
-///   backoff     jittered exponential retries reusing the engine's
-///               RetryPolicy knobs (max_attempts, initial/max backoff);
-///               full jitter, so a restarted daemon is not greeted by a
+///   backoff     jittered exponential retries (ClientRetry); full
+///               jitter, so a restarted daemon is not greeted by a
 ///               synchronized thundering herd
 ///   deadline    one end-to-end budget (total_deadline_ms) propagated
 ///               per attempt: the wire deadline_ms each attempt carries
@@ -22,10 +21,6 @@
 ///               socket) until breaker_cooldown_ms passes, then lets
 ///               exactly one half-open probe through — success closes
 ///               the breaker, failure re-opens it
-///   hedging     optionally race a second endpoint: if the primary has
-///               not answered within hedge_delay_ms, the same request
-///               is sent to the hedge endpoint and the first success
-///               wins (the loser's socket is shut down)
 ///
 /// One QueryClient owns one connection and is NOT thread-safe: a fleet
 /// uses one instance per thread (each with its own breaker, which is
@@ -49,7 +44,6 @@
 #include <string>
 
 #include "src/common/result.h"
-#include "src/engine/engine.h"
 #include "src/server/frame.h"
 
 namespace treewalk {
@@ -60,21 +54,27 @@ struct Endpoint {
   int port = 0;
 };
 
+/// Client-side retries.  A retryable failure is retried after a
+/// full-jitter sleep: retry k (1-based) draws uniformly from
+/// [0, min(initial_backoff_ms · 2^(k-1), max_backoff_ms)], clamped to
+/// what is left of total_deadline_ms.  Unlike the batch engine, which
+/// re-runs at once, the client waits: the failures it retries
+/// (refused connects, kOverloaded, kDraining) pass only with time.
+struct ClientRetry {
+  /// Total attempts (1 = no retries).
+  int max_attempts = 1;
+  /// Upper bound of the first retry's jitter window; doubles each
+  /// further retry up to `max_backoff_ms`.  0 disables backoff sleeps.
+  std::int64_t initial_backoff_ms = 1;
+  /// Cap on the exponential window.
+  std::int64_t max_backoff_ms = 1000;
+};
+
 struct ClientOptions {
   Endpoint endpoint;
-  /// Optional hedge target (port 0 = hedging off).  Typically a second
-  /// replica; hedging against the same endpoint only helps when one
-  /// connection is wedged.
-  Endpoint hedge;
-  /// How long the primary has the request exclusively before the hedge
-  /// is launched.
-  std::int64_t hedge_delay_ms = 50;
-  /// Retry knobs, reusing the engine's policy type: max_attempts,
-  /// initial_backoff_ms, max_backoff_ms.  (`degrade` is server-side
-  /// semantics and is ignored here.)
-  RetryPolicy retry;
-  /// End-to-end budget across all attempts, backoffs, and hedges; each
-  /// attempt's wire deadline is what remains of it.  0 = no budget
+  ClientRetry retry;
+  /// End-to-end budget across all attempts and backoffs; each attempt's
+  /// wire deadline is what remains of it.  0 = no budget
   /// (attempts carry request_deadline_ms instead).
   std::int64_t total_deadline_ms = 0;
   /// Per-attempt server deadline when total_deadline_ms == 0
@@ -109,8 +109,6 @@ struct ClientCounters {
   std::atomic<std::int64_t> breaker_shed{0};     ///< fail-fast while open
   std::atomic<std::int64_t> breaker_probes{0};   ///< half-open probes sent
   std::atomic<std::int64_t> breaker_closed{0};   ///< probe success -> closed
-  std::atomic<std::int64_t> hedges_launched{0};
-  std::atomic<std::int64_t> hedges_won{0};       ///< hedge answered first
   std::atomic<std::int64_t> deadline_exhausted{0}; ///< budget died client-side
 };
 
@@ -124,7 +122,6 @@ struct QueryOutcome {
   bool has_wire_error = false;
   WireError wire_error = WireError::kInternal;
   int attempts = 0;
-  bool hedge_won = false;
 };
 
 /// Maps a typed server refusal onto the engine's Status vocabulary
@@ -148,8 +145,9 @@ class QueryClient {
   /// refused).
   Status Connect();
 
-  /// One resilient query: retries, deadline propagation, breaker,
-  /// hedging — per the options.
+  /// One resilient query: retries, deadline propagation, breaker — per
+  /// the options.  Every attempt goes through the primary connection on
+  /// the calling thread.
   QueryOutcome Query(const std::string& tree_name,
                      const std::string& program_text);
 
@@ -177,23 +175,6 @@ class QueryClient {
   /// (re)connecting as needed; closes it on transport failure.
   ExchangeResult ExchangePrimary(const std::string& request,
                                  std::int64_t wait_ms);
-  /// A hedge connection's descriptor, shared between the hedge worker
-  /// (which opens, publishes, and closes it) and the hedged race's
-  /// abort path (which loads it and shuts it down).  mu orders
-  /// reset+close against load+shutdown — the same protocol fd_mu_
-  /// gives the primary — so the abort can never land on a descriptor
-  /// another thread has already closed and recycled.
-  struct HedgeSlot {
-    std::mutex mu;
-    int fd = -1;
-  };
-  /// One-shot request/response on a fresh connection to `target`.
-  ExchangeResult ExchangeOneShot(const Endpoint& target,
-                                 const std::string& request,
-                                 std::int64_t wait_ms, HedgeSlot* slot);
-  /// Primary exchange, racing the hedge endpoint after hedge_delay_ms.
-  ExchangeResult ExchangeHedged(const std::string& request,
-                                std::int64_t wait_ms, bool& hedge_won);
 
   /// Breaker gate for one attempt: false = fail fast (shed).  When it
   /// returns true in half-open state, the attempt is the probe.
@@ -202,12 +183,6 @@ class QueryClient {
 
   ClientOptions options_;
   ClientCounters counters_;
-  /// Guards fd_ against the one cross-thread access: during a hedged
-  /// exchange the primary runs on a worker thread (which may reconnect
-  /// or close-and-reset fd_) while this thread reads fd_ to shut a
-  /// stalled primary down.  Holding the lock across close/reset also
-  /// keeps that shutdown from landing on a recycled descriptor.
-  std::mutex fd_mu_;
   int fd_ = -1;
 
   mutable std::mutex breaker_mu_;

@@ -221,8 +221,6 @@ std::vector<double> LatencyBucketsUs() {
           65536, 131072, 262144, 524288, 1048576};
 }
 
-#ifndef TREEWALK_METRICS_DISABLED
-
 std::size_t Counter::ShardIndex() {
   static std::atomic<std::size_t> next{0};
   thread_local const std::size_t index =
@@ -378,14 +376,5 @@ void MetricsRegistry::ResetForTest() {
     }
   }
 }
-
-#else  // TREEWALK_METRICS_DISABLED
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry;
-  return *registry;
-}
-
-#endif  // TREEWALK_METRICS_DISABLED
 
 }  // namespace treewalk

@@ -16,11 +16,6 @@
 /// takes the registry mutex only to walk the instrument list, reading
 /// each atomic with relaxed loads.  Snapshots export as Prometheus text
 /// exposition v0.0.4 or JSON.
-///
-/// Configuring with -DTREEWALK_METRICS=OFF defines
-/// TREEWALK_METRICS_DISABLED, which compiles every instrument update to
-/// an empty inline function (the registry still exists so call sites
-/// and the engine API keep their shapes; snapshots are empty).
 
 #include <atomic>
 #include <chrono>
@@ -33,12 +28,6 @@
 #include <vector>
 
 namespace treewalk {
-
-#ifdef TREEWALK_METRICS_DISABLED
-inline constexpr bool kMetricsEnabled = false;
-#else
-inline constexpr bool kMetricsEnabled = true;
-#endif
 
 enum class MetricType { kCounter, kGauge, kHistogram };
 
@@ -96,8 +85,6 @@ struct MetricsSnapshot {
   std::int64_t Value(std::string_view name,
                      std::string_view label_value = {}) const;
 };
-
-#ifndef TREEWALK_METRICS_DISABLED
 
 /// Monotonic counter.  Increments land on one of kShards cache-line-
 /// padded atomics picked by a per-thread index, so the thread pool's
@@ -215,70 +202,13 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Entry>> entries_;
 };
 
-#else  // TREEWALK_METRICS_DISABLED
-
-class Counter {
- public:
-  void Increment(std::int64_t = 1) {}
-  std::int64_t value() const { return 0; }
-  void Reset() {}
-};
-
-class Gauge {
- public:
-  void Set(std::int64_t) {}
-  void Add(std::int64_t) {}
-  void UpdateMax(std::int64_t) {}
-  std::int64_t value() const { return 0; }
-  void Reset() {}
-};
-
-class Histogram {
- public:
-  void Observe(double) {}
-  HistogramSnapshot Snapshot() const { return {}; }
-  void Reset() {}
-};
-
-/// No-op registry: hands out pointers to shared static no-op
-/// instruments so call sites compile unchanged and updates vanish.
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global();
-
-  Counter* FindOrCreateCounter(std::string_view, std::string_view,
-                               MetricLabels = {}) {
-    return &counter_;
-  }
-  Gauge* FindOrCreateGauge(std::string_view, std::string_view,
-                           MetricLabels = {}) {
-    return &gauge_;
-  }
-  Histogram* FindOrCreateHistogram(std::string_view, std::string_view,
-                                   std::vector<double>, MetricLabels = {}) {
-    return &histogram_;
-  }
-
-  MetricsSnapshot Snapshot() const { return {}; }
-  void ResetForTest() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-#endif  // TREEWALK_METRICS_DISABLED
-
 /// Default latency bucket ladders (log-spaced).  Shared so related
 /// histograms stay comparable across subsystems.
 std::vector<double> LatencyBucketsMs();  ///< 0.25ms .. 8s
 std::vector<double> LatencyBucketsUs();  ///< 1us .. 1s
 
-#ifndef TREEWALK_METRICS_DISABLED
-
 /// RAII microsecond timer: observes its scope's wall time into a
-/// histogram.  Compiles away (no clock reads) when metrics are off.
+/// histogram.
 class ScopedLatencyUs {
  public:
   explicit ScopedLatencyUs(Histogram* histogram)
@@ -298,15 +228,6 @@ class ScopedLatencyUs {
   Histogram* histogram_;
   std::chrono::steady_clock::time_point start_;
 };
-
-#else  // TREEWALK_METRICS_DISABLED
-
-class ScopedLatencyUs {
- public:
-  explicit ScopedLatencyUs(Histogram*) {}
-};
-
-#endif  // TREEWALK_METRICS_DISABLED
 
 }  // namespace treewalk
 

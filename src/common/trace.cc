@@ -5,8 +5,6 @@
 
 namespace treewalk {
 
-#ifndef TREEWALK_METRICS_DISABLED
-
 namespace {
 
 /// Enclosing-span stack of the current thread; the top is the parent of
@@ -187,14 +185,5 @@ ScopedSpan::~ScopedSpan() {
   event.dur_us = tracer.NowMicros() - start_us_;
   tracer.Record(std::move(event));
 }
-
-#else  // TREEWALK_METRICS_DISABLED
-
-Tracer& Tracer::Global() {
-  static Tracer* tracer = new Tracer;
-  return *tracer;
-}
-
-#endif  // TREEWALK_METRICS_DISABLED
 
 }  // namespace treewalk

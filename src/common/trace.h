@@ -15,9 +15,6 @@
 /// span site while off.  ChromeTraceJson() renders the collected spans
 /// in the Chrome trace-event JSON array format, loadable in
 /// chrome://tracing or https://ui.perfetto.dev.
-///
-/// With -DTREEWALK_METRICS=OFF the tracer compiles to no-ops alongside
-/// the metrics registry (one observability switch).
 
 #include <atomic>
 #include <chrono>
@@ -41,8 +38,6 @@ struct TraceEvent {
   std::uint64_t dur_us = 0;
   std::uint32_t tid = 0;  ///< dense per-thread index, not the OS tid
 };
-
-#ifndef TREEWALK_METRICS_DISABLED
 
 class Tracer {
  public:
@@ -118,31 +113,6 @@ class ScopedSpan {
   std::uint64_t parent_ = 0;
   bool active_ = false;
 };
-
-#else  // TREEWALK_METRICS_DISABLED
-
-class Tracer {
- public:
-  static constexpr std::size_t kDefaultCapacity = 65536;
-  static Tracer& Global();
-  void Enable(std::size_t = kDefaultCapacity) {}
-  void Disable() {}
-  bool enabled() const { return false; }
-  std::uint64_t dropped() const { return 0; }
-  std::vector<TraceEvent> Collect() const { return {}; }
-  std::string ChromeTraceJson() const { return "[]\n"; }
-  std::uint64_t NowMicros() const { return 0; }
-  void RecordComplete(const char*, std::string, std::uint64_t,
-                      std::uint64_t) {}
-};
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char*) {}
-  ScopedSpan(const char*, std::string) {}
-};
-
-#endif  // TREEWALK_METRICS_DISABLED
 
 }  // namespace treewalk
 

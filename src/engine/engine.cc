@@ -41,7 +41,6 @@ struct EngineMetrics {
   Gauge* memory_peak[kNumMemoryCategories];
   Histogram* job_latency_ms;
   Histogram* queue_wait_ms;
-  Histogram* backoff_ms;
 
   static EngineMetrics& Get() {
     static EngineMetrics* metrics = [] {
@@ -61,7 +60,7 @@ struct EngineMetrics {
                                           "Job attempts started");
       m->retries = r.FindOrCreateCounter(
           "treewalk_engine_retries_total",
-          "Attempts beyond each job's first (RetryPolicy re-runs)");
+          "Attempts beyond each job's first (max_attempts re-runs)");
       m->deadline_hits = r.FindOrCreateCounter(
           "treewalk_engine_deadline_hits_total",
           "Attempts that failed with kDeadlineExceeded");
@@ -92,15 +91,12 @@ struct EngineMetrics {
       }
       m->job_latency_ms = r.FindOrCreateHistogram(
           "treewalk_engine_job_latency_ms",
-          "Per-job wall time on a worker, retries and backoff included",
+          "Per-job wall time on a worker, retries included",
           LatencyBucketsMs());
       m->queue_wait_ms = r.FindOrCreateHistogram(
           "treewalk_engine_queue_wait_ms",
           "Time from batch start to a job's first attempt",
           LatencyBucketsMs());
-      m->backoff_ms = r.FindOrCreateHistogram(
-          "treewalk_engine_backoff_ms",
-          "Retry backoff sleeps actually taken", LatencyBucketsMs());
       return m;
     }();
     return *metrics;
@@ -112,48 +108,6 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
              std::chrono::duration<double, std::milli>>(
              std::chrono::steady_clock::now() - start)
       .count();
-}
-
-/// splitmix64, the backoff-jitter generator: deterministic across
-/// standard libraries (results never depend on it, only sleep lengths).
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Full-jitter backoff for retry `retry_no` (0-based): uniform in
-/// [0, min(initial << retry_no, max)].
-std::int64_t JitteredBackoffMs(const RetryPolicy& retry, int retry_no,
-                               std::uint64_t& rng_state) {
-  std::int64_t initial = std::max<std::int64_t>(0, retry.initial_backoff_ms);
-  std::int64_t cap = std::max<std::int64_t>(0, retry.max_backoff_ms);
-  if (initial == 0 || cap == 0) return 0;
-  int shift = std::min(retry_no, 62);
-  std::int64_t window = initial > (std::int64_t{1} << (62 - shift))
-                            ? cap
-                            : std::min(initial << shift, cap);
-  rng_state = Mix64(rng_state);
-  return static_cast<std::int64_t>(rng_state %
-                                   static_cast<std::uint64_t>(window + 1));
-}
-
-/// Sleeps up to `ms`, polling `cancel` every few milliseconds so
-/// Ctrl-C / batch cancellation during backoff releases the worker
-/// promptly instead of hanging it for the whole window.
-void SleepUnlessCancelled(std::int64_t ms,
-                          const std::atomic<bool>& cancel) {
-  using Clock = std::chrono::steady_clock;
-  constexpr std::chrono::milliseconds kPollInterval(5);
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(ms);
-  while (!cancel.load(std::memory_order_relaxed)) {
-    Clock::time_point now = Clock::now();
-    if (now >= deadline) return;
-    std::this_thread::sleep_for(std::min<Clock::duration>(
-        kPollInterval, deadline - now));
-  }
 }
 
 /// Collects the string constants of a formula in syntax order.
@@ -184,9 +138,9 @@ Status ValidateJob(const BatchJob& job) {
   if (job.program == nullptr) return InvalidArgument("job has null program");
   if (job.tree == nullptr) return InvalidArgument("job has null tree");
   if (job.tree->empty()) return InvalidArgument("job has empty tree");
-  if (job.retry.max_attempts < 1) {
-    return InvalidArgument("retry.max_attempts must be >= 1, got " +
-                           std::to_string(job.retry.max_attempts));
+  if (job.max_attempts < 1) {
+    return InvalidArgument("max_attempts must be >= 1, got " +
+                           std::to_string(job.max_attempts));
   }
   return Status::Ok();
 }
@@ -202,12 +156,11 @@ bool IsRetryable(const Status& status) {
   }
 }
 
-/// Applies degradation rung `rung` (see RetryPolicy) to `options`.
-void ApplyRung(int rung, const RetryPolicy& retry, RunOptions& options) {
+/// Applies degradation rung `rung` (see kLastRung) to `options`.
+void ApplyRung(int rung, RunOptions& options) {
   if (rung >= 1) {
     options.detect_cycles = false;
-    options.max_steps = std::min(options.max_steps,
-                                 retry.degraded_max_steps);
+    options.max_steps = std::min(options.max_steps, kDegradedMaxSteps);
   }
 }
 
@@ -225,7 +178,7 @@ void RunAttemptOnce(const BatchJob& job, const Tree& delimited_tree,
   metrics.attempts->Increment();
   RunOptions options = job.options;
   options.cancel = &cancel;
-  ApplyRung(rung, job.retry, options);
+  ApplyRung(rung, options);
   // The governor is per-attempt: a retry gets a fresh deadline and an
   // empty accountant (it is also single-threaded state, so it cannot
   // be shared across the batch).
@@ -268,25 +221,24 @@ void RunAttemptOnce(const BatchJob& job, const Tree& delimited_tree,
   }
 }
 
-/// The full retry ladder of one job: attempts, degradation rungs,
-/// jittered backoff, cooperative cancellation.  `record_started`, when
-/// non-null, is invoked before each attempt (the batch journal's
-/// write-ahead record); `rng_state` is the already-seeded jitter state.
-/// On exit `out.status`/`out.attempts` are final; `out.run` is set only
-/// on success.
+/// The attempts of one job: degradation rungs and cooperative
+/// cancellation, a retryable failure re-running at once.
+/// `record_started`, when non-null, is invoked before each attempt (the
+/// batch journal's write-ahead record).  On exit
+/// `out.status`/`out.attempts` are final; `out.run` is set only on
+/// success.
 void RunRetryLadder(const BatchJob& job, const Tree& delimited_tree,
-                    const std::atomic<bool>& cancel, std::uint64_t rng_state,
-                    std::uint64_t span_id, EngineMetrics& metrics,
+                    const std::atomic<bool>& cancel, std::uint64_t span_id,
+                    EngineMetrics& metrics,
                     const std::function<void(int, int)>& record_started,
                     JobResult& out) {
-  const RetryPolicy& retry = job.retry;
-  for (int attempt_no = 0; attempt_no < retry.max_attempts; ++attempt_no) {
+  for (int attempt_no = 0; attempt_no < job.max_attempts; ++attempt_no) {
     if (cancel.load(std::memory_order_relaxed)) {
       out.status = Cancelled("job " + std::to_string(span_id) +
                              " cancelled before it started");
       return;
     }
-    int rung = retry.degrade ? std::min(attempt_no, 1) : 0;
+    const int rung = std::min(attempt_no, kLastRung);
     if (record_started) record_started(attempt_no, rung);
     if (attempt_no > 0) metrics.retries->Increment();
     JobResult::Attempt attempt;
@@ -303,18 +255,7 @@ void RunRetryLadder(const BatchJob& job, const Tree& delimited_tree,
       out.run = std::move(run);
       return;
     }
-    if (!IsRetryable(attempt.status) ||
-        attempt_no + 1 >= retry.max_attempts) {
-      return;
-    }
-    std::int64_t backoff_ms = JitteredBackoffMs(retry, attempt_no, rng_state);
-    if (backoff_ms > 0) {
-      metrics.backoff_ms->Observe(static_cast<double>(backoff_ms));
-      ScopedSpan backoff_span("backoff", "\"job\":" + std::to_string(span_id) +
-                                             ",\"ms\":" +
-                                             std::to_string(backoff_ms));
-      SleepUnlessCancelled(backoff_ms, cancel);
-    }
+    if (!IsRetryable(attempt.status)) return;
   }
 }
 
@@ -352,9 +293,9 @@ JobResult RunResidentJob(const BatchJob& job, const Tree& delimited_tree,
     out.status = InvalidArgument("job has empty tree");
     return out;
   }
-  if (job.retry.max_attempts < 1) {
-    out.status = InvalidArgument("retry.max_attempts must be >= 1, got " +
-                                 std::to_string(job.retry.max_attempts));
+  if (job.max_attempts < 1) {
+    out.status = InvalidArgument("max_attempts must be >= 1, got " +
+                                 std::to_string(job.max_attempts));
     return out;
   }
   // Interning is internally synchronized (src/common/interner.h), so
@@ -364,11 +305,10 @@ JobResult RunResidentJob(const BatchJob& job, const Tree& delimited_tree,
   PreInternConstants(*job.program, delimited_tree);
   metrics.jobs_running->Add(1);
   const auto job_start = std::chrono::steady_clock::now();
-  std::uint64_t rng_state = Mix64(0x9e3779b97f4a7c15ULL * (job.job_id + 1));
   {
     ScopedSpan job_span("job", "\"job\":" + std::to_string(job.job_id));
-    RunRetryLadder(job, delimited_tree, cancel, rng_state, job.job_id,
-                   metrics, nullptr, out);
+    RunRetryLadder(job, delimited_tree, cancel, job.job_id, metrics, nullptr,
+                   out);
   }
   RecordJobOutcome(out, metrics);
   metrics.job_latency_ms->Observe(MillisSince(job_start));
@@ -432,9 +372,6 @@ Result<BatchResult> BatchEngine::RunBatch(const std::vector<BatchJob>& jobs,
       journal_finished();
       return;
     }
-    std::uint64_t rng_state =
-        Mix64(options_.backoff_seed ^ (0x9e3779b97f4a7c15ULL *
-                                       (static_cast<std::uint64_t>(i) + 1)));
     std::function<void(int, int)> record_started;
     if (journaled) {
       record_started = [&](int attempt_no, int rung) {
@@ -443,8 +380,8 @@ Result<BatchResult> BatchEngine::RunBatch(const std::vector<BatchJob>& jobs,
       };
     }
     RunRetryLadder(jobs[i], delimited.at(jobs[i].tree).tree, cancel_,
-                   rng_state, static_cast<std::uint64_t>(i), metrics,
-                   record_started, out);
+                   static_cast<std::uint64_t>(i), metrics, record_started,
+                   out);
     // Cancelled before the first attempt: leave no journal trace, so a
     // resume treats the job as simply not run yet.  Every other exit —
     // including cancellation between attempts — records the terminal

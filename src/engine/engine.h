@@ -15,21 +15,11 @@ namespace treewalk {
 
 class BatchJournal;
 
-/// Retry behavior for one job.  A failed attempt whose status is
-/// retryable (kDeadlineExceeded, kResourceExhausted, kInternal) is rerun
-/// up to `max_attempts` times total, sleeping a randomized ("full
-/// jitter") backoff between attempts: retry k draws uniformly from
-/// [0, min(initial_backoff_ms · 2^k, max_backoff_ms)], using a
-/// deterministic per-job RNG seeded from EngineOptions::backoff_seed —
-/// so simultaneous retry storms across jobs desynchronize instead of
-/// thundering in lockstep.  The sleep polls the batch's cancel flag
-/// every few milliseconds; cancellation during backoff does not hang
-/// the worker.  With `degrade` set, every retry also steps down to
-/// rung 1 of a degradation ladder that trades evaluation features for
-/// footprint (attempts run rungs 0, 1, 1, ...):
+/// The degradation ladder a retried job walks.  Attempt k runs on rung
+/// min(k, kLastRung):
 ///
 ///   rung 0  as submitted
-///   rung 1  detect_cycles off, max_steps capped at degraded_max_steps
+///   rung 1  detect_cycles off, max_steps capped at kDegradedMaxSteps
 ///
 /// No rung changes the selector evaluator: the reference evaluator is
 /// orders of magnitude slower than seeded evaluation on the selectors
@@ -38,21 +28,10 @@ class BatchJournal;
 /// result except for the cycle policy: a looping run reports
 /// kResourceExhausted (step cap) instead of rejecting with kCycle.  The
 /// rung of every attempt is recorded in JobResult::attempts.
-struct RetryPolicy {
-  /// Total attempts (1 = no retries).
-  int max_attempts = 1;
-  /// Upper bound of the first retry's jitter window; doubles each
-  /// further retry up to `max_backoff_ms`.  0 disables backoff sleeps.
-  std::int64_t initial_backoff_ms = 1;
-  /// Cap on the exponential window — without one, a long retry ladder
-  /// sleeps unboundedly (2^k growth) instead of retrying.
-  std::int64_t max_backoff_ms = 1000;
-  /// Walk the degradation ladder on retries (off = retry as submitted).
-  bool degrade = true;
-  /// Step cap applied at rung 1, replacing cycle detection as the
-  /// termination guarantee.
-  std::int64_t degraded_max_steps = 1 << 20;
-};
+inline constexpr int kLastRung = 1;
+/// Step cap of rung 1, replacing cycle detection as the termination
+/// guarantee.
+inline constexpr std::int64_t kDegradedMaxSteps = std::int64_t{1} << 20;
 
 /// One (program, document) evaluation request.  The engine delimits the
 /// tree itself (once per distinct Tree pointer — jobs may share inputs).
@@ -71,7 +50,13 @@ struct BatchJob {
   /// Memory budget in bytes for the run's tracked structures; 0 =
   /// unlimited.  A trip fails the attempt with kResourceExhausted.
   std::int64_t memory_budget_bytes = 0;
-  RetryPolicy retry;
+  /// Total attempts (1 = no retries).  A failed attempt whose status is
+  /// retryable (kDeadlineExceeded, kResourceExhausted, kInternal) is
+  /// re-run at once, one rung further down the ladder above.  There is
+  /// no sleep between attempts: the interpreter is deterministic and
+  /// every attempt gets a fresh deadline and memory budget, so waiting
+  /// would free nothing and only lengthen the recovery.
+  int max_attempts = 1;
   /// Stable key for write-ahead journaling (src/engine/manifest.h
   /// derives it from the job's file contents).  0 = unjournaled: the
   /// job is run but never recorded, even when RunBatch has a journal.
@@ -139,7 +124,7 @@ struct BatchResult {
   /// incremented by the exact rules that build `stats`, so on a
   /// fresh registry the two reconcile exactly; unlike `stats`, the
   /// snapshot also counts the work of *failed* attempts and carries
-  /// latency histograms.  Empty when built with -DTREEWALK_METRICS=OFF.
+  /// latency histograms.
   MetricsSnapshot metrics;
 };
 
@@ -147,10 +132,21 @@ struct EngineOptions {
   /// Worker threads; 1 runs the batch inline on the calling thread.
   /// Results are identical for every value (see docs/ENGINE.md).
   int num_threads = 1;
-  /// Seeds the per-job backoff-jitter RNG (see RetryPolicy).  Only
-  /// sleep durations depend on it — results never do.
-  std::uint64_t backoff_seed = 0;
 };
+
+/// Runs one job's attempts — degradation rungs, per-attempt governor,
+/// the engine metric family — against an already-delimited tree, on the
+/// calling thread.  This is the resident daemon's execution path
+/// (src/server): the tree was delimited once at corpus load, so
+/// per-request cost is the run itself, and many requests may execute
+/// concurrently against one tree (interning is the only mutation and is
+/// internally synchronized).  `job.tree` is ignored; `delimited_tree`
+/// must be the Delimit() image.  `cancel` is polled cooperatively (the
+/// server's drain flag).  Shares its attempt executor with
+/// BatchEngine::RunBatch, so semantics cannot drift between the two
+/// front ends.
+JobResult RunResidentJob(const BatchJob& job, const Tree& delimited_tree,
+                         const std::atomic<bool>& cancel);
 
 /// Fixed-size thread-pool batch evaluator: N workers drain a shared work
 /// queue of jobs, each running the deterministic interpreter on its own
@@ -167,21 +163,6 @@ struct EngineOptions {
 ///     abort with kCancelled at the next transition and unstarted jobs
 ///     fail immediately; RunBatch still returns a fully populated,
 ///     index-aligned result vector.
-/// Runs one job's full retry ladder — degradation rungs, jittered
-/// backoff, per-attempt governor, the engine metric family — against an
-/// already-delimited tree, on the calling thread.  This is the resident
-/// daemon's execution path (src/server): the tree was delimited once at
-/// corpus load, so per-request cost is the run itself, and many requests
-/// may execute concurrently against one tree (interning is the only
-/// mutation and is internally synchronized).  `job.tree` is ignored;
-/// `delimited_tree` must be the Delimit() image.  `cancel` is polled
-/// cooperatively (the server's drain flag).  Backoff jitter between
-/// `job.retry` attempts is seeded from `job.job_id`.  Shares its
-/// attempt executor with BatchEngine::RunBatch, so semantics cannot
-/// drift between the two front ends.
-JobResult RunResidentJob(const BatchJob& job, const Tree& delimited_tree,
-                         const std::atomic<bool>& cancel);
-
 class BatchEngine {
  public:
   explicit BatchEngine(EngineOptions options = {});

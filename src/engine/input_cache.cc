@@ -1,10 +1,7 @@
 #include "src/engine/input_cache.h"
 
-#include <cstdio>
 #include <utility>
 
-#include "src/common/atomic_file.h"
-#include "src/common/crc32c.h"
 #include "src/common/metrics.h"
 #include "src/tree/delimited.h"
 
@@ -34,39 +31,6 @@ struct CacheMetrics {
 };
 
 }  // namespace
-
-std::string SnapshotCache::EntryPathFor(std::string_view contents) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.twsnap",
-                static_cast<unsigned long long>(Fnv1a64(contents)));
-  return dir_ + "/" + name;
-}
-
-Result<Tree> SnapshotCache::LoadOrParse(
-    const std::string& path,
-    const std::function<Result<Tree>(std::string_view contents)>& parse,
-    ResourceGovernor* governor) const {
-  TREEWALK_ASSIGN_OR_RETURN(std::string contents, ReadFileBytes(path));
-  const std::string entry = EntryPathFor(contents);
-  Result<Tree> snap = LoadTreeSnapshot(entry, governor);
-  if (snap.ok()) {
-    stats_.hits.fetch_add(1, std::memory_order_relaxed);
-    return snap;
-  }
-  if (snap.status().code() == StatusCode::kNotFound) {
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    stats_.fallbacks.fetch_add(1, std::memory_order_relaxed);
-  }
-  TREEWALK_ASSIGN_OR_RETURN(Tree tree, parse(contents));
-  // Best-effort persist: a full disk or injected fault costs only the
-  // next cold start, and WriteTreeSnapshot's tmp+rename discipline
-  // means no failure mode leaves a torn entry behind.
-  if (WriteTreeSnapshot(tree, entry).ok()) {
-    stats_.stores.fetch_add(1, std::memory_order_relaxed);
-  }
-  return tree;
-}
 
 ResidentTreeCache::ResidentTreeCache(std::int64_t capacity_bytes,
                                      std::uint64_t generation)

@@ -1,68 +1,17 @@
 #ifndef TREEWALK_ENGINE_INPUT_CACHE_H_
 #define TREEWALK_ENGINE_INPUT_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
 #include "src/common/governor.h"
 #include "src/common/result.h"
-#include "src/tree/snapshot.h"
 #include "src/tree/tree.h"
 
 namespace treewalk {
-
-/// Content-addressed snapshot cache for batch tree inputs: the cold-start
-/// eliminator behind `twq --snapshot-cache DIR`.  Keyed by the FNV-1a
-/// hash of the input file's *bytes* — edit the file and the key moves,
-/// so stale entries are structurally impossible to serve; they just
-/// strand until the directory is cleaned.
-///
-///   hit   `<dir>/<hex>.twsnap` mmaps in with zero parsing and zero
-///         re-numbering (src/tree/snapshot.h);
-///   miss  the caller-supplied parser runs and the result is persisted
-///         best-effort for next time;
-///   fallback  a corrupt/truncated/injected-fault entry is counted and
-///         re-parsed — degraded startup, never a wrong tree.
-///
-/// Thread-safe: entries are immutable, written atomically, and the
-/// counters are atomics; concurrent workers may share one instance.
-class SnapshotCache {
- public:
-  struct Stats {
-    std::atomic<std::int64_t> hits{0};
-    std::atomic<std::int64_t> misses{0};
-    std::atomic<std::int64_t> stores{0};
-    /// Entries present but rejected by validation (plus injected
-    /// faults); each one cost a parse that a healthy cache would have
-    /// saved.
-    std::atomic<std::int64_t> fallbacks{0};
-  };
-
-  explicit SnapshotCache(std::string dir) : dir_(std::move(dir)) {}
-
-  const std::string& dir() const { return dir_; }
-  const Stats& stats() const { return stats_; }
-
-  /// Cache path for input bytes (exposed for tests and `twq snapshot`).
-  std::string EntryPathFor(std::string_view contents) const;
-
-  /// Reads `path`, serves its tree from the cache or by running
-  /// `parse` on the file's contents (persisting the result).  `parse`
-  /// failures propagate verbatim; cache failures never do.
-  Result<Tree> LoadOrParse(
-      const std::string& path,
-      const std::function<Result<Tree>(std::string_view contents)>& parse,
-      ResourceGovernor* governor = nullptr) const;
-
- private:
-  std::string dir_;
-  mutable Stats stats_;
-};
 
 /// One generation of the daemon-resident corpus: already-delimited
 /// trees, byte-capped through a MemoryAccountant (category

@@ -1,6 +1,10 @@
 #include "src/server/frame.h"
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 
 namespace treewalk {
@@ -362,6 +366,64 @@ Result<StatsMap> DecodeStats(std::string_view body) {
   }
   if (!cur.empty()) return Malformed("trailing bytes after stats");
   return stats;
+}
+
+namespace {
+
+/// poll() timeout for what is left before `deadline`; <= 0 once due.
+std::int64_t MillisLeft(std::chrono::steady_clock::time_point deadline) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             deadline - std::chrono::steady_clock::now())
+      .count();
+}
+
+}  // namespace
+
+IoStatus ReadFull(int fd, unsigned char* buf, std::size_t len,
+                  std::chrono::steady_clock::time_point deadline) {
+  std::size_t done = 0;
+  while (done < len) {
+    const std::int64_t left = MillisLeft(deadline);
+    if (left <= 0) return IoStatus::kTimeout;
+    struct pollfd pfd = {fd, POLLIN, 0};
+    int pr = poll(&pfd, 1, static_cast<int>(left));
+    if (pr < 0) {
+      if (errno == EINTR) continue;
+      return IoStatus::kError;
+    }
+    if (pr == 0) return IoStatus::kTimeout;
+    ssize_t n = recv(fd, buf + done, len - done, 0);
+    if (n == 0) return IoStatus::kEof;
+    if (n < 0) {
+      if (errno == EINTR || errno == EAGAIN) continue;
+      return IoStatus::kError;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return IoStatus::kOk;
+}
+
+IoStatus WriteFull(int fd, const char* buf, std::size_t len,
+                   std::chrono::steady_clock::time_point deadline) {
+  std::size_t done = 0;
+  while (done < len) {
+    const std::int64_t left = MillisLeft(deadline);
+    if (left <= 0) return IoStatus::kTimeout;
+    struct pollfd pfd = {fd, POLLOUT, 0};
+    int pr = poll(&pfd, 1, static_cast<int>(left));
+    if (pr < 0) {
+      if (errno == EINTR) continue;
+      return IoStatus::kError;
+    }
+    if (pr == 0) return IoStatus::kTimeout;
+    ssize_t n = send(fd, buf + done, len - done, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR || errno == EAGAIN) continue;
+      return IoStatus::kError;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return IoStatus::kOk;
 }
 
 }  // namespace treewalk

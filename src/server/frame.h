@@ -17,6 +17,8 @@
 /// a value or a typed Status (fuzzed by tests/fuzz/fuzz_serve_frame.cc;
 /// malformation table in tests/serve_frame_test.cc).
 
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -146,6 +148,22 @@ struct Frame {
 /// Splits a complete payload (as sized by DecodeFrameLength) into type
 /// and body, validating the type byte.
 Result<Frame> DecodeFramePayload(std::string_view payload);
+
+// Socket I/O for frames, shared by both ends of the wire (the daemon's
+// connection loop and src/client).  Blocking socket + poll() against
+// one deadline: a peer that stalls mid-frame trips kTimeout, a reset or
+// a shutdown() trips kEof/kError promptly.  The server counts kTimeout
+// as a slow-client reap; the client only asks for kOk.
+
+enum class IoStatus { kOk, kEof, kTimeout, kError };
+
+/// Reads exactly `len` bytes from `fd` before `deadline`.
+IoStatus ReadFull(int fd, unsigned char* buf, std::size_t len,
+                  std::chrono::steady_clock::time_point deadline);
+/// Writes all `len` bytes to `fd` before `deadline`.  A peer that
+/// closed mid-write is kError on this thread, never SIGPIPE.
+IoStatus WriteFull(int fd, const char* buf, std::size_t len,
+                   std::chrono::steady_clock::time_point deadline);
 
 // Body codecs.  Encode* return the body only (frame with EncodeFrame);
 // Decode* are total over arbitrary bytes.

@@ -38,7 +38,6 @@ struct ServerMetrics {
   Counter* shed_draining;
   Counter* protocol_errors;
   Counter* slow_reaped;
-  Counter* reload_requests;
   Counter* reloads;
   Counter* quarantined;
   Counter* health_probes;
@@ -85,11 +84,6 @@ struct ServerMetrics {
           "treewalk_server_slow_clients_reaped_total",
           "Connections closed because a frame read/write exceeded the "
           "I/O timeout");
-      m->reload_requests = r.FindOrCreateCounter(
-          "treewalk_server_reload_requests_total",
-          "SIGHUPs observed by the serve driver; each one triggers a "
-          "live corpus reload (build a fresh generation, swap "
-          "atomically)");
       m->reloads = r.FindOrCreateCounter(
           "treewalk_server_reloads_total",
           "Corpus generation swaps completed (in-flight queries finish "
@@ -133,66 +127,9 @@ struct ServerMetrics {
   }
 };
 
-enum class IoStatus { kOk, kEof, kTimeout, kError };
-
-/// Reads exactly `len` bytes with an overall deadline.  Blocking socket
-/// + poll(): a peer that stalls mid-frame trips kTimeout, a reset or a
-/// drain-time shutdown() trips kEof/kError promptly.
-IoStatus ReadFull(int fd, unsigned char* buf, std::size_t len,
-                  std::int64_t timeout_ms) {
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
-  std::size_t done = 0;
-  while (done < len) {
-    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - Clock::now())
-                    .count();
-    if (left <= 0) return IoStatus::kTimeout;
-    struct pollfd pfd = {fd, POLLIN, 0};
-    int pr = poll(&pfd, 1, static_cast<int>(left));
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return IoStatus::kError;
-    }
-    if (pr == 0) return IoStatus::kTimeout;
-    ssize_t n = recv(fd, buf + done, len - done, 0);
-    if (n == 0) return IoStatus::kEof;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return IoStatus::kError;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return IoStatus::kOk;
-}
-
-IoStatus WriteFull(int fd, const char* buf, std::size_t len,
-                   std::int64_t timeout_ms) {
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
-  std::size_t done = 0;
-  while (done < len) {
-    auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - Clock::now())
-                    .count();
-    if (left <= 0) return IoStatus::kTimeout;
-    struct pollfd pfd = {fd, POLLOUT, 0};
-    int pr = poll(&pfd, 1, static_cast<int>(left));
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return IoStatus::kError;
-    }
-    if (pr == 0) return IoStatus::kTimeout;
-    // MSG_NOSIGNAL: a client that closed mid-response must surface as
-    // EPIPE on this thread, not SIGPIPE to the process.
-    ssize_t n = send(fd, buf + done, len - done, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return IoStatus::kError;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return IoStatus::kOk;
+/// Deadline for one socket read or write `ms` from now.
+Clock::time_point After(std::int64_t ms) {
+  return Clock::now() + std::chrono::milliseconds(ms);
 }
 
 Status CheckFailpoint(const char* site) {
@@ -321,7 +258,7 @@ void QueryServer::AcceptLoop() {
               : ErrorFrame(WireError::kOverloaded,
                            at_capacity ? "connection limit reached"
                                        : injected.message());
-      WriteFull(fd, frame.data(), frame.size(), 100);
+      WriteFull(fd, frame.data(), frame.size(), After(100));
       close(fd);
       counters_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
       metrics.connections_rejected->Increment();
@@ -347,7 +284,8 @@ void QueryServer::ConnectionLoop(Connection* conn) {
   const int fd = conn->fd;
   while (true) {
     unsigned char prefix[4];
-    IoStatus rs = ReadFull(fd, prefix, sizeof(prefix), options_.io_timeout_ms);
+    IoStatus rs =
+        ReadFull(fd, prefix, sizeof(prefix), After(options_.io_timeout_ms));
     if (rs == IoStatus::kTimeout) {
       counters_.slow_clients_reaped.fetch_add(1, std::memory_order_relaxed);
       metrics.slow_reaped->Increment();
@@ -358,7 +296,7 @@ void QueryServer::ConnectionLoop(Connection* conn) {
     if (!injected.ok()) {
       std::string frame = ErrorFrame(WireErrorFromStatus(injected.code()),
                                      injected.message());
-      WriteFull(fd, frame.data(), frame.size(), options_.io_timeout_ms);
+      WriteFull(fd, frame.data(), frame.size(), After(options_.io_timeout_ms));
       break;
     }
     Result<std::uint32_t> len = DecodeFrameLength(prefix);
@@ -369,12 +307,12 @@ void QueryServer::ConnectionLoop(Connection* conn) {
       metrics.protocol_errors->Increment();
       std::string frame =
           ErrorFrame(WireError::kInvalidRequest, len.status().message());
-      WriteFull(fd, frame.data(), frame.size(), options_.io_timeout_ms);
+      WriteFull(fd, frame.data(), frame.size(), After(options_.io_timeout_ms));
       break;
     }
     std::string payload(len.value(), '\0');
     rs = ReadFull(fd, reinterpret_cast<unsigned char*>(payload.data()),
-                  payload.size(), options_.io_timeout_ms);
+                  payload.size(), After(options_.io_timeout_ms));
     if (rs == IoStatus::kTimeout) {
       counters_.slow_clients_reaped.fetch_add(1, std::memory_order_relaxed);
       metrics.slow_reaped->Increment();
@@ -398,8 +336,8 @@ void QueryServer::ConnectionLoop(Connection* conn) {
     }
     injected = CheckFailpoint("server/write");
     if (!injected.ok()) break;  // simulated dead client: drop + close
-    IoStatus ws =
-        WriteFull(fd, response.data(), response.size(), options_.io_timeout_ms);
+    IoStatus ws = WriteFull(fd, response.data(), response.size(),
+                            After(options_.io_timeout_ms));
     if (ws == IoStatus::kTimeout) {
       counters_.slow_clients_reaped.fetch_add(1, std::memory_order_relaxed);
       metrics.slow_reaped->Increment();

@@ -26,9 +26,8 @@ namespace treewalk {
 /// as a clean non-OK Status, never a crash and never a silently wrong
 /// tree — every section is CRC32C-checked and every node record is
 /// bounds-validated before a view is handed out (the snapshot fuzz
-/// harness and tests/snapshot_test.cc hold this line).  Callers are
-/// expected to fall back to parsing on any load error
-/// (src/engine/input_cache.h counts those fallbacks).
+/// harness and tests/snapshot_test.cc hold this line).  A caller that
+/// still has the source can re-parse it on any load error.
 
 inline constexpr char kSnapshotMagic[8] = {'T', 'W', 'S', 'N', 'A', 'P',
                                            '0', '1'};

@@ -9,8 +9,7 @@
 //     failures retry, semantic verdicts are terminal;
 //   - the circuit breaker's full closed -> open -> half-open -> closed
 //     cycle under injected faults, with exact counter reconciliation
-//     against the fake server's request log;
-//   - hedging: a stalled primary loses the race to the hedge endpoint.
+//     against the fake server's request log.
 //
 // Runs under ASan (asan-focus) and TSan (threaded) in CI.
 
@@ -53,7 +52,6 @@ class FakeServer {
       kResult,   ///< answer kQueryResult{accepted}
       kError,    ///< answer kError{code}
       kClose,    ///< close the connection without answering
-      kStall,    ///< answer nothing until delay_ms (or Stop) passes
     };
     Kind kind = kResult;
     bool accepted = true;
@@ -180,9 +178,6 @@ class FakeServer {
           break;
         }
         case Action::kClose:
-          return;
-        case Action::kStall:
-          // delay already served above; answer nothing and hang up.
           return;
       }
     }
@@ -319,6 +314,32 @@ TEST(ClientTest, RetryableWireErrorsRetryToTheAttemptBudget) {
   EXPECT_EQ(outcome.attempts, 3);
   EXPECT_EQ(server.queries_seen(), 3);
   EXPECT_EQ(client.counters().retries.load(), 2);
+}
+
+TEST(ClientTest, LongRetryLaddersKeepTheBackoffWindowAtItsCap) {
+  // Past the 63rd retry, initial_backoff_ms · 2^(k-1) no longer fits
+  // in 64 bits.  The window must stay at max_backoff_ms all the way
+  // (the sanitizer build aborts on an oversized shift), so 80 attempts
+  // sleep at most 79 × 2 ms.
+  FakeServer server([](const QueryRequest&, int) {
+    FakeServer::Action action;
+    action.kind = FakeServer::Action::kError;
+    action.code = WireError::kOverloaded;
+    return action;
+  });
+
+  ClientOptions options = BaseOptions(server.port());
+  options.retry.max_attempts = 80;
+  options.retry.initial_backoff_ms = 1;
+  options.retry.max_backoff_ms = 2;
+  QueryClient client(options);
+
+  QueryOutcome outcome = client.Query("t", kAcceptAllProgram);
+  ASSERT_TRUE(outcome.has_wire_error);
+  EXPECT_EQ(outcome.wire_error, WireError::kOverloaded);
+  EXPECT_EQ(outcome.attempts, 80);
+  EXPECT_EQ(server.queries_seen(), 80);
+  EXPECT_EQ(client.counters().retries.load(), 79);
 }
 
 TEST(ClientTest, TransportFailuresRetryOnAFreshConnection) {
@@ -482,57 +503,6 @@ TEST(ClientTest, ExchangeWaitCoversTheWireDeadline) {
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   EXPECT_EQ(outcome.attempts, 1);
   EXPECT_EQ(client.counters().transport_errors.load(), 0);
-}
-
-TEST(ClientTest, HedgeWinsWhenThePrimaryStalls) {
-  // The primary swallows the request and goes silent; the hedge answers
-  // immediately.  The hedge must win well before the io timeout.
-  FakeServer primary([](const QueryRequest&, int) {
-    FakeServer::Action action;
-    action.kind = FakeServer::Action::kStall;
-    action.delay_ms = 5000;
-    return action;
-  });
-  FakeServer hedge([](const QueryRequest&, int) {
-    return FakeServer::Action{};  // immediate accept
-  });
-
-  ClientOptions options = BaseOptions(primary.port());
-  options.hedge.port = hedge.port();
-  options.hedge_delay_ms = 50;
-  options.io_timeout_ms = 10000;
-  QueryClient client(options);
-
-  auto start = std::chrono::steady_clock::now();
-  QueryOutcome outcome = client.Query("t", kAcceptAllProgram);
-  auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  EXPECT_TRUE(outcome.hedge_won);
-  EXPECT_LT(elapsed_ms, 4000) << "winner did not preempt the stalled primary";
-  EXPECT_EQ(client.counters().hedges_launched.load(), 1);
-  EXPECT_EQ(client.counters().hedges_won.load(), 1);
-}
-
-TEST(ClientTest, HedgeStaysQuietWhenThePrimaryIsFast) {
-  FakeServer primary([](const QueryRequest&, int) {
-    return FakeServer::Action{};  // immediate accept
-  });
-  FakeServer hedge([](const QueryRequest&, int) {
-    return FakeServer::Action{};
-  });
-
-  ClientOptions options = BaseOptions(primary.port());
-  options.hedge.port = hedge.port();
-  options.hedge_delay_ms = 2000;
-  QueryClient client(options);
-
-  QueryOutcome outcome = client.Query("t", kAcceptAllProgram);
-  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  EXPECT_FALSE(outcome.hedge_won);
-  EXPECT_EQ(client.counters().hedges_launched.load(), 0);
-  EXPECT_EQ(hedge.queries_seen(), 0);
 }
 
 TEST(ClientTest, StatusFromWireErrorMapsTheFullVocabulary) {

@@ -146,7 +146,9 @@ class CrashRecoveryTest : public ::testing::Test {
       BatchEngine engine({.num_threads = 2});
       Result<BatchResult> run = engine.RunBatch(remaining, &*journal);
       EXPECT_TRUE(run.ok()) << run.status();
-      if (flush) EXPECT_TRUE(journal->Flush().ok());
+      if (flush) {
+        EXPECT_TRUE(journal->Flush().ok());
+      }
       EXPECT_TRUE(journal->first_error().ok());
     }
     return rerun_ids;

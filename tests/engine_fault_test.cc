@@ -88,28 +88,37 @@ TEST_F(EngineFaultTest, PerJobDeadlineFailsOnlyThatJob) {
   EXPECT_EQ(batch.stats.deadline_hits, 1);
 }
 
-TEST_F(EngineFaultTest, RetriesWithoutDegradationRepeatRungZero) {
-  Program counter = std::move(ExponentialCounterProgram()).value();
-  Tree chain = FullTree(1, 29);
-  AssignUniqueIds(chain);
-  std::vector<BatchJob> jobs(1);
-  jobs[0].program = &counter;
-  jobs[0].tree = &chain;
-  jobs[0].options.max_steps = std::int64_t{1} << 60;
-  jobs[0].options.detect_cycles = false;
-  jobs[0].deadline_ms = 50;
-  jobs[0].retry.max_attempts = 2;
-  jobs[0].retry.degrade = false;
+/// The ladder is constant: the retry after a failed first attempt runs
+/// on rung 1, which turns cycle detection off and caps steps at
+/// kDegradedMaxSteps whatever the job asked for.  A job submitted with
+/// a far larger step budget, whose walk loops in place, fails its retry
+/// on that cap instead of rejecting with kCycle.
+TEST_F(EngineFaultTest, RetryRungCapsStepsAtTheLadderConstant) {
+  auto loop = ParseProgramText(
+      "class tw\nstates q0 qf\nrule #top q0 [true] move stay q0\n");
+  ASSERT_TRUE(loop.ok()) << loop.status().ToString();
+  Tree t = FullTree(2, 2);
+  BatchJob job;
+  job.program = &*loop;
+  job.tree = &t;
+  job.options.max_steps = std::int64_t{1} << 60;
+  job.max_attempts = 2;
 
+  FailpointRegistry::Config config;
+  config.code = StatusCode::kInternal;  // fails the first attempt only
+  FailpointRegistry::Global().Enable("engine/worker", config);
   BatchResult batch =
-      std::move(BatchEngine({.num_threads = 1}).RunBatch(jobs)).value();
+      std::move(BatchEngine({.num_threads = 1}).RunBatch({job})).value();
   const JobResult& r = batch.results[0];
-  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
   ASSERT_EQ(r.attempts.size(), 2u);
   EXPECT_EQ(r.attempts[0].rung, 0);
-  EXPECT_EQ(r.attempts[1].rung, 0);
-  EXPECT_EQ(r.attempts[0].status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(batch.stats.deadline_hits, 2);
+  EXPECT_EQ(r.attempts[0].status.code(), StatusCode::kInternal);
+  EXPECT_EQ(r.attempts[1].rung, 1);
+  EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted) << r.status;
+  EXPECT_NE(r.status.message().find("max_steps=" +
+                                    std::to_string(kDegradedMaxSteps)),
+            std::string::npos)
+      << r.status;
   EXPECT_EQ(batch.stats.retries, 1);
   EXPECT_EQ(batch.stats.degraded_successes, 0);
 }
@@ -147,7 +156,7 @@ TEST_F(EngineFaultTest, DegradationLadderDoesNotEscapeAxisIndexFaults) {
   BatchJob job;
   job.program = &p;
   job.tree = &t;
-  job.retry.max_attempts = 3;
+  job.max_attempts = 3;
   BatchResult batch =
       std::move(BatchEngine({.num_threads = 1}).RunBatch({job})).value();
   const JobResult& r = batch.results[0];
@@ -193,8 +202,7 @@ TEST_F(EngineFaultTest, EveryNodeSelectorJobFitsTheBudgetItUsedToTrip) {
 
   BatchJob job = clean;
   job.memory_budget_bytes = 24'584;
-  job.retry.max_attempts = 3;
-  job.retry.initial_backoff_ms = 0;
+  job.max_attempts = 3;
   BatchResult batch =
       std::move(BatchEngine({.num_threads = 1}).RunBatch({job})).value();
   const JobResult& r = batch.results[0];
@@ -336,8 +344,7 @@ TEST_F(EngineFaultTest, RandomFailpointSchedulesAreDeterministicPerSeed) {
   jobs[3].program = &lookahead;
   for (BatchJob& job : jobs) {
     job.tree = &t;
-    job.retry.max_attempts = 4;
-    job.retry.initial_backoff_ms = 0;
+    job.max_attempts = 4;
   }
 
   BatchResult reference =
@@ -405,17 +412,13 @@ TEST_F(EngineFaultTest, StatsSumConsistentlyUnderConcurrentFaults) {
   jobs[5].program = &parity;
   for (BatchJob& job : jobs) {
     job.tree = &t;
-    job.retry.max_attempts = 4;
-    job.retry.initial_backoff_ms = 1;  // exercise the jittered sleep path
-    job.retry.max_backoff_ms = 4;
+    job.max_attempts = 4;
   }
 
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     FailpointRegistry::Global().ArmRandomSchedule(seed);
-    BatchResult batch = std::move(BatchEngine({.num_threads = 4,
-                                               .backoff_seed = seed})
-                                      .RunBatch(jobs))
-                            .value();
+    BatchResult batch =
+        std::move(BatchEngine({.num_threads = 4}).RunBatch(jobs)).value();
     FailpointRegistry::Global().DisableAll();
 
     EngineStats expect;

@@ -105,9 +105,9 @@ TEST(BatchEngine, MalformedJobsFailIndividuallyNotBatchwide) {
   Tree t = FullTree(2, 2);
   Tree empty;
   std::vector<BatchJob> jobs(3);
-  jobs[0] = {&p, &t, {}};
-  jobs[1] = {nullptr, &t, {}};
-  jobs[2] = {&p, &empty, {}};
+  jobs[0] = {.program = &p, .tree = &t, .options = {}};
+  jobs[1] = {.program = nullptr, .tree = &t, .options = {}};
+  jobs[2] = {.program = &p, .tree = &empty, .options = {}};
   BatchResult batch =
       std::move(BatchEngine({.num_threads = 2}).RunBatch(jobs)).value();
   EXPECT_TRUE(batch.results[0].status.ok());

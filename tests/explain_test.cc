@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace treewalk {
 namespace {
@@ -165,6 +166,35 @@ TEST(ExplainGolden, RejectsBadInvocations) {
   const std::string no_cache = base + commands[1] + " --no-" + "cache";
   EXPECT_EQ(RunCapturingStderr(no_cache, err), 1) << no_cache;
   EXPECT_NE(err.find("usage: twq batch"), std::string::npos) << err;
+
+  // The retired snapshot input cache: run and batch answer with their
+  // usage line and create no directory.  As above, retired spellings
+  // are assembled from two pieces.
+  const std::string snapshot_dir = ::testing::TempDir() + "snapshot_cache." +
+                                   std::to_string(::getpid());
+  const std::pair<std::string, std::string> snapshot_cache_runs[] = {
+      {commands[0], "usage: twq run"},
+      {commands[1], "usage: twq batch"},
+  };
+  for (const auto& [command, usage] : snapshot_cache_runs) {
+    const std::string cmd =
+        base + command + std::string(" --snapshot") + "-cache " + snapshot_dir;
+    EXPECT_EQ(RunCapturingStderr(cmd, err), 1) << cmd;
+    EXPECT_NE(err.find(usage), std::string::npos) << cmd << "\n" << err;
+    struct stat st;
+    EXPECT_NE(::stat(snapshot_dir.c_str(), &st), 0)
+        << cmd << " created " << snapshot_dir;
+  }
+
+  // The retired hedge endpoint is an unknown query option, refused
+  // before the program is read or any connection is made.
+  const std::string hedge_flag = std::string("--hed") + "ge";
+  const std::string hedged =
+      base + " query t p --remote 127.0.0.1:1 " + hedge_flag + " 127.0.0.1:2";
+  EXPECT_EQ(RunCapturingStderr(hedged, err), 1) << hedged;
+  EXPECT_NE(err.find("unknown query option '" + hedge_flag + "'"),
+            std::string::npos)
+      << err;
 }
 
 /// `--compile-cache <dir>` is accepted and ignored by run and batch:

@@ -160,7 +160,9 @@ TEST(FuzzCorpus, ServeFrameSeedsReplayWithoutCrashing) {
       std::string wire = encode(*decoded);
       auto again = decode(wire);
       EXPECT_TRUE(again.ok());
-      if (again.ok()) EXPECT_EQ(encode(*again), wire);
+      if (again.ok()) {
+        EXPECT_EQ(encode(*again), wire);
+      }
       return true;
     };
     switch (static_cast<std::uint8_t>(s[0]) % 7) {

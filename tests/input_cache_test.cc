@@ -72,7 +72,7 @@ TEST(ResidentTreeCache, LoadFailuresPropagateAndCacheNothing) {
 }
 
 TEST(ResidentTreeCache, KeepsWhatFitsAndRefusesTheRest) {
-  if (kMetricsEnabled) MetricsRegistry::Global().ResetForTest();
+  MetricsRegistry::Global().ResetForTest();
   ResidentTreeCache cache(CapacityFor(2));
   ASSERT_TRUE(cache.GetOrLoad("a", SmallTree).ok());
   ASSERT_TRUE(cache.GetOrLoad("b", SmallTree).ok());
@@ -90,12 +90,10 @@ TEST(ResidentTreeCache, KeepsWhatFitsAndRefusesTheRest) {
   EXPECT_EQ(cache.Lookup("c"), nullptr);
   EXPECT_LE(cache.resident_bytes(), cache.capacity_bytes());
 
-  if (kMetricsEnabled) {
-    MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
-    EXPECT_EQ(snap.Value("treewalk_input_cache_resident_trees"), 2);
-    EXPECT_EQ(snap.Value("treewalk_input_cache_resident_bytes"),
-              cache.resident_bytes());
-  }
+  MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(snap.Value("treewalk_input_cache_resident_trees"), 2);
+  EXPECT_EQ(snap.Value("treewalk_input_cache_resident_bytes"),
+            cache.resident_bytes());
 }
 
 TEST(ResidentTreeCache, RefusesASingleTreeLargerThanTheWholeCap) {

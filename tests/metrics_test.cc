@@ -14,8 +14,6 @@
 namespace treewalk {
 namespace {
 
-#ifndef TREEWALK_METRICS_DISABLED
-
 TEST(Counter, IncrementsAndFoldsShards) {
   Counter c;
   EXPECT_EQ(c.value(), 0);
@@ -232,20 +230,6 @@ TEST(LatencyBuckets, AreStrictlyIncreasing) {
     }
   }
 }
-
-#else  // TREEWALK_METRICS_DISABLED
-
-TEST(MetricsDisabled, EverythingIsInertButLinks) {
-  EXPECT_FALSE(kMetricsEnabled);
-  MetricsRegistry& r = MetricsRegistry::Global();
-  Counter* c = r.FindOrCreateCounter("noop_total", "h");
-  c->Increment(100);
-  EXPECT_EQ(c->value(), 0);
-  EXPECT_TRUE(r.Snapshot().samples.empty());
-  EXPECT_EQ(r.Snapshot().ToPrometheusText(), "");
-}
-
-#endif  // TREEWALK_METRICS_DISABLED
 
 }  // namespace
 }  // namespace treewalk

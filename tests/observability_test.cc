@@ -29,7 +29,6 @@ namespace {
 class ObservabilityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!kMetricsEnabled) GTEST_SKIP() << "built with TREEWALK_METRICS=OFF";
     MetricsRegistry::Global().ResetForTest();
     FailpointRegistry::Global().DisableAll();
     Tracer::Global().Disable();
@@ -177,8 +176,7 @@ TEST_F(ObservabilityTest, RetriesAndFailuresReconcile) {
   std::vector<BatchJob> jobs(1);
   jobs[0].program = &fast;
   jobs[0].tree = &small;
-  jobs[0].retry.max_attempts = 2;
-  jobs[0].retry.initial_backoff_ms = 0;
+  jobs[0].max_attempts = 2;
 
   BatchResult batch =
       std::move(BatchEngine({.num_threads = 1}).RunBatch(jobs)).value();

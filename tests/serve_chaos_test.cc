@@ -86,7 +86,7 @@ class ServeChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FailpointRegistry::Global().DisableAll();
-    if (kMetricsEnabled) MetricsRegistry::Global().ResetForTest();
+    MetricsRegistry::Global().ResetForTest();
   }
   void TearDown() override { FailpointRegistry::Global().DisableAll(); }
 };

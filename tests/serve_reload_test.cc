@@ -48,7 +48,7 @@ using serve_test::QueryFrame;
 class ServeReloadTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (kMetricsEnabled) MetricsRegistry::Global().ResetForTest();
+    MetricsRegistry::Global().ResetForTest();
   }
 };
 

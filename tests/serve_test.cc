@@ -56,7 +56,7 @@ class ServeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FailpointRegistry::Global().DisableAll();
-    if (kMetricsEnabled) MetricsRegistry::Global().ResetForTest();
+    MetricsRegistry::Global().ResetForTest();
   }
 
   void TearDown() override {
@@ -162,13 +162,11 @@ TEST_F(ServeTest, PingStatsAndMetricsAnswerOnOneConnection) {
   EXPECT_GT(stats->Value("corpus.resident_bytes"), 0);
   EXPECT_EQ(stats->Value("server.draining"), 0);
 
-  if (kMetricsEnabled) {
-    ASSERT_TRUE(Exchange(client.fd, EncodeFrame(MessageType::kMetrics, ""),
-                         type, body));
-    EXPECT_EQ(type, MessageType::kMetricsResult);
-    EXPECT_NE(body.find("treewalk_server_connections_total"),
-              std::string::npos);
-  }
+  ASSERT_TRUE(Exchange(client.fd, EncodeFrame(MessageType::kMetrics, ""),
+                       type, body));
+  EXPECT_EQ(type, MessageType::kMetricsResult);
+  EXPECT_NE(body.find("treewalk_server_connections_total"),
+            std::string::npos);
   EXPECT_EQ(server_->counters().pings.load(), 1);
   EXPECT_EQ(server_->counters().stats_requests.load(), 1);
 }

@@ -14,8 +14,6 @@
 namespace treewalk {
 namespace {
 
-#ifndef TREEWALK_METRICS_DISABLED
-
 const TraceEvent* FindByName(const std::vector<TraceEvent>& events,
                              const std::string& name) {
   for (const TraceEvent& e : events) {
@@ -159,19 +157,6 @@ TEST(Tracer, ChromeTraceJsonEmptyIsAnEmptyArray) {
   tracer.Disable();
   EXPECT_EQ(tracer.ChromeTraceJson(), "[\n]\n");
 }
-
-#else  // TREEWALK_METRICS_DISABLED
-
-TEST(TracerDisabled, CompilesToInertStubs) {
-  Tracer& tracer = Tracer::Global();
-  tracer.Enable();
-  { ScopedSpan span("nothing"); }
-  EXPECT_FALSE(tracer.enabled());
-  EXPECT_TRUE(tracer.Collect().empty());
-  EXPECT_EQ(tracer.ChromeTraceJson(), "[]\n");
-}
-
-#endif  // TREEWALK_METRICS_DISABLED
 
 }  // namespace
 }  // namespace treewalk

@@ -1,7 +1,7 @@
 // twq — command-line front end for the treewalk library.
 //
 //   twq run <program.twp> <tree.{term,xml}> [--trace] [--graph]
-//       [--snapshot-cache <dir>] [--compile-cache <dir>]
+//       [--compile-cache <dir>]
 //       Run a tree-walking program (textual .twp format) on a tree.
 //       Unknown options are a usage error (exit 1).
 //   twq xpath <query> <tree.{term,xml}>
@@ -31,9 +31,9 @@
 //       A file that fails to load fails only the jobs naming it.
 //       --deadline-ms / --memory-budget-mb bound each job's wall clock
 //       and memory (kDeadlineExceeded / kResourceExhausted on trip);
-//       --retries re-runs retryable failures down the degradation
-//       ladder (docs/ROBUSTNESS.md).  Exits nonzero if any job failed
-//       and prints a per-status-code failure summary.
+//       --retries re-runs retryable failures at once, down the
+//       degradation ladder (docs/ROBUSTNESS.md).  Exits nonzero if any
+//       job failed and prints a per-status-code failure summary.
 //
 //       --journal streams a crash-consistent write-ahead journal of
 //       per-job progress; --resume diffs it against the manifest and
@@ -49,7 +49,7 @@
 //       [--max-queue Q] [--max-connections C] [--memory-budget-mb B]
 //       [--request-budget-mb RB] [--deadline-ms D] [--max-deadline-ms MD]
 //       [--drain-ms MS] [--io-timeout-ms T] [--cache-budget-mb CB]
-//       [--snapshot-cache <dir>] [--quiet]
+//       [--quiet]
 //       Long-lived query daemon (docs/SERVER.md): preloads the trees
 //       in <corpus-dir> (.term/.xml/.twsnap, keyed by file name) in name
 //       order, skipping any that would pass --cache-budget-mb, then
@@ -66,12 +66,12 @@
 //       formula x tree pair after N consecutive governor trips
 //       (kQuarantined on the wire; docs/SERVER.md).
 //   twq query <tree-name> <program.twp> --remote HOST:PORT [--retries R]
-//       [--total-deadline-ms D] [--deadline-ms D] [--breaker-threshold N]
-//       [--breaker-cooldown-ms MS] [--hedge HOST:PORT]
-//       [--hedge-delay-ms MS] [--quiet]
+//       [--total-deadline-ms D] [--deadline-ms D] [--io-timeout-ms T]
+//       [--breaker-threshold N] [--breaker-cooldown-ms MS] [--quiet]
 //       Run one query against a resident daemon through the resilient
 //       client library (src/client): jittered retries, end-to-end
-//       deadline propagation, circuit breaker, optional hedging.
+//       deadline propagation, circuit breaker.  Unknown options are a
+//       usage error (exit 1).
 //   twq probe <health|ready|stats> --remote HOST:PORT [--hold-ms N]
 //       [--timeout-ms T]
 //       Probe a daemon.  `health` is liveness (exit 0 while the process
@@ -88,16 +88,11 @@
 //       Validate a snapshot (CRCs and all) and print its header and
 //       section table.
 //
-// Zero-parse startup (run and batch, docs/SNAPSHOT.md):
-//   --snapshot-cache <dir>  Serve tree inputs from a content-addressed
-//                           snapshot cache in <dir>: first use parses
-//                           and persists, later uses mmap in with zero
-//                           parsing.  Corrupt/stale entries re-parse.
-//   --compile-cache <dir>   Accepted for compatibility and ignored
-//                           (<dir> is not created): compiled selectors
-//                           are evaluated seeded from each origin and
-//                           materialize no relation to persist
-//                           (docs/SNAPSHOT.md).
+// Zero-parse startup (docs/SNAPSHOT.md): pass a .twsnap from
+// `twq snapshot build` wherever a tree is expected.  run and batch
+// accept `--compile-cache <dir>` for compatibility and ignore it (<dir>
+// is not created): compiled selectors are evaluated seeded from each
+// origin and materialize no relation to persist.
 //
 // Global options (any subcommand, docs/OBSERVABILITY.md):
 //   --metrics-out <file>   Write a metrics snapshot at exit: Prometheus
@@ -114,7 +109,6 @@
 // file ends in .xml (XML) or .twsnap (snapshot).
 
 #include <dirent.h>
-#include <sys/stat.h>
 
 #include <algorithm>
 #include <atomic>
@@ -179,41 +173,20 @@ bool HasSuffix(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-tw::Result<tw::Tree> ParseTreeText(const std::string& path,
-                                   std::string_view text) {
-  if (HasSuffix(path, ".xml")) return tw::ParseXml(std::string(text));
-  return tw::ParseTerm(std::string(text));
-}
-
 tw::Result<tw::Tree> LoadTree(const std::string& path) {
   if (HasSuffix(path, ".twsnap")) return tw::LoadTreeSnapshot(path);
   std::string text;
   if (!ReadFile(path, text)) {
     return tw::NotFound("cannot read tree file '" + path + "'");
   }
-  return ParseTreeText(path, text);
-}
-
-/// LoadTree routed through a --snapshot-cache directory (when given);
-/// explicit .twsnap files bypass the cache — they already are one.
-tw::Result<tw::Tree> LoadTreeCached(const std::string& path,
-                                    const tw::SnapshotCache* cache) {
-  if (cache == nullptr || HasSuffix(path, ".twsnap")) return LoadTree(path);
-  return cache->LoadOrParse(path, [&](std::string_view text) {
-    return ParseTreeText(path, text);
-  });
-}
-
-/// Creates a cache directory if absent (one level; callers pass leaf
-/// dirs).  Failure is left for the first file operation to report.
-void EnsureDir(const std::string& dir) {
-  ::mkdir(dir.c_str(), 0777);
+  if (HasSuffix(path, ".xml")) return tw::ParseXml(text);
+  return tw::ParseTerm(text);
 }
 
 int CmdRun(int argc, char** argv) {
   const std::string usage =
       "usage: twq run <program.twp> <tree> [--trace] [--graph] "
-      "[--snapshot-cache <dir>] [--compile-cache <dir>]";
+      "[--compile-cache <dir>]";
   if (argc < 2) return Fail(usage);
   std::string program_text;
   if (!ReadFile(argv[0], program_text)) {
@@ -223,15 +196,11 @@ int CmdRun(int argc, char** argv) {
   if (!program.ok()) return Fail("program: " + program.status().ToString());
 
   bool trace = false, graph = false;
-  std::optional<tw::SnapshotCache> snapshot_cache;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0) {
       trace = true;
     } else if (std::strcmp(argv[i], "--graph") == 0) {
       graph = true;
-    } else if (std::strcmp(argv[i], "--snapshot-cache") == 0 && i + 1 < argc) {
-      EnsureDir(argv[++i]);
-      snapshot_cache.emplace(argv[i]);
     } else if (std::strcmp(argv[i], "--compile-cache") == 0 && i + 1 < argc) {
       ++i;  // accepted and ignored
     } else {
@@ -239,8 +208,7 @@ int CmdRun(int argc, char** argv) {
                   usage);
     }
   }
-  auto tree = LoadTreeCached(
-      argv[1], snapshot_cache.has_value() ? &*snapshot_cache : nullptr);
+  auto tree = LoadTree(argv[1]);
   if (!tree.ok()) return Fail("tree: " + tree.status().ToString());
 
   if (graph) {
@@ -450,7 +418,7 @@ int CmdBatch(int argc, char** argv) {
   const std::string usage =
       "usage: twq batch <manifest> [--jobs N] [--max-steps M] [--quiet] "
       "[--deadline-ms D] [--memory-budget-mb B] [--retries R] "
-      "[--snapshot-cache <dir>] [--compile-cache <dir>] "
+      "[--compile-cache <dir>] "
       "[--journal <path> [--resume] [--journal-sync N]]";
   if (argc < 1) return Fail(usage);
   int num_threads = 1;
@@ -466,7 +434,6 @@ int CmdBatch(int argc, char** argv) {
   // per-finish fsync costs ~60% wall clock on short jobs (E16).  N > 0
   // adds a power-loss barrier after every Nth finished job.
   int journal_sync = 0;
-  std::optional<tw::SnapshotCache> snapshot_cache;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
       num_threads = std::atoi(argv[++i]);
@@ -487,9 +454,6 @@ int CmdBatch(int argc, char** argv) {
       resume = true;
     } else if (std::strcmp(argv[i], "--journal-sync") == 0 && i + 1 < argc) {
       journal_sync = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--snapshot-cache") == 0 && i + 1 < argc) {
-      EnsureDir(argv[++i]);
-      snapshot_cache.emplace(argv[i]);
     } else if (std::strcmp(argv[i], "--compile-cache") == 0 && i + 1 < argc) {
       ++i;  // accepted and ignored
     } else {
@@ -573,8 +537,7 @@ int CmdBatch(int argc, char** argv) {
     if (trees.count(path) > 0) return tw::Status::Ok();
     auto it = load_errors.find(path);
     if (it != load_errors.end()) return it->second;
-    auto parsed = LoadTreeCached(
-        path, snapshot_cache.has_value() ? &*snapshot_cache : nullptr);
+    auto parsed = LoadTree(path);
     tw::Status status;
     if (parsed.ok()) {
       trees[path] =
@@ -607,7 +570,7 @@ int CmdBatch(int argc, char** argv) {
       if (max_steps > 0) job.options.max_steps = max_steps;
       job.deadline_ms = deadline_ms;
       job.memory_budget_bytes = memory_budget_mb * 1024 * 1024;
-      job.retry.max_attempts = 1 + std::max(0, retries);
+      job.max_attempts = 1 + std::max(0, retries);
       job.job_id = m.job_id;
       entry.job_index = jobs.size();
       jobs.push_back(job);
@@ -752,15 +715,6 @@ int CmdBatch(int argc, char** argv) {
                 static_cast<long long>(s.planner_picks_reference),
                 static_cast<long long>(s.planner_picks_interval));
   }
-  if (snapshot_cache.has_value()) {
-    const tw::SnapshotCache::Stats& cs = snapshot_cache->stats();
-    std::printf("snapshot_cache: hits=%lld misses=%lld stores=%lld "
-                "fallbacks=%lld\n",
-                static_cast<long long>(cs.hits.load()),
-                static_cast<long long>(cs.misses.load()),
-                static_cast<long long>(cs.stores.load()),
-                static_cast<long long>(cs.fallbacks.load()));
-  }
   if (s.deadline_hits + s.memory_trips + s.retries + s.degraded_successes >
       0) {
     std::printf("deadline_hits=%lld memory_trips=%lld retries=%lld "
@@ -795,14 +749,12 @@ int CmdServe(int argc, char** argv) {
                 "[--workers N] [--max-queue Q] [--max-connections C] "
                 "[--memory-budget-mb B] [--request-budget-mb RB] "
                 "[--deadline-ms D] [--max-deadline-ms MD] [--drain-ms MS] "
-                "[--io-timeout-ms T] [--cache-budget-mb CB] "
-                "[--snapshot-cache <dir>] [--quiet]");
+                "[--io-timeout-ms T] [--cache-budget-mb CB] [--quiet]");
   }
   const std::string corpus_dir = argv[0];
   tw::ServerOptions options;
   long long cache_budget_mb = 0;  // 0 = unlimited resident cache
   bool quiet = false;
-  std::optional<tw::SnapshotCache> snapshot_cache;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
       options.port = std::atoi(argv[++i]);
@@ -837,10 +789,6 @@ int CmdServe(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--cache-budget-mb") == 0 &&
                i + 1 < argc) {
       cache_budget_mb = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--snapshot-cache") == 0 &&
-               i + 1 < argc) {
-      EnsureDir(argv[++i]);
-      snapshot_cache.emplace(argv[i]);
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else {
@@ -883,10 +831,7 @@ int CmdServe(int argc, char** argv) {
     std::size_t loaded = 0;
     for (const std::string& name : names) {
       const std::string path = corpus_dir + "/" + name;
-      auto entry = corpus->GetOrLoad(name, [&]() {
-        return LoadTreeCached(
-            path, snapshot_cache.has_value() ? &*snapshot_cache : nullptr);
-      });
+      auto entry = corpus->GetOrLoad(name, [&]() { return LoadTree(path); });
       if (!entry.ok()) {
         // A file that cannot be loaded, or does not fit in what is left
         // of --cache-budget-mb, degrades the corpus; it does not sink
@@ -1014,8 +959,7 @@ int CmdQuery(int argc, char** argv) {
       "usage: twq query <tree-name> <program.twp> --remote HOST:PORT "
       "[--retries R] [--total-deadline-ms D] [--deadline-ms D] "
       "[--io-timeout-ms T] "
-      "[--breaker-threshold N] [--breaker-cooldown-ms MS] "
-      "[--hedge HOST:PORT] [--hedge-delay-ms MS] [--quiet]";
+      "[--breaker-threshold N] [--breaker-cooldown-ms MS] [--quiet]";
   if (argc < 2) return Fail(usage);
   const std::string tree_name = argv[0];
   const std::string program_path = argv[1];
@@ -1043,17 +987,11 @@ int CmdQuery(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--breaker-cooldown-ms") == 0 &&
                i + 1 < argc) {
       options.breaker_cooldown_ms = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--hedge") == 0 && i + 1 < argc) {
-      if (!ParseEndpoint(argv[++i], &options.hedge)) {
-        return Fail(std::string("bad --hedge '") + argv[i] + "'");
-      }
-    } else if (std::strcmp(argv[i], "--hedge-delay-ms") == 0 &&
-               i + 1 < argc) {
-      options.hedge_delay_ms = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else {
-      return Fail(std::string("unknown query option '") + argv[i] + "'");
+      return Fail(std::string("unknown query option '") + argv[i] + "'\n" +
+                  usage);
     }
   }
   if (!have_remote) return Fail(usage);
@@ -1074,9 +1012,8 @@ int CmdQuery(int argc, char** argv) {
   std::printf("%s in %lld step(s)\n",
               outcome.result.accepted ? "ACCEPT" : "REJECT",
               static_cast<long long>(outcome.result.steps));
-  if (!quiet && (outcome.attempts > 1 || outcome.hedge_won)) {
-    std::fprintf(stderr, "twq query: %d attempt(s)%s\n", outcome.attempts,
-                 outcome.hedge_won ? ", hedge won" : "");
+  if (!quiet && outcome.attempts > 1) {
+    std::fprintf(stderr, "twq query: %d attempt(s)\n", outcome.attempts);
   }
   return 0;
 }

@@ -6,12 +6,11 @@
 //       [--rate R] [--deadline-ms D] [--retries R] [--total-deadline-ms D]
 //       [--io-timeout-ms T]
 //       [--breaker-threshold N] [--breaker-cooldown-ms MS]
-//       [--hedge HOST:PORT] [--hedge-delay-ms MS]
 //       [--stats] [--expect-shed] [--quiet]
 //
 // Drives a fleet of N concurrent connections against a running daemon,
 // each through its own resilient QueryClient (src/client) — the same
-// retry/backoff/breaker/hedging machinery production callers get, so
+// retry/backoff/breaker machinery production callers get, so
 // what this tool measures is the end-to-end behavior, not a bespoke
 // socket loop's:
 //
@@ -71,14 +70,6 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-bool ParseEndpoint(const std::string& spec, tw::Endpoint* out) {
-  std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= spec.size()) return false;
-  out->host = colon == 0 ? "127.0.0.1" : spec.substr(0, colon);
-  out->port = std::atoi(spec.c_str() + colon + 1);
-  return out->port > 0 && out->port < 65536;
-}
-
 struct WorkerTally {
   std::int64_t ok = 0;
   std::int64_t rejected = 0;  // program REJECT verdicts (still served ok)
@@ -91,7 +82,6 @@ struct WorkerTally {
   std::int64_t reconnects = 0;
   std::int64_t retries = 0;
   std::int64_t breaker_shed = 0;
-  std::int64_t hedges_won = 0;
   std::vector<double> latencies_ms;  // admitted (ok or typed engine error)
 };
 
@@ -153,13 +143,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--breaker-cooldown-ms") == 0 &&
                i + 1 < argc) {
       client_options.breaker_cooldown_ms = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--hedge") == 0 && i + 1 < argc) {
-      if (!ParseEndpoint(argv[++i], &client_options.hedge)) {
-        return Fail(std::string("bad --hedge '") + argv[i] + "'");
-      }
-    } else if (std::strcmp(argv[i], "--hedge-delay-ms") == 0 &&
-               i + 1 < argc) {
-      client_options.hedge_delay_ms = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       want_stats = true;
     } else if (std::strcmp(argv[i], "--expect-shed") == 0) {
@@ -209,7 +192,6 @@ int main(int argc, char** argv) {
                         std::chrono::duration<double, std::milli>>(
                         Clock::now() - begin)
                         .count();
-        if (outcome.hedge_won) ++tally.hedges_won;
         if (outcome.status.ok()) {
           if (outcome.result.accepted) {
             ++tally.ok;
@@ -259,7 +241,6 @@ int main(int argc, char** argv) {
     total.reconnects += tally.reconnects;
     total.retries += tally.retries;
     total.breaker_shed += tally.breaker_shed;
-    total.hedges_won += tally.hedges_won;
     latencies.insert(latencies.end(), tally.latencies_ms.begin(),
                      tally.latencies_ms.end());
   }
@@ -279,12 +260,10 @@ int main(int argc, char** argv) {
               static_cast<long long>(total.quarantined),
               static_cast<long long>(total.cancelled),
               static_cast<long long>(total.transport_errors));
-  if (total.retries + total.breaker_shed + total.hedges_won > 0) {
-    std::printf("client: %lld retries, %lld breaker_shed, %lld hedges_won, "
-                "%lld reconnects\n",
+  if (total.retries + total.breaker_shed > 0) {
+    std::printf("client: %lld retries, %lld breaker_shed, %lld reconnects\n",
                 static_cast<long long>(total.retries),
                 static_cast<long long>(total.breaker_shed),
-                static_cast<long long>(total.hedges_won),
                 static_cast<long long>(total.reconnects));
   }
   std::printf("latency_ms: p50=%.2f p95=%.2f p99=%.2f max=%.2f (n=%zu)\n",
