@@ -53,7 +53,7 @@ const std::vector<std::string>& FailpointRegistry::KnownSites() {
       "server/accept",            // twq serve: accepted connection setup
       "server/read",              // twq serve: request-frame read
       "server/write",             // twq serve: response-frame write
-      "server/dispatch",          // twq serve: admission -> worker handoff
+      "server/dispatch",          // twq serve: query dispatch, before admission
   };
   return sites;
 }

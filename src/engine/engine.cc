@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <thread>
 #include <utility>
@@ -19,11 +18,11 @@ namespace treewalk {
 
 namespace {
 
-/// Engine instrument family (docs/OBSERVABILITY.md).  The job/attempt
-/// counters are incremented in real time on the worker threads by the
-/// same predicates that later build EngineStats in job order, so a
-/// snapshot over a fresh registry reconciles exactly with the batch's
-/// EngineStats (asserted in tests/observability_test.cc).
+/// Engine instrument family (docs/OBSERVABILITY.md).  The job outcome
+/// and governance counters grow by each finished job's tally, the one
+/// RunBatch sums into EngineStats, so a snapshot over a fresh registry
+/// reconciles exactly with the batch's EngineStats (asserted in
+/// tests/observability_test.cc).
 struct EngineMetrics {
   Counter* jobs_accepted;
   Counter* jobs_rejected;
@@ -134,10 +133,12 @@ void PreInternConstants(const Program& program, const Tree& tree) {
   for (const std::string& s : strings) tree.values().ValueFor(s);
 }
 
-Status ValidateJob(const BatchJob& job) {
+/// Checks `job` as run on `tree`: job.tree itself or its delimited
+/// image, for which every check gives the same answer.
+Status ValidateJob(const BatchJob& job, const Tree* tree) {
   if (job.program == nullptr) return InvalidArgument("job has null program");
-  if (job.tree == nullptr) return InvalidArgument("job has null tree");
-  if (job.tree->empty()) return InvalidArgument("job has empty tree");
+  if (tree == nullptr) return InvalidArgument("job has null tree");
+  if (tree->empty()) return InvalidArgument("job has empty tree");
   if (job.max_attempts < 1) {
     return InvalidArgument("max_attempts must be >= 1, got " +
                            std::to_string(job.max_attempts));
@@ -165,10 +166,7 @@ void ApplyRung(int rung, RunOptions& options) {
 }
 
 /// One attempt of `job` on degradation rung `rung`, against an
-/// already-delimited tree.  Shared verbatim by the batch workers and by
-/// RunResidentJob, so the daemon's per-request execution (governor
-/// setup, failpoint site, metric flushes) cannot drift from the batch
-/// path.  `span_id` only labels trace spans.
+/// already-delimited tree.  `span_id` only labels trace spans.
 void RunAttemptOnce(const BatchJob& job, const Tree& delimited_tree,
                     const std::atomic<bool>& cancel, int rung,
                     std::uint64_t span_id, EngineMetrics& metrics,
@@ -222,15 +220,13 @@ void RunAttemptOnce(const BatchJob& job, const Tree& delimited_tree,
 }
 
 /// The attempts of one job: degradation rungs and cooperative
-/// cancellation, a retryable failure re-running at once.
-/// `record_started`, when non-null, is invoked before each attempt (the
-/// batch journal's write-ahead record).  On exit
-/// `out.status`/`out.attempts` are final; `out.run` is set only on
-/// success.
+/// cancellation, a retryable failure re-running at once.  With a
+/// non-null `journal` each attempt is preceded by its write-ahead
+/// kJobStarted record.  On exit `out.status`/`out.attempts` are final;
+/// `out.run` is set only on success.
 void RunRetryLadder(const BatchJob& job, const Tree& delimited_tree,
                     const std::atomic<bool>& cancel, std::uint64_t span_id,
-                    EngineMetrics& metrics,
-                    const std::function<void(int, int)>& record_started,
+                    BatchJournal* journal, EngineMetrics& metrics,
                     JobResult& out) {
   for (int attempt_no = 0; attempt_no < job.max_attempts; ++attempt_no) {
     if (cancel.load(std::memory_order_relaxed)) {
@@ -239,16 +235,14 @@ void RunRetryLadder(const BatchJob& job, const Tree& delimited_tree,
       return;
     }
     const int rung = std::min(attempt_no, kLastRung);
-    if (record_started) record_started(attempt_no, rung);
-    if (attempt_no > 0) metrics.retries->Increment();
+    if (journal != nullptr) {
+      ScopedSpan span("journal-append", "\"job\":" + std::to_string(span_id));
+      journal->RecordStarted(job.job_id, attempt_no, rung);
+    }
     JobResult::Attempt attempt;
     RunResult run;
     RunAttemptOnce(job, delimited_tree, cancel, rung, span_id, metrics,
                    attempt, run);
-    if (attempt.status.code() == StatusCode::kDeadlineExceeded) {
-      metrics.deadline_hits->Increment();
-    }
-    if (attempt.memory_tripped) metrics.memory_trips->Increment();
     out.attempts.push_back(attempt);
     out.status = attempt.status;
     if (attempt.status.ok()) {
@@ -259,60 +253,95 @@ void RunRetryLadder(const BatchJob& job, const Tree& delimited_tree,
   }
 }
 
-/// Mirrors the EngineStats aggregation predicates into the registry's
-/// outcome counters, so a snapshot over a fresh registry reconciles
-/// exactly with the batch's EngineStats (BatchResult contract).
-void RecordJobOutcome(const JobResult& out, EngineMetrics& metrics) {
-  if (!out.status.ok()) {
-    metrics.jobs_failed->Increment();
-    if (out.status.code() == StatusCode::kCancelled) {
-      metrics.jobs_cancelled->Increment();
+/// Adds finished job `r` to `stats`: the one set of predicates behind
+/// both EngineStats and the engine's outcome and governance counters.
+void TallyJob(const JobResult& r, EngineStats& stats) {
+  ++stats.jobs;
+  for (const JobResult::Attempt& a : r.attempts) {
+    if (a.status.code() == StatusCode::kDeadlineExceeded) {
+      ++stats.deadline_hits;
     }
-  } else if (out.run.accepted) {
-    metrics.jobs_accepted->Increment();
+    if (a.memory_tripped) ++stats.memory_trips;
+  }
+  if (r.attempts.size() > 1) {
+    stats.retries += static_cast<std::int64_t>(r.attempts.size()) - 1;
+  }
+  if (!r.status.ok()) {
+    ++stats.failed;
+    if (r.status.code() == StatusCode::kCancelled) ++stats.cancelled;
+    return;
+  }
+  if (!r.attempts.empty() && r.attempts.back().rung > 0) {
+    ++stats.degraded_successes;
+  }
+  if (r.run.accepted) {
+    ++stats.accepted;
   } else {
-    metrics.jobs_rejected->Increment();
+    ++stats.rejected;
   }
-  if (out.status.ok() && !out.attempts.empty() &&
-      out.attempts.back().rung > 0) {
-    metrics.degraded_successes->Increment();
+  stats.steps += r.run.stats.steps;
+  stats.subcomputations += r.run.stats.subcomputations;
+  stats.atp_calls += r.run.stats.atp_calls;
+  stats.selector_evals += r.run.stats.selector_cache_misses;
+  stats.compiled_selector_evals += r.run.stats.compiled_selector_evals;
+  stats.planner_picks_reference += r.run.stats.planner_picks_reference;
+  stats.planner_picks_interval += r.run.stats.planner_picks_interval;
+  stats.store_updates += r.run.stats.store_updates;
+}
+
+/// The per-job work of both front ends, on the calling thread: validate
+/// `job` against `tree`, run its attempts inside a `job` span, journal
+/// the outcome when `journal` is non-null, and fold the job's tally into
+/// the engine counters.  `tree` is the delimited image the job runs on;
+/// RunBatch passes job.tree instead for a job its prologue refused, so
+/// the failure reads the same.
+void RunJob(const BatchJob& job, const Tree* tree,
+            const std::atomic<bool>& cancel, std::uint64_t span_id,
+            BatchJournal* journal, EngineMetrics& metrics, JobResult& out) {
+  metrics.jobs_running->Add(1);
+  const auto job_start = std::chrono::steady_clock::now();
+  {
+    ScopedSpan job_span("job", "\"job\":" + std::to_string(span_id));
+    out.status = ValidateJob(job, tree);
+    if (out.status.ok()) {
+      RunRetryLadder(job, *tree, cancel, span_id, journal, metrics, out);
+    }
+    // A job cancelled before its first attempt leaves no record, so a
+    // resume treats it as not run yet.  Every other exit records the
+    // terminal state — a validation failure too: it is deterministic,
+    // and a resume must not re-submit a job that can never run.
+    if (journal != nullptr &&
+        (!out.attempts.empty() ||
+         out.status.code() != StatusCode::kCancelled)) {
+      ScopedSpan span("journal-append", "\"job\":" + std::to_string(span_id));
+      journal->RecordFinished(
+          job.job_id, out.status.code(), out.status.ok() && out.run.accepted,
+          static_cast<int>(out.attempts.size()),
+          out.attempts.empty() ? 0 : out.attempts.back().rung,
+          out.status.ok() ? out.run.stats.steps : 0);
+    }
   }
+  EngineStats tally;
+  TallyJob(out, tally);
+  metrics.jobs_accepted->Increment(tally.accepted);
+  metrics.jobs_rejected->Increment(tally.rejected);
+  metrics.jobs_failed->Increment(tally.failed);
+  metrics.jobs_cancelled->Increment(tally.cancelled);
+  metrics.retries->Increment(tally.retries);
+  metrics.deadline_hits->Increment(tally.deadline_hits);
+  metrics.memory_trips->Increment(tally.memory_trips);
+  metrics.degraded_successes->Increment(tally.degraded_successes);
+  metrics.job_latency_ms->Observe(MillisSince(job_start));
+  metrics.jobs_running->Add(-1);
 }
 
 }  // namespace
 
 JobResult RunResidentJob(const BatchJob& job, const Tree& delimited_tree,
                          const std::atomic<bool>& cancel) {
-  EngineMetrics& metrics = EngineMetrics::Get();
   JobResult out;
-  if (job.program == nullptr) {
-    out.status = InvalidArgument("job has null program");
-    return out;
-  }
-  if (delimited_tree.empty()) {
-    out.status = InvalidArgument("job has empty tree");
-    return out;
-  }
-  if (job.max_attempts < 1) {
-    out.status = InvalidArgument("max_attempts must be >= 1, got " +
-                                 std::to_string(job.max_attempts));
-    return out;
-  }
-  // Interning is internally synchronized (src/common/interner.h), so
-  // unlike the batch prologue this need not run serially — concurrent
-  // requests against one resident tree are safe; only handle values
-  // depend on arrival order, never results.
-  PreInternConstants(*job.program, delimited_tree);
-  metrics.jobs_running->Add(1);
-  const auto job_start = std::chrono::steady_clock::now();
-  {
-    ScopedSpan job_span("job", "\"job\":" + std::to_string(job.job_id));
-    RunRetryLadder(job, delimited_tree, cancel, job.job_id, metrics, nullptr,
-                   out);
-  }
-  RecordJobOutcome(out, metrics);
-  metrics.job_latency_ms->Observe(MillisSince(job_start));
-  metrics.jobs_running->Add(-1);
+  RunJob(job, &delimited_tree, cancel, job.job_id, /*journal=*/nullptr,
+         EngineMetrics::Get(), out);
   return out;
 }
 
@@ -337,85 +366,35 @@ Result<BatchResult> BatchEngine::RunBatch(const std::vector<BatchJob>& jobs,
 
   // Serial prologue, in job order (determinism): validate, pre-intern
   // string constants, and delimit each distinct input once.
-  std::vector<Status> prechecks(jobs.size());
   std::map<const Tree*, DelimitedTree> delimited;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    prechecks[i] = ValidateJob(jobs[i]);
-    if (!prechecks[i].ok()) continue;
-    PreInternConstants(*jobs[i].program, *jobs[i].tree);
-    if (delimited.find(jobs[i].tree) == delimited.end()) {
-      delimited.emplace(jobs[i].tree, Delimit(*jobs[i].tree));
+  for (const BatchJob& job : jobs) {
+    if (!ValidateJob(job, job.tree).ok()) continue;
+    PreInternConstants(*job.program, *job.tree);
+    if (delimited.find(job.tree) == delimited.end()) {
+      delimited.emplace(job.tree, Delimit(*job.tree));
     }
   }
 
   std::atomic<std::size_t> next{0};
-  auto run_job_impl = [&](std::size_t i) {
-    JobResult& out = batch.results[i];
-    // Journal sink for this job (write-ahead: started before each
-    // attempt, one terminal finished after the last).  Jobs without a
-    // stable id are run but never recorded.
-    const bool journaled = journal != nullptr && jobs[i].job_id != 0;
-    auto journal_finished = [&]() {
-      if (!journaled) return;
-      ScopedSpan span("journal-append", "\"job\":" + std::to_string(i));
-      int final_rung = out.attempts.empty() ? 0 : out.attempts.back().rung;
-      journal->RecordFinished(jobs[i].job_id, out.status.code(),
-                              out.status.ok() && out.run.accepted,
-                              static_cast<int>(out.attempts.size()),
-                              final_rung,
-                              out.status.ok() ? out.run.stats.steps : 0);
-    };
-    if (!prechecks[i].ok()) {
-      // A precheck failure is deterministic: journal it as terminal so
-      // a resume does not re-submit a job that can never run.
-      out.status = prechecks[i];
-      journal_finished();
-      return;
-    }
-    std::function<void(int, int)> record_started;
-    if (journaled) {
-      record_started = [&](int attempt_no, int rung) {
-        ScopedSpan span("journal-append", "\"job\":" + std::to_string(i));
-        journal->RecordStarted(jobs[i].job_id, attempt_no, rung);
-      };
-    }
-    RunRetryLadder(jobs[i], delimited.at(jobs[i].tree).tree, cancel_,
-                   static_cast<std::uint64_t>(i), metrics, record_started,
-                   out);
-    // Cancelled before the first attempt: leave no journal trace, so a
-    // resume treats the job as simply not run yet.  Every other exit —
-    // including cancellation between attempts — records the terminal
-    // state (the resume plan reruns cancelled jobs either way).
-    if (!out.attempts.empty() ||
-        out.status.code() != StatusCode::kCancelled) {
-      journal_finished();
-    }
-  };
-  auto run_job = [&](std::size_t i) {
-    metrics.jobs_running->Add(1);
-    const auto job_start = std::chrono::steady_clock::now();
-    metrics.queue_wait_ms->Observe(
-        std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-            job_start - batch_start)
-            .count());
-    if (tracer.enabled()) {
-      tracer.RecordComplete("queue-wait", "\"job\":" + std::to_string(i),
-                            batch_start_us,
-                            tracer.NowMicros() - batch_start_us);
-    }
-    {
-      ScopedSpan job_span("job", "\"job\":" + std::to_string(i));
-      run_job_impl(i);
-    }
-    RecordJobOutcome(batch.results[i], metrics);
-    metrics.job_latency_ms->Observe(MillisSince(job_start));
-    metrics.jobs_running->Add(-1);
-  };
   auto worker = [&]() {
     while (true) {
       std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) return;
-      run_job(i);
+      metrics.queue_wait_ms->Observe(MillisSince(batch_start));
+      if (tracer.enabled()) {
+        tracer.RecordComplete("queue-wait", "\"job\":" + std::to_string(i),
+                              batch_start_us,
+                              tracer.NowMicros() - batch_start_us);
+      }
+      // A tree has a delimited image unless the prologue refused every
+      // job naming it; the runner then repeats the refusal on job.tree.
+      auto image = delimited.find(jobs[i].tree);
+      // Jobs without a stable id are run but never journaled.
+      RunJob(jobs[i],
+             image != delimited.end() ? &image->second.tree : jobs[i].tree,
+             cancel_, static_cast<std::uint64_t>(i),
+             jobs[i].job_id != 0 ? journal : nullptr, metrics,
+             batch.results[i]);
     }
   };
 
@@ -433,41 +412,8 @@ Result<BatchResult> BatchEngine::RunBatch(const std::vector<BatchJob>& jobs,
     for (std::thread& t : pool) t.join();
   }
 
-  // Aggregate in job order so the totals are scheduling-independent.
-  for (const JobResult& r : batch.results) {
-    ++batch.stats.jobs;
-    for (const JobResult::Attempt& a : r.attempts) {
-      if (a.status.code() == StatusCode::kDeadlineExceeded) {
-        ++batch.stats.deadline_hits;
-      }
-      if (a.memory_tripped) ++batch.stats.memory_trips;
-    }
-    if (r.attempts.size() > 1) {
-      batch.stats.retries +=
-          static_cast<std::int64_t>(r.attempts.size()) - 1;
-    }
-    if (r.status.ok() && !r.attempts.empty() && r.attempts.back().rung > 0) {
-      ++batch.stats.degraded_successes;
-    }
-    if (!r.status.ok()) {
-      ++batch.stats.failed;
-      if (r.status.code() == StatusCode::kCancelled) ++batch.stats.cancelled;
-      continue;
-    }
-    if (r.run.accepted) {
-      ++batch.stats.accepted;
-    } else {
-      ++batch.stats.rejected;
-    }
-    batch.stats.steps += r.run.stats.steps;
-    batch.stats.subcomputations += r.run.stats.subcomputations;
-    batch.stats.atp_calls += r.run.stats.atp_calls;
-    batch.stats.selector_evals += r.run.stats.selector_cache_misses;
-    batch.stats.compiled_selector_evals += r.run.stats.compiled_selector_evals;
-    batch.stats.planner_picks_reference += r.run.stats.planner_picks_reference;
-    batch.stats.planner_picks_interval += r.run.stats.planner_picks_interval;
-    batch.stats.store_updates += r.run.stats.store_updates;
-  }
+  // Sum in job order so the totals are scheduling-independent.
+  for (const JobResult& r : batch.results) TallyJob(r, batch.stats);
   batch.metrics = MetricsRegistry::Global().Snapshot();
   return batch;
 }

@@ -134,17 +134,17 @@ struct EngineOptions {
   int num_threads = 1;
 };
 
-/// Runs one job's attempts — degradation rungs, per-attempt governor,
-/// the engine metric family — against an already-delimited tree, on the
-/// calling thread.  This is the resident daemon's execution path
-/// (src/server): the tree was delimited once at corpus load, so
-/// per-request cost is the run itself, and many requests may execute
-/// concurrently against one tree (interning is the only mutation and is
-/// internally synchronized).  `job.tree` is ignored; `delimited_tree`
-/// must be the Delimit() image.  `cancel` is polled cooperatively (the
-/// server's drain flag).  Shares its attempt executor with
-/// BatchEngine::RunBatch, so semantics cannot drift between the two
-/// front ends.
+/// Runs one job against an already-delimited tree on the calling
+/// thread, through the job runner RunBatch's workers use: the same
+/// validation (of `delimited_tree`; `job.tree` is ignored), retry
+/// ladder, per-attempt governor, `job` span and engine metrics, so the
+/// two front ends cannot drift.  Nothing is journaled.  This is the
+/// resident daemon's execution path (src/server): the tree was delimited
+/// once at corpus load, so per-request cost is the run itself, and many
+/// requests may execute concurrently against one tree (interning is the
+/// only mutation and is internally synchronized).  `cancel` (the
+/// server's drain flag) is checked before every attempt and polled
+/// cooperatively during it.
 JobResult RunResidentJob(const BatchJob& job, const Tree& delimited_tree,
                          const std::atomic<bool>& cancel);
 

@@ -225,10 +225,7 @@ Status QueryServer::Start() {
               &addr_len);
   port_ = ntohs(addr.sin_port);
 
-  workers_.reserve(static_cast<std::size_t>(options_.num_workers));
-  for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back(&QueryServer::WorkerLoop, this);
-  }
+  slots_.release(options_.num_workers);
   accept_thread_ = std::thread(&QueryServer::AcceptLoop, this);
   return Status::Ok();
 }
@@ -390,7 +387,7 @@ std::string QueryServer::HandleFrame(const Frame& frame) {
         return ErrorFrame(WireError::kInvalidRequest,
                           query.status().message());
       }
-      return DispatchQuery(std::move(query).value());
+      return DispatchQuery(query.value());
     }
     default:
       counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
@@ -402,7 +399,7 @@ std::string QueryServer::HandleFrame(const Frame& frame) {
   }
 }
 
-std::string QueryServer::DispatchQuery(QueryRequest query) {
+std::string QueryServer::DispatchQuery(const QueryRequest& query) {
   ServerMetrics& metrics = ServerMetrics::Get();
   Status injected = CheckFailpoint("server/dispatch");
   if (!injected.ok()) {
@@ -451,19 +448,12 @@ std::string QueryServer::DispatchQuery(QueryRequest query) {
   metrics.inflight->Set(inflight + 1);
   const Clock::time_point admitted_at = Clock::now();
 
-  PendingRequest pending;
-  pending.query = std::move(query);
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_.push_back(&pending);
-  }
-  queue_cv_.notify_one();
-  std::string response;
-  {
-    std::unique_lock<std::mutex> lock(pending.mu);
-    pending.cv.wait(lock, [&] { return pending.completed; });
-    response = std::move(pending.response);
-  }
+  // Run here, on the connection thread, once one of the num_workers
+  // execution slots is free.  The slot is released before the response
+  // is written, so a slow reader holds only its own thread.
+  slots_.acquire();
+  std::string response = ExecuteQuery(query);
+  slots_.release();
   metrics.request_latency_ms->Observe(MillisSince(admitted_at));
   if (options_.memory_budget_bytes > 0 && reserve > 0) {
     metrics.reserved_bytes->Set(
@@ -473,37 +463,6 @@ std::string QueryServer::DispatchQuery(QueryRequest query) {
   metrics.inflight->Set(inflight_.fetch_sub(1, std::memory_order_acq_rel) -
                         1);
   return response;
-}
-
-void QueryServer::WorkerLoop() {
-  while (true) {
-    PendingRequest* request = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] {
-        return !queue_.empty() ||
-               stop_workers_.load(std::memory_order_acquire);
-      });
-      if (queue_.empty()) {
-        // stop_workers_ and an empty queue: every admitted request has
-        // been answered (workers only stop after the queue is dry, so
-        // the reconciliation invariant cannot leak a request).
-        return;
-      }
-      request = queue_.front();
-      queue_.pop_front();
-    }
-    std::string response = ExecuteQuery(request->query);
-    {
-      // Notify under the lock: the PendingRequest lives on the
-      // dispatcher's stack and is destroyed as soon as it observes
-      // `completed`, so an unlocked notify could outlive the cv.
-      std::lock_guard<std::mutex> lock(request->mu);
-      request->response = std::move(response);
-      request->completed = true;
-      request->cv.notify_one();
-    }
-  }
 }
 
 std::string QueryServer::ExecuteQuery(const QueryRequest& query) {
@@ -710,12 +669,7 @@ void QueryServer::RecordQuarantineOutcome(std::uint64_t key,
 }
 
 void QueryServer::BeginDrain() {
-  bool expected = false;
-  if (!draining_.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel)) {
-    return;
-  }
-  queue_cv_.notify_all();
+  draining_.store(true, std::memory_order_release);
 }
 
 void QueryServer::JoinFinishedConnections() {
@@ -750,12 +704,12 @@ void QueryServer::AwaitTermination() {
          Clock::now() < grace_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  // Force phase: cooperatively cancel whatever is still running — every
-  // running query aborts at its next transition with kCancelled and is
-  // accounted `drained`.
+  // Force phase: cooperatively cancel whatever is still in flight —
+  // every running query aborts at its next transition, and every query
+  // still waiting for a slot before its first attempt, with kCancelled;
+  // both are accounted `drained`.
   if (inflight_.load(std::memory_order_acquire) > 0) {
     cancel_.store(true, std::memory_order_release);
-    queue_cv_.notify_all();
     while (inflight_.load(std::memory_order_acquire) > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -777,12 +731,6 @@ void QueryServer::AwaitTermination() {
     }
     conns_.clear();
   }
-  stop_workers_.store(true, std::memory_order_release);
-  queue_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
 }
 
 }  // namespace treewalk

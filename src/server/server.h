@@ -9,6 +9,8 @@
 ///   frames      length-validated before allocation (src/server/frame.h)
 ///   queue       at most ServerOptions::max_queue requests in flight;
 ///               excess is shed with a typed kOverloaded, never queued
+///   execution   an admitted query runs on the connection thread that
+///               read it, once one of num_workers slots is free
 ///   memory      each admitted request reserves its per-request budget
 ///               against the server-wide budget; reservation failure is
 ///               kOverloaded (admission), budget trips inside the run
@@ -23,9 +25,10 @@
 ///               are reaped after io_timeout_ms
 ///
 /// Shutdown is a first-class path: BeginDrain() stops accepting,
-/// in-flight requests get drain_deadline_ms to finish, stragglers are
-/// cooperatively cancelled (kCancelled on the wire, counted `drained`),
-/// and AwaitTermination() returns only when every thread is joined.
+/// in-flight requests get drain_deadline_ms to finish, stragglers —
+/// running or still waiting for a slot — are cooperatively cancelled
+/// (kCancelled on the wire, counted `drained`), and AwaitTermination()
+/// returns only when every thread is joined.
 /// The accounting invariant — checked by tests/serve_chaos_test.cc down
 /// to the last request — is
 ///
@@ -35,16 +38,14 @@
 /// server/{accept,read,write,dispatch} inject faults at each boundary.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "src/common/result.h"
 #include "src/engine/engine.h"
@@ -60,10 +61,12 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 binds an ephemeral port (read it back with port()).
   int port = 0;
-  /// Worker threads executing admitted queries.
+  /// Execution slots: at most this many admitted queries run at once,
+  /// each on the connection thread that read it.
   int num_workers = 4;
   /// Admission bound: maximum requests admitted but not yet answered
-  /// (queued + running).  The queue can never grow beyond it.
+  /// (waiting for a slot + running).  The queue can never grow beyond
+  /// it.
   int max_queue = 64;
   /// Maximum simultaneously open client connections; excess connections
   /// are sent a best-effort kOverloaded and closed at accept.
@@ -86,7 +89,7 @@ struct ServerOptions {
   std::int64_t io_timeout_ms = 5000;
   /// Poison-request quarantine: a formula x tree pair whose governor
   /// trips (deadline / memory) this many times *consecutively* is shed
-  /// with a typed kQuarantined instead of re-burning a worker —
+  /// with a typed kQuarantined instead of re-burning a slot —
   /// Gottlob-Koch-Schulz pathological queries stay pathological no
   /// matter how often a client resubmits them.  0 disables the
   /// quarantine.  A served success (or any non-governor verdict) for
@@ -116,7 +119,7 @@ struct ServerCounters {
   std::atomic<std::int64_t> health_probes{0};
   std::atomic<std::int64_t> ready_probes{0};
   /// Queries shed with kQuarantined (counted served_error as well: the
-  /// request was admitted and answered, just without burning a worker).
+  /// request was admitted and answered, just without running).
   std::atomic<std::int64_t> quarantined{0};
   /// Completed corpus generation swaps (SwapCorpus calls).
   std::atomic<std::int64_t> reloads{0};
@@ -149,7 +152,8 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  /// Binds, listens, and spawns the accept loop and worker pool.
+  /// Binds, listens, opens the num_workers execution slots, and spawns
+  /// the accept loop.
   Status Start();
 
   /// The bound port (after Start(); meaningful with options.port == 0).
@@ -198,25 +202,16 @@ class QueryServer {
     std::atomic<bool> done{false};
   };
 
-  /// One admitted query waiting for / occupying a worker.
-  struct PendingRequest {
-    QueryRequest query;
-    std::string response;  // complete encoded frame
-    bool completed = false;
-    std::mutex mu;
-    std::condition_variable cv;
-  };
-
   void AcceptLoop();
   void ConnectionLoop(Connection* conn);
-  void WorkerLoop();
 
   /// Handles one well-framed request on the connection thread; returns
   /// the complete response frame.
   std::string HandleFrame(const Frame& frame);
-  /// Admission control + dispatch for a query; returns the response.
-  std::string DispatchQuery(QueryRequest query);
-  /// Executes one admitted query on a worker.
+  /// Admission control, then execution on the calling connection thread
+  /// under an execution slot; returns the response.
+  std::string DispatchQuery(const QueryRequest& query);
+  /// Executes one admitted query (the caller holds a slot).
   std::string ExecuteQuery(const QueryRequest& query);
 
   /// Reaps finished connection threads (accept loop housekeeping).
@@ -248,18 +243,15 @@ class QueryServer {
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> cancel_{false};        // polled by running queries
-  std::atomic<bool> stop_workers_{false};
   std::atomic<int> open_connections_{0};
   std::atomic<int> inflight_{0};           // admitted, not yet answered
   std::atomic<std::int64_t> reserved_bytes_{0};
   std::atomic<std::uint64_t> next_request_id_{1};
 
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
+  /// Execution slots, released num_workers times by Start().
+  std::counting_semaphore<> slots_{0};
 
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<PendingRequest*> queue_;
+  std::thread accept_thread_;
 
   std::mutex conns_mu_;
   std::list<std::unique_ptr<Connection>> conns_;

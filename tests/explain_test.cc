@@ -195,6 +195,19 @@ TEST(ExplainGolden, RejectsBadInvocations) {
   EXPECT_NE(err.find("unknown query option '" + hedge_flag + "'"),
             std::string::npos)
       << err;
+
+  // serve, probe and explain answer an unknown option with their usage
+  // line too, before reading a corpus, connecting or loading a tree.
+  const std::pair<std::string, std::string> usage_runs[] = {
+      {" serve examples/trees --bogus", "usage: twq serve"},
+      {" probe health --bogus", "usage: twq probe"},
+      {" explain examples/trees/uniform.term --bogus", "usage: twq explain"},
+  };
+  for (const auto& [command, usage] : usage_runs) {
+    const std::string cmd = base + command;
+    EXPECT_EQ(RunCapturingStderr(cmd, err), 1) << cmd;
+    EXPECT_NE(err.find(usage), std::string::npos) << cmd << "\n" << err;
+  }
 }
 
 /// `--compile-cache <dir>` is accepted and ignored by run and batch:

@@ -1,8 +1,9 @@
 // QueryServer (src/server/server.h) end to end over loopback sockets:
 // query answers match the direct interpreter, every boundary condition
 // comes back as a *typed* wire error (overload, draining, unknown tree,
-// bad program, deadline), drain cancels in-flight work cooperatively,
-// the books reconcile (admitted == ok + error + drained), and the
+// bad program, deadline), at most num_workers queries run at once,
+// drain cancels in-flight work cooperatively, the books reconcile
+// (admitted == ok + error + drained), and the
 // SIGHUP/Install re-entrancy contract of src/engine/shutdown holds.
 // The subprocess legs run tools/serve_smoke.sh against the real twq
 // binary and assert the documented drain exit code 75, and check that
@@ -15,6 +16,8 @@
 #include <sys/stat.h>
 #include <sys/wait.h>
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -125,6 +128,52 @@ class ServeTest : public ::testing::Test {
     const ServerCounters& c = server_->counters();
     EXPECT_EQ(c.requests_admitted.load(),
               c.served_ok.load() + c.served_error.load() + c.drained.load());
+  }
+
+  /// Sends three `scan` queries on "big" with a 60 s deadline to a
+  /// server with `num_workers` execution slots and room for all three
+  /// (max_queue 3), waits until all three are admitted, and returns the
+  /// peak of the engine's running-jobs gauge over ~200 ms of sampling.
+  /// Then drains: every scan, running or waiting for a slot, is
+  /// cancelled, and the books reconcile.
+  std::int64_t PeakRunningScans(int num_workers, const std::string& scan) {
+    ServerOptions options;
+    options.num_workers = num_workers;
+    options.max_queue = 3;
+    options.max_deadline_ms = 60000;
+    options.drain_deadline_ms = 10;
+    StartServer(options);
+
+    std::vector<std::thread> fleet;
+    for (int i = 0; i < 3; ++i) {
+      fleet.emplace_back([this, &scan] {
+        Client client(server_->port());
+        if (client.fd < 0) return;
+        MessageType type;
+        std::string body;
+        (void)Exchange(client.fd, QueryFrame("big", scan, 60000), type, body);
+      });
+    }
+    while (server_->counters().requests_admitted.load() < 3) {
+      std::this_thread::yield();
+    }
+    std::int64_t peak = 0;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    while (std::chrono::steady_clock::now() < until) {
+      peak = std::max(peak, MetricsRegistry::Global().Snapshot().Value(
+                                "treewalk_engine_jobs_running"));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    server_->BeginDrain();
+    server_->AwaitTermination();
+    for (std::thread& t : fleet) t.join();
+
+    const ServerCounters& c = server_->counters();
+    EXPECT_EQ(c.requests_admitted.load(), 3);
+    EXPECT_EQ(c.drained.load(), 3);
+    ExpectBooksReconcile();
+    return peak;
   }
 
   std::unique_ptr<ResidentTreeCache> corpus_;
@@ -441,6 +490,14 @@ TEST_F(ServeTest, DrainCancelsInFlightScansAndBooksReconcile) {
   server_.reset();
 }
 
+TEST_F(ServeTest, OneWorkerRunsOneQueryAtATime) {
+  EXPECT_EQ(PeakRunningScans(1, GuardedScanProgram()), 1);
+}
+
+TEST_F(ServeTest, TwoWorkersRunTwoQueriesAtATime) {
+  EXPECT_EQ(PeakRunningScans(2, GuardedScanProgram()), 2);
+}
+
 TEST_F(ServeTest, BeginDrainIsIdempotentAndStopsAccepting) {
   StartServer({});
   server_->BeginDrain();
@@ -494,9 +551,11 @@ TEST(GracefulShutdownTest, FirstTermLatchesForAPollingDriver) {
 
 #if defined(TREEWALK_TWQ_PATH) && defined(TREEWALK_LOADGEN_PATH)
 TEST(ServeSmokeTest, DaemonServesLoadAndExits75OnSigterm) {
+  // The script's output goes to the test's own, so a failed run shows
+  // which step failed.
   std::string command = std::string("sh ") + TREEWALK_SOURCE_DIR +
                         "/tools/serve_smoke.sh " + TREEWALK_TWQ_PATH + " " +
-                        TREEWALK_LOADGEN_PATH + " 800 > /dev/null 2>&1";
+                        TREEWALK_LOADGEN_PATH + " 800";
   EXPECT_EQ(std::system(command.c_str()), 0);
 }
 #endif

@@ -17,7 +17,8 @@
 #            (tools/bench_gate.py vs the committed BENCH_*.json).
 #   asan     Debug + ASan/UBSan; full ctest pass, then an explicit
 #            re-run of the `asan-focus` label (differential oracles,
-#            fault injection, crash recovery) with sanitizers fatal.
+#            fault injection, crash recovery) with sanitizers fatal,
+#            and the serve and supervise smokes.
 #   tsan     Debug + TSan; the `threaded` label only (thread-pool
 #            engine, crash recovery, metrics/trace concurrency).
 #   fuzz     Clang + libFuzzer harnesses; each target gets 30s from its
@@ -81,12 +82,14 @@ for preset in $presets; do
       # (explain_test); label `planner` in tests/CMakeLists.txt.
       (cd "$root/build-asan" && ctest -L planner --output-on-failure \
         -j "$jobs")
-      # The same daemon smoke under ASan/UBSan: the accept loop, worker
+      # The same daemon smoke under ASan/UBSan: the accept loop, the
       # cancel paths, and the drain unwind all run with sanitizers
       # fatal.
       sh "$root/tools/serve_smoke.sh" \
         "$root/build-asan/tools/twq" \
         "$root/build-asan/tools/twq_loadgen"
+      # And the supervisor smoke, against the sanitizer-built daemon.
+      sh "$root/tools/supervise_smoke.sh" "$root/build-asan/tools/twq"
       ;;
     tsan)
       # TSan costs ~10x; run exactly the suites that exercise real

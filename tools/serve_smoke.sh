@@ -125,18 +125,35 @@ GENERATION="$(stat_value corpus.generation)"
 
 # 4. Drain: liveness and readiness must diverge.  The slow scan holds
 # the drain open until its 2 s deadline ends it (well inside the 5 s
-# drain window); both probes connect *before* SIGTERM (new connections
-# are refused once draining) and fire ~0.3 s into the drain, well
-# before the holder can finish.
+# drain window).  Both probes must be connected *before* SIGTERM (new
+# connections are refused once draining) and fire after it: SIGTERM
+# waits until the daemon has admitted the holder and accepted all three
+# connections, and the probes fire 1 s after connecting, well before
+# the holder can finish.
+ACCEPTED_BEFORE="$(stat_value server.connections_accepted)"
 "$TWQ" query big.term "$WORK/scan.twp" --remote "$REMOTE" --deadline-ms 2000 \
     > /dev/null 2>&1 &
 HOLDER_PID=$!
-sleep 0.1
-"$TWQ" probe health --remote "$REMOTE" --hold-ms 300 > "$WORK/health.out" 2>&1 &
+"$TWQ" probe health --remote "$REMOTE" --hold-ms 1000 > "$WORK/health.out" 2>&1 &
 HEALTH_PID=$!
-"$TWQ" probe ready --remote "$REMOTE" --hold-ms 300 > "$WORK/ready.out" 2>&1 &
+"$TWQ" probe ready --remote "$REMOTE" --hold-ms 1000 > "$WORK/ready.out" 2>&1 &
 READY_PID=$!
-sleep 0.1
+# Each poll is itself one accepted connection; subtract the polls.
+POLLS=0
+SETTLED=""
+for _ in $(seq 1 300); do
+  STATS="$("$TWQ" probe stats --remote "$REMOTE")"
+  POLLS=$((POLLS + 1))
+  INFLIGHT="$(echo "$STATS" | awk '$1 == "server.inflight" {print $2}')"
+  ACCEPTED="$(echo "$STATS" | awk '$1 == "server.connections_accepted" {print $2}')"
+  if [ "${INFLIGHT:-0}" -ge 1 ] &&
+     [ $((${ACCEPTED:-0} - ACCEPTED_BEFORE - POLLS)) -ge 3 ]; then
+    SETTLED=1
+    break
+  fi
+  sleep 0.01
+done
+[ -n "$SETTLED" ] || fail "holder and probes not accepted before SIGTERM (inflight=$INFLIGHT, accepted=$ACCEPTED, before=$ACCEPTED_BEFORE, polls=$POLLS)"
 kill -TERM "$SERVER_PID"
 HEALTH_EXIT=0; wait "$HEALTH_PID" || HEALTH_EXIT=$?
 READY_EXIT=0; wait "$READY_PID" || READY_EXIT=$?

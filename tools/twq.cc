@@ -49,7 +49,7 @@
 //       [--max-queue Q] [--max-connections C] [--memory-budget-mb B]
 //       [--request-budget-mb RB] [--deadline-ms D] [--max-deadline-ms MD]
 //       [--drain-ms MS] [--io-timeout-ms T] [--cache-budget-mb CB]
-//       [--quiet]
+//       [--max-consecutive-failures K] [--quiet]
 //       Long-lived query daemon (docs/SERVER.md): preloads the trees
 //       in <corpus-dir> (.term/.xml/.twsnap, keyed by file name) in name
 //       order, skipping any that would pass --cache-budget-mb, then
@@ -306,7 +306,8 @@ int CmdExplain(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--evals") == 0) {
       evals = true;
     } else {
-      return Fail(std::string("unknown explain option '") + argv[i] + "'");
+      return Fail(std::string("unknown explain option '") + argv[i] + "'\n" +
+                  usage);
     }
   }
   const int sources = (selector_text.empty() ? 0 : 1) +
@@ -586,37 +587,28 @@ int CmdBatch(int argc, char** argv) {
     journal = std::make_unique<tw::BatchJournal>(std::move(opened).value());
   }
 
-  // Graceful shutdown: the handler only latches an atomic; this monitor
-  // thread polls it and converts the first signal into cooperative
-  // batch cancellation (running jobs stop at their next transition,
-  // queued jobs fail fast with kCancelled).  A second signal _exits
-  // immediately from the handler itself.
+  // Graceful shutdown: the handler only latches an atomic, and a second
+  // signal _exits immediately from the handler itself.
   tw::GracefulShutdown::Install();
   tw::BatchResult batch;
   if (!jobs.empty()) {
     tw::BatchEngine engine({.num_threads = num_threads});
+    // One helper thread polls every 20 ms.  A signal becomes cooperative
+    // batch cancellation (running jobs stop at their next transition,
+    // queued jobs fail fast with kCancelled).  Unless --quiet, every
+    // 500 ms it snapshots the metrics registry and prints one stderr
+    // progress line — at once on start (so even an instant batch
+    // reports once) and once more after the batch drains.
     std::atomic<bool> batch_done{false};
-    std::thread monitor([&]() {
-      while (!batch_done.load(std::memory_order_relaxed)) {
-        if (tw::GracefulShutdown::requested()) {
-          engine.RequestCancel();
-          return;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    });
-    // Progress reporter: snapshots the metrics registry every 500ms and
-    // prints one stderr line — immediately on start (so even an instant
-    // batch reports once) and once more after the batch drains.
-    std::thread progress;
-    if (!quiet) {
-      std::size_t total = jobs.size();
-      progress = std::thread([&, total]() {
-        while (true) {
+    std::thread helper([&, total = jobs.size()]() {
+      for (int tick = 0;; ++tick) {
+        const bool done = batch_done.load(std::memory_order_relaxed);
+        if (tw::GracefulShutdown::requested()) engine.RequestCancel();
+        if (!quiet && (done || tick % 25 == 0)) {
           tw::MetricsSnapshot snap = tw::MetricsRegistry::Global().Snapshot();
           std::int64_t failed =
               snap.Value("treewalk_engine_jobs_total", "failed");
-          std::int64_t done =
+          std::int64_t finished =
               snap.Value("treewalk_engine_jobs_total", "accepted") +
               snap.Value("treewalk_engine_jobs_total", "rejected") + failed;
           std::int64_t running = snap.Value("treewalk_engine_jobs_running");
@@ -628,21 +620,17 @@ int CmdBatch(int argc, char** argv) {
           std::fprintf(stderr,
                        "progress: %lld/%zu jobs done, %lld failed, "
                        "%lld running, p95=%.2fms\n",
-                       static_cast<long long>(done), total,
+                       static_cast<long long>(finished), total,
                        static_cast<long long>(failed),
                        static_cast<long long>(running), p95);
-          if (batch_done.load(std::memory_order_relaxed)) return;
-          for (int t = 0; t < 10; ++t) {
-            if (batch_done.load(std::memory_order_relaxed)) break;
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          }
         }
-      });
-    }
+        if (done) return;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+    });
     auto run = engine.RunBatch(jobs, journal.get());
     batch_done.store(true, std::memory_order_relaxed);
-    monitor.join();
-    if (progress.joinable()) progress.join();
+    helper.join();
     if (!run.ok()) return Fail("batch: " + run.status().ToString());
     batch = std::move(run).value();
   }
@@ -744,13 +732,14 @@ int CmdBatch(int argc, char** argv) {
 }
 
 int CmdServe(int argc, char** argv) {
-  if (argc < 1) {
-    return Fail("usage: twq serve <corpus-dir> [--port P] [--host H] "
-                "[--workers N] [--max-queue Q] [--max-connections C] "
-                "[--memory-budget-mb B] [--request-budget-mb RB] "
-                "[--deadline-ms D] [--max-deadline-ms MD] [--drain-ms MS] "
-                "[--io-timeout-ms T] [--cache-budget-mb CB] [--quiet]");
-  }
+  const std::string usage =
+      "usage: twq serve <corpus-dir> [--port P] [--host H] "
+      "[--workers N] [--max-queue Q] [--max-connections C] "
+      "[--memory-budget-mb B] [--request-budget-mb RB] "
+      "[--deadline-ms D] [--max-deadline-ms MD] [--drain-ms MS] "
+      "[--io-timeout-ms T] [--cache-budget-mb CB] "
+      "[--max-consecutive-failures K] [--quiet]";
+  if (argc < 1) return Fail(usage);
   const std::string corpus_dir = argv[0];
   tw::ServerOptions options;
   long long cache_budget_mb = 0;  // 0 = unlimited resident cache
@@ -792,7 +781,8 @@ int CmdServe(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else {
-      return Fail(std::string("unknown serve option '") + argv[i] + "'");
+      return Fail(std::string("unknown serve option '") + argv[i] + "'\n" +
+                  usage);
     }
   }
 
@@ -1038,7 +1028,8 @@ int CmdProbe(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0 && i + 1 < argc) {
       options.io_timeout_ms = std::atoll(argv[++i]);
     } else {
-      return Fail(std::string("unknown probe option '") + argv[i] + "'");
+      return Fail(std::string("unknown probe option '") + argv[i] + "'\n" +
+                  usage);
     }
   }
   if (!have_remote) return Fail(usage);
