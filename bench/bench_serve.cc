@@ -40,8 +40,9 @@ struct ServerHandle {
 
   explicit ServerHandle(ServerOptions options) {
     corpus = std::make_unique<ResidentTreeCache>(0);
-    (void)corpus->GetOrLoad("small",
-                            [] { return ParseTerm("a(b(c), d[x=1])"); });
+    (void)corpus->GetOrLoad("small", [] {
+      return ResidentTreeCache::DelimitSource(ParseTerm("a(b(c), d[x=1])"));
+    });
     server = std::make_unique<QueryServer>(options, corpus.get());
     if (!server->Start().ok()) std::abort();
   }

@@ -46,6 +46,11 @@ void FsyncParentDir(const std::string& path) {
 }
 
 Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
+  return WriteFileAtomic(path, std::vector<std::string_view>{bytes});
+}
+
+Status WriteFileAtomic(const std::string& path,
+                       const std::vector<std::string_view>& pieces) {
   // Unique per (process, call) so two threads racing to cache one key
   // never scribble on each other's tmp file.
   static std::atomic<std::uint64_t> counter{0};
@@ -55,7 +60,10 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
     TREEWALK_FAILPOINT("atomic_file/write");
     int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) return ErrnoStatus("create", tmp);
-    Status s = WriteAllFd(fd, tmp, bytes);
+    Status s = Status::Ok();
+    for (std::size_t i = 0; s.ok() && i < pieces.size(); ++i) {
+      s = WriteAllFd(fd, tmp, pieces[i]);
+    }
     if (s.ok()) {
       s = [&]() -> Status {
         TREEWALK_FAILPOINT("atomic_file/fsync");

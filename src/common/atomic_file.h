@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/common/result.h"
 
@@ -35,6 +36,10 @@ void FsyncParentDir(const std::string& path);
 /// one path safe (last rename wins with a complete file either way).
 /// Failpoints: atomic_file/write, atomic_file/fsync, atomic_file/rename.
 Status WriteFileAtomic(const std::string& path, std::string_view bytes);
+/// The same, writing the concatenation of `pieces` without assembling
+/// it in memory first.
+Status WriteFileAtomic(const std::string& path,
+                       const std::vector<std::string_view>& pieces);
 
 /// Reads `path` fully into a string (kNotFound when unreadable).
 Result<std::string> ReadFileBytes(const std::string& path);

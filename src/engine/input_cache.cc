@@ -47,19 +47,28 @@ std::int64_t ResidentTreeCache::ApproxTreeBytes(const Tree& tree) {
          nodes * (64 + 8 * static_cast<std::int64_t>(tree.num_attributes()));
 }
 
+Result<ResidentTreeCache::Loaded> ResidentTreeCache::DelimitSource(
+    Result<Tree> source) {
+  if (!source.ok()) return source.status();
+  Loaded loaded;
+  loaded.source_nodes = source->size();
+  if (!source->empty()) loaded.delimited = std::move(Delimit(*source).tree);
+  return loaded;
+}
+
 Result<std::shared_ptr<const ResidentTreeCache::Prepared>>
 ResidentTreeCache::GetOrLoad(const std::string& name,
-                             const std::function<Result<Tree>()>& load) {
+                             const std::function<Result<Loaded>()>& load) {
   auto it = entries_.find(name);
   if (it != entries_.end()) return it->second;
-  TREEWALK_ASSIGN_OR_RETURN(Tree source, load());
-  if (source.empty()) {
+  TREEWALK_ASSIGN_OR_RETURN(Loaded loaded, load());
+  if (loaded.delimited.empty()) {
     return InvalidArgument("corpus tree '" + name + "' is empty");
   }
   auto prepared = std::make_shared<Prepared>();
   prepared->name = name;
-  prepared->source_nodes = source.size();
-  prepared->delimited = std::move(Delimit(source).tree);
+  prepared->source_nodes = loaded.source_nodes;
+  prepared->delimited = std::move(loaded.delimited);
   prepared->approx_bytes = ApproxTreeBytes(prepared->delimited);
   // A refused tree dies with `prepared` here; what is resident stays.
   TREEWALK_RETURN_IF_ERROR(

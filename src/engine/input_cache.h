@@ -13,8 +13,8 @@
 
 namespace treewalk {
 
-/// One generation of the daemon-resident corpus: already-delimited
-/// trees, byte-capped through a MemoryAccountant (category
+/// One generation of the daemon-resident corpus: delim(t) of each tree,
+/// byte-capped through a MemoryAccountant (category
 /// kResidentTree), the same machinery that bounds per-run structures,
 /// so a refused tree's kResourceExhausted carries the standard
 /// breakdown.
@@ -41,23 +41,35 @@ class ResidentTreeCache {
   /// One resident corpus entry, immutable after load.
   struct Prepared {
     std::string name;
-    Tree delimited;             ///< Delimit() image, ready for RunDelimited
-    std::size_t source_nodes;   ///< node count before delimiting
+    Tree delimited;             ///< delim(t), ready for RunDelimited
+    std::size_t source_nodes;   ///< node count of t
     std::int64_t approx_bytes;  ///< accounting charge for this entry
   };
+
+  /// What a loader hands GetOrLoad(): delim(t) — mapped from a snapshot
+  /// (LoadDelimitedSnapshot) or delimited from a parsed tree
+  /// (DelimitSource) — and the node count of t.
+  struct Loaded {
+    Tree delimited;
+    std::size_t source_nodes = 0;
+  };
+
+  /// `source` delimited, for loaders of parsed trees; an error passes
+  /// through, and an empty tree stays empty (GetOrLoad refuses it).
+  static Result<Loaded> DelimitSource(Result<Tree> source);
 
   /// `capacity_bytes <= 0` means unlimited.  `generation` labels a
   /// reload cycle (0 = the startup corpus).
   explicit ResidentTreeCache(std::int64_t capacity_bytes,
                              std::uint64_t generation = 0);
 
-  /// The entry for `name`, loading (and delimiting) it via `load` if it
-  /// is not resident yet.  A tree that does not fit in what is left of
-  /// the cap is refused with kResourceExhausted, and `load` failures
-  /// propagate verbatim; either way nothing is admitted.  Preload only:
-  /// never call it on a published generation.
+  /// The entry for `name`, loading it via `load` if it is not resident
+  /// yet.  An empty tree is refused with kInvalidArgument, one that
+  /// does not fit in what is left of the cap with kResourceExhausted,
+  /// and `load` failures propagate verbatim; in each case nothing is
+  /// admitted.  Preload only: never call it on a published generation.
   Result<std::shared_ptr<const Prepared>> GetOrLoad(
-      const std::string& name, const std::function<Result<Tree>()>& load);
+      const std::string& name, const std::function<Result<Loaded>()>& load);
 
   /// The entry for `name`, or null — never loads (the server's query
   /// path over a published generation).

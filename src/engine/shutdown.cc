@@ -1,10 +1,15 @@
 #include "src/engine/shutdown.h"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <mutex>
+#include <thread>
 
 namespace treewalk {
 
@@ -16,6 +21,11 @@ namespace {
 std::atomic<int> g_signal_count{0};
 std::atomic<int> g_first_signal{0};
 std::atomic<int> g_reload_count{0};
+// Self-pipe: handlers write the write end, WaitForSignal() polls the
+// read end.  Made by the first Install() and kept for the process's
+// lifetime, so a handler never sees a closed descriptor.
+std::atomic<int> g_wake_read{-1};
+std::atomic<int> g_wake_write{-1};
 
 // Install bookkeeping (never touched from a handler): the install
 // count plus the sigactions displaced by the first Install(), restored
@@ -26,11 +36,24 @@ struct sigaction g_saved_int;
 struct sigaction g_saved_term;
 struct sigaction g_saved_hup;
 
+/// Wakes WaitForSignal().  write() is async-signal-safe; a full pipe
+/// (EAGAIN) already holds a wake-up.
+void Wake() {
+  const int saved_errno = errno;
+  const int fd = g_wake_write.load(std::memory_order_relaxed);
+  if (fd >= 0) {
+    const char byte = 0;
+    (void)!write(fd, &byte, 1);
+  }
+  errno = saved_errno;
+}
+
 void Handler(int signo) {
   int count = g_signal_count.fetch_add(1, std::memory_order_relaxed) + 1;
   if (count == 1) {
     g_first_signal.store(signo, std::memory_order_relaxed);
-    return;  // the driver polls requested() and drains cooperatively
+    Wake();  // the driver drains cooperatively
+    return;
   }
   // Second signal: the operator wants out *now*.  _exit is
   // async-signal-safe; the journal's CRC framing makes whatever was
@@ -44,6 +67,7 @@ void HupHandler(int) {
   // HUP-ing its children on config rollout must not kill in-flight
   // work.
   g_reload_count.fetch_add(1, std::memory_order_relaxed);
+  Wake();
 }
 
 }  // namespace
@@ -51,6 +75,13 @@ void HupHandler(int) {
 void GracefulShutdown::Install() {
   std::lock_guard<std::mutex> lock(g_install_mu);
   if (g_install_count++ > 0) return;
+  if (g_wake_read.load(std::memory_order_relaxed) < 0) {
+    int fds[2];
+    if (pipe2(fds, O_CLOEXEC | O_NONBLOCK) == 0) {
+      g_wake_read.store(fds[0], std::memory_order_relaxed);
+      g_wake_write.store(fds[1], std::memory_order_relaxed);
+    }
+  }
   struct sigaction action = {};
   action.sa_handler = Handler;
   sigemptyset(&action.sa_mask);
@@ -87,6 +118,19 @@ int GracefulShutdown::signal_number() {
 
 int GracefulShutdown::reload_requests() {
   return g_reload_count.load(std::memory_order_relaxed);
+}
+
+void GracefulShutdown::WaitForSignal() {
+  const int fd = g_wake_read.load(std::memory_order_relaxed);
+  if (fd < 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return;
+  }
+  struct pollfd pfd = {fd, POLLIN, 0};
+  (void)poll(&pfd, 1, -1);
+  char drain[64];
+  while (read(fd, drain, sizeof(drain)) > 0) {
+  }
 }
 
 void GracefulShutdown::ResetForTest() {

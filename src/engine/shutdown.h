@@ -4,9 +4,10 @@
 namespace treewalk {
 
 /// Cooperative SIGINT/SIGTERM handling for batch front ends and the
-/// resident daemon (docs/ROBUSTNESS.md, "Graceful shutdown").  Purely
-/// atomic-flag based — no self-pipe, no signalfd, nothing allocated in
-/// the handler — so it is async-signal-safe by construction:
+/// resident daemon (docs/ROBUSTNESS.md, "Graceful shutdown").  The
+/// handlers only update lock-free atomics and write one byte to a
+/// self-pipe — nothing allocated, no locks — so they are
+/// async-signal-safe by construction:
 ///
 ///   first signal    latches `requested()`; the driver polls the flag,
 ///                   cancels the batch cooperatively (or drains the
@@ -62,6 +63,15 @@ class GracefulShutdown {
   /// polls this is what actually rebuilds and swaps the corpus
   /// generation.  A supervisor's HUP never terminates in-flight work.
   static int reload_requests();
+
+  /// Blocks until one of the three signals arrives, or returns at once
+  /// if one arrived since the previous call: every handler writes a
+  /// byte to a self-pipe after updating the state above, and this
+  /// drains it.  A driver loop that re-checks requested() and
+  /// reload_requests() after each return sees every signal without
+  /// sleeping between polls.  Returns early on EINTR; sleeps 20 ms if
+  /// Install() was never called.
+  static void WaitForSignal();
 
   /// Clears the latched state so one process can host several tests.
   /// Not for production use: a concurrently arriving signal may still

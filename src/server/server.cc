@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -152,7 +153,9 @@ double MillisSince(Clock::time_point start) {
 
 QueryServer::QueryServer(ServerOptions options,
                          std::shared_ptr<const ResidentTreeCache> corpus)
-    : options_(std::move(options)), corpus_(std::move(corpus)) {
+    : options_(std::move(options)),
+      corpus_(std::move(corpus)),
+      wake_fd_(eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
   ServerMetrics::Get().corpus_generation->Set(
       corpus_ ? static_cast<std::int64_t>(corpus_->generation()) : 0);
 }
@@ -173,6 +176,7 @@ QueryServer::~QueryServer() {
     BeginDrain();
     AwaitTermination();
   }
+  if (wake_fd_ >= 0) close(wake_fd_);
 }
 
 Status QueryServer::Start() {
@@ -188,6 +192,9 @@ Status QueryServer::Start() {
   if (options_.max_queue < 1) {
     return InvalidArgument("max_queue must be >= 1, got " +
                            std::to_string(options_.max_queue));
+  }
+  if (wake_fd_ < 0) {
+    return Internal(std::string("eventfd: ") + std::strerror(errno));
   }
   listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -233,12 +240,12 @@ Status QueryServer::Start() {
 void QueryServer::AcceptLoop() {
   ServerMetrics& metrics = ServerMetrics::Get();
   while (!draining_.load(std::memory_order_acquire)) {
-    struct pollfd pfd = {listen_fd_, POLLIN, 0};
-    // Short poll so a drain stops the accept loop within ~50 ms even
-    // with no connection attempts arriving.
-    int pr = poll(&pfd, 1, 50);
+    // A drain wakes the poll through wake_fd_; the timeout only paces
+    // the reaping of finished connection threads.
+    struct pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+    int pr = poll(pfds, 2, 50);
     JoinFinishedConnections();
-    if (pr <= 0 || (pfd.revents & POLLIN) == 0) continue;
+    if (pr <= 0 || (pfds[0].revents & POLLIN) == 0) continue;
     int fd = accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     Status injected = CheckFailpoint("server/accept");
@@ -670,6 +677,10 @@ void QueryServer::RecordQuarantineOutcome(std::uint64_t key,
 
 void QueryServer::BeginDrain() {
   draining_.store(true, std::memory_order_release);
+  // The counter stays nonzero (nothing reads it), so the accept loop's
+  // poll keeps returning until the loop sees draining_ and exits.
+  const std::uint64_t one = 1;
+  if (wake_fd_ >= 0) (void)!write(wake_fd_, &one, sizeof(one));
 }
 
 void QueryServer::JoinFinishedConnections() {

@@ -240,6 +240,9 @@ class QueryServer {
 
   int listen_fd_ = -1;
   int port_ = 0;
+  /// eventfd in the accept loop's poll set; BeginDrain() writes it so
+  /// the loop stops at once instead of at its next poll timeout.
+  int wake_fd_ = -1;
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> cancel_{false};        // polled by running queries

@@ -11,7 +11,7 @@ bool IsDelimiterLabel(std::string_view label) {
          label == kLeafLabel;
 }
 
-DelimitedTree Delimit(const Tree& tree) {
+DelimitedTree Delimit(const Tree& tree, std::vector<NodeId>* postorder) {
   assert(!tree.empty());
   const NodeId n = static_cast<NodeId>(tree.size());
   // Every node gains one delimiter child (#leaf) if it is a leaf and two
@@ -24,6 +24,16 @@ DelimitedTree Delimit(const Tree& tree) {
   result.to_delimited.resize(tree.size());
   result.to_original.reserve(size);
   PreorderTreeWriter writer(size);
+  // A node closes once its whole subtree is written, so the close order
+  // is the post-order.
+  if (postorder != nullptr) postorder->assign(size, kNoNode);
+  NodeId next_rank = 0;
+  const auto close = [&](NodeId d) {
+    writer.Close(d);
+    if (postorder != nullptr) {
+      (*postorder)[static_cast<std::size_t>(d)] = next_rank++;
+    }
+  };
 
   // Labels are interned at first use in delim(t)'s document order, the
   // order a TreeBuilder would give them, so symbols match across
@@ -36,13 +46,13 @@ DelimitedTree Delimit(const Tree& tree) {
   };
   const auto delimiter = [&](Symbol& cached, std::string_view name,
                              NodeId parent) {
-    writer.Close(writer.Open(intern(cached, name), parent));
+    close(writer.Open(intern(cached, name), parent));
     result.to_original.push_back(kNoNode);
   };
   const auto close_block = [&](NodeId u) {
     const NodeId d = result.to_delimited[static_cast<std::size_t>(u)];
     delimiter(close_sym, kCloseLabel, d);
-    writer.Close(d);
+    close(d);
   };
 
   // One pass over t in document order.  `open_nodes` holds the original
@@ -67,7 +77,7 @@ DelimitedTree Delimit(const Tree& tree) {
     result.to_original.push_back(u);
     if (tree.IsLeaf(u)) {
       delimiter(leaf_sym, kLeafLabel, d);
-      writer.Close(d);
+      close(d);
     } else {
       delimiter(open_sym, kOpenLabel, d);
       open_nodes.push_back(u);
@@ -78,7 +88,7 @@ DelimitedTree Delimit(const Tree& tree) {
     open_nodes.pop_back();
   }
   delimiter(close_sym, kCloseLabel, wtop);
-  writer.Close(wtop);
+  close(wtop);
 
   // Attribute columns keep t's ids; delimiters carry kBottom.
   for (AttrId a = 0; a < static_cast<AttrId>(tree.num_attributes()); ++a) {

@@ -41,7 +41,12 @@ struct DelimitedTree {
 /// first child is #leaf, first/last child tests become label tests on the
 /// left/right sibling, and the root is the unique child between #open and
 /// #close under #top.
-DelimitedTree Delimit(const Tree& tree);
+///
+/// If `postorder` is non-null it receives delim(t)'s post-order rank of
+/// every node, numbered in the order the one pass closes the nodes (the
+/// snapshot writer persists them; src/tree/snapshot.h).
+DelimitedTree Delimit(const Tree& tree,
+                      std::vector<NodeId>* postorder = nullptr);
 
 }  // namespace treewalk
 

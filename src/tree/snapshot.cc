@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -21,14 +22,16 @@
 #include "src/common/crc32c.h"
 #include "src/common/failpoint.h"
 #include "src/common/metrics.h"
+#include "src/tree/delimited.h"
 #include "src/tree/traversal.h"
 #include "src/tree/tree_stats.h"
 
 namespace treewalk {
 namespace {
 
-// Section kinds, in file order.  docs/SNAPSHOT.md is the normative
-// description; keep the two in sync.
+// Section kinds.  docs/SNAPSHOT.md is the normative description; keep
+// the two in sync.  Kinds 1-7 describe t, kinds 8-11 describe delim(t)
+// (Section 3), which shares t's attribute-name and value pools.
 constexpr std::uint32_t kSecNodes = 1;      // raw Tree::Node records
 constexpr std::uint32_t kSecLabels = 2;     // label interner pool
 constexpr std::uint32_t kSecAttrs = 3;      // attribute-name interner pool
@@ -36,10 +39,26 @@ constexpr std::uint32_t kSecValues = 4;     // value interner pool
 constexpr std::uint32_t kSecColumns = 5;    // attr columns, [attr][node]
 constexpr std::uint32_t kSecPostorder = 6;  // post-order rank per node
 constexpr std::uint32_t kSecStats = 7;      // whole-tree planner statistics
-constexpr std::uint32_t kNumSections = 7;
+constexpr std::uint32_t kSecDelimNodes = 8;       // delim(t)'s records
+constexpr std::uint32_t kSecDelimLabels = 9;      // delim(t)'s label pool
+constexpr std::uint32_t kSecDelimColumns = 10;    // delim(t)'s columns
+constexpr std::uint32_t kSecDelimPostorder = 11;  // delim(t)'s ranks
+constexpr std::uint32_t kNumSections = 11;
+
+// File order: the shared pools and delim(t)'s sections right after the
+// framing, then t's.  A load touches only the sections it views, but
+// the kernel maps the cached neighbours of each page it faults in, so
+// keeping each tree's sections together keeps the other tree's pages
+// out of the loading process's RSS.
+constexpr std::array<std::uint32_t, kNumSections> kFileOrder = {
+    kSecAttrs,        kSecValues,       kSecDelimLabels, kSecDelimNodes,
+    kSecDelimColumns, kSecDelimPostorder, kSecLabels,    kSecNodes,
+    kSecColumns,      kSecPostorder,    kSecStats};
 
 constexpr std::size_t kSectionEntryBytes = 24;
 constexpr std::size_t kTableBytes = kNumSections * kSectionEntryBytes;
+// Header, section table, and the table's own CRC32C.
+constexpr std::size_t kFramingBytes = kSnapshotHeaderBytes + kTableBytes + 4;
 constexpr std::uint32_t kFlagLittleEndian = 1;
 
 // Caps on header counts, checked before any multiplication so section
@@ -48,6 +67,18 @@ constexpr std::uint32_t kFlagLittleEndian = 1;
 constexpr std::uint64_t kMaxNodes =
     static_cast<std::uint64_t>(std::numeric_limits<NodeId>::max());
 constexpr std::uint64_t kMaxPoolEntries = std::uint64_t{1} << 20;
+
+/// The sections one tree view of an image reads: t's or delim(t)'s.
+struct Arena {
+  std::uint32_t nodes;
+  std::uint32_t labels;
+  std::uint32_t columns;
+  std::uint32_t postorder;
+};
+constexpr Arena kSourceArena = {kSecNodes, kSecLabels, kSecColumns,
+                                kSecPostorder};
+constexpr Arena kDelimitedArena = {kSecDelimNodes, kSecDelimLabels,
+                                   kSecDelimColumns, kSecDelimPostorder};
 
 std::size_t AlignUp8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
@@ -72,15 +103,13 @@ std::string EncodePoolStrings(std::size_t count,
 }
 
 Result<std::vector<std::string>> DecodePool(std::string_view sec,
-                                            std::uint64_t expected_count,
                                             const char* what) {
   const std::string err = std::string("snapshot ") + what + " pool corrupt";
   if (sec.size() < 8) return InvalidArgument(err);
   const std::uint64_t count = GetU64Le(sec, 0);
-  if (count != expected_count || count > kMaxPoolEntries) {
+  if (count > kMaxPoolEntries || (sec.size() - 8) / 4 < count) {
     return InvalidArgument(err);
   }
-  if ((sec.size() - 8) / 4 < count) return InvalidArgument(err);
   std::size_t at = 8 + static_cast<std::size_t>(count) * 4;
   std::vector<std::string> out;
   out.reserve(static_cast<std::size_t>(count));
@@ -134,6 +163,14 @@ const char* SnapshotSectionName(std::uint32_t kind) {
       return "postorder-ranks";
     case kSecStats:
       return "tree-stats";
+    case kSecDelimNodes:
+      return "delim-nodes";
+    case kSecDelimLabels:
+      return "delim-label-pool";
+    case kSecDelimColumns:
+      return "delim-attr-columns";
+    case kSecDelimPostorder:
+      return "delim-postorder-ranks";
     default:
       return "?";
   }
@@ -160,9 +197,7 @@ class SnapshotCodec {
     // hashing their concatenation; no buffers are materialized for the
     // two big sections.
     std::uint64_t h = Fnv1a64(std::string_view(kSnapshotMagic, 8));
-    if (n > 0) {
-      h = Fnv1a64(RawView(tree.nodes_view_, n * sizeof(Tree::Node)), h);
-    }
+    h = Fnv1a64(NodesView(tree), h);
     h = Fnv1a64(EncodeLabelPool(tree), h);
     h = Fnv1a64(EncodeAttrPool(tree), h);
     h = Fnv1a64(EncodeValuePool(tree), h);
@@ -174,88 +209,181 @@ class SnapshotCodec {
     return h;
   }
 
-  static std::string Encode(const Tree& tree, SnapshotInfo* info) {
+  /// The snapshot image of t and delim(t) as byte ranges in file order
+  /// — framing, then each section and its zero padding — and the
+  /// storage the ranges point into.  Sections are written straight from
+  /// the trees, never staged in an image buffer.  Not copyable:
+  /// `pieces` points into its members.
+  struct Image {
+    Image() = default;
+    Image(const Image&) = delete;
+    Image& operator=(const Image&) = delete;
+
+    DelimitedTree delimited;
+    std::vector<NodeId> postorder;
+    std::vector<NodeId> delim_postorder;
+    std::string labels, attrs, values, stats, delim_labels, framing;
+    std::vector<std::string_view> pieces;
+    SnapshotInfo info;
+  };
+
+  static void Encode(const Tree& tree, Image& image) {
     const std::size_t n = tree.node_count_;
-    std::array<std::string, kNumSections> sections;
-    if (n > 0) {
-      sections[0].assign(RawView(tree.nodes_view_, n * sizeof(Tree::Node)));
-    }
-    sections[1] = EncodeLabelPool(tree);
-    sections[2] = EncodeAttrPool(tree);
-    sections[3] = EncodeValuePool(tree);
-    if (n > 0) {
-      for (const DataValue* column : tree.attr_views_) {
-        sections[4].append(RawView(column, n * sizeof(DataValue)));
+    // delim(t) is computed once, here, so a load never re-delimits.  Its
+    // post-order ranks come from the order Delimit() closes the nodes,
+    // and it carries no content hash or stats of its own.  An empty tree
+    // has no delim(t): its four sections stay empty.
+    if (n > 0) image.delimited = Delimit(tree, &image.delim_postorder);
+    const Tree& d = image.delimited.tree;
+
+    image.labels = EncodeLabelPool(tree);
+    image.attrs = EncodeAttrPool(tree);
+    image.values = EncodeValuePool(tree);
+    image.stats = EncodeStats(tree);
+    image.delim_labels = EncodeLabelPool(d);
+    std::array<std::vector<std::string_view>, kNumSections> sections;
+    sections[kSecNodes - 1] = {NodesView(tree)};
+    sections[kSecLabels - 1] = {image.labels};
+    sections[kSecAttrs - 1] = {image.attrs};
+    sections[kSecValues - 1] = {image.values};
+    sections[kSecColumns - 1] = ColumnViews(tree);
+    sections[kSecPostorder - 1] = {PostorderView(tree, image.postorder)};
+    sections[kSecStats - 1] = {image.stats};
+    sections[kSecDelimNodes - 1] = {NodesView(d)};
+    sections[kSecDelimLabels - 1] = {image.delim_labels};
+    sections[kSecDelimColumns - 1] = ColumnViews(d);
+    sections[kSecDelimPostorder - 1] = {
+        RawView(image.delim_postorder.data(),
+                image.delim_postorder.size() * sizeof(NodeId))};
+
+    static constexpr char kZeros[8] = {};
+    std::array<SnapshotSectionInfo, kNumSections> entries{};
+    image.pieces.assign(1, std::string_view());  // the framing, below
+    std::size_t off = kFramingBytes;
+    for (const std::uint32_t kind : kFileOrder) {
+      const std::size_t aligned = AlignUp8(off);
+      if (aligned > off) image.pieces.emplace_back(kZeros, aligned - off);
+      off = aligned;
+      SnapshotSectionInfo& e = entries[kind - 1];
+      e.kind = kind;
+      e.offset = off;
+      for (std::string_view piece : sections[kind - 1]) {
+        e.crc = Crc32cExtend(e.crc, piece);
+        e.length += piece.size();
+        image.pieces.push_back(piece);
       }
+      off += static_cast<std::size_t>(e.length);
     }
-    sections[5] = EncodePostorder(tree);
-    sections[6] = EncodeStats(tree);
 
     const std::uint64_t content_hash = ContentHash(tree);
-
-    struct Entry {
-      std::uint32_t crc;
-      std::uint64_t offset;
-      std::uint64_t length;
-    };
-    std::array<Entry, kNumSections> entries;
-    std::size_t off = kSnapshotHeaderBytes + kTableBytes;
-    for (std::uint32_t i = 0; i < kNumSections; ++i) {
-      off = AlignUp8(off);
-      entries[i] = Entry{Crc32c(sections[i]), off, sections[i].size()};
-      off += sections[i].size();
+    std::string& framing = image.framing;
+    framing.reserve(kFramingBytes);
+    framing.append(kSnapshotMagic, sizeof(kSnapshotMagic));
+    PutU32Le(kSnapshotVersion, framing);
+    PutU32Le(kNumSections, framing);
+    PutU64Le(n, framing);
+    PutU64Le(tree.labels_.size(), framing);
+    PutU64Le(tree.attr_views_.size(), framing);
+    PutU64Le(tree.values_->size(), framing);
+    PutU64Le(content_hash, framing);
+    PutU32Le(kFlagLittleEndian, framing);
+    PutU32Le(Crc32c(framing), framing);  // header CRC over the first 60 bytes
+    for (const SnapshotSectionInfo& e : entries) {
+      PutU32Le(e.kind, framing);
+      PutU32Le(e.crc, framing);
+      PutU64Le(e.offset, framing);
+      PutU64Le(e.length, framing);
     }
+    PutU32Le(Crc32c(std::string_view(framing).substr(kSnapshotHeaderBytes)),
+             framing);
+    image.pieces[0] = framing;
 
-    std::string out;
-    out.reserve(off);
-    out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-    PutU32Le(kSnapshotVersion, out);
-    PutU32Le(kNumSections, out);
-    PutU64Le(n, out);
-    PutU64Le(tree.labels_.size(), out);
-    PutU64Le(tree.attr_views_.size(), out);
-    PutU64Le(tree.values_->size(), out);
-    PutU64Le(content_hash, out);
-    PutU32Le(kFlagLittleEndian, out);
-    PutU32Le(Crc32c(out), out);  // header CRC over the first 60 bytes
-
-    for (std::uint32_t i = 0; i < kNumSections; ++i) {
-      PutU32Le(i + 1, out);  // kind
-      PutU32Le(entries[i].crc, out);
-      PutU64Le(entries[i].offset, out);
-      PutU64Le(entries[i].length, out);
-    }
-    for (std::uint32_t i = 0; i < kNumSections; ++i) {
-      out.resize(static_cast<std::size_t>(entries[i].offset), '\0');
-      out += sections[i];
-    }
-
-    if (info != nullptr) {
-      info->version = kSnapshotVersion;
-      info->nodes = n;
-      info->labels = tree.labels_.size();
-      info->attrs = tree.attr_views_.size();
-      info->values = tree.values_->size();
-      info->content_hash = content_hash;
-      info->file_bytes = out.size();
-      info->sections.clear();
-      for (std::uint32_t i = 0; i < kNumSections; ++i) {
-        info->sections.push_back(SnapshotSectionInfo{
-            i + 1, entries[i].crc, entries[i].offset, entries[i].length});
-      }
-    }
-    return out;
+    SnapshotInfo& info = image.info;
+    info.version = kSnapshotVersion;
+    info.nodes = n;
+    info.labels = tree.labels_.size();
+    info.attrs = tree.attr_views_.size();
+    info.values = tree.values_->size();
+    info.content_hash = content_hash;
+    info.file_bytes = off;
+    info.sections.assign(entries.begin(), entries.end());
   }
 
+  /// t: sections 1-7.
   static Result<Tree> Decode(std::shared_ptr<const void> owner,
                              std::string_view bytes, SnapshotInfo* info) {
+    TREEWALK_ASSIGN_OR_RETURN(const Layout layout, ReadLayout(bytes));
+    TREEWALK_ASSIGN_OR_RETURN(
+        Tree tree, DecodeArena(bytes, layout, kSourceArena, layout.node_count,
+                               layout.label_count));
+    TREEWALK_ASSIGN_OR_RETURN(tree.snapshot_stats_,
+                              DecodeStats(bytes, layout));
+    tree.mapping_ = std::move(owner);
+    layout.Report(bytes.size(), info);
+    return tree;
+  }
+
+  /// delim(t): sections 3, 4 and 8-11.  Its node count is its node
+  /// section's length and its label count its pool's own count; the
+  /// header's counts are t's.
+  static Result<Tree> DecodeDelimited(std::shared_ptr<const void> owner,
+                                      std::string_view bytes,
+                                      SnapshotInfo* info) {
+    TREEWALK_ASSIGN_OR_RETURN(const Layout layout, ReadLayout(bytes));
+    const std::uint64_t node_bytes = layout.secs[kSecDelimNodes - 1].length;
+    const std::uint64_t delim_nodes = node_bytes / sizeof(Tree::Node);
+    // delim(t) of a t with n nodes, l of them leaves, has 3 + 3n - l
+    // nodes, and 1 <= l <= n unless t is empty.
+    const std::uint64_t n = layout.node_count;
+    if (node_bytes % sizeof(Tree::Node) != 0 || delim_nodes > kMaxNodes ||
+        (n == 0 ? delim_nodes != 0
+                : (delim_nodes < 2 * n + 3 || delim_nodes > 3 * n + 2))) {
+      return InvalidArgument("snapshot delim(t) size disagrees with header");
+    }
+    TREEWALK_ASSIGN_OR_RETURN(
+        Tree tree,
+        DecodeArena(bytes, layout, kDelimitedArena,
+                    static_cast<std::size_t>(delim_nodes), std::nullopt));
+    tree.mapping_ = std::move(owner);
+    layout.Report(bytes.size(), info);
+    return tree;
+  }
+
+ private:
+  /// Header and section table, checked before any section is trusted.
+  struct Layout {
+    std::uint32_t version = 0;
+    std::uint64_t node_count = 0;
+    std::uint64_t label_count = 0;
+    std::uint64_t attr_count = 0;
+    std::uint64_t value_count = 0;
+    std::uint64_t content_hash = 0;
+    std::array<SnapshotSectionInfo, kNumSections> secs{};
+
+    void Report(std::size_t file_bytes, SnapshotInfo* info) const {
+      if (info == nullptr) return;
+      info->version = version;
+      info->nodes = node_count;
+      info->labels = label_count;
+      info->attrs = attr_count;
+      info->values = value_count;
+      info->content_hash = content_hash;
+      info->file_bytes = file_bytes;
+      info->sections.assign(secs.begin(), secs.end());
+    }
+  };
+
+  /// Validates magic, header CRC, version, counts against hard caps, and
+  /// the section table: its CRC, one entry per kind, each in bounds and
+  /// aligned.  Reads no section bytes.
+  static Result<Layout> ReadLayout(std::string_view bytes) {
     if (std::endian::native != std::endian::little) {
       return InvalidArgument("snapshot loading requires a little-endian host");
     }
     if (reinterpret_cast<std::uintptr_t>(bytes.data()) % 8 != 0) {
       return InvalidArgument("snapshot image base is not 8-byte aligned");
     }
-    if (bytes.size() < kSnapshotHeaderBytes + kTableBytes) {
+    if (bytes.size() < kFramingBytes) {
       return InvalidArgument("snapshot truncated: no room for header");
     }
     if (bytes.substr(0, 8) != std::string_view(kSnapshotMagic, 8)) {
@@ -265,30 +393,34 @@ class SnapshotCodec {
     if (GetU32Le(bytes, 60) != Crc32c(bytes.substr(0, 60))) {
       return InvalidArgument("snapshot header CRC mismatch");
     }
-    const std::uint32_t version = GetU32Le(bytes, 8);
-    if (version != kSnapshotVersion) {
+    Layout layout;
+    layout.version = GetU32Le(bytes, 8);
+    if (layout.version != kSnapshotVersion) {
       return InvalidArgument("unsupported snapshot version " +
-                             std::to_string(version));
+                             std::to_string(layout.version));
     }
     if (GetU32Le(bytes, 12) != kNumSections) {
       return InvalidArgument("snapshot section count mismatch");
     }
-    const std::uint64_t node_count = GetU64Le(bytes, 16);
-    const std::uint64_t label_count = GetU64Le(bytes, 24);
-    const std::uint64_t attr_count = GetU64Le(bytes, 32);
-    const std::uint64_t value_count = GetU64Le(bytes, 40);
-    const std::uint64_t content_hash = GetU64Le(bytes, 48);
+    layout.node_count = GetU64Le(bytes, 16);
+    layout.label_count = GetU64Le(bytes, 24);
+    layout.attr_count = GetU64Le(bytes, 32);
+    layout.value_count = GetU64Le(bytes, 40);
+    layout.content_hash = GetU64Le(bytes, 48);
     if ((GetU32Le(bytes, 56) & kFlagLittleEndian) == 0) {
       return InvalidArgument("snapshot written on a big-endian host");
     }
-    if (node_count > kMaxNodes || label_count > kMaxPoolEntries ||
-        attr_count > kMaxPoolEntries || value_count > kMaxPoolEntries) {
+    if (layout.node_count > kMaxNodes || layout.label_count > kMaxPoolEntries ||
+        layout.attr_count > kMaxPoolEntries ||
+        layout.value_count > kMaxPoolEntries) {
       return InvalidArgument("snapshot header counts are implausible");
     }
-    const std::size_t n = static_cast<std::size_t>(node_count);
 
-    // Section table: one entry per kind, in bounds, aligned, CRC-clean.
-    std::array<SnapshotSectionInfo, kNumSections> secs{};
+    // Section table: CRC-clean, one entry per kind, in bounds, aligned.
+    if (GetU32Le(bytes, kSnapshotHeaderBytes + kTableBytes) !=
+        Crc32c(bytes.substr(kSnapshotHeaderBytes, kTableBytes))) {
+      return InvalidArgument("snapshot section table CRC mismatch");
+    }
     std::array<bool, kNumSections + 1> seen{};
     for (std::uint32_t i = 0; i < kNumSections; ++i) {
       const std::size_t at = kSnapshotHeaderBytes + i * kSectionEntryBytes;
@@ -306,31 +438,61 @@ class SnapshotCodec {
                                SnapshotSectionName(e.kind) +
                                " out of bounds (truncated?)");
       }
-      if (Crc32c(bytes.substr(static_cast<std::size_t>(e.offset),
-                              static_cast<std::size_t>(e.length))) != e.crc) {
-        return InvalidArgument(std::string("snapshot section ") +
-                               SnapshotSectionName(e.kind) + " CRC mismatch");
-      }
       seen[e.kind] = true;
-      secs[e.kind - 1] = e;
+      layout.secs[e.kind - 1] = e;
     }
+    return layout;
+  }
 
-    auto section = [&](std::uint32_t kind) {
-      const SnapshotSectionInfo& e = secs[kind - 1];
-      return bytes.substr(static_cast<std::size_t>(e.offset),
-                          static_cast<std::size_t>(e.length));
-    };
-    if (section(kSecNodes).size() != n * sizeof(Tree::Node) ||
-        section(kSecColumns).size() !=
-            static_cast<std::uint64_t>(attr_count) * n * sizeof(DataValue) ||
-        section(kSecPostorder).size() != n * sizeof(NodeId)) {
+  /// Section `kind` of the image, once its CRC matches.
+  static Result<std::string_view> Section(std::string_view bytes,
+                                          const Layout& layout,
+                                          std::uint32_t kind) {
+    const SnapshotSectionInfo& e = layout.secs[kind - 1];
+    const std::string_view sec =
+        bytes.substr(static_cast<std::size_t>(e.offset),
+                     static_cast<std::size_t>(e.length));
+    if (Crc32c(sec) != e.crc) {
+      return InvalidArgument(std::string("snapshot section ") +
+                             SnapshotSectionName(kind) + " CRC mismatch");
+    }
+    return sec;
+  }
+
+  /// The tree `arena` describes, with `n` nodes: its node records, label
+  /// pool, attribute columns and post-order ranks, plus the shared
+  /// attribute-name and value pools.  Each of those six sections is
+  /// CRC-checked and validated before a view into it is handed out;
+  /// no other section is read.  `label_count`, when given, is the count
+  /// the label pool must have.
+  static Result<Tree> DecodeArena(std::string_view bytes, const Layout& layout,
+                                  const Arena& arena, std::size_t n,
+                                  std::optional<std::uint64_t> label_count) {
+    TREEWALK_ASSIGN_OR_RETURN(const std::string_view node_sec,
+                              Section(bytes, layout, arena.nodes));
+    TREEWALK_ASSIGN_OR_RETURN(const std::string_view label_sec,
+                              Section(bytes, layout, arena.labels));
+    TREEWALK_ASSIGN_OR_RETURN(const std::string_view attr_sec,
+                              Section(bytes, layout, kSecAttrs));
+    TREEWALK_ASSIGN_OR_RETURN(const std::string_view value_sec,
+                              Section(bytes, layout, kSecValues));
+    TREEWALK_ASSIGN_OR_RETURN(const std::string_view column_sec,
+                              Section(bytes, layout, arena.columns));
+    TREEWALK_ASSIGN_OR_RETURN(const std::string_view postorder_sec,
+                              Section(bytes, layout, arena.postorder));
+    const std::uint64_t attr_count = layout.attr_count;
+    if (node_sec.size() != n * sizeof(Tree::Node) ||
+        column_sec.size() != attr_count * n * sizeof(DataValue) ||
+        postorder_sec.size() != n * sizeof(NodeId)) {
       return InvalidArgument("snapshot section sizes disagree with header");
     }
 
     Tree tree;
-    TREEWALK_ASSIGN_OR_RETURN(
-        std::vector<std::string> labels,
-        DecodePool(section(kSecLabels), label_count, "label"));
+    TREEWALK_ASSIGN_OR_RETURN(std::vector<std::string> labels,
+                              DecodePool(label_sec, "label"));
+    if (label_count.has_value() && labels.size() != *label_count) {
+      return InvalidArgument("snapshot label pool corrupt");
+    }
     for (std::size_t i = 0; i < labels.size(); ++i) {
       // A fresh interner assigns handles densely from 0, so interning
       // the pool in order reproduces every persisted handle; a repeat
@@ -339,17 +501,21 @@ class SnapshotCodec {
         return InvalidArgument("snapshot label pool has duplicates");
       }
     }
-    TREEWALK_ASSIGN_OR_RETURN(
-        std::vector<std::string> attrs,
-        DecodePool(section(kSecAttrs), attr_count, "attribute"));
+    TREEWALK_ASSIGN_OR_RETURN(std::vector<std::string> attrs,
+                              DecodePool(attr_sec, "attribute"));
+    if (attrs.size() != attr_count) {
+      return InvalidArgument("snapshot attribute pool corrupt");
+    }
     for (std::size_t i = 0; i < attrs.size(); ++i) {
       if (tree.attrs_.Intern(attrs[i]) != static_cast<std::int64_t>(i)) {
         return InvalidArgument("snapshot attribute pool has duplicates");
       }
     }
-    TREEWALK_ASSIGN_OR_RETURN(
-        std::vector<std::string> values,
-        DecodePool(section(kSecValues), value_count, "value"));
+    TREEWALK_ASSIGN_OR_RETURN(std::vector<std::string> values,
+                              DecodePool(value_sec, "value"));
+    if (values.size() != layout.value_count) {
+      return InvalidArgument("snapshot value pool corrupt");
+    }
     for (std::size_t i = 0; i < values.size(); ++i) {
       if (tree.values_->ValueFor(values[i]) !=
           ValueInterner::kStringBase + static_cast<DataValue>(i)) {
@@ -362,16 +528,13 @@ class SnapshotCodec {
     // parent walks (parent < u strictly decreases); they intentionally
     // do not prove full structural consistency — CRCs plus the writer
     // being the only producer cover that.
-    const Tree::Node* nodes =
-        n > 0 ? reinterpret_cast<const Tree::Node*>(
-                    bytes.data() +
-                    static_cast<std::size_t>(secs[kSecNodes - 1].offset))
-              : nullptr;
+    const auto* nodes =
+        n > 0 ? reinterpret_cast<const Tree::Node*>(node_sec.data()) : nullptr;
     const NodeId limit = static_cast<NodeId>(n);
+    const auto num_labels = static_cast<Symbol>(labels.size());
     for (NodeId u = 0; u < limit; ++u) {
       const Tree::Node& nd = nodes[static_cast<std::size_t>(u)];
-      const bool bad_label =
-          nd.label < 0 || nd.label >= static_cast<Symbol>(label_count);
+      const bool bad_label = nd.label < 0 || nd.label >= num_labels;
       const bool bad_parent =
           u == 0 ? nd.parent != kNoNode
                  : (nd.parent < 0 || nd.parent >= u);
@@ -392,10 +555,8 @@ class SnapshotCodec {
                                " fails validation");
       }
     }
-    const NodeId* postorder =
-        n > 0 ? reinterpret_cast<const NodeId*>(
-                    bytes.data() +
-                    static_cast<std::size_t>(secs[kSecPostorder - 1].offset))
+    const auto* postorder =
+        n > 0 ? reinterpret_cast<const NodeId*>(postorder_sec.data())
               : nullptr;
     for (std::size_t u = 0; u < n; ++u) {
       if (postorder[u] < 0 || postorder[u] >= limit) {
@@ -403,101 +564,105 @@ class SnapshotCodec {
       }
     }
 
-    // Stats section: fixed scalars plus one u64 per label and per
-    // attribute.  Validated against the header counts and basic tree
-    // identities so a corrupt block can never feed the planner
-    // nonsense; any inconsistency rejects the whole snapshot (callers
-    // fall back to parsing, which recomputes stats from scratch).
-    {
-      const std::string_view sec = section(kSecStats);
-      const std::string err = "snapshot tree-stats section corrupt";
-      constexpr std::size_t kScalarBytes = 8 + 7 * 8;
-      if (sec.size() != kScalarBytes + 8 +
-                            static_cast<std::size_t>(label_count) * 8 + 8 +
-                            static_cast<std::size_t>(attr_count) * 8) {
-        return InvalidArgument(err);
-      }
-      if (GetU32Le(sec, 0) != 1) {
-        return InvalidArgument("snapshot tree-stats format unsupported");
-      }
-      auto stats = std::make_shared<TreeStats>();
-      stats->nodes = static_cast<std::int64_t>(n);
-      stats->edges = n > 0 ? stats->nodes - 1 : 0;
-      // Every persisted count is bounded by the pair count n*(n-1)/2
-      // (depth sums, sibling pairs) or by n itself; n <= kMaxNodes, so
-      // the u64 -> int64 casts below cannot go negative once the
-      // per-field ceilings hold.
-      const std::uint64_t pair_cap = node_count * node_count;
-      auto scalar = [&](std::size_t i) { return GetU64Le(sec, 8 + i * 8); };
-      const std::uint64_t raw[7] = {scalar(0), scalar(1), scalar(2), scalar(3),
-                                    scalar(4), scalar(5), scalar(6)};
-      for (std::uint64_t v : raw) {
-        if (v > pair_cap) return InvalidArgument(err);
-      }
-      stats->max_depth = static_cast<std::int64_t>(raw[0]);
-      stats->sum_depths = static_cast<std::int64_t>(raw[1]);
-      stats->leaves = static_cast<std::int64_t>(raw[2]);
-      stats->parents = static_cast<std::int64_t>(raw[3]);
-      stats->max_fanout = static_cast<std::int64_t>(raw[4]);
-      stats->sib_pairs = static_cast<std::int64_t>(raw[5]);
-      stats->succ_pairs = static_cast<std::int64_t>(raw[6]);
-      if (GetU64Le(sec, kScalarBytes) != label_count) {
-        return InvalidArgument(err);
-      }
-      std::size_t at = kScalarBytes + 8;
-      std::uint64_t label_total = 0;
-      stats->label_counts.reserve(static_cast<std::size_t>(label_count));
-      for (std::uint64_t i = 0; i < label_count; ++i, at += 8) {
-        const std::uint64_t c = GetU64Le(sec, at);
-        if (c > node_count) return InvalidArgument(err);
-        label_total += c;
-        stats->label_counts.push_back(static_cast<std::int64_t>(c));
-      }
-      if (GetU64Le(sec, at) != attr_count) return InvalidArgument(err);
-      at += 8;
-      stats->attr_distinct.reserve(static_cast<std::size_t>(attr_count));
-      for (std::uint64_t i = 0; i < attr_count; ++i, at += 8) {
-        const std::uint64_t c = GetU64Le(sec, at);
-        if (c > node_count) return InvalidArgument(err);
-        stats->attr_distinct.push_back(static_cast<std::int64_t>(c));
-      }
-      // Identities every real tree satisfies: labels partition the
-      // nodes, and every node is a leaf xor a parent.
-      if (label_total != node_count ||
-          static_cast<std::uint64_t>(stats->leaves + stats->parents) !=
-              node_count) {
-        return InvalidArgument(err);
-      }
-      tree.snapshot_stats_ = std::move(stats);
-    }
-
     tree.node_count_ = n;
     tree.nodes_view_ = nodes;
     tree.postorder_view_ = postorder;
     tree.attr_values_.resize(static_cast<std::size_t>(attr_count));
     tree.attr_views_.reserve(static_cast<std::size_t>(attr_count));
-    const char* columns_base =
-        bytes.data() + static_cast<std::size_t>(secs[kSecColumns - 1].offset);
     for (std::uint64_t a = 0; a < attr_count; ++a) {
       tree.attr_views_.push_back(reinterpret_cast<const DataValue*>(
-          columns_base + static_cast<std::size_t>(a) * n * sizeof(DataValue)));
-    }
-    tree.mapping_ = std::move(owner);
-
-    if (info != nullptr) {
-      info->version = version;
-      info->nodes = node_count;
-      info->labels = label_count;
-      info->attrs = attr_count;
-      info->values = value_count;
-      info->content_hash = content_hash;
-      info->file_bytes = bytes.size();
-      info->sections.assign(secs.begin(), secs.end());
+          column_sec.data() + static_cast<std::size_t>(a) * n * sizeof(DataValue)));
     }
     return tree;
   }
 
- private:
+  /// Stats section: fixed scalars plus one u64 per label and per
+  /// attribute.  Validated against the header counts and basic tree
+  /// identities so a corrupt block can never feed the planner nonsense;
+  /// any inconsistency rejects the whole snapshot (callers fall back to
+  /// parsing, which recomputes stats from scratch).
+  static Result<std::shared_ptr<const TreeStats>> DecodeStats(
+      std::string_view bytes, const Layout& layout) {
+    TREEWALK_ASSIGN_OR_RETURN(const std::string_view sec,
+                              Section(bytes, layout, kSecStats));
+    const std::uint64_t node_count = layout.node_count;
+    const std::uint64_t label_count = layout.label_count;
+    const std::uint64_t attr_count = layout.attr_count;
+    const std::string err = "snapshot tree-stats section corrupt";
+    constexpr std::size_t kScalarBytes = 8 + 7 * 8;
+    if (sec.size() != kScalarBytes + 8 +
+                          static_cast<std::size_t>(label_count) * 8 + 8 +
+                          static_cast<std::size_t>(attr_count) * 8) {
+      return InvalidArgument(err);
+    }
+    if (GetU32Le(sec, 0) != 1) {
+      return InvalidArgument("snapshot tree-stats format unsupported");
+    }
+    auto stats = std::make_shared<TreeStats>();
+    stats->nodes = static_cast<std::int64_t>(node_count);
+    stats->edges = node_count > 0 ? stats->nodes - 1 : 0;
+    // Every persisted count is bounded by the pair count n*(n-1)/2
+    // (depth sums, sibling pairs) or by n itself; n <= kMaxNodes, so
+    // the u64 -> int64 casts below cannot go negative once the
+    // per-field ceilings hold.
+    const std::uint64_t pair_cap = node_count * node_count;
+    auto scalar = [&](std::size_t i) { return GetU64Le(sec, 8 + i * 8); };
+    const std::uint64_t raw[7] = {scalar(0), scalar(1), scalar(2), scalar(3),
+                                  scalar(4), scalar(5), scalar(6)};
+    for (std::uint64_t v : raw) {
+      if (v > pair_cap) return InvalidArgument(err);
+    }
+    stats->max_depth = static_cast<std::int64_t>(raw[0]);
+    stats->sum_depths = static_cast<std::int64_t>(raw[1]);
+    stats->leaves = static_cast<std::int64_t>(raw[2]);
+    stats->parents = static_cast<std::int64_t>(raw[3]);
+    stats->max_fanout = static_cast<std::int64_t>(raw[4]);
+    stats->sib_pairs = static_cast<std::int64_t>(raw[5]);
+    stats->succ_pairs = static_cast<std::int64_t>(raw[6]);
+    if (GetU64Le(sec, kScalarBytes) != label_count) {
+      return InvalidArgument(err);
+    }
+    std::size_t at = kScalarBytes + 8;
+    std::uint64_t label_total = 0;
+    stats->label_counts.reserve(static_cast<std::size_t>(label_count));
+    for (std::uint64_t i = 0; i < label_count; ++i, at += 8) {
+      const std::uint64_t c = GetU64Le(sec, at);
+      if (c > node_count) return InvalidArgument(err);
+      label_total += c;
+      stats->label_counts.push_back(static_cast<std::int64_t>(c));
+    }
+    if (GetU64Le(sec, at) != attr_count) return InvalidArgument(err);
+    at += 8;
+    stats->attr_distinct.reserve(static_cast<std::size_t>(attr_count));
+    for (std::uint64_t i = 0; i < attr_count; ++i, at += 8) {
+      const std::uint64_t c = GetU64Le(sec, at);
+      if (c > node_count) return InvalidArgument(err);
+      stats->attr_distinct.push_back(static_cast<std::int64_t>(c));
+    }
+    // Identities every real tree satisfies: labels partition the
+    // nodes, and every node is a leaf xor a parent.
+    if (label_total != node_count ||
+        static_cast<std::uint64_t>(stats->leaves + stats->parents) !=
+            node_count) {
+      return InvalidArgument(err);
+    }
+    return std::shared_ptr<const TreeStats>(std::move(stats));
+  }
+
+  static std::string_view NodesView(const Tree& tree) {
+    return tree.node_count_ == 0
+               ? std::string_view()
+               : RawView(tree.nodes_view_,
+                         tree.node_count_ * sizeof(Tree::Node));
+  }
+  static std::vector<std::string_view> ColumnViews(const Tree& tree) {
+    std::vector<std::string_view> out;
+    if (tree.node_count_ == 0) return out;
+    for (const DataValue* column : tree.attr_views_) {
+      out.push_back(RawView(column, tree.node_count_ * sizeof(DataValue)));
+    }
+    return out;
+  }
   static std::string EncodeLabelPool(const Tree& tree) {
     return EncodePoolStrings(tree.labels_.size(), [&](std::int64_t i) {
       return tree.labels_.NameOf(i);
@@ -549,21 +714,21 @@ class SnapshotCodec {
     return out;
   }
 
-  static std::string EncodePostorder(const Tree& tree) {
+  /// t's post-order ranks: the persisted ones of a loaded tree, or
+  /// computed into `ranks`.
+  static std::string_view PostorderView(const Tree& tree,
+                                        std::vector<NodeId>& ranks) {
     const std::size_t n = tree.node_count_;
-    std::string out;
-    if (n == 0) return out;
+    if (n == 0) return {};
     if (tree.postorder_view_ != nullptr) {
-      out.assign(RawView(tree.postorder_view_, n * sizeof(NodeId)));
-      return out;
+      return RawView(tree.postorder_view_, n * sizeof(NodeId));
     }
-    std::vector<NodeId> ranks(n);
+    ranks.resize(n);
     const std::vector<NodeId> order = PostOrder(tree);
     for (std::size_t i = 0; i < order.size(); ++i) {
       ranks[static_cast<std::size_t>(order[i])] = static_cast<NodeId>(i);
     }
-    out.assign(RawView(ranks.data(), n * sizeof(NodeId)));
-    return out;
+    return RawView(ranks.data(), n * sizeof(NodeId));
   }
 };
 
@@ -572,23 +737,30 @@ std::uint64_t TreeContentHash(const Tree& tree) {
 }
 
 std::string EncodeTreeSnapshot(const Tree& tree) {
-  return SnapshotCodec::Encode(tree, nullptr);
+  SnapshotCodec::Image image;
+  SnapshotCodec::Encode(tree, image);
+  std::string out;
+  out.reserve(static_cast<std::size_t>(image.info.file_bytes));
+  for (std::string_view piece : image.pieces) out += piece;
+  return out;
 }
 
 Result<SnapshotInfo> WriteTreeSnapshot(const Tree& tree,
                                        const std::string& path) {
-  SnapshotInfo info;
-  const std::string image = SnapshotCodec::Encode(tree, &info);
-  TREEWALK_RETURN_IF_ERROR(WriteFileAtomic(path, image));
+  SnapshotCodec::Image image;
+  SnapshotCodec::Encode(tree, image);
+  TREEWALK_RETURN_IF_ERROR(WriteFileAtomic(path, image.pieces));
   SnapshotMetrics::Get().writes->Increment();
-  return info;
+  return image.info;
 }
 
-Result<Tree> TreeFromSnapshotImage(std::shared_ptr<const std::string> image,
-                                   SnapshotInfo* info) {
-  if (image == nullptr) return InvalidArgument("null snapshot image");
-  const std::string_view bytes = *image;
-  Result<Tree> tree = SnapshotCodec::Decode(std::move(image), bytes, info);
+namespace {
+
+using DecodeFn = Result<Tree> (*)(std::shared_ptr<const void>,
+                                  std::string_view, SnapshotInfo*);
+
+/// Counts the load (or its failure) in the snapshot metrics.
+Result<Tree> Counted(Result<Tree> tree) {
   if (tree.ok()) {
     SnapshotMetrics::Get().loads->Increment();
   } else {
@@ -597,7 +769,12 @@ Result<Tree> TreeFromSnapshotImage(std::shared_ptr<const std::string> image,
   return tree;
 }
 
-namespace {
+Result<Tree> FromImage(std::shared_ptr<const std::string> image,
+                       SnapshotInfo* info, DecodeFn decode) {
+  if (image == nullptr) return Counted(InvalidArgument("null snapshot image"));
+  const std::string_view bytes = *image;
+  return Counted(decode(std::move(image), bytes, info));
+}
 
 /// Owner object threaded into the decoded Tree's `mapping_`: unmaps and
 /// releases the governor charge when the last aliasing Tree dies.
@@ -621,9 +798,8 @@ class MappedRegion {
   ResourceGovernor* governor_;
 };
 
-Result<Tree> LoadTreeSnapshotImpl(const std::string& path,
-                                  ResourceGovernor* governor,
-                                  SnapshotInfo* info) {
+Result<Tree> LoadMapped(const std::string& path, ResourceGovernor* governor,
+                        SnapshotInfo* info, DecodeFn decode) {
   TREEWALK_FAILPOINT("snapshot/load");
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -655,28 +831,43 @@ Result<Tree> LoadTreeSnapshotImpl(const std::string& path,
     return ErrnoStatus("mmap", path);
   }
   auto region = std::make_shared<MappedRegion>(base, size, governor);
-  return SnapshotCodec::Decode(std::move(region), RawView(base, size), info);
+  return decode(std::move(region), RawView(base, size), info);
 }
 
 }  // namespace
 
+Result<Tree> TreeFromSnapshotImage(std::shared_ptr<const std::string> image,
+                                   SnapshotInfo* info) {
+  return FromImage(std::move(image), info, &SnapshotCodec::Decode);
+}
+
+Result<Tree> DelimitedTreeFromSnapshotImage(
+    std::shared_ptr<const std::string> image, SnapshotInfo* info) {
+  return FromImage(std::move(image), info, &SnapshotCodec::DecodeDelimited);
+}
+
 Result<Tree> LoadTreeSnapshot(const std::string& path,
                               ResourceGovernor* governor, SnapshotInfo* info) {
-  Result<Tree> tree = LoadTreeSnapshotImpl(path, governor, info);
-  if (tree.ok()) {
-    SnapshotMetrics::Get().loads->Increment();
-  } else {
-    SnapshotMetrics::Get().load_failures->Increment();
-  }
-  return tree;
+  return Counted(LoadMapped(path, governor, info, &SnapshotCodec::Decode));
+}
+
+Result<Tree> LoadDelimitedSnapshot(const std::string& path,
+                                   ResourceGovernor* governor,
+                                   SnapshotInfo* info) {
+  return Counted(
+      LoadMapped(path, governor, info, &SnapshotCodec::DecodeDelimited));
 }
 
 Result<SnapshotInfo> InspectTreeSnapshot(const std::string& path) {
   TREEWALK_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
   auto image = std::make_shared<const std::string>(std::move(bytes));
+  // Both views together read every section.
   SnapshotInfo info;
   TREEWALK_ASSIGN_OR_RETURN(Tree tree, TreeFromSnapshotImage(image, &info));
+  TREEWALK_ASSIGN_OR_RETURN(Tree delimited,
+                            DelimitedTreeFromSnapshotImage(image));
   (void)tree;
+  (void)delimited;
   return info;
 }
 

@@ -15,25 +15,30 @@ namespace treewalk {
 
 /// Versioned, CRC-checked, mmap-able on-disk tree snapshots
 /// ("TWSNAP01"; format layout and invalidation rules in
-/// docs/SNAPSHOT.md).  A snapshot persists the arena exactly as the
-/// evaluator consumes it — raw node records, interned label/attr/value
-/// pools, attribute columns, and the post-order ranks AxisIndex would
-/// otherwise recompute — so loading is zero-parse: the node records and
-/// attribute columns are *viewed in place* in the mapped file (the Tree
-/// holds the mapping alive), only the tiny string pools are rebuilt.
+/// docs/SNAPSHOT.md).  A snapshot persists two arenas exactly as their
+/// consumers read them: t, and delim(t) (Section 3), the tree every
+/// walk runs on.  Each has raw node records, a label pool, attribute
+/// columns and the post-order ranks AxisIndex would otherwise recompute;
+/// the attribute-name and value pools are shared.  Loading is
+/// zero-parse and zero-delimit: the node records and attribute columns
+/// are *viewed in place* in the mapped file (the Tree holds the mapping
+/// alive), only the tiny string pools are rebuilt.
 ///
 /// Robustness contract: a truncated, bit-flipped, or foreign file loads
 /// as a clean non-OK Status, never a crash and never a silently wrong
-/// tree — every section is CRC32C-checked and every node record is
-/// bounds-validated before a view is handed out (the snapshot fuzz
-/// harness and tests/snapshot_test.cc hold this line).  A caller that
+/// tree — the header and section table are CRC32C-checked, and each
+/// load CRC-checks and validates exactly the sections its tree views
+/// (every node record bounds-validated) before a view is handed out
+/// (the snapshot fuzz harness and tests/snapshot_test.cc hold this
+/// line).  InspectTreeSnapshot checks every section.  A caller that
 /// still has the source can re-parse it on any load error.
 
 inline constexpr char kSnapshotMagic[8] = {'T', 'W', 'S', 'N', 'A', 'P',
                                            '0', '1'};
-/// v2 added the tree-stats section (planner statistics preloaded at
-/// load time); v1 files are rejected and callers fall back to parsing.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// v2 added the tree-stats section, v3 the delim(t) sections and the
+/// section-table CRC; older files are rejected and callers fall back to
+/// parsing.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 inline constexpr std::size_t kSnapshotHeaderBytes = 64;
 
 /// One section-table entry, surfaced by inspect.
@@ -64,7 +69,8 @@ struct SnapshotInfo {
 /// snapshot of it (and survives a snapshot round trip).  O(n).
 std::uint64_t TreeContentHash(const Tree& tree);
 
-/// Serializes `tree` to an in-memory snapshot image (tests, fuzzing).
+/// Serializes `tree` and delim(`tree`) to an in-memory snapshot image
+/// (tests, fuzzing).
 std::string EncodeTreeSnapshot(const Tree& tree);
 
 /// Writes a snapshot of `tree` at `path` via the atomic tmp+rename
@@ -89,8 +95,23 @@ Result<Tree> LoadTreeSnapshot(const std::string& path,
                               ResourceGovernor* governor = nullptr,
                               SnapshotInfo* info = nullptr);
 
-/// Reads and validates `path`, returning header/section metadata
-/// without keeping the tree (`twq snapshot inspect`).
+/// delim(t) of the image: like TreeFromSnapshotImage, but viewing the
+/// delim(t) sections, ready for Interpreter::RunDelimited.  `info`
+/// reports the header, whose counts are t's.
+Result<Tree> DelimitedTreeFromSnapshotImage(
+    std::shared_ptr<const std::string> image, SnapshotInfo* info = nullptr);
+
+/// mmaps the snapshot at `path` and returns its delim(t), zero-copy, as
+/// LoadTreeSnapshot returns t (same governor charge and failpoint):
+/// a run on a snapshot walks this instead of delimiting t.
+/// `info->nodes` is |t|.
+Result<Tree> LoadDelimitedSnapshot(const std::string& path,
+                                   ResourceGovernor* governor = nullptr,
+                                   SnapshotInfo* info = nullptr);
+
+/// Reads `path` and validates every section (both trees), returning
+/// header/section metadata without keeping a tree
+/// (`twq snapshot inspect`).
 Result<SnapshotInfo> InspectTreeSnapshot(const std::string& path);
 
 }  // namespace treewalk

@@ -2,47 +2,61 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 namespace treewalk {
 
 namespace {
 
-/// Hand-rolled recursive-descent parser over the term grammar.
+/// Hand-rolled recursive-descent parser over the term grammar.  It
+/// writes the tree in one pre-order pass through PreorderTreeWriter:
+/// labels, attribute names and string values are interned in the order
+/// TreeBuilder would intern them (first use in document order), so the
+/// result equals the TreeBuilder construction node for node and has the
+/// same TreeContentHash.
 class TermParser {
  public:
   explicit TermParser(std::string_view source) : src_(source) {}
 
   Result<Tree> Parse() {
     SkipSpace();
-    TREEWALK_RETURN_IF_ERROR(ParseNode(/*parent=*/-1, /*depth=*/0));
+    TREEWALK_RETURN_IF_ERROR(ParseNode(kNoNode, /*depth=*/0));
     SkipSpace();
     if (pos_ != src_.size()) {
       return InvalidArgument(Where("trailing input after tree term"));
     }
-    return builder_.Build();
+    // Attributes are total (Definition 2.1): a node that never set one
+    // holds 0.
+    for (std::size_t a = 0; a < columns_.size(); ++a) {
+      columns_[a].resize(nodes_, 0);
+      writer_.AddAttribute(attr_names_.NameOf(static_cast<AttrId>(a)),
+                           std::move(columns_[a]));
+    }
+    return std::move(writer_).Finish();
   }
 
  private:
-  Status ParseNode(TreeBuilder::Ref parent, int depth) {
+  Status ParseNode(NodeId parent, int depth) {
     if (depth > kMaxTermNestingDepth) {
       // Reject instead of overflowing the recursive-descent stack.
       return InvalidArgument(
           Where("term nesting exceeds depth limit " +
                 std::to_string(kMaxTermNestingDepth)));
     }
-    TREEWALK_ASSIGN_OR_RETURN(std::string label, ParseIdent("label"));
-    TreeBuilder::Ref ref = parent < 0 ? builder_.AddRoot(label)
-                                      : builder_.AddChild(parent, label);
+    TREEWALK_ASSIGN_OR_RETURN(std::string_view label, ParseIdent("label"));
+    const NodeId u = writer_.Open(writer_.InternLabel(label), parent);
+    ++nodes_;
     SkipSpace();
     if (Peek() == '[') {
-      TREEWALK_RETURN_IF_ERROR(ParseAttrs(ref));
+      TREEWALK_RETURN_IF_ERROR(ParseAttrs(u));
       SkipSpace();
     }
     if (Peek() == '(') {
       ++pos_;
       while (true) {
         SkipSpace();
-        TREEWALK_RETURN_IF_ERROR(ParseNode(ref, depth + 1));
+        TREEWALK_RETURN_IF_ERROR(ParseNode(u, depth + 1));
         SkipSpace();
         if (Peek() == ',') {
           ++pos_;
@@ -53,10 +67,11 @@ class TermParser {
       if (Peek() != ')') return InvalidArgument(Where("expected ')'"));
       ++pos_;
     }
+    writer_.Close(u);
     return Status::Ok();
   }
 
-  Status ParseAttrs(TreeBuilder::Ref ref) {
+  Status ParseAttrs(NodeId u) {
     ++pos_;  // consume '['
     SkipSpace();
     if (Peek() == ']') {
@@ -65,17 +80,17 @@ class TermParser {
     }
     while (true) {
       SkipSpace();
-      TREEWALK_ASSIGN_OR_RETURN(std::string name, ParseIdent("attribute"));
+      TREEWALK_ASSIGN_OR_RETURN(std::string_view name, ParseIdent("attribute"));
       SkipSpace();
       if (Peek() != '=') return InvalidArgument(Where("expected '='"));
       ++pos_;
       SkipSpace();
       if (Peek() == '"') {
         TREEWALK_ASSIGN_OR_RETURN(std::string text, ParseString());
-        builder_.SetAttrString(ref, name, text);
+        SetAttr(u, name, writer_.InternValue(text));
       } else {
         TREEWALK_ASSIGN_OR_RETURN(DataValue value, ParseInt());
-        builder_.SetAttr(ref, name, value);
+        SetAttr(u, name, value);
       }
       SkipSpace();
       if (Peek() == ',') {
@@ -89,6 +104,17 @@ class TermParser {
     return Status::Ok();
   }
 
+  /// A later value for the same name on one node overwrites the earlier.
+  void SetAttr(NodeId u, std::string_view name, DataValue value) {
+    const auto a = static_cast<std::size_t>(attr_names_.Intern(name));
+    if (a == columns_.size()) columns_.emplace_back();
+    std::vector<DataValue>& column = columns_[a];
+    if (column.size() <= static_cast<std::size_t>(u)) {
+      column.resize(static_cast<std::size_t>(u) + 1, 0);
+    }
+    column[static_cast<std::size_t>(u)] = value;
+  }
+
   static bool IsIdentStart(char c) {
     return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '#';
   }
@@ -97,13 +123,13 @@ class TermParser {
            c == '#' || c == '-';
   }
 
-  Result<std::string> ParseIdent(const char* what) {
+  Result<std::string_view> ParseIdent(const char* what) {
     if (pos_ >= src_.size() || !IsIdentStart(src_[pos_])) {
       return InvalidArgument(Where(std::string("expected ") + what));
     }
     std::size_t start = pos_;
     while (pos_ < src_.size() && IsIdentChar(src_[pos_])) ++pos_;
-    return std::string(src_.substr(start, pos_ - start));
+    return src_.substr(start, pos_ - start);
   }
 
   Result<std::string> ParseString() {
@@ -146,7 +172,10 @@ class TermParser {
 
   std::string_view src_;
   std::size_t pos_ = 0;
-  TreeBuilder builder_;
+  PreorderTreeWriter writer_;
+  std::size_t nodes_ = 0;
+  Interner attr_names_;                        // first-use order
+  std::vector<std::vector<DataValue>> columns_;  // [attr][node], grown lazily
 };
 
 void PrintNode(const Tree& tree, NodeId u, bool skip_zero_attrs,

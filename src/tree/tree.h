@@ -212,9 +212,9 @@ AttrId AssignUniqueIds(Tree& tree, std::string_view name = "id");
 /// the next node of a pre-order traversal, and Close() ends its subtree.
 /// This is the one place that links node records (parent, siblings,
 /// child index and count, subtree end); TreeBuilder::Build lays its
-/// protos out through it, and Delimit() (src/tree/delimited.h) writes
-/// delim(t) with it in one pass, with no per-node protos or label
-/// strings.
+/// protos out through it, and ParseTerm() (src/tree/term_io.h) and
+/// Delimit() (src/tree/delimited.h) write their trees with it in one
+/// pass, with no per-node protos or label strings.
 ///
 ///   PreorderTreeWriter w(2);
 ///   NodeId r = w.Open(w.InternLabel("a"), kNoNode);
@@ -245,8 +245,13 @@ class PreorderTreeWriter {
   /// per node in document order; Finish() checks the length.
   AttrId AddAttribute(std::string_view name, std::vector<DataValue> values);
 
+  /// Data value of string `text` in the finished tree's value interner.
+  DataValue InternValue(std::string_view text) {
+    return tree_.values_->ValueFor(text);
+  }
+
   /// The finished tree; call once every node is closed.  Its value
-  /// interner is a fresh one.
+  /// interner holds exactly the strings passed to InternValue().
   Tree Finish() &&;
 
  private:

@@ -6,6 +6,11 @@
 // t under #top between #open and #close, give every leaf a #leaf child
 // and wrap every child block in #open/#close, then set every attribute
 // of a delimiter to kBottom.
+//
+// The same reference holds the delim(t) arena a snapshot carries
+// (src/tree/snapshot.h): mapped back from the image it must equal
+// Delimit(t) node for node, resolve string values through the value
+// pool, and carry the post-order ranks AxisIndex computes.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "src/tree/axis_index.h"
 #include "src/tree/delimited.h"
 #include "src/tree/generate.h"
 #include "src/tree/snapshot.h"
@@ -87,6 +93,68 @@ DelimitedTree ReferenceDelimit(const Tree& tree) {
   return result;
 }
 
+/// Asserts that `g` equals the reference delim(t) `w` node for node:
+/// links, label symbols and names, attribute ids, names and values, and
+/// string values resolved through each tree's own value interner.
+void ExpectSameArena(const Tree& g, const Tree& w) {
+  ASSERT_EQ(g.size(), w.size());
+  ASSERT_EQ(g.labels().size(), w.labels().size());
+  for (Symbol s = 0; s < static_cast<Symbol>(w.labels().size()); ++s) {
+    EXPECT_EQ(g.LabelName(s), w.LabelName(s)) << "symbol " << s;
+  }
+  ASSERT_EQ(g.num_attributes(), w.num_attributes());
+  ASSERT_EQ(g.attributes().size(), w.attributes().size());
+  for (AttrId a = 0; a < static_cast<AttrId>(w.num_attributes()); ++a) {
+    EXPECT_EQ(g.attributes().NameOf(a), w.attributes().NameOf(a));
+  }
+  for (NodeId u = 0; u < static_cast<NodeId>(w.size()); ++u) {
+    ASSERT_EQ(g.label(u), w.label(u)) << "node " << u;
+    ASSERT_EQ(g.Parent(u), w.Parent(u)) << "node " << u;
+    ASSERT_EQ(g.FirstChild(u), w.FirstChild(u)) << "node " << u;
+    ASSERT_EQ(g.LastChild(u), w.LastChild(u)) << "node " << u;
+    ASSERT_EQ(g.NextSibling(u), w.NextSibling(u)) << "node " << u;
+    ASSERT_EQ(g.PrevSibling(u), w.PrevSibling(u)) << "node " << u;
+    ASSERT_EQ(g.ChildIndex(u), w.ChildIndex(u)) << "node " << u;
+    ASSERT_EQ(g.ChildCount(u), w.ChildCount(u)) << "node " << u;
+    ASSERT_EQ(g.SubtreeEnd(u), w.SubtreeEnd(u)) << "node " << u;
+    for (AttrId a = 0; a < static_cast<AttrId>(w.num_attributes()); ++a) {
+      ASSERT_EQ(g.attr(a, u), w.attr(a, u)) << "node " << u << " attr " << a;
+      ASSERT_EQ(g.values().Render(g.attr(a, u)),
+                w.values().Render(w.attr(a, u)))
+          << "node " << u << " attr " << a;
+    }
+  }
+}
+
+/// The delim(t) arena of t's snapshot image against the reference, and
+/// its persisted post-order ranks against AxisIndex's numbering of the
+/// computed delim(t).
+void ExpectMappedArena(const Tree& t, const DelimitedTree& want) {
+  SCOPED_TRACE("mapped arena");
+  auto image = std::make_shared<const std::string>(EncodeTreeSnapshot(t));
+  SnapshotInfo info;
+  Result<Tree> mapped = DelimitedTreeFromSnapshotImage(image, &info);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  EXPECT_EQ(info.nodes, t.size());
+  ExpectSameArena(*mapped, want.tree);
+  for (NodeId d = 0; d < static_cast<NodeId>(want.tree.size()); ++d) {
+    if (!want.IsDelimiter(d)) continue;
+    for (AttrId a = 0; a < static_cast<AttrId>(want.tree.num_attributes());
+         ++a) {
+      ASSERT_EQ(mapped->attr(a, d), kBottom) << "delimiter " << d;
+    }
+  }
+  ASSERT_NE(mapped->snapshot_postorder(), nullptr);
+  const Tree computed = Delimit(t).tree;
+  const AxisIndex index(computed);
+  const std::vector<NodeId>& ranks = index.PostorderRanks();
+  ASSERT_EQ(ranks.size(), mapped->size());
+  for (std::size_t u = 0; u < ranks.size(); ++u) {
+    ASSERT_EQ(mapped->snapshot_postorder()[u], ranks[u]) << "node " << u;
+  }
+  EXPECT_EQ(PrintTerm(*mapped), PrintTerm(want.tree));
+}
+
 /// Asserts node-for-node identity; `what` names the input.
 void ExpectIdentical(const Tree& t, const std::string& what) {
   SCOPED_TRACE(what);
@@ -135,6 +203,7 @@ void ExpectIdentical(const Tree& t, const std::string& what) {
   EXPECT_EQ(g.snapshot_postorder(), nullptr);
   EXPECT_EQ(g.snapshot_stats(), nullptr);
   EXPECT_EQ(PrintTerm(g), PrintTerm(w));
+  ExpectMappedArena(t, want);
 }
 
 /// Random attributed tree whose second attribute holds interned

@@ -3,6 +3,8 @@
 // an arbitrary byte image must decode to a valid tree / selector or a
 // clean Status — never a crash, never an out-of-bounds read, never a
 // tree whose navigation can walk outside [0, n) or fail to terminate.
+// Every image is decoded both as t and as delim(t), and whatever
+// decodes is walked.
 //
 // The decoded-tree walk below exercises exactly the O(1) accessors plus
 // Depth() (the parent-chain loop whose termination the validator's
@@ -48,15 +50,21 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   treewalk::SnapshotInfo info;
   auto tree = treewalk::TreeFromSnapshotImage(image, &info);
-  if (tree.ok()) {
-    if (tree->size() != info.nodes) __builtin_trap();
-    for (treewalk::NodeId u = 0;
-         u < static_cast<treewalk::NodeId>(tree->size()); ++u) {
-      CheckNode(*tree, u);
+  if (tree.ok() && tree->size() != info.nodes) __builtin_trap();
+  treewalk::SnapshotInfo delimited_info;
+  auto delimited =
+      treewalk::DelimitedTreeFromSnapshotImage(image, &delimited_info);
+  if (delimited.ok() && delimited->empty() != (delimited_info.nodes == 0)) {
+    __builtin_trap();
+  }
+  for (const auto* decoded : {&tree, &delimited}) {
+    if (!decoded->ok()) continue;
+    const treewalk::Tree& t = decoded->value();
+    for (treewalk::NodeId u = 0; u < static_cast<treewalk::NodeId>(t.size());
+         ++u) {
+      CheckNode(t, u);
     }
-    if (!tree->empty() && tree->snapshot_postorder() == nullptr) {
-      __builtin_trap();
-    }
+    if (!t.empty() && t.snapshot_postorder() == nullptr) __builtin_trap();
   }
 
   // The same bytes double as a selector-cache entry input.

@@ -118,33 +118,40 @@ TEST(FuzzCorpus, JournalSeedsReplayWithoutCrashing) {
 }
 
 TEST(FuzzCorpus, SnapshotSeedsReplayWithoutCrashing) {
-  // Mirrors fuzz_snapshot.cc: decode the image as a tree snapshot
-  // (walking every node's O(1) accessors on success) and as a
-  // selector-cache entry.  The corpus holds one intact snapshot plus
-  // truncations and bit-flips of it; only the intact one may decode.
+  // Mirrors fuzz_snapshot.cc: decode the image as a tree snapshot, as t
+  // and as delim(t) (walking every node's O(1) accessors on success),
+  // and as a selector-cache entry.  The corpus holds one intact snapshot
+  // plus truncations and bit-flips of it; only the intact one decodes
+  // both ways, and a flip in a section one tree does not view leaves
+  // that tree decodable.
   ReplayCorpus("snapshot", [](const std::string& s) {
     auto image = std::make_shared<const std::string>(s);
     SnapshotInfo info;
     auto tree = TreeFromSnapshotImage(image, &info);
     if (tree.ok()) {
       EXPECT_EQ(tree->size(), info.nodes);
-      const auto n = static_cast<NodeId>(tree->size());
+    }
+    auto delimited = DelimitedTreeFromSnapshotImage(image);
+    for (const Result<Tree>* decoded : {&tree, &delimited}) {
+      if (!decoded->ok()) continue;
+      const Tree& t = decoded->value();
+      const auto n = static_cast<NodeId>(t.size());
       for (NodeId u = 0; u < n; ++u) {
         auto in_range = [n](NodeId v) {
           return v == kNoNode || (v >= 0 && v < n);
         };
-        EXPECT_TRUE(in_range(tree->Parent(u)));
-        EXPECT_TRUE(in_range(tree->FirstChild(u)));
-        EXPECT_TRUE(in_range(tree->NextSibling(u)));
-        EXPECT_LE(tree->SubtreeEnd(u), n);
-        EXPECT_LE(tree->Depth(u), static_cast<int>(tree->size()));
+        EXPECT_TRUE(in_range(t.Parent(u)));
+        EXPECT_TRUE(in_range(t.FirstChild(u)));
+        EXPECT_TRUE(in_range(t.NextSibling(u)));
+        EXPECT_LE(t.SubtreeEnd(u), n);
+        EXPECT_LE(t.Depth(u), static_cast<int>(t.size()));
       }
     }
     auto selector = DecodeSelectorCacheEntry(s, nullptr);
     if (selector.ok() && selector->tree_size() > 0) {
       (void)selector->SelectFrom(0);
     }
-    return tree.ok() || selector.ok();
+    return (tree.ok() && delimited.ok()) || selector.ok();
   });
 }
 

@@ -2,8 +2,9 @@
 // immutable corpus generation — what makes `twq serve` safe to point at
 // a corpus larger than RAM.  Covered here: admission in load order up to
 // the cap, accountant-charged occupancy and its gauges, refusal of
-// entries larger than the whole cap, load-failure propagation, and the
-// never-loading Lookup() hot path.
+// entries larger than the whole cap, load-failure propagation, the
+// never-loading Lookup() hot path, and entries mapped from a snapshot's
+// delim(t) sections.
 
 #include <gtest/gtest.h>
 
@@ -15,19 +16,24 @@
 #include "src/engine/input_cache.h"
 #include "src/tree/delimited.h"
 #include "src/tree/generate.h"
+#include "src/tree/snapshot.h"
 #include "src/tree/term_io.h"
 #include "src/tree/tree.h"
 
 namespace treewalk {
 namespace {
 
-Result<Tree> SmallTree() { return ParseTerm("a(b(c), d[x=1])"); }
+using Loaded = ResidentTreeCache::Loaded;
+
+Result<Loaded> SmallTree() {
+  return ResidentTreeCache::DelimitSource(ParseTerm("a(b(c), d[x=1])"));
+}
 
 // A cache sized to hold `n` copies of SmallTree() (delimited), with a
 // little slack but not enough for n + 1.
 std::int64_t CapacityFor(int n) {
-  Tree delimited = std::move(Delimit(std::move(SmallTree()).value())).tree;
-  std::int64_t per = ResidentTreeCache::ApproxTreeBytes(delimited);
+  std::int64_t per =
+      ResidentTreeCache::ApproxTreeBytes(SmallTree().value().delimited);
   return per * n + per / 2;
 }
 
@@ -63,7 +69,7 @@ TEST(ResidentTreeCache, GetOrLoadCachesAndLookupNeverLoads) {
 TEST(ResidentTreeCache, LoadFailuresPropagateAndCacheNothing) {
   ResidentTreeCache cache(0);
   auto failed = cache.GetOrLoad(
-      "bad", []() -> Result<Tree> { return InvalidArgument("no such tree"); });
+      "bad", []() -> Result<Loaded> { return InvalidArgument("no such tree"); });
   EXPECT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(cache.resident_trees(), 0);
@@ -98,8 +104,8 @@ TEST(ResidentTreeCache, KeepsWhatFitsAndRefusesTheRest) {
 
 TEST(ResidentTreeCache, RefusesASingleTreeLargerThanTheWholeCap) {
   ResidentTreeCache cache(1024);  // far below any real tree's charge
-  auto result = cache.GetOrLoad("huge", []() -> Result<Tree> {
-    return Result<Tree>(FullTree(2, 10));
+  auto result = cache.GetOrLoad("huge", [] {
+    return ResidentTreeCache::DelimitSource(FullTree(2, 10));
   });
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
@@ -118,10 +124,36 @@ TEST(ResidentTreeCache, ApproxBytesGrowsWithTreeSize) {
 
 TEST(ResidentTreeCache, EmptyTreeIsRejected) {
   ResidentTreeCache cache(0);
-  auto result =
-      cache.GetOrLoad("empty", []() -> Result<Tree> { return Tree(); });
+  auto result = cache.GetOrLoad(
+      "empty", [] { return ResidentTreeCache::DelimitSource(Tree()); });
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(cache.resident_trees(), 0);
+}
+
+// A loader may hand over a snapshot's mapped delim(t) with |t| from the
+// header: the entry is charged and answers exactly like the parsed and
+// delimited one.
+TEST(ResidentTreeCache, MappedSnapshotEntryMatchesTheDelimitedOne) {
+  const Tree t = FullTree(3, 5);
+  ResidentTreeCache cache(0);
+  auto parsed = cache.GetOrLoad(
+      "parsed", [&] { return ResidentTreeCache::DelimitSource(t); });
+  auto mapped = cache.GetOrLoad("mapped", [&]() -> Result<Loaded> {
+    SnapshotInfo info;
+    TREEWALK_ASSIGN_OR_RETURN(
+        Tree delimited,
+        DelimitedTreeFromSnapshotImage(
+            std::make_shared<const std::string>(EncodeTreeSnapshot(t)),
+            &info));
+    return Loaded{std::move(delimited), static_cast<std::size_t>(info.nodes)};
+  });
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  EXPECT_EQ((*mapped)->source_nodes, t.size());
+  EXPECT_EQ((*mapped)->delimited.size(), (*parsed)->delimited.size());
+  EXPECT_EQ((*mapped)->approx_bytes, (*parsed)->approx_bytes);
+  EXPECT_EQ(PrintTerm((*mapped)->delimited), PrintTerm((*parsed)->delimited));
+  EXPECT_NE((*mapped)->delimited.snapshot_postorder(), nullptr);
 }
 
 }  // namespace

@@ -18,12 +18,20 @@
 // cycle detection on and off, traces on, tight step/trace budgets and
 // the reference selector path.  On a mismatch the whole actual output
 // is written next to the test's temp dir for inspection.
+//
+// A second pass runs every program on the delim(t) arena mapped back
+// from each tree's snapshot image (src/tree/snapshot.h), which is what
+// `twq run` walks on a .twsnap; it must match the same lines byte for
+// byte.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -33,6 +41,7 @@
 #include "src/automata/library.h"
 #include "src/automata/text_format.h"
 #include "src/tree/generate.h"
+#include "src/tree/snapshot.h"
 #include "src/tree/term_io.h"
 
 #ifndef TREEWALK_SOURCE_DIR
@@ -344,7 +353,31 @@ std::string Describe(const Result<RunResult>& run) {
   return out.str();
 }
 
-std::vector<std::string> AllRuns() {
+/// Runs `interpreter` on (what stands for) tree `t`.
+using Runner =
+    std::function<Result<RunResult>(const Interpreter&, const Tree& t)>;
+
+Result<RunResult> RunOnTree(const Interpreter& interpreter, const Tree& t) {
+  return interpreter.Run(t);
+}
+
+/// Maps each tree's snapshot image to its delim(t) once and runs there.
+struct MappedArenaRunner {
+  std::map<const Tree*, Tree> mapped;
+
+  Result<RunResult> operator()(const Interpreter& interpreter, const Tree& t) {
+    auto it = mapped.find(&t);
+    if (it == mapped.end()) {
+      Result<Tree> delimited = DelimitedTreeFromSnapshotImage(
+          std::make_shared<const std::string>(EncodeTreeSnapshot(t)));
+      if (!delimited.ok()) return delimited.status();
+      it = mapped.emplace(&t, std::move(delimited).value()).first;
+    }
+    return interpreter.RunDelimited(it->second);
+  }
+};
+
+std::vector<std::string> AllRuns(Runner run_on = RunOnTree) {
   using F = NamedProgram::Family;
   const std::vector<NamedTree> generic = GenericTrees();
   const std::vector<NamedTree> circuit = CircuitTrees();
@@ -359,7 +392,8 @@ std::vector<std::string> AllRuns() {
                                   : generic;
     for (const NamedTree& t : trees) {
       for (const Variant& v : Variants()) {
-        Result<RunResult> run = Interpreter(p.program, v.options).Run(t.tree);
+        Result<RunResult> run =
+            run_on(Interpreter(p.program, v.options), t.tree);
         lines.push_back(p.name + " " + t.name + " " + v.name + ": " +
                         Describe(run));
       }
@@ -375,8 +409,7 @@ std::vector<std::string> ReadLines(const std::string& path) {
   return lines;
 }
 
-TEST(RunResultGolden, EveryRunMatchesTheGoldenLine) {
-  const std::vector<std::string> actual = AllRuns();
+void ExpectGolden(const std::vector<std::string>& actual) {
   const std::vector<std::string> golden = ReadLines(
       std::string(TREEWALK_SOURCE_DIR) + "/tests/golden/run_results.txt");
   int reported = 0;
@@ -393,6 +426,14 @@ TEST(RunResultGolden, EveryRunMatchesTheGoldenLine) {
     for (const std::string& line : actual) out << line << "\n";
     ADD_FAILURE() << "actual output written to " << path;
   }
+}
+
+TEST(RunResultGolden, EveryRunMatchesTheGoldenLine) { ExpectGolden(AllRuns()); }
+
+/// A run on the mapped delim(t) arena of a snapshot answers exactly as a
+/// run that delimits t itself.
+TEST(RunResultGolden, RunsOnTheMappedArenaMatchTheGoldenLines) {
+  ExpectGolden(AllRuns(MappedArenaRunner{}));
 }
 
 /// The runs are pure functions of (program, tree, options).

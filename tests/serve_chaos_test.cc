@@ -244,12 +244,18 @@ void ChaosClient(int port, int seed, const ServerOptions& options,
 TEST_F(ServeChaosTest, FleetSurvivesChaosAndBooksReconcileExactly) {
   ResidentTreeCache corpus(0);
   ASSERT_TRUE(
-      corpus.GetOrLoad("small", [] { return ParseTerm("a(b(c), d[x=1])"); })
+      corpus
+          .GetOrLoad("small",
+                     [] {
+                       return ResidentTreeCache::DelimitSource(
+                           ParseTerm("a(b(c), d[x=1])"));
+                     })
           .ok());
   ASSERT_TRUE(corpus
                   .GetOrLoad("mid",
-                             []() -> Result<Tree> {
-                               return Result<Tree>(FullTree(2, 9));
+                             [] {
+                               return ResidentTreeCache::DelimitSource(
+                                   FullTree(2, 9));
                              })
                   .ok());
 

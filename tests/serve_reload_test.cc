@@ -56,7 +56,8 @@ class ServeReloadTest : public ::testing::Test {
 std::shared_ptr<ResidentTreeCache> OneTreeCorpus(const std::string& term,
                                                  std::uint64_t generation) {
   auto corpus = std::make_shared<ResidentTreeCache>(0, generation);
-  auto entry = corpus->GetOrLoad("t", [&] { return ParseTerm(term); });
+  auto entry = corpus->GetOrLoad(
+      "t", [&] { return ResidentTreeCache::DelimitSource(ParseTerm(term)); });
   EXPECT_TRUE(entry.ok()) << entry.status().ToString();
   return corpus;
 }
@@ -147,8 +148,8 @@ TEST_F(ServeReloadTest, InFlightQueryPinsOldGenerationUntilItAnswers) {
   // corpus would ACCEPT.  The in-flight query must REJECT: it pinned
   // the old generation at dispatch.
   auto gen0 = std::make_shared<ResidentTreeCache>(0, 0);
-  ASSERT_TRUE(gen0->GetOrLoad("t", []() -> Result<Tree> {
-                    return Result<Tree>(FullTree(2, 17));
+  ASSERT_TRUE(gen0->GetOrLoad("t", [] {
+                    return ResidentTreeCache::DelimitSource(FullTree(2, 17));
                   })
                   .ok());
   std::weak_ptr<ResidentTreeCache> old_generation = gen0;
@@ -255,8 +256,8 @@ TEST_F(ServeReloadTest, QuarantineTripsResetsAndClearsOnSwap) {
   // A scan over a 2^10-node tree with a 1 ms budget trips the deadline
   // governor deterministically; the same pair with no budget succeeds.
   auto corpus = std::make_shared<ResidentTreeCache>(0, 0);
-  ASSERT_TRUE(corpus->GetOrLoad("big", []() -> Result<Tree> {
-                    return Result<Tree>(FullTree(2, 14));
+  ASSERT_TRUE(corpus->GetOrLoad("big", [] {
+                    return ResidentTreeCache::DelimitSource(FullTree(2, 14));
                   })
                   .ok());
   ServerOptions options;
@@ -291,8 +292,8 @@ TEST_F(ServeReloadTest, QuarantineTripsResetsAndClearsOnSwap) {
 
   // A swap clears the table: the new corpus deserves a fresh verdict.
   auto next = std::make_shared<ResidentTreeCache>(0, 1);
-  ASSERT_TRUE(next->GetOrLoad("big", []() -> Result<Tree> {
-                    return Result<Tree>(FullTree(2, 14));
+  ASSERT_TRUE(next->GetOrLoad("big", [] {
+                    return ResidentTreeCache::DelimitSource(FullTree(2, 14));
                   })
                   .ok());
   server.SwapCorpus(std::move(next), 0.1);
@@ -317,8 +318,8 @@ TEST_F(ServeReloadTest, QuarantineTripsResetsAndClearsOnSwap) {
 
 TEST_F(ServeReloadTest, QuarantineDisabledByDefault) {
   auto corpus = std::make_shared<ResidentTreeCache>(0, 0);
-  ASSERT_TRUE(corpus->GetOrLoad("big", []() -> Result<Tree> {
-                    return Result<Tree>(FullTree(2, 14));
+  ASSERT_TRUE(corpus->GetOrLoad("big", [] {
+                    return ResidentTreeCache::DelimitSource(FullTree(2, 14));
                   })
                   .ok());
   QueryServer server(ServerOptions{}, corpus);

@@ -6,8 +6,9 @@
 // (admitted == ok + error + drained), and the
 // SIGHUP/Install re-entrancy contract of src/engine/shutdown holds.
 // The subprocess legs run tools/serve_smoke.sh against the real twq
-// binary and assert the documented drain exit code 75, and check that
-// `twq serve --cache-budget-mb` answers every tree it logs as loaded.
+// binary and assert the documented drain exit code 75, check that
+// `twq serve --cache-budget-mb` answers every tree it logs as loaded,
+// and time an idle daemon's drain after SIGTERM.
 
 #include <gtest/gtest.h>
 
@@ -74,15 +75,19 @@ class ServeTest : public ::testing::Test {
     corpus_ = std::make_unique<ResidentTreeCache>(0);
     ASSERT_TRUE(corpus_
                     ->GetOrLoad("small",
-                                [] { return ParseTerm("a(b(c), d[x=1])"); })
+                                [] {
+                                  return ResidentTreeCache::DelimitSource(
+                                      ParseTerm("a(b(c), d[x=1])"));
+                                })
                     .ok());
     ASSERT_TRUE(corpus_
                     ->GetOrLoad("big",
-                                []() -> Result<Tree> {
+                                [] {
                                   // ~65k nodes: a full DFS holds a
                                   // worker for many milliseconds, which
                                   // the drain tests rely on.
-                                  return Result<Tree>(FullTree(2, 15));
+                                  return ResidentTreeCache::DelimitSource(
+                                      FullTree(2, 15));
                                 })
                     .ok());
     server_ = std::make_unique<QueryServer>(options, corpus_.get());
@@ -676,6 +681,88 @@ TEST(ServeSmokeTest, CacheBudgetServesEveryLoadedTreeAndSkipsTheRest) {
   ASSERT_EQ(waitpid(work.daemon, &status, 0), work.daemon);
   work.daemon = -1;
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 75) << status;
+}
+
+/// An idle daemon drains as soon as SIGTERM arrives: the handler wakes
+/// the serve driver through a self-pipe, and BeginDrain() wakes the
+/// accept loop through an eventfd, so neither waits out the accept
+/// loop's 50 ms poll timeout.  Timed from the kill to the `drained:`
+/// summary the driver prints once AwaitTermination() returns, so
+/// process teardown (a sanitizer's exit checks included) is not in the
+/// number; the median of five runs keeps one slow start from deciding.
+TEST(ServeSmokeTest, IdleDaemonDrainsAtOnceOnSigterm) {
+  struct Workspace {
+    std::string dir = ::testing::TempDir() + "serve_drain_XXXXXX";
+    pid_t daemon = -1;
+    int stdout_fd = -1;
+    void Reap() {
+      if (daemon > 0) {
+        kill(daemon, SIGKILL);
+        waitpid(daemon, nullptr, 0);
+        daemon = -1;
+      }
+      if (stdout_fd >= 0) close(stdout_fd);
+      stdout_fd = -1;
+    }
+    ~Workspace() {
+      Reap();
+      std::system(("rm -rf '" + dir + "'").c_str());
+    }
+  } work;
+  ASSERT_NE(mkdtemp(work.dir.data()), nullptr);
+  const std::string corpus = work.dir + "/corpus";
+  ASSERT_EQ(mkdir(corpus.c_str(), 0755), 0);
+  std::ofstream(corpus + "/a.term") << "a(b, c[x=1])\n";
+
+  // Reads the daemon's stdout until `marker` has arrived (or 30 s pass).
+  auto read_until = [&](std::string& out, const char* marker) {
+    pollfd ready{work.stdout_fd, POLLIN, 0};
+    while (out.find(marker) == std::string::npos &&
+           poll(&ready, 1, 30000) > 0) {
+      char buffer[256];
+      const ssize_t n = read(work.stdout_fd, buffer, sizeof(buffer));
+      if (n <= 0) break;
+      out.append(buffer, static_cast<std::size_t>(n));
+    }
+    return out.find(marker) != std::string::npos;
+  };
+
+  std::vector<double> drain_ms;
+  for (int run = 0; run < 5; ++run) {
+    int out[2];
+    ASSERT_EQ(pipe(out), 0);
+    work.stdout_fd = out[0];
+    work.daemon = fork();
+    ASSERT_GE(work.daemon, 0);
+    if (work.daemon == 0) {
+      dup2(out[1], STDOUT_FILENO);
+      close(out[0]);
+      execl(TREEWALK_TWQ_PATH, TREEWALK_TWQ_PATH, "serve", corpus.c_str(),
+            "--port", "0", "--quiet", static_cast<char*>(nullptr));
+      _exit(127);
+    }
+    close(out[1]);
+    std::string output;
+    ASSERT_TRUE(read_until(output, "listening on")) << output;
+    // Idle: the accept loop sits in its poll, the driver waits for a
+    // signal.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(kill(work.daemon, SIGTERM), 0);
+    ASSERT_TRUE(read_until(output, "drained:")) << output;
+    drain_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+    int status = 0;
+    ASSERT_EQ(waitpid(work.daemon, &status, 0), work.daemon);
+    work.daemon = -1;
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 75) << status;
+    work.Reap();
+  }
+  std::sort(drain_ms.begin(), drain_ms.end());
+  EXPECT_LT(drain_ms[2], 20.0) << "drain times (ms): " << drain_ms[0] << " "
+                               << drain_ms[1] << " " << drain_ms[2] << " "
+                               << drain_ms[3] << " " << drain_ms[4];
 }
 #endif
 

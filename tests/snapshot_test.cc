@@ -2,14 +2,18 @@
 // coverage for the mmap-able tree snapshot format (src/tree/snapshot.h).
 // The contract under test: a loaded tree is indistinguishable from the
 // tree that was written — same navigation, labels, attributes, values,
-// and postorder — and every way a file can be wrong (truncated, bit-
-// flipped, version-skewed, injected fault) surfaces as a clean Status,
-// never a crash and never a silently different tree.
+// and postorder — and so is a loaded delim(t) from Delimit(t); every way
+// a file can be wrong (truncated, bit-flipped, version-skewed, injected
+// fault) surfaces as a clean Status, never a crash and never a silently
+// different tree.  Each load checks the sections its tree views; a
+// damaged delim(t) section fails the delim(t) load and inspect, not t's.
 
 #include "src/tree/snapshot.h"
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <random>
@@ -23,6 +27,7 @@
 #include "src/common/failpoint.h"
 #include "src/common/governor.h"
 #include "src/common/metrics.h"
+#include "src/tree/delimited.h"
 #include "src/tree/generate.h"
 #include "src/tree/term_io.h"
 #include "src/tree/traversal.h"
@@ -101,13 +106,21 @@ TEST(SnapshotRoundTrip, HandBuiltTree) {
   written = *w;
   EXPECT_EQ(written.nodes, original.size());
   EXPECT_EQ(written.version, kSnapshotVersion);
-  EXPECT_EQ(written.sections.size(), 7u);
+  EXPECT_EQ(written.sections.size(), 11u);
 
   SnapshotInfo read;
   auto loaded = LoadTreeSnapshot(path, nullptr, &read);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(read.content_hash, written.content_hash);
   ExpectTreesEqual(original, *loaded);
+
+  // The same file maps delim(t); the header it reports is t's.
+  SnapshotInfo read_delimited;
+  auto delimited = LoadDelimitedSnapshot(path, nullptr, &read_delimited);
+  ASSERT_TRUE(delimited.ok()) << delimited.status().ToString();
+  EXPECT_EQ(read_delimited.nodes, original.size());
+  EXPECT_EQ(read_delimited.content_hash, written.content_hash);
+  ExpectTreesEqual(Delimit(original).tree, *delimited);
   std::remove(path.c_str());
 }
 
@@ -150,6 +163,10 @@ TEST(SnapshotRoundTrip, EmptyTree) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->empty());
   EXPECT_EQ(loaded->root(), kNoNode);
+  // An empty tree has no delim(t); its sections decode to an empty tree.
+  auto delimited = DelimitedTreeFromSnapshotImage(image);
+  ASSERT_TRUE(delimited.ok()) << delimited.status().ToString();
+  EXPECT_TRUE(delimited->empty());
 }
 
 TEST(SnapshotRoundTrip, PostorderIsAdoptedNotRecomputed) {
@@ -245,26 +262,107 @@ TEST(SnapshotValidation, EveryTruncationFailsCleanly) {
 }
 
 TEST(SnapshotValidation, EveryByteCorruptionFailsCleanly) {
-  // Flip one bit in every byte.  Each corruption must be rejected OR
-  // (never in practice for CRC-protected bytes, but tolerated for the
-  // padding) decode to a tree identical to the original.
+  // Flip one bit in every byte.  Each load must reject the corruption OR
+  // decode a tree identical to the original; it must reject every flip
+  // in the header, the section table, and the sections its tree views.
+  // A flip elsewhere (a section only the other tree views, or padding)
+  // is invisible to it by design.
   const Tree original = SampleTree();
+  const Tree delimited = Delimit(original).tree;
   const std::string image = EncodeTreeSnapshot(original);
+  SnapshotInfo info;
+  ASSERT_TRUE(
+      TreeFromSnapshotImage(std::make_shared<const std::string>(image), &info)
+          .ok());
+  ASSERT_EQ(info.sections.size(), 11u);
+  const std::size_t framing = kSnapshotHeaderBytes + 11 * 24 + 4;
+  // True if byte `i` is framing or lies in a section of `kinds`.
+  auto viewed = [&](std::size_t i, std::vector<std::uint32_t> kinds) {
+    if (i < framing) return true;
+    for (const SnapshotSectionInfo& sec : info.sections) {
+      if (i >= sec.offset && i < sec.offset + sec.length &&
+          std::find(kinds.begin(), kinds.end(), sec.kind) != kinds.end()) {
+        return true;
+      }
+    }
+    return false;
+  };
   int rejected = 0;
   for (std::size_t i = 0; i < image.size(); ++i) {
+    SCOPED_TRACE("byte " + std::to_string(i));
     std::string corrupt = image;
     corrupt[i] = static_cast<char>(corrupt[i] ^ 0x40);
-    auto loaded = TreeFromSnapshotImage(
-        std::make_shared<const std::string>(corrupt));
-    if (!loaded.ok()) {
-      ++rejected;
-      continue;
+    auto bytes = std::make_shared<const std::string>(corrupt);
+    auto loaded = TreeFromSnapshotImage(bytes);
+    auto loaded_delimited = DelimitedTreeFromSnapshotImage(bytes);
+    if (loaded.ok()) {
+      EXPECT_FALSE(viewed(i, {1, 2, 3, 4, 5, 6, 7}));
+      ExpectTreesEqual(original, *loaded);
     }
-    ExpectTreesEqual(original, *loaded);
+    if (loaded_delimited.ok()) {
+      EXPECT_FALSE(viewed(i, {3, 4, 8, 9, 10, 11}));
+      ExpectTreesEqual(delimited, *loaded_delimited);
+    }
+    if (!loaded.ok() || !loaded_delimited.ok()) ++rejected;
   }
-  // The format is almost entirely CRC-covered; only inter-section
-  // padding can flip without detection.
+  // Between them the two loads view every section, so only
+  // inter-section padding can flip without detection by either.
   EXPECT_GT(rejected, static_cast<int>(image.size()) * 9 / 10);
+}
+
+TEST(SnapshotValidation, DamagedDelimitedSectionFailsOnlyTheDelimitedLoad) {
+  const Tree original = RandomInput(200, 11);
+  const std::string path = TempPath("delim_damage");
+  auto written = WriteTreeSnapshot(original, path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  auto image = ReadFileBytes(path);
+  ASSERT_TRUE(image.ok());
+  // One byte in the middle of delim(t)'s node records.
+  const SnapshotSectionInfo& sec = written->sections[7];
+  ASSERT_STREQ(SnapshotSectionName(sec.kind), "delim-nodes");
+  std::string damaged = *image;
+  damaged[static_cast<std::size_t>(sec.offset + sec.length / 2)] ^= 0x01;
+  ASSERT_TRUE(WriteFileAtomic(path, damaged).ok());
+
+  auto delimited = LoadDelimitedSnapshot(path);
+  ASSERT_FALSE(delimited.ok());
+  EXPECT_EQ(delimited.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(delimited.status().message().find("delim-nodes"),
+            std::string::npos)
+      << delimited.status();
+  auto loaded = LoadTreeSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectTreesEqual(original, *loaded);
+  auto inspected = InspectTreeSnapshot(path);
+  ASSERT_FALSE(inspected.ok());
+  EXPECT_NE(inspected.status().message().find("delim-nodes"),
+            std::string::npos);
+#if defined(TREEWALK_TWQ_PATH)
+  // `twq snapshot inspect` reports the damage and exits 1.
+  const std::string command = std::string(TREEWALK_TWQ_PATH) +
+                              " snapshot inspect " + path + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char buffer[256];
+  while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) output += buffer;
+  const int status = pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1) << status;
+  EXPECT_NE(output.find("delim-nodes CRC mismatch"), std::string::npos)
+      << output;
+#endif
+
+  // And the other way round: damaged node records of t fail t's load,
+  // not delim(t)'s.
+  damaged = *image;
+  damaged[static_cast<std::size_t>(written->sections[0].offset + 3)] ^= 0x01;
+  ASSERT_TRUE(WriteFileAtomic(path, damaged).ok());
+  EXPECT_FALSE(LoadTreeSnapshot(path).ok());
+  auto still_delimited = LoadDelimitedSnapshot(path);
+  ASSERT_TRUE(still_delimited.ok()) << still_delimited.status().ToString();
+  ExpectTreesEqual(Delimit(original).tree, *still_delimited);
+  EXPECT_FALSE(InspectTreeSnapshot(path).ok());
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotValidation, VersionSkewIsRejected) {
@@ -321,6 +419,29 @@ TEST(SnapshotGovernor, ChargesAndReleasesMappedBytes) {
   std::remove(path.c_str());
 }
 
+TEST(SnapshotGovernor, DelimitedLoadChargesTheWholeMappingToo) {
+  const Tree original = RandomInput(128, 3);
+  const std::string path = TempPath("gov_delim");
+  auto written = WriteTreeSnapshot(original, path);
+  ASSERT_TRUE(written.ok());
+
+  ResourceGovernor governor;
+  governor.set_memory_budget(std::int64_t{1} << 30);
+  {
+    auto loaded = LoadDelimitedSnapshot(path, &governor);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_EQ(governor.accountant()->used(MemoryCategory::kMappedSnapshot),
+              static_cast<std::int64_t>(written->file_bytes));
+  }
+  EXPECT_EQ(governor.accountant()->used(MemoryCategory::kMappedSnapshot), 0);
+
+  governor.set_memory_budget(16);
+  auto refused = LoadDelimitedSnapshot(path, &governor);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotGovernor, BudgetTripRejectsLoad) {
   const Tree original = RandomInput(128, 3);
   const std::string path = TempPath("budget");
@@ -355,6 +476,11 @@ TEST(SnapshotFailpoints, InjectedLoadFaultFallsThroughAsStatus) {
   auto second = LoadTreeSnapshot(path);
   ASSERT_TRUE(second.ok());
   ExpectTreesEqual(original, *second);
+  // The delim(t) load passes the same site.
+  FailpointRegistry::Global().Enable("snapshot/load", config);
+  auto delimited = LoadDelimitedSnapshot(path);
+  EXPECT_FALSE(delimited.ok());
+  EXPECT_EQ(delimited.status().code(), StatusCode::kInternal);
   FailpointRegistry::Global().DisableAll();
   std::remove(path.c_str());
 }
@@ -366,7 +492,7 @@ TEST(SnapshotInspect, ReportsSectionsAndRejectsGarbage) {
   auto info = InspectTreeSnapshot(path);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->nodes, original.size());
-  ASSERT_EQ(info->sections.size(), 7u);
+  ASSERT_EQ(info->sections.size(), 11u);
   for (const auto& sec : info->sections) {
     EXPECT_NE(std::string(SnapshotSectionName(sec.kind)), "?");
   }

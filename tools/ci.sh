@@ -12,7 +12,8 @@
 #
 # Presets:
 #   release  RelWithDebInfo; full ctest pass, the perfbench/ build
-#            (twq + pbtool, -Werror), then the benchmark ctest
+#            (twq + pbtool, -Werror), the snapshot, serve and
+#            supervise smokes, then the benchmark ctest
 #            configuration (-C bench -L bench) and the regression gate
 #            (tools/bench_gate.py vs the committed BENCH_*.json).
 #   asan     Debug + ASan/UBSan; full ctest pass, then an explicit
@@ -48,6 +49,10 @@ for preset in $presets; do
       cmake -S "$root/perfbench" -B "$root/build-perfbench" \
         -DCMAKE_CXX_FLAGS=-Werror
       cmake --build "$root/build-perfbench" -j "$jobs" --target twq pbtool
+      # Snapshot smoke: every example program answers the same on each
+      # example tree and on its `twq snapshot build` output, which
+      # carries delim(t) (docs/SNAPSHOT.md).
+      sh "$root/tools/snapshot_smoke.sh" "$root/build-release/tools/twq"
       # End-to-end daemon smoke: start `twq serve`, drive it with
       # twq_loadgen, SIGHUP-reload, then SIGTERM and assert the graceful
       # drain exit code 75 (see docs/SERVER.md).
