@@ -16,6 +16,7 @@
 #include "src/automata/library.h"
 #include "src/engine/batch_journal.h"
 #include "src/engine/engine.h"
+#include "src/tree/delimited.h"
 #include "src/tree/generate.h"
 
 namespace {
@@ -24,7 +25,7 @@ using namespace treewalk;
 
 struct Workload {
   std::vector<Program> programs;
-  std::vector<Tree> trees;
+  std::vector<Tree> delimited;  // delim(t) of each input tree
   std::vector<BatchJob> jobs;
 };
 
@@ -46,16 +47,19 @@ const Workload& SharedWorkload() {
     options.value_range = 8;
     for (int n : {100, 200, 400, 800}) {
       options.num_nodes = n;
-      w->trees.push_back(RandomTree(rng, options));
+      w->delimited.push_back(Delimit(RandomTree(rng, options)).tree);
     }
-    w->trees.push_back(Example32Tree(rng, 300, /*uniform=*/true));
-    w->trees.push_back(Example32Tree(rng, 300, /*uniform=*/false));
+    w->delimited.push_back(
+        Delimit(Example32Tree(rng, 300, /*uniform=*/true)).tree);
+    w->delimited.push_back(
+        Delimit(Example32Tree(rng, 300, /*uniform=*/false)).tree);
 
     for (int i = 0; i < 64; ++i) {
       BatchJob job;
       job.program =
           &w->programs[static_cast<std::size_t>(i) % w->programs.size()];
-      job.tree = &w->trees[static_cast<std::size_t>(i / 2) % w->trees.size()];
+      job.delimited = &w->delimited[static_cast<std::size_t>(i / 2) %
+                                    w->delimited.size()];
       job.options.max_steps = 100'000'000;
       w->jobs.push_back(job);
     }

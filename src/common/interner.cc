@@ -1,6 +1,7 @@
 #include "src/common/interner.h"
 
 #include <cassert>
+#include <charconv>
 
 namespace treewalk {
 
@@ -21,6 +22,17 @@ std::int64_t Interner::Find(std::string_view s) const {
 const std::string& Interner::NameOf(std::int64_t handle) const {
   assert(Contains(handle));
   return names_[static_cast<std::size_t>(handle)];
+}
+
+std::optional<DataValue> ValueInterner::ParseInteger(std::string_view text) {
+  DataValue v = 0;
+  const char* end = text.data() + text.size();
+  const auto [last, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || last != end || v == kBottom ||
+      v >= kStringBase) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 std::string ValueInterner::Render(DataValue v) const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -50,13 +51,21 @@ class Interner {
 ///
 /// Internally synchronized: formula evaluation interns string constants
 /// through the tree's shared ValueInterner, so concurrent runs over one
-/// tree (src/engine) race on it without the lock.  Handle *values* still
-/// depend on insertion order; the batch engine pre-interns all formula
-/// constants in job order to keep them deterministic (docs/ENGINE.md).
+/// tree (src/engine) race on it without the lock.  Handle *values*
+/// depend on insertion order, so on a shared tree they depend on how
+/// the runs interleave; data values are only compared for equality, so
+/// no result does (docs/ENGINE.md).
 class ValueInterner {
  public:
   /// First data value used for interned strings.
   static constexpr DataValue kStringBase = DataValue{1} << 62;
+
+  /// The integer `text` spells ('-'? digits), or nullopt when it spells
+  /// none, overflows, or lies outside the open interval (kBottom,
+  /// kStringBase): delimiters carry kBottom and interned strings the
+  /// values from kStringBase up, so such an integer would compare equal
+  /// to one of them.
+  static std::optional<DataValue> ParseInteger(std::string_view text);
 
   /// Returns the data value representing string `s`.
   DataValue ValueFor(std::string_view s) {

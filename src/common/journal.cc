@@ -178,8 +178,6 @@ Result<JournalWriter> JournalWriter::Open(const std::string& path) {
 JournalWriter::JournalWriter(JournalWriter&& other) noexcept
     : fd_(other.fd_),
       path_(std::move(other.path_)),
-      sync_every_(other.sync_every_),
-      since_sync_(other.since_sync_),
       appended_(other.appended_) {
   other.fd_ = -1;
 }
@@ -189,8 +187,6 @@ JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
     Close();
     fd_ = other.fd_;
     path_ = std::move(other.path_);
-    sync_every_ = other.sync_every_;
-    since_sync_ = other.since_sync_;
     appended_ = other.appended_;
     other.fd_ = -1;
   }
@@ -226,13 +222,11 @@ Status JournalWriter::Append(std::string_view payload) {
   JournalMetrics& metrics = JournalMetrics::Get();
   metrics.records->Increment();
   metrics.bytes->Increment(static_cast<std::int64_t>(frame.size()));
-  if (sync_every_ > 0 && ++since_sync_ >= sync_every_) return Sync();
   return Status::Ok();
 }
 
 Status JournalWriter::Sync() {
   if (fd_ < 0) return FailedPrecondition("journal writer is closed");
-  since_sync_ = 0;
   auto start = std::chrono::steady_clock::now();
   Status status = FsyncJournalFd(fd_, path_);
   JournalMetrics& metrics = JournalMetrics::Get();

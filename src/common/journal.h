@@ -70,17 +70,13 @@ class JournalWriter {
   ~JournalWriter();
 
   /// Appends one framed record.  The write is pushed to the kernel
-  /// (surviving a crash of this process) but not fsynced unless the
-  /// auto-sync interval says so — call Sync() for a power-loss barrier.
+  /// (surviving a crash of this process) but not fsynced — call Sync()
+  /// for a power-loss barrier.
   Status Append(std::string_view payload);
 
   /// fsyncs the journal file: everything appended so far survives power
   /// loss, not just process death.
   Status Sync();
-
-  /// Auto-Sync after every `n` appends; 0 (the default) syncs only on
-  /// explicit Sync() calls.
-  void set_sync_every(int n) { sync_every_ = n; }
 
   /// Records appended through this writer (not counting pre-existing
   /// records in a reopened journal).
@@ -97,8 +93,6 @@ class JournalWriter {
 
   int fd_ = -1;
   std::string path_;
-  int sync_every_ = 0;
-  int since_sync_ = 0;
   std::int64_t appended_ = 0;
 };
 

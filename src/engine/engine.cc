@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -12,7 +11,6 @@
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/engine/batch_journal.h"
-#include "src/tree/delimited.h"
 
 namespace treewalk {
 
@@ -109,32 +107,7 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Collects the string constants of a formula in syntax order.
-void CollectStrings(const Formula& f, std::vector<std::string>& out) {
-  if (!f.valid()) return;
-  const FormulaNode& n = f.node();
-  for (const Term& t : n.terms) {
-    if (t.kind == Term::Kind::kStrConst) out.push_back(t.text);
-  }
-  for (const Formula& c : n.children) CollectStrings(c, out);
-}
-
-/// Interns every string constant of `program`'s formulas into `tree`'s
-/// value interner.  Evaluation would intern them lazily; doing it here,
-/// serially and in job order, pins the handle assignment before workers
-/// race, which keeps results independent of scheduling.
-void PreInternConstants(const Program& program, const Tree& tree) {
-  std::vector<std::string> strings;
-  for (const Rule& rule : program.rules()) {
-    CollectStrings(rule.guard, strings);
-    CollectStrings(rule.action.update, strings);
-    CollectStrings(rule.action.selector, strings);
-  }
-  for (const std::string& s : strings) tree.values().ValueFor(s);
-}
-
-/// Checks `job` as run on `tree`: job.tree itself or its delimited
-/// image, for which every check gives the same answer.
+/// Checks `job` as run on `tree`, the delim(t) it walks.
 Status ValidateJob(const BatchJob& job, const Tree* tree) {
   if (job.program == nullptr) return InvalidArgument("job has null program");
   if (tree == nullptr) return InvalidArgument("job has null tree");
@@ -165,8 +138,8 @@ void ApplyRung(int rung, RunOptions& options) {
   }
 }
 
-/// One attempt of `job` on degradation rung `rung`, against an
-/// already-delimited tree.  `span_id` only labels trace spans.
+/// One attempt of `job` on degradation rung `rung`, against delim(t).
+/// `span_id` only labels trace spans.
 void RunAttemptOnce(const BatchJob& job, const Tree& delimited_tree,
                     const std::atomic<bool>& cancel, int rung,
                     std::uint64_t span_id, EngineMetrics& metrics,
@@ -290,11 +263,9 @@ void TallyJob(const JobResult& r, EngineStats& stats) {
 }
 
 /// The per-job work of both front ends, on the calling thread: validate
-/// `job` against `tree`, run its attempts inside a `job` span, journal
-/// the outcome when `journal` is non-null, and fold the job's tally into
-/// the engine counters.  `tree` is the delimited image the job runs on;
-/// RunBatch passes job.tree instead for a job its prologue refused, so
-/// the failure reads the same.
+/// `job` against `tree`, the delim(t) it walks, run its attempts inside
+/// a `job` span, journal the outcome when `journal` is non-null, and
+/// fold the job's tally into the engine counters.
 void RunJob(const BatchJob& job, const Tree* tree,
             const std::atomic<bool>& cancel, std::uint64_t span_id,
             BatchJournal* journal, EngineMetrics& metrics, JobResult& out) {
@@ -364,17 +335,6 @@ Result<BatchResult> BatchEngine::RunBatch(const std::vector<BatchJob>& jobs,
   BatchResult batch;
   batch.results.resize(jobs.size());
 
-  // Serial prologue, in job order (determinism): validate, pre-intern
-  // string constants, and delimit each distinct input once.
-  std::map<const Tree*, DelimitedTree> delimited;
-  for (const BatchJob& job : jobs) {
-    if (!ValidateJob(job, job.tree).ok()) continue;
-    PreInternConstants(*job.program, *job.tree);
-    if (delimited.find(job.tree) == delimited.end()) {
-      delimited.emplace(job.tree, Delimit(*job.tree));
-    }
-  }
-
   std::atomic<std::size_t> next{0};
   auto worker = [&]() {
     while (true) {
@@ -386,13 +346,9 @@ Result<BatchResult> BatchEngine::RunBatch(const std::vector<BatchJob>& jobs,
                               batch_start_us,
                               tracer.NowMicros() - batch_start_us);
       }
-      // A tree has a delimited image unless the prologue refused every
-      // job naming it; the runner then repeats the refusal on job.tree.
-      auto image = delimited.find(jobs[i].tree);
       // Jobs without a stable id are run but never journaled.
-      RunJob(jobs[i],
-             image != delimited.end() ? &image->second.tree : jobs[i].tree,
-             cancel_, static_cast<std::uint64_t>(i),
+      RunJob(jobs[i], jobs[i].delimited, cancel_,
+             static_cast<std::uint64_t>(i),
              jobs[i].job_id != 0 ? journal : nullptr, metrics,
              batch.results[i]);
     }

@@ -33,16 +33,19 @@ inline constexpr int kLastRung = 1;
 /// guarantee.
 inline constexpr std::int64_t kDegradedMaxSteps = std::int64_t{1} << 20;
 
-/// One (program, document) evaluation request.  The engine delimits the
-/// tree itself (once per distinct Tree pointer — jobs may share inputs).
-/// `program` and `tree` are borrowed: they must outlive the RunBatch()
-/// call and are accessed read-only (see docs/ENGINE.md for the full
-/// thread-safety contract).  `options.cancel` and `options.governor`
-/// are overwritten by the engine (the batch-wide flag and a per-attempt
-/// governor built from `deadline_ms` / `memory_budget_bytes`).
+/// One (program, document) evaluation request.  `program` and
+/// `delimited` are borrowed: they must outlive the RunBatch() call and
+/// are accessed read-only, and many jobs may share them (see
+/// docs/ENGINE.md for the full thread-safety contract).
+/// `options.cancel` and `options.governor` are overwritten by the engine
+/// (the batch-wide flag and a per-attempt governor built from
+/// `deadline_ms` / `memory_budget_bytes`).
 struct BatchJob {
   const Program* program = nullptr;
-  const Tree* tree = nullptr;
+  /// delim(t) (Section 3), the tree the job walks: Delimit(t).tree, or
+  /// mapped from a snapshot by LoadDelimitedSnapshot.  The engine runs
+  /// it as given and never delimits.
+  const Tree* delimited = nullptr;
   RunOptions options;
   /// Per-attempt wall-clock deadline in milliseconds; 0 = none.  A trip
   /// fails the attempt with kDeadlineExceeded.
@@ -134,17 +137,16 @@ struct EngineOptions {
   int num_threads = 1;
 };
 
-/// Runs one job against an already-delimited tree on the calling
-/// thread, through the job runner RunBatch's workers use: the same
-/// validation (of `delimited_tree`; `job.tree` is ignored), retry
-/// ladder, per-attempt governor, `job` span and engine metrics, so the
-/// two front ends cannot drift.  Nothing is journaled.  This is the
-/// resident daemon's execution path (src/server): the tree was delimited
-/// once at corpus load, so per-request cost is the run itself, and many
-/// requests may execute concurrently against one tree (interning is the
-/// only mutation and is internally synchronized).  `cancel` (the
-/// server's drain flag) is checked before every attempt and polled
-/// cooperatively during it.
+/// Runs one job on `delimited_tree` (delim(t); `job.delimited` is
+/// ignored) on the calling thread, through the job runner RunBatch's
+/// workers use: the same validation, retry ladder, per-attempt
+/// governor, `job` span and engine metrics, so the two front ends
+/// cannot drift.  Nothing is journaled.  This is the resident daemon's
+/// execution path (src/server): the tree was loaded once at corpus
+/// load, so per-request cost is the run itself, and many requests may
+/// execute concurrently against one tree.  `cancel` (the server's drain
+/// flag) is checked before every attempt and polled cooperatively
+/// during it.
 JobResult RunResidentJob(const BatchJob& job, const Tree& delimited_tree,
                          const std::atomic<bool>& cancel);
 
@@ -155,10 +157,11 @@ JobResult RunResidentJob(const BatchJob& job, const Tree& delimited_tree,
 ///   - Deterministic results: results[i] depends only on jobs[i], so the
 ///     result vector (verdicts, reject reasons, step counts, traces) is
 ///     byte-identical to serial execution regardless of num_threads.
-///   - Shared inputs stay read-only: one Program or Tree may back many
-///     jobs.  String constants of every job's formulas are pre-interned
-///     in job order before workers start, so value handles do not depend
-///     on scheduling (the one mutable corner of a Tree; docs/ENGINE.md).
+///   - Shared inputs stay read-only: one Program or delim(t) may back
+///     many jobs.  Runs intern their formulas' string constants into the
+///     tree's ValueInterner (internally synchronized) as they meet them;
+///     data values are only compared for equality, so the handles that
+///     interleaving assigns never reach a result (docs/ENGINE.md).
 ///   - Cooperative cancellation: RequestCancel() makes running jobs
 ///     abort with kCancelled at the next transition and unstarted jobs
 ///     fail immediately; RunBatch still returns a fully populated,
@@ -168,7 +171,7 @@ class BatchEngine {
   explicit BatchEngine(EngineOptions options = {});
 
   /// Runs all jobs and blocks until every one finished (or was
-  /// cancelled).  Errors on malformed jobs (null program/tree, empty
+  /// cancelled).  Errors on malformed jobs (null program or tree, empty
   /// tree) are reported per-job in JobResult::status, not as a batch
   /// error; the batch itself only fails on invalid EngineOptions.
   /// Clears any cancellation left over from a previous batch.

@@ -6,6 +6,8 @@
 #include <string_view>
 #include <utility>
 
+#include "src/tree/snapshot.h"
+
 namespace treewalk {
 
 namespace {
@@ -31,6 +33,21 @@ bool ReadFileDefault(const std::string& path, std::string& out) {
   buffer << in.rdbuf();
   out = buffer.str();
   return true;
+}
+
+/// The bytes a job id hashes for the input at `path`: a snapshot's
+/// framing when it validates — its header and section table hold t's
+/// content hash and every section's CRC, so they name the whole file —
+/// otherwise the whole file.
+bool ReadJobInput(const std::string& path, std::string& out) {
+  if (path.ends_with(".twsnap")) {
+    Result<std::string> framing = ReadSnapshotFraming(path);
+    if (framing.ok()) {
+      out = std::move(framing).value();
+      return true;
+    }
+  }
+  return ReadFileDefault(path, out);
 }
 
 }  // namespace
@@ -102,7 +119,7 @@ Result<Manifest> LoadManifestFile(const std::string& path) {
   if (!ReadFileDefault(path, text)) {
     return NotFound("cannot read manifest '" + path + "'");
   }
-  return ParseManifest(text, ReadFileDefault);
+  return ParseManifest(text, ReadJobInput);
 }
 
 }  // namespace treewalk

@@ -24,6 +24,14 @@ struct ManifestEntry {
   /// and the job reruns (stale journal entries are simply never
   /// matched).  An unreadable file hashes as a marker, keeping the id
   /// stable so the load failure itself is reproducible under resume.
+  ///
+  /// LoadManifestFile hashes a `.twsnap` by its framing alone
+  /// (ReadSnapshotFraming: the header with t's content hash, and the
+  /// section table with every section's CRC32C), not by its bytes; a
+  /// snapshot whose framing does not validate is hashed whole, so a
+  /// stale or corrupt file keeps a stable id too.  Journals written
+  /// before this rule keyed `.twsnap` jobs by the whole file, so a
+  /// resume across the change reruns those jobs; it never skips one.
   std::uint64_t job_id = 0;
 };
 
@@ -55,7 +63,9 @@ Result<Manifest> ParseManifest(const std::string& text,
                                const ManifestFileReader& reader);
 
 /// ParseManifest over the file at `path` with the real filesystem
-/// reader (kNotFound when the manifest itself is unreadable).
+/// reader, which returns a `.twsnap`'s framing instead of its bytes
+/// (see ManifestEntry::job_id; kNotFound when the manifest itself is
+/// unreadable).
 Result<Manifest> LoadManifestFile(const std::string& path);
 
 }  // namespace treewalk

@@ -1,8 +1,10 @@
 #include "src/logic/parser.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <optional>
 #include <set>
+
+#include "src/common/interner.h"
 
 namespace treewalk {
 
@@ -229,9 +231,13 @@ class FormulaParser {
       if (c == '-') ++pos_;
       while (std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
       if (pos_ == start + (c == '-' ? 1u : 0u)) return Err("expected number");
-      return Term::Int(static_cast<DataValue>(std::strtoll(
-          std::string(src_.substr(start, pos_ - start)).c_str(), nullptr,
-          10)));
+      const std::optional<DataValue> value =
+          ValueInterner::ParseInteger(src_.substr(start, pos_ - start));
+      if (!value.has_value()) {
+        return InvalidArgument("integer constant out of range at offset " +
+                               std::to_string(start));
+      }
+      return Term::Int(*value);
     }
     if (c == '"') {
       ++pos_;

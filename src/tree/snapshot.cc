@@ -312,7 +312,8 @@ class SnapshotCodec {
   /// t: sections 1-7.
   static Result<Tree> Decode(std::shared_ptr<const void> owner,
                              std::string_view bytes, SnapshotInfo* info) {
-    TREEWALK_ASSIGN_OR_RETURN(const Layout layout, ReadLayout(bytes));
+    TREEWALK_ASSIGN_OR_RETURN(const Layout layout,
+                              ReadLayout(bytes, bytes.size()));
     TREEWALK_ASSIGN_OR_RETURN(
         Tree tree, DecodeArena(bytes, layout, kSourceArena, layout.node_count,
                                layout.label_count));
@@ -323,13 +324,20 @@ class SnapshotCodec {
     return tree;
   }
 
+  /// Checks the framing `bytes` of a snapshot file of `file_bytes`.
+  static Status CheckFraming(std::string_view bytes,
+                             std::uint64_t file_bytes) {
+    return ReadLayout(bytes, file_bytes).status();
+  }
+
   /// delim(t): sections 3, 4 and 8-11.  Its node count is its node
   /// section's length and its label count its pool's own count; the
   /// header's counts are t's.
   static Result<Tree> DecodeDelimited(std::shared_ptr<const void> owner,
                                       std::string_view bytes,
                                       SnapshotInfo* info) {
-    TREEWALK_ASSIGN_OR_RETURN(const Layout layout, ReadLayout(bytes));
+    TREEWALK_ASSIGN_OR_RETURN(const Layout layout,
+                              ReadLayout(bytes, bytes.size()));
     const std::uint64_t node_bytes = layout.secs[kSecDelimNodes - 1].length;
     const std::uint64_t delim_nodes = node_bytes / sizeof(Tree::Node);
     // delim(t) of a t with n nodes, l of them leaves, has 3 + 3n - l
@@ -374,9 +382,11 @@ class SnapshotCodec {
   };
 
   /// Validates magic, header CRC, version, counts against hard caps, and
-  /// the section table: its CRC, one entry per kind, each in bounds and
-  /// aligned.  Reads no section bytes.
-  static Result<Layout> ReadLayout(std::string_view bytes) {
+  /// the section table: its CRC, one entry per kind, each aligned and
+  /// within the file's `file_bytes`.  Reads no section bytes, so `bytes`
+  /// need hold no more than the framing.
+  static Result<Layout> ReadLayout(std::string_view bytes,
+                                   std::uint64_t file_bytes) {
     if (std::endian::native != std::endian::little) {
       return InvalidArgument("snapshot loading requires a little-endian host");
     }
@@ -432,8 +442,8 @@ class SnapshotCodec {
       if (e.kind < 1 || e.kind > kNumSections || seen[e.kind]) {
         return InvalidArgument("snapshot section table corrupt");
       }
-      if (e.offset % 8 != 0 || e.offset > bytes.size() ||
-          e.length > bytes.size() - e.offset) {
+      if (e.offset % 8 != 0 || e.offset > file_bytes ||
+          e.length > file_bytes - e.offset) {
         return InvalidArgument(std::string("snapshot section ") +
                                SnapshotSectionName(e.kind) +
                                " out of bounds (truncated?)");
@@ -856,6 +866,23 @@ Result<Tree> LoadDelimitedSnapshot(const std::string& path,
                                    SnapshotInfo* info) {
   return Counted(
       LoadMapped(path, governor, info, &SnapshotCodec::DecodeDelimited));
+}
+
+Result<std::string> ReadSnapshotFraming(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return ErrnoStatus("open", path);
+  struct stat st{};
+  std::string framing(kFramingBytes, '\0');
+  const bool complete = ::fstat(fd, &st) == 0 &&
+                        ::pread(fd, framing.data(), framing.size(), 0) ==
+                            static_cast<ssize_t>(framing.size());
+  ::close(fd);
+  if (!complete) {
+    return InvalidArgument("snapshot '" + path + "' has no readable framing");
+  }
+  TREEWALK_RETURN_IF_ERROR(SnapshotCodec::CheckFraming(
+      framing, static_cast<std::uint64_t>(st.st_size)));
+  return framing;
 }
 
 Result<SnapshotInfo> InspectTreeSnapshot(const std::string& path) {

@@ -109,6 +109,14 @@ Result<Tree> LoadDelimitedSnapshot(const std::string& path,
                                    ResourceGovernor* governor = nullptr,
                                    SnapshotInfo* info = nullptr);
 
+/// The framing of the snapshot at `path` — its header (t's counts and
+/// content hash), its section table (every section's offset, length
+/// and CRC32C) and the table's CRC — once it validates and every section
+/// lies within the file.  Reads no section: the framing names the whole
+/// file's contents, which is how a batch manifest keys a snapshot's
+/// jobs (src/engine/manifest.h).
+Result<std::string> ReadSnapshotFraming(const std::string& path);
+
 /// Reads `path` and validates every section (both trees), returning
 /// header/section metadata without keeping a tree
 /// (`twq snapshot inspect`).

@@ -1,7 +1,7 @@
 #include "src/tree/term_io.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -154,9 +154,13 @@ class TermParser {
     if (pos_ == start || (pos_ == start + 1 && src_[start] == '-')) {
       return InvalidArgument(Where("expected integer or string value"));
     }
-    return static_cast<DataValue>(
-        std::strtoll(std::string(src_.substr(start, pos_ - start)).c_str(),
-                     nullptr, 10));
+    const std::optional<DataValue> value =
+        ValueInterner::ParseInteger(src_.substr(start, pos_ - start));
+    if (!value.has_value()) {
+      return InvalidArgument("integer value out of range at offset " +
+                             std::to_string(start));
+    }
+    return *value;
   }
 
   char Peek() const { return pos_ < src_.size() ? src_[pos_] : '\0'; }

@@ -1,7 +1,7 @@
 #include "src/tree/xml_io.h"
 
 #include <cctype>
-#include <charconv>
+#include <optional>
 #include <vector>
 
 namespace treewalk {
@@ -89,12 +89,11 @@ class XmlParser {
     if (pos_ >= src_.size()) return Error("unclosed attribute value");
     ++pos_;  // closing quote
 
-    DataValue numeric = 0;
-    auto [end, ec] = std::from_chars(value.data(), value.data() + value.size(),
-                                     numeric);
-    if (ec == std::errc() && end == value.data() + value.size() &&
-        !value.empty()) {
-      builder_.SetAttr(ref, name, numeric);
+    // A numeral outside the integer range would alias an interned
+    // string or kBottom, so it stays a string, like any other text.
+    if (const std::optional<DataValue> numeric =
+            ValueInterner::ParseInteger(value)) {
+      builder_.SetAttr(ref, name, *numeric);
     } else {
       builder_.SetAttrString(ref, name, value);
     }

@@ -31,6 +31,7 @@
 #include "src/engine/batch_journal.h"
 #include "src/engine/engine.h"
 #include "src/engine/shutdown.h"
+#include "src/tree/delimited.h"
 #include "src/tree/generate.h"
 
 namespace treewalk {
@@ -46,9 +47,10 @@ class CrashRecoveryTest : public ::testing::Test {
 
     fast_ = std::move(HasLabelProgram("a")).value();
     counter_ = std::move(ExponentialCounterProgram()).value();
-    small_ = FullTree(2, 3);
-    chain_ = FullTree(1, 29);
-    AssignUniqueIds(chain_);
+    small_ = Delimit(FullTree(2, 3)).tree;
+    Tree chain = FullTree(1, 29);
+    AssignUniqueIds(chain);
+    chain_ = Delimit(chain).tree;
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
@@ -60,7 +62,7 @@ class CrashRecoveryTest : public ::testing::Test {
   BatchJob FastJob(std::uint64_t id) const {
     BatchJob job;
     job.program = &fast_;
-    job.tree = &small_;
+    job.delimited = &small_;
     job.job_id = id;
     return job;
   }
@@ -71,7 +73,7 @@ class CrashRecoveryTest : public ::testing::Test {
   BatchJob InfiniteJob(std::uint64_t id) const {
     BatchJob job;
     job.program = &counter_;
-    job.tree = &chain_;
+    job.delimited = &chain_;
     job.options.max_steps = std::int64_t{1} << 60;
     job.options.detect_cycles = false;
     job.job_id = id;

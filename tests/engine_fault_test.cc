@@ -20,6 +20,7 @@
 #include "src/common/failpoint.h"
 #include "src/common/governor.h"
 #include "src/engine/engine.h"
+#include "src/tree/delimited.h"
 #include "src/tree/generate.h"
 
 namespace treewalk {
@@ -65,18 +66,19 @@ TEST_F(EngineFaultTest, PerJobDeadlineFailsOnlyThatJob) {
   Program fast = std::move(HasLabelProgram("a")).value();
   Tree chain = FullTree(1, 29);
   AssignUniqueIds(chain);
-  Tree small = FullTree(2, 3);
+  chain = Delimit(chain).tree;
+  Tree small = Delimit(FullTree(2, 3)).tree;
 
   std::vector<BatchJob> jobs(3);
   jobs[0].program = &fast;
-  jobs[0].tree = &small;
+  jobs[0].delimited = &small;
   jobs[1].program = &counter;
-  jobs[1].tree = &chain;
+  jobs[1].delimited = &chain;
   jobs[1].options.max_steps = std::int64_t{1} << 60;
   jobs[1].options.detect_cycles = false;
   jobs[1].deadline_ms = 100;
   jobs[2].program = &fast;
-  jobs[2].tree = &small;
+  jobs[2].delimited = &small;
 
   BatchResult batch =
       std::move(BatchEngine({.num_threads = 2}).RunBatch(jobs)).value();
@@ -97,10 +99,10 @@ TEST_F(EngineFaultTest, RetryRungCapsStepsAtTheLadderConstant) {
   auto loop = ParseProgramText(
       "class tw\nstates q0 qf\nrule #top q0 [true] move stay q0\n");
   ASSERT_TRUE(loop.ok()) << loop.status().ToString();
-  Tree t = FullTree(2, 2);
+  Tree t = Delimit(FullTree(2, 2)).tree;
   BatchJob job;
   job.program = &*loop;
-  job.tree = &t;
+  job.delimited = &t;
   job.options.max_steps = std::int64_t{1} << 60;
   job.max_attempts = 2;
 
@@ -147,6 +149,7 @@ TEST_F(EngineFaultTest, DegradationLadderDoesNotEscapeAxisIndexFaults) {
   Program p = IdGuardedSelectorProgram();
   Tree t = FullTree(2, 4);
   AssignUniqueIds(t);
+  t = Delimit(t).tree;
 
   FailpointRegistry::Config config;
   config.code = StatusCode::kResourceExhausted;
@@ -155,7 +158,7 @@ TEST_F(EngineFaultTest, DegradationLadderDoesNotEscapeAxisIndexFaults) {
 
   BatchJob job;
   job.program = &p;
-  job.tree = &t;
+  job.delimited = &t;
   job.max_attempts = 3;
   BatchResult batch =
       std::move(BatchEngine({.num_threads = 1}).RunBatch({job})).value();
@@ -191,11 +194,11 @@ TEST_F(EngineFaultTest, EveryNodeSelectorJobFitsTheBudgetItUsedToTrip) {
       "rule #close fwd [true] move up back\n"
       "rule * back [true] move right fwd\n");
   ASSERT_TRUE(program.ok()) << program.status().ToString();
-  const Tree path = FullTree(1, 60);
+  const Tree path = Delimit(FullTree(1, 60)).tree;
 
   BatchJob clean;
   clean.program = &*program;
-  clean.tree = &path;
+  clean.delimited = &path;
   BatchResult reference =
       std::move(BatchEngine({.num_threads = 1}).RunBatch({clean})).value();
   ASSERT_TRUE(reference.results[0].status.ok());
@@ -223,14 +226,14 @@ TEST_F(EngineFaultTest, EveryNodeSelectorJobFitsTheBudgetItUsedToTrip) {
 TEST_F(EngineFaultTest, MidBatchFaultIsIsolatedToTheFaultedJob) {
   Program walker = std::move(HasLabelProgram("a")).value();
   Program lookahead = SelectorProgram();
-  Tree t = FullTree(2, 3);
+  Tree t = Delimit(FullTree(2, 3)).tree;
   std::vector<BatchJob> jobs(3);
   jobs[0].program = &walker;
-  jobs[0].tree = &t;
+  jobs[0].delimited = &t;
   jobs[1].program = &lookahead;  // the only job that evaluates atp()
-  jobs[1].tree = &t;
+  jobs[1].delimited = &t;
   jobs[2].program = &walker;
-  jobs[2].tree = &t;
+  jobs[2].delimited = &t;
 
   BatchResult clean =
       std::move(BatchEngine({.num_threads = 1}).RunBatch(jobs)).value();
@@ -264,30 +267,31 @@ TEST_F(EngineFaultTest, AcceptanceScenarioFailsSickJobsAndSparesSiblings) {
   Program parity = std::move(ParityProgram("a")).value();
   Program counter = std::move(ExponentialCounterProgram()).value();
   Program hog = QuantifiedSelectorProgram();
-  Tree small = FullTree(2, 3);
+  Tree small = Delimit(FullTree(2, 3)).tree;
   Tree chain = FullTree(1, 29);
   AssignUniqueIds(chain);
+  chain = Delimit(chain).tree;
   std::mt19937 rng(5);
   RandomTreeOptions wide;
   wide.num_nodes = 2000;
   wide.labels = {"a", "b"};
-  Tree big = RandomTree(rng, wide);
+  Tree big = Delimit(RandomTree(rng, wide)).tree;
 
   std::vector<BatchJob> jobs(5);
   jobs[0].program = &fast;  // healthy
-  jobs[0].tree = &small;
+  jobs[0].delimited = &small;
   jobs[1].program = &counter;  // non-terminating: deadline must fire
-  jobs[1].tree = &chain;
+  jobs[1].delimited = &chain;
   jobs[1].options.max_steps = std::int64_t{1} << 60;
   jobs[1].options.detect_cycles = false;
   jobs[1].deadline_ms = 150;
   jobs[2].program = &hog;  // compiled: outgrows a 64KiB budget
-  jobs[2].tree = &big;
+  jobs[2].delimited = &big;
   jobs[2].memory_budget_bytes = 64 << 10;
   jobs[3].program = nullptr;  // malformed
-  jobs[3].tree = &small;
+  jobs[3].delimited = &small;
   jobs[4].program = &parity;  // healthy
-  jobs[4].tree = &small;
+  jobs[4].delimited = &small;
 
   BatchResult governed =
       std::move(BatchEngine({.num_threads = 2}).RunBatch(jobs)).value();
@@ -336,14 +340,14 @@ TEST_F(EngineFaultTest, RandomFailpointSchedulesAreDeterministicPerSeed) {
   Program walker = std::move(HasLabelProgram("a")).value();
   Program parity = std::move(ParityProgram("a")).value();
   Program lookahead = SelectorProgram();
-  Tree t = FullTree(2, 3);
+  Tree t = Delimit(FullTree(2, 3)).tree;
   std::vector<BatchJob> jobs(4);
   jobs[0].program = &walker;
   jobs[1].program = &lookahead;
   jobs[2].program = &parity;
   jobs[3].program = &lookahead;
   for (BatchJob& job : jobs) {
-    job.tree = &t;
+    job.delimited = &t;
     job.max_attempts = 4;
   }
 
@@ -402,7 +406,7 @@ TEST_F(EngineFaultTest, StatsSumConsistentlyUnderConcurrentFaults) {
   Program walker = std::move(HasLabelProgram("a")).value();
   Program parity = std::move(ParityProgram("a")).value();
   Program lookahead = SelectorProgram();
-  Tree t = FullTree(2, 3);
+  Tree t = Delimit(FullTree(2, 3)).tree;
   std::vector<BatchJob> jobs(6);
   jobs[0].program = &walker;
   jobs[1].program = &lookahead;
@@ -411,7 +415,7 @@ TEST_F(EngineFaultTest, StatsSumConsistentlyUnderConcurrentFaults) {
   jobs[4].program = &walker;
   jobs[5].program = &parity;
   for (BatchJob& job : jobs) {
-    job.tree = &t;
+    job.delimited = &t;
     job.max_attempts = 4;
   }
 

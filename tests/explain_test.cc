@@ -197,11 +197,19 @@ TEST(ExplainGolden, RejectsBadInvocations) {
       << err;
 
   // serve, probe and explain answer an unknown option with their usage
-  // line too, before reading a corpus, connecting or loading a tree.
+  // line too, before reading a corpus, connecting or loading a tree.  So
+  // does a malformed numeric value, on every subcommand: read as 0 it
+  // would drop a bound (a batch without its deadline, an ephemeral
+  // serve port).
   const std::pair<std::string, std::string> usage_runs[] = {
       {" serve examples/trees --bogus", "usage: twq serve"},
       {" probe health --bogus", "usage: twq probe"},
       {" explain examples/trees/uniform.term --bogus", "usage: twq explain"},
+      {" batch examples/batch.manifest --deadline-ms one", "usage: twq batch"},
+      {" serve no-such-corpus --port x", "usage: twq serve"},
+      {" query t no-such.twp --remote 127.0.0.1:1 --retries abc",
+       "usage: twq query"},
+      {" probe health --remote 127.0.0.1:1 --hold-ms -1", "usage: twq probe"},
   };
   for (const auto& [command, usage] : usage_runs) {
     const std::string cmd = base + command;

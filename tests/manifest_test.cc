@@ -3,11 +3,16 @@
 // (src/engine/manifest.h).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 
 #include "src/engine/manifest.h"
+#include "src/tree/snapshot.h"
+#include "src/tree/term_io.h"
 
 namespace treewalk {
 namespace {
@@ -151,6 +156,73 @@ TEST(ManifestTest, LoadManifestFileMissingIsNotFound) {
       LoadManifestFile("/nonexistent/definitely/missing.manifest");
   ASSERT_FALSE(manifest.ok());
   EXPECT_EQ(manifest.status().code(), StatusCode::kNotFound);
+}
+
+/// LoadManifestFile keys a `.twsnap` job by the snapshot's framing: its
+/// header (t's content hash) and section table (every section's CRC).
+class SnapshotJobIdTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("treewalk_manifest_test_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    snapshot_ = (dir_ / "t.twsnap").string();
+    std::ofstream(dir_ / "p.twp") << "class tw\nstates q0 qf\n";
+    std::ofstream(dir_ / "m.manifest")
+        << (dir_ / "p.twp").string() << " " << snapshot_ << "\n";
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  void WriteSnapshot(const std::string& term) {
+    auto tree = ParseTerm(term);
+    ASSERT_TRUE(tree.ok()) << tree.status();
+    ASSERT_TRUE(WriteTreeSnapshot(*tree, snapshot_).ok());
+  }
+
+  std::uint64_t JobId() {
+    Result<Manifest> manifest =
+        LoadManifestFile((dir_ / "m.manifest").string());
+    EXPECT_TRUE(manifest.ok()) << manifest.status();
+    if (!manifest.ok() || manifest->entries.size() != 1) return 0;
+    return manifest->entries[0].job_id;
+  }
+
+  std::filesystem::path dir_;
+  std::string snapshot_;
+};
+
+TEST_F(SnapshotJobIdTest, RewritingTheSameTreeKeepsTheId) {
+  WriteSnapshot("r(a[v=1], b[v=\"x\"])");
+  const std::uint64_t first = JobId();
+  EXPECT_NE(first, 0u);
+  WriteSnapshot("r(a[v=1], b[v=\"x\"])");
+  EXPECT_EQ(JobId(), first);
+}
+
+TEST_F(SnapshotJobIdTest, OneChangedAttributeValueChangesTheId) {
+  WriteSnapshot("r(a[v=1], b[v=\"x\"])");
+  const std::uint64_t before = JobId();
+  WriteSnapshot("r(a[v=2], b[v=\"x\"])");
+  EXPECT_NE(JobId(), before);
+  WriteSnapshot("r(a[v=1], b[v=\"y\"])");
+  EXPECT_NE(JobId(), before);
+}
+
+/// A snapshot cut short has no valid framing (its section table points
+/// past the end), so it is hashed whole: its id is stable, and differs
+/// from the intact file's, wherever the cut falls.
+TEST_F(SnapshotJobIdTest, TruncatedSnapshotStillGetsAStableId) {
+  WriteSnapshot("r(a[v=1], b[v=\"x\"])");
+  const std::uint64_t intact = JobId();
+  const auto size = std::filesystem::file_size(snapshot_);
+  for (std::uintmax_t keep : {size - 1, size / 2, std::uintmax_t{100}}) {
+    std::filesystem::resize_file(snapshot_, keep);
+    const std::uint64_t id = JobId();
+    EXPECT_NE(id, 0u) << keep;
+    EXPECT_NE(id, intact) << keep;
+    EXPECT_EQ(JobId(), id) << keep;
+  }
 }
 
 TEST(ManifestTest, ManifestJobIdZeroIsRemapped) {

@@ -21,6 +21,7 @@
 #include "src/common/trace.h"
 #include "src/engine/engine.h"
 #include "src/logic/planner.h"
+#include "src/tree/delimited.h"
 #include "src/tree/generate.h"
 
 namespace treewalk {
@@ -38,7 +39,7 @@ class ObservabilityTest : public ::testing::Test {
 
 struct Workload {
   std::vector<Program> programs;
-  std::vector<Tree> trees;
+  std::vector<Tree> trees;  // delim(t)
   std::vector<BatchJob> jobs;
 };
 
@@ -48,12 +49,12 @@ Workload SmallWorkload() {
   Workload w;
   w.programs.push_back(std::move(HasLabelProgram("a")).value());
   w.programs.push_back(std::move(ParityProgram("a")).value());
-  w.trees.push_back(FullTree(2, 3));
-  w.trees.push_back(FullTree(3, 2));
+  w.trees.push_back(Delimit(FullTree(2, 3)).tree);
+  w.trees.push_back(Delimit(FullTree(3, 2)).tree);
   for (int i = 0; i < 12; ++i) {
     BatchJob job;
     job.program = &w.programs[static_cast<std::size_t>(i) % 2];
-    job.tree = &w.trees[static_cast<std::size_t>(i / 2) % 2];
+    job.delimited = &w.trees[static_cast<std::size_t>(i / 2) % 2];
     w.jobs.push_back(job);
   }
   return w;
@@ -134,11 +135,11 @@ TEST_F(ObservabilityTest, SelectorTimersReconcileWithEvaluations) {
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   // The first job answers the selector seeded; the second turns
   // compilation off, so the reference evaluator answers it.
-  const Tree path = FullTree(1, 60);
+  const Tree path = Delimit(FullTree(1, 60)).tree;
   std::vector<BatchJob> jobs(2);
   for (BatchJob& job : jobs) {
     job.program = &*program;
-    job.tree = &path;
+    job.delimited = &path;
   }
   jobs[1].options.compile_selectors = false;
   BatchResult batch =
@@ -172,10 +173,10 @@ TEST_F(ObservabilityTest, RetriesAndFailuresReconcile) {
   FailpointRegistry::Global().Enable("engine/worker", config);
 
   Program fast = std::move(HasLabelProgram("a")).value();
-  Tree small = FullTree(2, 3);
+  Tree small = Delimit(FullTree(2, 3)).tree;
   std::vector<BatchJob> jobs(1);
   jobs[0].program = &fast;
-  jobs[0].tree = &small;
+  jobs[0].delimited = &small;
   jobs[0].max_attempts = 2;
 
   BatchResult batch =
@@ -198,12 +199,12 @@ TEST_F(ObservabilityTest, FailedJobsCountWorkTheStatsOmit) {
   // A null-program job fails its precheck; a sibling succeeds.  The
   // jobs_total{failed} counter must agree with EngineStats.
   Program fast = std::move(HasLabelProgram("a")).value();
-  Tree small = FullTree(2, 3);
+  Tree small = Delimit(FullTree(2, 3)).tree;
   std::vector<BatchJob> jobs(2);
   jobs[0].program = nullptr;
-  jobs[0].tree = &small;
+  jobs[0].delimited = &small;
   jobs[1].program = &fast;
-  jobs[1].tree = &small;
+  jobs[1].delimited = &small;
 
   BatchResult batch =
       std::move(BatchEngine({.num_threads = 1}).RunBatch(jobs)).value();

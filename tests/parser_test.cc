@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/common/interner.h"
 #include "src/logic/parser.h"
 
 namespace treewalk {
@@ -137,6 +140,29 @@ TEST(ParseFormula, Errors) {
   EXPECT_FALSE(ParseFormula("val = 3").ok());          // reserved as term
   EXPECT_FALSE(ParseFormula("x ~ y").ok());
   EXPECT_FALSE(ParseFormula("\"unclosed").ok());
+}
+
+/// Integer constants lie strictly between kBottom and kStringBase: one
+/// outside would compare equal to a delimiter's kBottom or to an
+/// interned string, and an overflowing numeral must not clamp.
+TEST(ParseFormula, IntegerConstantsThatWouldAliasAreRejected) {
+  for (const char* src : {"val(a, x) = 4611686018427387904",     // 2^62
+                          "val(a, x) = 4611686018427387905",
+                          "val(a, x) = 9223372036854775807",
+                          "val(a, x) = 99999999999999999999",    // overflow
+                          "val(a, x) = -9223372036854775808",    // kBottom
+                          "val(a, x) = -99999999999999999999"}) {
+    auto r = ParseFormula(src);
+    ASSERT_FALSE(r.ok()) << src;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << src;
+    EXPECT_NE(r.status().message().find("out of range at offset 12"),
+              std::string::npos)
+        << src << ": " << r.status();
+  }
+  EXPECT_EQ(MustParse("val(a, x) = 4611686018427387903").node().terms[1].value,
+            ValueInterner::kStringBase - 1);
+  EXPECT_EQ(MustParse("val(a, x) = -9223372036854775807").node().terms[1].value,
+            kBottom + 1);
 }
 
 TEST(ParseFormula, PaperExampleSection23) {

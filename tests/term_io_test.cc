@@ -46,6 +46,38 @@ TEST(ParseTerm, StringAttributes) {
   EXPECT_EQ(r->values().Render(r->attr(kind, 0)), "bolt\"x");
 }
 
+/// Integer attribute values lie strictly between kBottom and
+/// kStringBase.  One outside would compare equal to a delimiter's
+/// kBottom or to an interned string: read as integers,
+/// delta(sigma[a="foo"], sigma[a=2^62]) would satisfy Example 3.2's
+/// program, since "foo" is interned as 2^62, and 10^20 clamped to the
+/// int64 maximum would equal 9223372036854775807.
+TEST(ParseTerm, IntegerValuesThatWouldAliasAreRejected) {
+  for (const char* term :
+       {"r(delta(sigma[a=\"foo\"], sigma[a=4611686018427387904]))",
+        "r(delta(sigma[a=\"foo\"], sigma[a=4611686018427387905]))",
+        "r(delta(sigma[a=99999999999999999999], "
+        "sigma[a=9223372036854775807]))",
+        "r(delta(sigma[a=-9223372036854775808]))"}) {
+    auto r = ParseTerm(term);
+    ASSERT_FALSE(r.ok()) << term;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << term;
+    EXPECT_NE(r.status().message().find("out of range"), std::string::npos)
+        << term << ": " << r.status();
+  }
+  // The message names the numeral's offset.
+  auto overflow = ParseTerm("a[x=1, y=99999999999999999999]");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().message(),
+            "integer value out of range at offset 9");
+
+  auto bounds = ParseTerm("a[lo=-9223372036854775807, hi=4611686018427387903]");
+  ASSERT_TRUE(bounds.ok()) << bounds.status();
+  EXPECT_EQ(bounds->attr(bounds->FindAttribute("lo"), 0), kBottom + 1);
+  EXPECT_EQ(bounds->attr(bounds->FindAttribute("hi"), 0),
+            ValueInterner::kStringBase - 1);
+}
+
 TEST(ParseTerm, WhitespaceInsensitive) {
   auto r = ParseTerm("  a (\n b\t[ x = 3 ] ,c )  ");
   ASSERT_TRUE(r.ok()) << r.status();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "src/automata/interpreter.h"
+#include "src/automata/library.h"
 #include "src/tree/delimited.h"
 #include "src/tree/term_io.h"
 #include "src/tree/xml_io.h"
@@ -24,6 +26,45 @@ TEST(ParseXml, StringAndNumericAttributes) {
   EXPECT_EQ(r->attr(r->FindAttribute("n"), 0), 42);
   EXPECT_EQ(r->attr(r->FindAttribute("neg"), 0), -3);
   EXPECT_TRUE(ValueInterner::IsString(r->attr(r->FindAttribute("mixed"), 0)));
+}
+
+/// A numeral outside the integer range (kBottom, kStringBase) stays a
+/// string, as one that overflows always did: read as an integer, 2^62
+/// would equal the first interned string ("foo" below), and
+/// -9223372036854775808 would equal kBottom.
+TEST(ParseXml, NumeralsThatWouldAliasStayStrings) {
+  auto r = ParseXml(
+      "<r><delta><sigma a=\"foo\"/><sigma a=\"4611686018427387904\"/>"
+      "<sigma a=\"-9223372036854775808\"/><sigma a=\"99999999999999999999\"/>"
+      "<sigma a=\"9223372036854775807\"/></delta></r>");
+  ASSERT_TRUE(r.ok()) << r.status();
+  const AttrId a = r->FindAttribute("a");
+  const DataValue foo = r->attr(a, 2);
+  for (NodeId u = 3; u < 7; ++u) {
+    const DataValue v = r->attr(a, u);
+    EXPECT_TRUE(ValueInterner::IsString(v)) << u;
+    EXPECT_NE(v, foo) << u;
+    EXPECT_NE(v, kBottom) << u;
+  }
+  EXPECT_EQ(r->values().Render(r->attr(a, 3)), "4611686018427387904");
+  EXPECT_NE(r->attr(a, 5), r->attr(a, 6));
+
+  // Example 3.2: the two leaves under delta do not share a value.
+  auto two_leaves = ParseXml(
+      "<r><delta><sigma a=\"foo\"/><sigma a=\"4611686018427387904\"/>"
+      "</delta></r>");
+  ASSERT_TRUE(two_leaves.ok()) << two_leaves.status();
+  Program example32 = std::move(Example32Program("a")).value();
+  auto run = Interpreter(example32).Run(*two_leaves);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_FALSE(run->accepted);
+
+  auto bounds = ParseXml("<r lo=\"-9223372036854775807\" "
+                         "hi=\"4611686018427387903\"/>");
+  ASSERT_TRUE(bounds.ok()) << bounds.status();
+  EXPECT_EQ(bounds->attr(bounds->FindAttribute("lo"), 0), kBottom + 1);
+  EXPECT_EQ(bounds->attr(bounds->FindAttribute("hi"), 0),
+            ValueInterner::kStringBase - 1);
 }
 
 TEST(ParseXml, DeclarationCommentsAndWhitespace) {

@@ -4,7 +4,9 @@
 # so for every example program x example tree, `twq run` on the text
 # tree and on its `twq snapshot build` output must print identical
 # result lines (verdict, steps, subcomputations, reject reason) and
-# exit with the same code.
+# exit with the same code.  `twq batch` loads trees the same way: one
+# manifest over the text trees and one over their snapshots must give
+# every job the verdict and step count `twq run` printed for it.
 #
 # Usage: snapshot_smoke.sh <twq-binary> [examples-dir]
 set -u
@@ -14,6 +16,17 @@ EXAMPLES="${2:-$(cd "$(dirname "$0")/../examples" && pwd)}"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
+
+# One "<verdict> steps=<n>" line per job, in job order, from `twq run`
+# or `twq batch` output; a failed run or job reads "ERROR".
+run_result() {
+  sed -n -E 's/^(ACCEPT|REJECT) \(([0-9]+) steps.*/\1 steps=\2/p' |
+    grep . || echo ERROR
+}
+batch_results() {
+  sed -n -E -e 's/^\[[0-9]+\] (ACCEPT|REJECT) .* (steps=[0-9]+) .*/\1 \2/p' \
+    -e 's/^\[[0-9]+\] ERROR .*/ERROR/p'
+}
 
 runs=0
 for tree in "$EXAMPLES"/trees/*.term; do
@@ -33,8 +46,22 @@ for tree in "$EXAMPLES"/trees/*.term; do
       echo "  snapshot (exit $snap_rc): $snap_out" >&2
       exit 1
     fi
+    echo "$text_out" | run_result >>"$WORK/expected"
+    echo "$program $tree" >>"$WORK/text.manifest"
+    echo "$program $snap" >>"$WORK/snap.manifest"
     runs=$((runs + 1))
   done
 done
 [ "$runs" -gt 0 ] || { echo "snapshot_smoke: FAIL: no runs" >&2; exit 1; }
-echo "snapshot_smoke: OK ($runs program x tree pairs agree)"
+
+for manifest in text snap; do
+  "$TWQ" batch "$WORK/$manifest.manifest" --jobs 2 2>/dev/null |
+    batch_results >"$WORK/$manifest.batch"
+  if ! diff "$WORK/expected" "$WORK/$manifest.batch" >"$WORK/diff"; then
+    echo "snapshot_smoke: FAIL: twq batch over the $manifest manifest" \
+      "disagrees with twq run (< run, > batch):" >&2
+    cat "$WORK/diff" >&2
+    exit 1
+  fi
+done
+echo "snapshot_smoke: OK ($runs program x tree pairs agree in run and batch)"

@@ -29,8 +29,11 @@
 //       Run a batch of (program, tree) jobs on a thread pool
 //       (src/engine).  Each manifest line is `<program.twp> <tree>`;
 //       blank lines and lines starting with '#' are skipped.  Files
-//       named by several jobs are loaded once and shared read-only.
-//       A file that fails to load fails only the jobs naming it.
+//       named by several jobs are loaded once and shared read-only; a
+//       tree file is loaded as the delim(t) its jobs walk, the way run
+//       and serve load it (a .twsnap's is mapped, a text tree parsed
+//       and delimited).  A file that fails to load fails only the jobs
+//       naming it.
 //       --deadline-ms / --memory-budget-mb bound each job's wall clock
 //       and memory (kDeadlineExceeded / kResourceExhausted on trip);
 //       --retries re-runs retryable failures at once, down the
@@ -91,6 +94,9 @@
 //       Validate a snapshot (every section's CRC and contents, both
 //       trees) and print its header and section table.
 //
+// Numeric option values are decimal digits only (no sign or suffix); a
+// malformed one is a usage error (exit 1), never a silent 0.
+//
 // Zero-parse startup (docs/SNAPSHOT.md): pass a .twsnap from
 // `twq snapshot build` wherever a tree is expected.  run and batch
 // accept `--compile-cache <dir>` for compatibility and ignore it (<dir>
@@ -116,12 +122,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -174,6 +181,34 @@ bool ReadFile(const std::string& path, std::string& out) {
 bool HasSuffix(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// Reads numeric flag value `text` into `out`: decimal digits only (no
+/// sign, space or suffix), at most `max`.  Every numeric flag goes
+/// through it, so a malformed value is a usage error, never a silent 0.
+template <typename T>
+bool ParseDecimal(const char* text, T& out,
+                  T max = std::numeric_limits<T>::max()) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [last, ec] = std::from_chars(text, end, value);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+      ec != std::errc() || last != end || value > max) {
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+/// Largest megabyte count whose byte count fits in an int64.
+constexpr long long kMaxMegabytes = std::numeric_limits<long long>::max() >> 20;
+/// Largest retry count whose attempt count (retries + 1) fits in an int.
+constexpr int kMaxRetries = std::numeric_limits<int>::max() - 1;
+
+/// Fails with `usage` after naming the malformed value of `flag`.
+int FailValue(const char* flag, const char* value, const std::string& usage) {
+  return Fail(std::string("bad value '") + value + "' for " + flag + "\n" +
+              usage);
 }
 
 tw::Result<tw::Tree> LoadTree(const std::string& path) {
@@ -313,16 +348,7 @@ int CmdExplain(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--program") == 0 && i + 1 < argc) {
       program_path = argv[++i];
     } else if (std::strcmp(argv[i], "--origin") == 0 && i + 1 < argc) {
-      // A node id in decimal digits; a sign or any other character is a
-      // usage error.
-      const char* text = argv[++i];
-      char* end = nullptr;
-      errno = 0;
-      origin_arg = std::strtoll(text, &end, 10);
-      if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-          *end != '\0' || errno != 0) {
-        return Fail(usage);
-      }
+      if (!ParseDecimal(argv[++i], origin_arg)) return Fail(usage);
     } else if (std::strcmp(argv[i], "--evals") == 0) {
       evals = true;
     } else {
@@ -456,31 +482,33 @@ int CmdBatch(int argc, char** argv) {
   // adds a power-loss barrier after every Nth finished job.
   int journal_sync = 0;
   for (int i = 1; i < argc; ++i) {
+    bool valid = true;
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      num_threads = std::atoi(argv[++i]);
+      valid = ParseDecimal(argv[++i], num_threads);
     } else if (std::strcmp(argv[i], "--max-steps") == 0 && i + 1 < argc) {
-      max_steps = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], max_steps);
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      deadline_ms = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], deadline_ms);
     } else if (std::strcmp(argv[i], "--memory-budget-mb") == 0 &&
                i + 1 < argc) {
-      memory_budget_mb = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], memory_budget_mb, kMaxMegabytes);
     } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      retries = std::atoi(argv[++i]);
+      valid = ParseDecimal(argv[++i], retries, kMaxRetries);
     } else if (std::strcmp(argv[i], "--journal") == 0 && i + 1 < argc) {
       journal_path = argv[++i];
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       resume = true;
     } else if (std::strcmp(argv[i], "--journal-sync") == 0 && i + 1 < argc) {
-      journal_sync = std::atoi(argv[++i]);
+      valid = ParseDecimal(argv[++i], journal_sync);
     } else if (std::strcmp(argv[i], "--compile-cache") == 0 && i + 1 < argc) {
       ++i;  // accepted and ignored
     } else {
       return Fail(std::string("unknown batch option '") + argv[i] + "'\n" +
                   usage);
     }
+    if (!valid) return FailValue(argv[i - 1], argv[i], usage);
   }
   if (resume && journal_path.empty()) {
     return Fail("--resume requires --journal <path>");
@@ -517,11 +545,13 @@ int CmdBatch(int argc, char** argv) {
   }
 
   // Load each distinct program/tree file once; jobs share them
-  // read-only (the engine's thread-safety contract allows this).  A file
-  // that fails to load or parse fails the jobs naming it — not the whole
-  // manifest — so one malformed input cannot sink its batch siblings.
+  // read-only (the engine's thread-safety contract allows this).  A tree
+  // file is loaded as the delim(t) its jobs walk, as `twq run` and the
+  // serve corpus load it.  A file that fails to load or parse fails the
+  // jobs naming it — not the whole manifest — so one malformed input
+  // cannot sink its batch siblings.
   std::map<std::string, std::shared_ptr<const tw::Program>> programs;
-  std::map<std::string, std::shared_ptr<const tw::Tree>> trees;
+  std::map<std::string, std::shared_ptr<const tw::Tree>> trees;  // delim(t)
   std::map<std::string, tw::Status> load_errors;  // path -> first error
   std::vector<tw::BatchJob> jobs;                 // engine-submitted subset
   struct Entry {
@@ -558,14 +588,14 @@ int CmdBatch(int argc, char** argv) {
     if (trees.count(path) > 0) return tw::Status::Ok();
     auto it = load_errors.find(path);
     if (it != load_errors.end()) return it->second;
-    auto parsed = LoadTree(path);
+    auto loaded = LoadDelimited(path);
     tw::Status status;
-    if (parsed.ok()) {
-      trees[path] =
-          std::make_shared<const tw::Tree>(std::move(parsed).value());
+    if (loaded.ok()) {
+      trees[path] = std::make_shared<const tw::Tree>(
+          std::move(loaded).value().delimited);
     } else {
-      status = tw::Status(parsed.status().code(),
-                          path + ": " + parsed.status().message());
+      status = tw::Status(loaded.status().code(),
+                          path + ": " + loaded.status().message());
       load_errors[path] = status;
     }
     return status;
@@ -587,7 +617,7 @@ int CmdBatch(int argc, char** argv) {
     if (entry.load_status.ok()) {
       tw::BatchJob job;
       job.program = programs[m.program_path].get();
-      job.tree = trees[m.tree_path].get();
+      job.delimited = trees[m.tree_path].get();
       if (max_steps > 0) job.options.max_steps = max_steps;
       job.deadline_ms = deadline_ms;
       job.memory_budget_bytes = memory_budget_mb * 1024 * 1024;
@@ -764,46 +794,50 @@ int CmdServe(int argc, char** argv) {
   tw::ServerOptions options;
   long long cache_budget_mb = 0;  // 0 = unlimited resident cache
   bool quiet = false;
+  long long memory_budget_mb = 0, request_budget_mb = 0;
   for (int i = 1; i < argc; ++i) {
+    bool valid = true;
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      options.port = std::atoi(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.port, 65535);
     } else if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) {
       options.host = argv[++i];
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      options.num_workers = std::atoi(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.num_workers);
     } else if (std::strcmp(argv[i], "--max-queue") == 0 && i + 1 < argc) {
-      options.max_queue = std::atoi(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.max_queue);
     } else if (std::strcmp(argv[i], "--max-connections") == 0 &&
                i + 1 < argc) {
-      options.max_connections = std::atoi(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.max_connections);
     } else if (std::strcmp(argv[i], "--memory-budget-mb") == 0 &&
                i + 1 < argc) {
-      options.memory_budget_bytes = std::atoll(argv[++i]) * 1024 * 1024;
+      valid = ParseDecimal(argv[++i], memory_budget_mb, kMaxMegabytes);
+      options.memory_budget_bytes = memory_budget_mb * 1024 * 1024;
     } else if (std::strcmp(argv[i], "--request-budget-mb") == 0 &&
                i + 1 < argc) {
-      options.request_memory_budget_bytes =
-          std::atoll(argv[++i]) * 1024 * 1024;
+      valid = ParseDecimal(argv[++i], request_budget_mb, kMaxMegabytes);
+      options.request_memory_budget_bytes = request_budget_mb * 1024 * 1024;
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      options.default_deadline_ms = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.default_deadline_ms);
     } else if (std::strcmp(argv[i], "--max-deadline-ms") == 0 &&
                i + 1 < argc) {
-      options.max_deadline_ms = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.max_deadline_ms);
     } else if (std::strcmp(argv[i], "--drain-ms") == 0 && i + 1 < argc) {
-      options.drain_deadline_ms = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.drain_deadline_ms);
     } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0 && i + 1 < argc) {
-      options.io_timeout_ms = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.io_timeout_ms);
     } else if (std::strcmp(argv[i], "--max-consecutive-failures") == 0 &&
                i + 1 < argc) {
-      options.max_consecutive_failures = std::atoi(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.max_consecutive_failures);
     } else if (std::strcmp(argv[i], "--cache-budget-mb") == 0 &&
                i + 1 < argc) {
-      cache_budget_mb = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], cache_budget_mb, kMaxMegabytes);
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else {
       return Fail(std::string("unknown serve option '") + argv[i] + "'\n" +
                   usage);
     }
+    if (!valid) return FailValue(argv[i - 1], argv[i], usage);
   }
 
   // Preload the corpus: every tree file in the directory, keyed by its
@@ -961,8 +995,8 @@ bool ParseEndpoint(const std::string& spec, tw::Endpoint* out) {
   std::size_t colon = spec.rfind(':');
   if (colon == std::string::npos || colon + 1 >= spec.size()) return false;
   out->host = colon == 0 ? "127.0.0.1" : spec.substr(0, colon);
-  out->port = std::atoi(spec.c_str() + colon + 1);
-  return out->port > 0 && out->port < 65536;
+  return ParseDecimal(spec.c_str() + colon + 1, out->port, 65535) &&
+         out->port > 0;
 }
 
 int CmdQuery(int argc, char** argv) {
@@ -977,43 +1011,47 @@ int CmdQuery(int argc, char** argv) {
   tw::ClientOptions options;
   bool have_remote = false;
   bool quiet = false;
+  int retries = 0;
   for (int i = 2; i < argc; ++i) {
+    bool valid = true;
     if (std::strcmp(argv[i], "--remote") == 0 && i + 1 < argc) {
       if (!ParseEndpoint(argv[++i], &options.endpoint)) {
         return Fail(std::string("bad --remote '") + argv[i] + "'");
       }
       have_remote = true;
     } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      options.retry.max_attempts = std::atoi(argv[++i]) + 1;
+      valid = ParseDecimal(argv[++i], retries, kMaxRetries);
+      options.retry.max_attempts = retries + 1;
     } else if (std::strcmp(argv[i], "--total-deadline-ms") == 0 &&
                i + 1 < argc) {
-      options.total_deadline_ms = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.total_deadline_ms);
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      options.request_deadline_ms = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.request_deadline_ms);
     } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0 && i + 1 < argc) {
-      options.io_timeout_ms = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.io_timeout_ms);
     } else if (std::strcmp(argv[i], "--breaker-threshold") == 0 &&
                i + 1 < argc) {
-      options.breaker_threshold = std::atoi(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.breaker_threshold);
     } else if (std::strcmp(argv[i], "--breaker-cooldown-ms") == 0 &&
                i + 1 < argc) {
-      options.breaker_cooldown_ms = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.breaker_cooldown_ms);
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else {
       return Fail(std::string("unknown query option '") + argv[i] + "'\n" +
                   usage);
     }
+    if (!valid) return FailValue(argv[i - 1], argv[i], usage);
   }
   if (!have_remote) return Fail(usage);
 
-  std::ifstream in(program_path);
-  if (!in) return Fail("cannot read program '" + program_path + "'");
-  std::stringstream buffer;
-  buffer << in.rdbuf();
+  std::string program_text;
+  if (!ReadFile(program_path, program_text)) {
+    return Fail("cannot read program '" + program_path + "'");
+  }
 
   tw::QueryClient client(std::move(options));
-  tw::QueryOutcome outcome = client.Query(tree_name, buffer.str());
+  tw::QueryOutcome outcome = client.Query(tree_name, program_text);
   if (!outcome.status.ok()) {
     std::fprintf(stderr, "twq query: %s (after %d attempt%s)\n",
                  outcome.status.ToString().c_str(), outcome.attempts,
@@ -1039,19 +1077,21 @@ int CmdProbe(int argc, char** argv) {
   bool have_remote = false;
   long long hold_ms = 0;
   for (int i = 1; i < argc; ++i) {
+    bool valid = true;
     if (std::strcmp(argv[i], "--remote") == 0 && i + 1 < argc) {
       if (!ParseEndpoint(argv[++i], &options.endpoint)) {
         return Fail(std::string("bad --remote '") + argv[i] + "'");
       }
       have_remote = true;
     } else if (std::strcmp(argv[i], "--hold-ms") == 0 && i + 1 < argc) {
-      hold_ms = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], hold_ms);
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0 && i + 1 < argc) {
-      options.io_timeout_ms = std::atoll(argv[++i]);
+      valid = ParseDecimal(argv[++i], options.io_timeout_ms);
     } else {
       return Fail(std::string("unknown probe option '") + argv[i] + "'\n" +
                   usage);
     }
+    if (!valid) return FailValue(argv[i - 1], argv[i], usage);
   }
   if (!have_remote) return Fail(usage);
   if (verb != "health" && verb != "ready" && verb != "stats") {
@@ -1221,11 +1261,6 @@ bool WriteTextFile(const std::string& path, const std::string& content) {
   return true;
 }
 
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1284,7 +1319,7 @@ int main(int argc, char** argv) {
   // trace are exactly what you want to look at.
   if (!metrics_out.empty()) {
     tw::MetricsSnapshot snap = tw::MetricsRegistry::Global().Snapshot();
-    std::string content = EndsWith(metrics_out, ".json")
+    std::string content = HasSuffix(metrics_out, ".json")
                               ? snap.ToJson()
                               : snap.ToPrometheusText();
     if (!WriteTextFile(metrics_out, content) && code == 0) code = 1;
