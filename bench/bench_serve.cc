@@ -33,17 +33,17 @@ namespace {
 using namespace treewalk;
 
 struct ServerHandle {
-  std::unique_ptr<ResidentTreeCache> corpus;
+  std::shared_ptr<ResidentTreeCache> corpus;
   std::unique_ptr<QueryServer> server;
   std::atomic<std::int64_t> shed{0};
   std::atomic<std::int64_t> served{0};
 
   explicit ServerHandle(ServerOptions options) {
-    corpus = std::make_unique<ResidentTreeCache>(0);
+    corpus = std::make_shared<ResidentTreeCache>(0);
     (void)corpus->GetOrLoad("small", [] {
       return ResidentTreeCache::DelimitSource(ParseTerm("a(b(c), d[x=1])"));
     });
-    server = std::make_unique<QueryServer>(options, corpus.get());
+    server = std::make_unique<QueryServer>(options, corpus);
     if (!server->Start().ok()) std::abort();
   }
   ~ServerHandle() {

@@ -2,10 +2,13 @@
 
 #include <cctype>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "src/automata/builder.h"
+#include "src/common/interner.h"
+#include "src/common/parse_decimal.h"
 
 namespace treewalk {
 
@@ -151,7 +154,12 @@ Result<Program> ParseProgramText(std::string_view source) {
     if (directive == "register") {
       if (tokens.size() != 3) return err("usage: register <name> <arity>");
       TREEWALK_RETURN_IF_ERROR(ensure_builder());
-      builder->DeclareRegister(tokens[1], std::atoi(tokens[2].c_str()));
+      int arity = 0;
+      if (!ParseDecimal(tokens[2].c_str(), arity)) {
+        return err("register arity '" + tokens[2] +
+                   "' is not a decimal number");
+      }
+      builder->DeclareRegister(tokens[1], arity);
       continue;
     }
     if (directive == "init") {
@@ -178,7 +186,13 @@ Result<Program> ParseProgramText(std::string_view source) {
         }
         if (!piece.empty()) {
           if (!in_tuple) return err("value outside a tuple in init");
-          current.push_back(std::atoll(piece.c_str()));
+          const std::optional<DataValue> value =
+              ValueInterner::ParseInteger(piece);
+          if (!value.has_value()) {
+            return err("init value '" + piece +
+                       "' is not an integer in range");
+          }
+          current.push_back(*value);
         }
         if (closes) {
           tuples.push_back(std::move(current));

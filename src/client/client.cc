@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <thread>
 #include <utility>
 
@@ -27,8 +28,6 @@ struct ClientMetrics {
   Counter* attempts;
   Counter* retries;
   Counter* transport_errors;
-  Counter* breaker_opened;
-  Counter* breaker_shed;
 
   static ClientMetrics& Get() {
     static ClientMetrics* metrics = [] {
@@ -45,12 +44,6 @@ struct ClientMetrics {
       m->transport_errors = r.FindOrCreateCounter(
           "treewalk_client_transport_errors_total",
           "Connect/read/write failures observed by resilient clients");
-      m->breaker_opened = r.FindOrCreateCounter(
-          "treewalk_client_breaker_opened_total",
-          "Circuit breaker transitions into the open state");
-      m->breaker_shed = r.FindOrCreateCounter(
-          "treewalk_client_breaker_shed_total",
-          "Queries failed fast locally because the breaker was open");
       return m;
     }();
     return *metrics;
@@ -148,7 +141,6 @@ bool IsRetryableWireError(WireError code) {
     case WireError::kDeadlineExceeded:
     case WireError::kResourceExhausted:
     case WireError::kRejectedProgram:
-    case WireError::kQuarantined:
       return false;
   }
   return false;
@@ -173,7 +165,6 @@ Status StatusFromWireError(WireError code, const std::string& message) {
     case WireError::kCancelled:
       return Cancelled(text);
     case WireError::kRejectedProgram:
-    case WireError::kQuarantined:
       return FailedPrecondition(text);
     case WireError::kInternal:
       return Internal(text);
@@ -260,15 +251,6 @@ QueryOutcome QueryClient::Query(const std::string& tree_name,
       wire_deadline_ms = remaining;
       wait_ms = remaining + 50;
     }
-    if (!BreakerAdmits()) {
-      counters_.breaker_shed.fetch_add(1, std::memory_order_relaxed);
-      metrics.breaker_shed->Increment();
-      out.status = ResourceExhausted(
-          "circuit breaker open (cooling down after " +
-          std::to_string(options_.breaker_threshold) +
-          " consecutive failures)");
-      return out;
-    }
 
     QueryRequest query;
     query.tree_name = tree_name;
@@ -298,7 +280,6 @@ QueryOutcome QueryClient::Query(const std::string& tree_name,
     } else if (got.type == MessageType::kQueryResult) {
       Result<QueryResultMsg> result = DecodeQueryResult(got.body);
       if (result.ok()) {
-        BreakerRecord(/*success=*/true);
         out.status = Status::Ok();
         out.result = *result;
         return out;
@@ -322,15 +303,6 @@ QueryOutcome QueryClient::Query(const std::string& tree_name,
                             MessageTypeName(got.type));
     }
 
-    if (retryable) {
-      BreakerRecord(/*success=*/false);
-    } else if (got.transport_ok) {
-      // A terminal verdict still proves the endpoint healthy — the
-      // server answered.  Recording it as a breaker success matters
-      // most in half-open state: the probe must close the breaker (and
-      // clear its in-flight latch), not wedge it open forever.
-      BreakerRecord(/*success=*/true);
-    }
     if (!retryable || attempt == max_attempts) return out;
 
     // Full-jitter exponential backoff, clamped to the remaining budget
@@ -405,68 +377,6 @@ Status QueryClient::Ping() {
                     MessageTypeName(got.type));
   }
   return Status::Ok();
-}
-
-QueryClient::BreakerState QueryClient::breaker_state() const {
-  std::lock_guard<std::mutex> lock(breaker_mu_);
-  return breaker_state_;
-}
-
-bool QueryClient::BreakerAdmits() {
-  if (options_.breaker_threshold <= 0) return true;
-  std::lock_guard<std::mutex> lock(breaker_mu_);
-  switch (breaker_state_) {
-    case BreakerState::kClosed:
-      return true;
-    case BreakerState::kOpen:
-      if (Clock::now() < breaker_open_until_) return false;
-      breaker_state_ = BreakerState::kHalfOpen;
-      half_open_probe_inflight_ = false;
-      [[fallthrough]];
-    case BreakerState::kHalfOpen:
-      // Exactly one probe at a time; a second request while the probe
-      // is out still fails fast.
-      if (half_open_probe_inflight_) return false;
-      half_open_probe_inflight_ = true;
-      counters_.breaker_probes.fetch_add(1, std::memory_order_relaxed);
-      return true;
-  }
-  return true;
-}
-
-void QueryClient::BreakerRecord(bool success) {
-  if (options_.breaker_threshold <= 0) return;
-  std::lock_guard<std::mutex> lock(breaker_mu_);
-  if (success) {
-    if (breaker_state_ == BreakerState::kHalfOpen) {
-      counters_.breaker_closed.fetch_add(1, std::memory_order_relaxed);
-    }
-    breaker_state_ = BreakerState::kClosed;
-    consecutive_failures_ = 0;
-    half_open_probe_inflight_ = false;
-    return;
-  }
-  if (breaker_state_ == BreakerState::kHalfOpen) {
-    // The half-open probe failed: straight back to open for another
-    // cooldown, without needing threshold failures again.
-    breaker_state_ = BreakerState::kOpen;
-    breaker_open_until_ =
-        Clock::now() +
-        std::chrono::milliseconds(options_.breaker_cooldown_ms);
-    half_open_probe_inflight_ = false;
-    counters_.breaker_opened.fetch_add(1, std::memory_order_relaxed);
-    ClientMetrics::Get().breaker_opened->Increment();
-    return;
-  }
-  if (++consecutive_failures_ >= options_.breaker_threshold &&
-      breaker_state_ == BreakerState::kClosed) {
-    breaker_state_ = BreakerState::kOpen;
-    breaker_open_until_ =
-        Clock::now() +
-        std::chrono::milliseconds(options_.breaker_cooldown_ms);
-    counters_.breaker_opened.fetch_add(1, std::memory_order_relaxed);
-    ClientMetrics::Get().breaker_opened->Increment();
-  }
 }
 
 }  // namespace treewalk

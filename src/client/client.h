@@ -15,32 +15,20 @@
 ///               per attempt: the wire deadline_ms each attempt carries
 ///               is the budget *minus elapsed time*, so the server-side
 ///               governor never runs past what the client will wait for
-///   breaker     a consecutive-failure circuit breaker: after
-///               breaker_threshold transport/transient failures in a
-///               row the client fails fast locally (no connect, no
-///               socket) until breaker_cooldown_ms passes, then lets
-///               exactly one half-open probe through — success closes
-///               the breaker, failure re-opens it
+///
+/// Both bounds are per query: the client keeps no memory of earlier
+/// queries' failures.
 ///
 /// One QueryClient owns one connection and is NOT thread-safe: a fleet
-/// uses one instance per thread (each with its own breaker, which is
-/// what you want — a thread that saw failures stops sending).
+/// uses one instance per thread.
 ///
 /// Retryability: transport errors and the transient wire errors
 /// kOverloaded / kDraining / kCancelled / kInternal retry; semantic
-/// verdicts (kInvalidRequest, kNotFound, kRejectedProgram,
-/// kQuarantined) and spent budgets (kDeadlineExceeded,
-/// kResourceExhausted) are terminal.  Only retryable failures count
-/// *against* the breaker; any transport-successful exchange — a
-/// served result or a terminal verdict like kNotFound — counts as a
-/// breaker success, because the server demonstrably answered.  In
-/// particular a half-open probe that draws a terminal verdict closes
-/// the breaker rather than leaving the probe wedged in flight.
+/// verdicts (kInvalidRequest, kNotFound, kRejectedProgram) and spent
+/// budgets (kDeadlineExceeded, kResourceExhausted) are terminal.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "src/common/result.h"
@@ -87,12 +75,6 @@ struct ClientOptions {
   /// is never aborted client-side; under a total_deadline_ms budget the
   /// wait is the remaining budget plus slack instead.
   std::int64_t io_timeout_ms = 5000;
-  /// Consecutive retryable failures that open the breaker; 0 = breaker
-  /// disabled.
-  int breaker_threshold = 0;
-  /// How long an open breaker fails fast before allowing the half-open
-  /// probe.
-  std::int64_t breaker_cooldown_ms = 250;
   /// Seeds backoff jitter (0 = derived from the address of the client).
   std::uint64_t backoff_seed = 0;
 };
@@ -105,10 +87,6 @@ struct ClientCounters {
   std::atomic<std::int64_t> retries{0};          ///< attempts after the first
   std::atomic<std::int64_t> reconnects{0};       ///< fresh primary connects
   std::atomic<std::int64_t> transport_errors{0}; ///< connect/read/write failures
-  std::atomic<std::int64_t> breaker_opened{0};
-  std::atomic<std::int64_t> breaker_shed{0};     ///< fail-fast while open
-  std::atomic<std::int64_t> breaker_probes{0};   ///< half-open probes sent
-  std::atomic<std::int64_t> breaker_closed{0};   ///< probe success -> closed
   std::atomic<std::int64_t> deadline_exhausted{0}; ///< budget died client-side
 };
 
@@ -131,8 +109,6 @@ Status StatusFromWireError(WireError code, const std::string& message);
 
 class QueryClient {
  public:
-  enum class BreakerState { kClosed, kOpen, kHalfOpen };
-
   explicit QueryClient(ClientOptions options);
   ~QueryClient();
 
@@ -145,8 +121,8 @@ class QueryClient {
   /// refused).
   Status Connect();
 
-  /// One resilient query: retries, deadline propagation, breaker — per
-  /// the options.  Every attempt goes through the primary connection on
+  /// One resilient query: retries and deadline propagation, per the
+  /// options.  Every attempt goes through the primary connection on
   /// the calling thread.
   QueryOutcome Query(const std::string& tree_name,
                      const std::string& program_text);
@@ -160,7 +136,6 @@ class QueryClient {
   Result<StatsMap> Stats();
   Status Ping();
 
-  BreakerState breaker_state() const;
   const ClientCounters& counters() const { return counters_; }
   const ClientOptions& options() const { return options_; }
 
@@ -176,21 +151,9 @@ class QueryClient {
   ExchangeResult ExchangePrimary(const std::string& request,
                                  std::int64_t wait_ms);
 
-  /// Breaker gate for one attempt: false = fail fast (shed).  When it
-  /// returns true in half-open state, the attempt is the probe.
-  bool BreakerAdmits();
-  void BreakerRecord(bool success);
-
   ClientOptions options_;
   ClientCounters counters_;
   int fd_ = -1;
-
-  mutable std::mutex breaker_mu_;
-  BreakerState breaker_state_ = BreakerState::kClosed;
-  int consecutive_failures_ = 0;
-  std::chrono::steady_clock::time_point breaker_open_until_{};
-  bool half_open_probe_inflight_ = false;
-
   std::uint64_t rng_state_;
 };
 

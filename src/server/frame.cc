@@ -125,7 +125,6 @@ const char* WireErrorName(WireError code) {
     case WireError::kCancelled: return "kCancelled";
     case WireError::kRejectedProgram: return "kRejectedProgram";
     case WireError::kInternal: return "kInternal";
-    case WireError::kQuarantined: return "kQuarantined";
   }
   return "?";
 }
@@ -301,7 +300,7 @@ Result<ErrorMsg> DecodeError(std::string_view body) {
   std::uint8_t code = 0;
   if (!cur.GetU8(code)) return Malformed("truncated error code");
   if (code < static_cast<std::uint8_t>(WireError::kOverloaded) ||
-      code > static_cast<std::uint8_t>(WireError::kQuarantined)) {
+      code > static_cast<std::uint8_t>(WireError::kInternal)) {
     return Malformed("unknown error code");
   }
   error.code = static_cast<WireError>(code);

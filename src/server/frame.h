@@ -74,14 +74,15 @@ enum class WireError : std::uint8_t {
   kCancelled = 7,         ///< request aborted by shutdown mid-run
   kRejectedProgram = 8,   ///< program violates its restriction class
   kInternal = 9,          ///< engine invariant violation / injected fault
-  kQuarantined = 10,      ///< formula x tree pair quarantined as poison
+  // 10 is retired and must not be reused: an older client reads it as
+  // a terminal quarantine verdict.  The decoders refuse it.
 };
 
 const char* WireErrorName(WireError code);
 
 /// StatusCode -> wire code for engine/parse failures (the server-side
-/// boundary codes kOverloaded/kDraining/kQuarantined are produced by
-/// the server, not mapped).
+/// boundary codes kOverloaded/kDraining are produced by the server, not
+/// mapped).
 WireError WireErrorFromStatus(StatusCode code);
 
 /// kQuery body.

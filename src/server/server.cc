@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "src/automata/text_format.h"
-#include "src/common/crc32c.h"
 #include "src/common/failpoint.h"
 #include "src/common/metrics.h"
 
@@ -40,7 +39,6 @@ struct ServerMetrics {
   Counter* protocol_errors;
   Counter* slow_reaped;
   Counter* reloads;
-  Counter* quarantined;
   Counter* health_probes;
   Counter* ready_probes;
   Gauge* inflight;
@@ -89,10 +87,6 @@ struct ServerMetrics {
           "treewalk_server_reloads_total",
           "Corpus generation swaps completed (in-flight queries finish "
           "on the generation they pinned)");
-      m->quarantined = r.FindOrCreateCounter(
-          "treewalk_server_quarantined_total",
-          "Queries shed with kQuarantined because their formula x tree "
-          "pair tripped the governor max-consecutive-failures times");
       const char* probe_help = "Health/readiness probe frames answered";
       m->health_probes = r.FindOrCreateCounter(
           "treewalk_server_probes_total", probe_help,
@@ -159,12 +153,6 @@ QueryServer::QueryServer(ServerOptions options,
   ServerMetrics::Get().corpus_generation->Set(
       corpus_ ? static_cast<std::int64_t>(corpus_->generation()) : 0);
 }
-
-QueryServer::QueryServer(ServerOptions options,
-                         const ResidentTreeCache* corpus)
-    : QueryServer(std::move(options),
-                  std::shared_ptr<const ResidentTreeCache>(
-                      corpus, [](const ResidentTreeCache*) {})) {}
 
 QueryServer::~QueryServer() {
   bool needs_teardown;
@@ -497,16 +485,6 @@ std::string QueryServer::ExecuteQuery(const QueryRequest& query) {
     return served_error(WireError::kInvalidRequest,
                         program.status().message());
   }
-  const std::uint64_t poison_key = QuarantineKey(query);
-  if (IsQuarantined(poison_key)) {
-    counters_.quarantined.fetch_add(1, std::memory_order_relaxed);
-    metrics.quarantined->Increment();
-    return served_error(
-        WireError::kQuarantined,
-        "query quarantined: tripped the governor " +
-            std::to_string(options_.max_consecutive_failures) +
-            " consecutive times on tree '" + query.tree_name + "'");
-  }
 
   BatchJob job;
   job.program = &program.value();
@@ -527,14 +505,9 @@ std::string QueryServer::ExecuteQuery(const QueryRequest& query) {
       return ErrorFrame(WireError::kCancelled,
                         "request cancelled by server drain");
     }
-    RecordQuarantineOutcome(
-        poison_key,
-        result.status.code() == StatusCode::kDeadlineExceeded ||
-            result.status.code() == StatusCode::kResourceExhausted);
     return served_error(WireErrorFromStatus(result.status.code()),
                         result.status.message());
   }
-  RecordQuarantineOutcome(poison_key, /*governor_tripped=*/false);
   counters_.planner_picks_reference.fetch_add(
       result.run.stats.planner_picks_reference, std::memory_order_relaxed);
   counters_.planner_picks_interval.fetch_add(
@@ -581,7 +554,6 @@ StatsMap QueryServer::BuildStats() const {
   put("server.health_probes",
       c.health_probes.load(std::memory_order_relaxed));
   put("server.ready_probes", c.ready_probes.load(std::memory_order_relaxed));
-  put("server.quarantined", c.quarantined.load(std::memory_order_relaxed));
   put("server.reloads", c.reloads.load(std::memory_order_relaxed));
   put("planner.picks_reference",
       c.planner_picks_reference.load(std::memory_order_relaxed));
@@ -629,50 +601,11 @@ void QueryServer::SwapCorpus(std::shared_ptr<const ResidentTreeCache> next,
     metrics.corpus_generation->Set(
         static_cast<std::int64_t>(corpus_->generation()));
   }
-  {
-    // A new corpus invalidates old poison verdicts: the tree contents
-    // behind a fingerprint may have changed.
-    std::lock_guard<std::mutex> lock(quarantine_mu_);
-    quarantine_.clear();
-  }
   counters_.reloads.fetch_add(1, std::memory_order_relaxed);
   metrics.reloads->Increment();
   metrics.reload_latency_ms->Observe(build_ms);
   // `old` dies here unless in-flight queries pinned it; then the last
   // pin's release frees the generation (and its accountant's books).
-}
-
-std::uint64_t QueryServer::QuarantineKey(const QueryRequest& query) {
-  // Fingerprint the pair, not the request: deadline_ms is excluded so a
-  // client cannot dodge the quarantine by re-submitting with a
-  // different budget.  The '\0' separator keeps ("ab","c") distinct
-  // from ("a","bc"); tree names never contain NUL.
-  std::uint64_t h = Fnv1a64(query.tree_name);
-  h = Fnv1a64(std::string_view("\0", 1), h);
-  return Fnv1a64(query.program_text, h);
-}
-
-bool QueryServer::IsQuarantined(std::uint64_t key) {
-  if (options_.max_consecutive_failures <= 0) return false;
-  std::lock_guard<std::mutex> lock(quarantine_mu_);
-  auto it = quarantine_.find(key);
-  return it != quarantine_.end() &&
-         it->second >= options_.max_consecutive_failures;
-}
-
-void QueryServer::RecordQuarantineOutcome(std::uint64_t key,
-                                          bool governor_tripped) {
-  if (options_.max_consecutive_failures <= 0) return;
-  std::lock_guard<std::mutex> lock(quarantine_mu_);
-  if (!governor_tripped) {
-    quarantine_.erase(key);
-    return;
-  }
-  if (quarantine_.size() >= kQuarantineTableCap &&
-      quarantine_.find(key) == quarantine_.end()) {
-    quarantine_.clear();
-  }
-  ++quarantine_[key];
 }
 
 void QueryServer::BeginDrain() {

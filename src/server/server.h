@@ -45,7 +45,6 @@
 #include <semaphore>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "src/common/result.h"
 #include "src/engine/engine.h"
@@ -87,14 +86,6 @@ struct ServerOptions {
   /// Slow-client guard: a connection that keeps a frame read or write
   /// blocked longer than this is reaped.
   std::int64_t io_timeout_ms = 5000;
-  /// Poison-request quarantine: a formula x tree pair whose governor
-  /// trips (deadline / memory) this many times *consecutively* is shed
-  /// with a typed kQuarantined instead of re-burning a slot —
-  /// Gottlob-Koch-Schulz pathological queries stay pathological no
-  /// matter how often a client resubmits them.  0 disables the
-  /// quarantine.  A served success (or any non-governor verdict) for
-  /// the pair resets its streak; a corpus reload clears the table.
-  int max_consecutive_failures = 0;
 };
 
 /// Monotonic counters behind the `stats` wire request.  All atomics:
@@ -118,9 +109,6 @@ struct ServerCounters {
   std::atomic<std::int64_t> metrics_requests{0};
   std::atomic<std::int64_t> health_probes{0};
   std::atomic<std::int64_t> ready_probes{0};
-  /// Queries shed with kQuarantined (counted served_error as well: the
-  /// request was admitted and answered, just without running).
-  std::atomic<std::int64_t> quarantined{0};
   /// Completed corpus generation swaps (SwapCorpus calls).
   std::atomic<std::int64_t> reloads{0};
   /// Selector picks accumulated from served queries' RunStats: one per
@@ -142,11 +130,6 @@ class QueryServer {
   /// SwapCorpus() replaces it atomically at reload.
   QueryServer(ServerOptions options,
               std::shared_ptr<const ResidentTreeCache> corpus);
-  /// Borrowed-corpus convenience for callers that own the cache for the
-  /// server's whole lifetime (tests, benchmarks).  `corpus` must then
-  /// outlive the server; SwapCorpus() still works and simply drops the
-  /// non-owning reference.
-  QueryServer(ServerOptions options, const ResidentTreeCache* corpus);
   ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;
@@ -183,9 +166,8 @@ class QueryServer {
   /// their pinned generation until they answer, at which point the old
   /// cache (and its memory accounting) is released with the last pin.
   /// `build_ms` is the off-thread build latency, recorded in
-  /// treewalk_server_reload_latency_ms.  The quarantine table is
-  /// cleared — a new corpus deserves a fresh verdict.  Null `next` is
-  /// ignored (a failed reload keeps the old generation serving).
+  /// treewalk_server_reload_latency_ms.  Null `next` is ignored (a
+  /// failed reload keeps the old generation serving).
   void SwapCorpus(std::shared_ptr<const ResidentTreeCache> next,
                   double build_ms);
 
@@ -217,26 +199,10 @@ class QueryServer {
   /// Reaps finished connection threads (accept loop housekeeping).
   void JoinFinishedConnections();
 
-  /// FNV-1a fingerprint of a formula x tree pair (quarantine key).
-  static std::uint64_t QuarantineKey(const QueryRequest& query);
-  /// True when the pair's consecutive-governor-trip streak has crossed
-  /// options_.max_consecutive_failures.
-  bool IsQuarantined(std::uint64_t key);
-  /// Folds one executed query's verdict into the streak table.
-  void RecordQuarantineOutcome(std::uint64_t key, bool governor_tripped);
-
   ServerOptions options_;
   mutable std::mutex corpus_mu_;
   std::shared_ptr<const ResidentTreeCache> corpus_;  // guarded by corpus_mu_
   ServerCounters counters_;
-
-  /// Consecutive governor-trip streaks by formula x tree fingerprint,
-  /// bounded: at kQuarantineTableCap entries the table is cleared (the
-  /// cost of forgetting a streak is one more wasted attempt; the cost
-  /// of an unbounded table is a memory leak an adversary controls).
-  static constexpr std::size_t kQuarantineTableCap = 4096;
-  std::mutex quarantine_mu_;
-  std::unordered_map<std::uint64_t, int> quarantine_;
 
   int listen_fd_ = -1;
   int port_ = 0;

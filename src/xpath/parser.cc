@@ -1,6 +1,7 @@
 #include <cctype>
-#include <cstdlib>
+#include <optional>
 
+#include "src/common/interner.h"
 #include "src/xpath/xpath.h"
 
 namespace treewalk {
@@ -123,9 +124,13 @@ class XPathParser {
       if (pos_ == start || (c == '-' && pos_ == start + 1)) {
         return Err("expected literal after '='");
       }
-      pred.literal = Term::Int(static_cast<DataValue>(std::strtoll(
-          std::string(src_.substr(start, pos_ - start)).c_str(), nullptr,
-          10)));
+      const std::optional<DataValue> value =
+          ValueInterner::ParseInteger(src_.substr(start, pos_ - start));
+      if (!value.has_value()) {
+        return InvalidArgument("integer literal out of range at offset " +
+                               std::to_string(start));
+      }
+      pred.literal = Term::Int(*value);
       return pred;
     }
     pred.kind = XPathPredicate::Kind::kPath;

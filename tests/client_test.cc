@@ -6,10 +6,8 @@
 //     the remaining end-to-end budget, observed by recording what the
 //     server actually received per attempt;
 //   - retry classification: transient wire errors and transport
-//     failures retry, semantic verdicts are terminal;
-//   - the circuit breaker's full closed -> open -> half-open -> closed
-//     cycle under injected faults, with exact counter reconciliation
-//     against the fake server's request log.
+//     failures retry, semantic verdicts are terminal, with exact counter
+//     reconciliation against the fake server's request log.
 //
 // Runs under ASan (asan-focus) and TSan (threaded) in CI.
 
@@ -274,10 +272,17 @@ TEST(ClientTest, ExhaustedBudgetFailsClientSideWithoutAnAttempt) {
 }
 
 TEST(ClientTest, TerminalWireErrorsDoNotRetry) {
-  FakeServer server([](const QueryRequest&, int) {
+  // Each terminal verdict ends its query after one attempt, however
+  // many came before it: the client keeps nothing across queries.
+  const WireError kTerminal[] = {
+      WireError::kInvalidRequest, WireError::kNotFound,
+      WireError::kDeadlineExceeded, WireError::kResourceExhausted,
+      WireError::kRejectedProgram};
+  std::atomic<int> next{0};
+  FakeServer server([&](const QueryRequest&, int) {
     FakeServer::Action action;
     action.kind = FakeServer::Action::kError;
-    action.code = WireError::kNotFound;
+    action.code = kTerminal[next.load()];
     return action;
   });
 
@@ -285,21 +290,30 @@ TEST(ClientTest, TerminalWireErrorsDoNotRetry) {
   options.retry.max_attempts = 5;
   QueryClient client(options);
 
-  QueryOutcome outcome = client.Query("nope", kAcceptAllProgram);
-  EXPECT_FALSE(outcome.status.ok());
-  EXPECT_EQ(outcome.status.code(), StatusCode::kNotFound);
-  ASSERT_TRUE(outcome.has_wire_error);
-  EXPECT_EQ(outcome.wire_error, WireError::kNotFound);
-  EXPECT_EQ(outcome.attempts, 1);
-  EXPECT_EQ(server.queries_seen(), 1);
+  for (int i = 0; i < 5; ++i) {
+    next.store(i);
+    QueryOutcome outcome = client.Query("nope", kAcceptAllProgram);
+    EXPECT_EQ(outcome.status.code(),
+              StatusFromWireError(kTerminal[i], "").code());
+    ASSERT_TRUE(outcome.has_wire_error);
+    EXPECT_EQ(outcome.wire_error, kTerminal[i]);
+    EXPECT_EQ(outcome.attempts, 1) << WireErrorName(kTerminal[i]);
+    EXPECT_EQ(server.queries_seen(), i + 1);
+  }
   EXPECT_EQ(client.counters().retries.load(), 0);
+  EXPECT_EQ(client.counters().attempts.load(), server.queries_seen());
 }
 
 TEST(ClientTest, RetryableWireErrorsRetryToTheAttemptBudget) {
-  FakeServer server([](const QueryRequest&, int) {
+  // Each retryable refusal is retried to the attempt budget, on every
+  // query: an earlier query's failures never shed a later one.
+  const WireError kRetryable[] = {WireError::kOverloaded, WireError::kDraining,
+                                  WireError::kCancelled, WireError::kInternal};
+  std::atomic<int> next{0};
+  FakeServer server([&](const QueryRequest&, int) {
     FakeServer::Action action;
     action.kind = FakeServer::Action::kError;
-    action.code = WireError::kOverloaded;
+    action.code = kRetryable[next.load()];
     return action;
   });
 
@@ -307,13 +321,40 @@ TEST(ClientTest, RetryableWireErrorsRetryToTheAttemptBudget) {
   options.retry.max_attempts = 3;
   QueryClient client(options);
 
+  for (int i = 0; i < 4; ++i) {
+    next.store(i);
+    QueryOutcome outcome = client.Query("t", kAcceptAllProgram);
+    EXPECT_FALSE(outcome.status.ok());
+    ASSERT_TRUE(outcome.has_wire_error);
+    EXPECT_EQ(outcome.wire_error, kRetryable[i]);
+    EXPECT_EQ(outcome.attempts, 3) << WireErrorName(kRetryable[i]);
+    EXPECT_EQ(server.queries_seen(), 3 * (i + 1));
+  }
+  EXPECT_EQ(client.counters().retries.load(), 8);
+  EXPECT_EQ(client.counters().attempts.load(), server.queries_seen());
+}
+
+TEST(ClientTest, RetiredErrorCodeReadsAsRetryableInternal) {
+  // Code 10 is retired (src/server/frame.h).  An error frame carrying it
+  // does not decode, so the client reads it as kInternal and retries.
+  FakeServer server([](const QueryRequest&, int) {
+    FakeServer::Action action;
+    action.kind = FakeServer::Action::kError;
+    action.code = static_cast<WireError>(10);
+    return action;
+  });
+
+  ClientOptions options = BaseOptions(server.port());
+  options.retry.max_attempts = 2;
+  QueryClient client(options);
+
   QueryOutcome outcome = client.Query("t", kAcceptAllProgram);
-  EXPECT_FALSE(outcome.status.ok());
+  EXPECT_EQ(outcome.status.code(), StatusCode::kInternal)
+      << outcome.status.ToString();
   ASSERT_TRUE(outcome.has_wire_error);
-  EXPECT_EQ(outcome.wire_error, WireError::kOverloaded);
-  EXPECT_EQ(outcome.attempts, 3);
-  EXPECT_EQ(server.queries_seen(), 3);
-  EXPECT_EQ(client.counters().retries.load(), 2);
+  EXPECT_EQ(outcome.wire_error, WireError::kInternal);
+  EXPECT_EQ(outcome.attempts, 2);
+  EXPECT_EQ(server.queries_seen(), 2);
 }
 
 TEST(ClientTest, LongRetryLaddersKeepTheBackoffWindowAtItsCap) {
@@ -360,129 +401,6 @@ TEST(ClientTest, TransportFailuresRetryOnAFreshConnection) {
   EXPECT_GE(client.counters().reconnects.load(), 2);
 }
 
-TEST(ClientTest, BreakerOpensHalfOpensAndRecloses) {
-  // The fault is a switch the test flips: while on, every query is
-  // refused kOverloaded (retryable, so it feeds the breaker).
-  std::atomic<bool> failing{true};
-  FakeServer server([&failing](const QueryRequest&, int) {
-    FakeServer::Action action;
-    if (failing.load()) {
-      action.kind = FakeServer::Action::kError;
-      action.code = WireError::kOverloaded;
-    }
-    return action;
-  });
-
-  ClientOptions options = BaseOptions(server.port());
-  options.retry.max_attempts = 1;  // one attempt per call: each Query()
-                                   // is one breaker observation
-  options.breaker_threshold = 3;
-  options.breaker_cooldown_ms = 100;
-  QueryClient client(options);
-
-  // Three consecutive retryable failures open the breaker.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(client.Query("t", kAcceptAllProgram).status.ok());
-  }
-  EXPECT_EQ(client.breaker_state(), QueryClient::BreakerState::kOpen);
-  EXPECT_EQ(client.counters().breaker_opened.load(), 1);
-
-  // While open, calls are shed locally: no socket, no server request.
-  int seen_before_shed = server.queries_seen();
-  QueryOutcome shed = client.Query("t", kAcceptAllProgram);
-  EXPECT_FALSE(shed.status.ok());
-  EXPECT_EQ(shed.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(shed.attempts, 0);
-  EXPECT_EQ(server.queries_seen(), seen_before_shed);
-  EXPECT_EQ(client.counters().breaker_shed.load(), 1);
-
-  // After the cooldown exactly one half-open probe goes through; the
-  // fault is still on, so it fails and the breaker re-opens.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_FALSE(client.Query("t", kAcceptAllProgram).status.ok());
-  EXPECT_EQ(client.counters().breaker_probes.load(), 1);
-  EXPECT_EQ(client.counters().breaker_opened.load(), 2);
-  EXPECT_EQ(client.breaker_state(), QueryClient::BreakerState::kOpen);
-
-  // Clear the fault; the next probe succeeds and closes the breaker.
-  failing.store(false);
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  QueryOutcome recovered = client.Query("t", kAcceptAllProgram);
-  EXPECT_TRUE(recovered.status.ok()) << recovered.status.ToString();
-  EXPECT_EQ(client.counters().breaker_probes.load(), 2);
-  EXPECT_EQ(client.counters().breaker_closed.load(), 1);
-  EXPECT_EQ(client.breaker_state(), QueryClient::BreakerState::kClosed);
-
-  // Closed again: ordinary traffic flows.
-  EXPECT_TRUE(client.Query("t", kAcceptAllProgram).status.ok());
-
-  // Exact reconciliation: every client attempt reached the server, and
-  // exactly one call was shed without an attempt.
-  EXPECT_EQ(client.counters().attempts.load(), server.queries_seen());
-  EXPECT_EQ(client.counters().breaker_shed.load(), 1);
-}
-
-TEST(ClientTest, TerminalErrorsDoNotFeedTheBreaker) {
-  FakeServer server([](const QueryRequest&, int) {
-    FakeServer::Action action;
-    action.kind = FakeServer::Action::kError;
-    action.code = WireError::kNotFound;  // semantic verdict, not health
-    return action;
-  });
-
-  ClientOptions options = BaseOptions(server.port());
-  options.breaker_threshold = 2;
-  QueryClient client(options);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(client.Query("nope", kAcceptAllProgram).status.ok());
-  }
-  EXPECT_EQ(client.breaker_state(), QueryClient::BreakerState::kClosed);
-  EXPECT_EQ(client.counters().breaker_opened.load(), 0);
-}
-
-TEST(ClientTest, TerminalVerdictDuringHalfOpenClosesTheBreaker) {
-  // Regression: a half-open probe that draws a *terminal* wire error
-  // (kNotFound — the server answered, so the endpoint is healthy) must
-  // close the breaker.  Recording neither success nor failure used to
-  // leave half_open_probe_inflight_ latched and the breaker shedding
-  // every subsequent call forever.
-  std::atomic<bool> failing{true};
-  FakeServer server([&failing](const QueryRequest&, int) {
-    FakeServer::Action action;
-    action.kind = FakeServer::Action::kError;
-    action.code =
-        failing.load() ? WireError::kOverloaded : WireError::kNotFound;
-    return action;
-  });
-
-  ClientOptions options = BaseOptions(server.port());
-  options.retry.max_attempts = 1;
-  options.breaker_threshold = 2;
-  options.breaker_cooldown_ms = 100;
-  QueryClient client(options);
-
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_FALSE(client.Query("t", kAcceptAllProgram).status.ok());
-  }
-  EXPECT_EQ(client.breaker_state(), QueryClient::BreakerState::kOpen);
-
-  failing.store(false);
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  QueryOutcome probe = client.Query("nope", kAcceptAllProgram);
-  EXPECT_FALSE(probe.status.ok());
-  EXPECT_EQ(probe.status.code(), StatusCode::kNotFound);
-  EXPECT_EQ(client.breaker_state(), QueryClient::BreakerState::kClosed);
-  EXPECT_EQ(client.counters().breaker_probes.load(), 1);
-  EXPECT_EQ(client.counters().breaker_closed.load(), 1);
-
-  // Closed for real: later calls reach the server instead of the shed
-  // path.
-  int seen = server.queries_seen();
-  EXPECT_FALSE(client.Query("nope", kAcceptAllProgram).status.ok());
-  EXPECT_EQ(server.queries_seen(), seen + 1);
-  EXPECT_EQ(client.counters().breaker_shed.load(), 0);
-}
-
 TEST(ClientTest, ExchangeWaitCoversTheWireDeadline) {
   // Regression: the server legitimately computes for 600 ms, well past
   // the 100 ms io floor; the client must size its socket wait from the
@@ -521,8 +439,6 @@ TEST(ClientTest, StatusFromWireErrorMapsTheFullVocabulary) {
   EXPECT_EQ(StatusFromWireError(WireError::kCancelled, "m").code(),
             StatusCode::kCancelled);
   EXPECT_EQ(StatusFromWireError(WireError::kRejectedProgram, "m").code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(StatusFromWireError(WireError::kQuarantined, "m").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(StatusFromWireError(WireError::kInternal, "m").code(),
             StatusCode::kInternal);

@@ -210,6 +210,14 @@ TEST(ExplainGolden, RejectsBadInvocations) {
       {" query t no-such.twp --remote 127.0.0.1:1 --retries abc",
        "usage: twq query"},
       {" probe health --remote 127.0.0.1:1 --hold-ms -1", "usage: twq probe"},
+      // The retired circuit-breaker and quarantine knobs, assembled from
+      // two pieces like the flags above.
+      {" query t no-such.twp --remote 127.0.0.1:1 " +
+           std::string("--breaker") + "-threshold 3",
+       "usage: twq query"},
+      {" serve no-such-corpus " + std::string("--max-consecutive") +
+           "-failures 2",
+       "usage: twq serve"},
   };
   for (const auto& [command, usage] : usage_runs) {
     const std::string cmd = base + command;

@@ -242,21 +242,20 @@ void ChaosClient(int port, int seed, const ServerOptions& options,
 }
 
 TEST_F(ServeChaosTest, FleetSurvivesChaosAndBooksReconcileExactly) {
-  ResidentTreeCache corpus(0);
-  ASSERT_TRUE(
-      corpus
-          .GetOrLoad("small",
-                     [] {
-                       return ResidentTreeCache::DelimitSource(
-                           ParseTerm("a(b(c), d[x=1])"));
-                     })
-          .ok());
+  auto corpus = std::make_shared<ResidentTreeCache>(0);
   ASSERT_TRUE(corpus
-                  .GetOrLoad("mid",
-                             [] {
-                               return ResidentTreeCache::DelimitSource(
-                                   FullTree(2, 9));
-                             })
+                  ->GetOrLoad("small",
+                              [] {
+                                return ResidentTreeCache::DelimitSource(
+                                    ParseTerm("a(b(c), d[x=1])"));
+                              })
+                  .ok());
+  ASSERT_TRUE(corpus
+                  ->GetOrLoad("mid",
+                              [] {
+                                return ResidentTreeCache::DelimitSource(
+                                    FullTree(2, 9));
+                              })
                   .ok());
 
   ServerOptions options;
@@ -266,7 +265,7 @@ TEST_F(ServeChaosTest, FleetSurvivesChaosAndBooksReconcileExactly) {
   options.io_timeout_ms = 500;  // reap poisoned streams quickly
   options.default_deadline_ms = 2000;
   options.drain_deadline_ms = 100;
-  auto server = std::make_unique<QueryServer>(options, &corpus);
+  auto server = std::make_unique<QueryServer>(options, corpus);
   ASSERT_TRUE(server->Start().ok());
 
   // Deterministic fault schedule at every server boundary: each site

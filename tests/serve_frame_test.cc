@@ -139,7 +139,7 @@ TEST(QueryResultCodec, RoundTripsBothVerdicts) {
 }
 
 TEST(ErrorCodec, RoundTripsEveryWireError) {
-  for (int code = 1; code <= 10; ++code) {
+  for (int code = 1; code <= 9; ++code) {
     ErrorMsg e;
     e.code = static_cast<WireError>(code);
     e.message = "why: code " + std::to_string(code);
@@ -272,10 +272,10 @@ std::vector<MalformedCase> MalformationTable() {
   table.push_back({"error/trailing-byte", Codec::kError, valid_error + 'x'});
   {
     std::string bad = valid_error;
-    bad[0] = 0;  // codes are 1..10 (kOverloaded..kQuarantined)
+    bad[0] = 0;  // codes are 1..9 (kOverloaded..kInternal); 10 is retired
     table.push_back({"error/code-zero", Codec::kError, bad});
-    bad[0] = 11;
-    table.push_back({"error/code-eleven", Codec::kError, bad});
+    bad[0] = 10;
+    table.push_back({"error/code-ten", Codec::kError, bad});
   }
   {
     std::string body = Bytes({0x01});
@@ -390,7 +390,7 @@ TEST(WireErrorMapping, CoversEveryStatusCode) {
 TEST(WireErrorMapping, NamesAreStable) {
   EXPECT_STREQ(WireErrorName(WireError::kOverloaded), "kOverloaded");
   EXPECT_STREQ(WireErrorName(WireError::kDraining), "kDraining");
-  EXPECT_STREQ(WireErrorName(WireError::kQuarantined), "kQuarantined");
+  EXPECT_STREQ(WireErrorName(WireError::kInternal), "kInternal");
   EXPECT_STREQ(MessageTypeName(MessageType::kQuery), "query");
   EXPECT_STREQ(MessageTypeName(MessageType::kPong), "pong");
   EXPECT_STREQ(MessageTypeName(MessageType::kHealth), "health");

@@ -72,7 +72,7 @@ class ServeTest : public ::testing::Test {
   }
 
   void StartServer(ServerOptions options) {
-    corpus_ = std::make_unique<ResidentTreeCache>(0);
+    corpus_ = std::make_shared<ResidentTreeCache>(0);
     ASSERT_TRUE(corpus_
                     ->GetOrLoad("small",
                                 [] {
@@ -90,7 +90,7 @@ class ServeTest : public ::testing::Test {
                                       FullTree(2, 15));
                                 })
                     .ok());
-    server_ = std::make_unique<QueryServer>(options, corpus_.get());
+    server_ = std::make_unique<QueryServer>(options, corpus_);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_GT(server_->port(), 0);
   }
@@ -181,7 +181,7 @@ class ServeTest : public ::testing::Test {
     return peak;
   }
 
-  std::unique_ptr<ResidentTreeCache> corpus_;
+  std::shared_ptr<ResidentTreeCache> corpus_;
   std::unique_ptr<QueryServer> server_;
 };
 
@@ -562,6 +562,20 @@ TEST(ServeSmokeTest, DaemonServesLoadAndExits75OnSigterm) {
                         "/tools/serve_smoke.sh " + TREEWALK_TWQ_PATH + " " +
                         TREEWALK_LOADGEN_PATH + " 800";
   EXPECT_EQ(std::system(command.c_str()), 0);
+}
+
+/// twq_loadgen refuses a malformed numeric value before it sends a
+/// query.  Read as a number, `--duration-ms x` would be a zero-length
+/// load that exits 0, and a `--stats` run would then reconcile 0 == 0.
+TEST(ServeSmokeTest, LoadgenRefusesMalformedNumericValues) {
+  for (const char* duration : {"x", "-5", "10ms"}) {
+    const std::string command = std::string(TREEWALK_LOADGEN_PATH) +
+                                " --port 1 --tree t --duration-ms " +
+                                duration + " >/dev/null 2>&1";
+    const int rc = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(rc)) << command;
+    EXPECT_EQ(WEXITSTATUS(rc), 1) << command;
+  }
 }
 #endif
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <utility>
 
 #include "src/automata/interpreter.h"
 #include "src/automata/library.h"
@@ -52,6 +54,41 @@ rule #open q2 [true] move right qf
   EXPECT_EQ(p->rules().size(), 5u);
   EXPECT_EQ(p->rules()[0].action.kind, Action::Kind::kLookAhead);
   EXPECT_EQ(p->rules()[1].action.kind, Action::Kind::kUpdate);
+}
+
+/// Interned strings take the values from 2^62 up and the delimiters
+/// carry ⊥ = -2^63, so an init value in either range would compare
+/// equal to a string or to ⊥.  Init values and register arities are
+/// refused at their line unless they are in-range decimal integers.
+TEST(ParseProgramText, InitValuesAndAritiesMustBeInRangeIntegers) {
+  auto program = [](const std::string& arity, const std::string& value) {
+    return ParseProgramText("class twr\nstates q0 qf\nregister X1 " + arity +
+                            "\ninit X1 { (" + value +
+                            ") }\nrule #top q0 [X1(\"foo\")] move stay qf\n");
+  };
+  const std::pair<std::string, std::string> refused[] = {
+      {"1", "4611686018427387904"},   // 2^62: the first interned string
+      {"1", "-9223372036854775808"},  // ⊥
+      {"1", "99999999999999999999"},  // overflows int64
+      {"1", "abc"},
+      {"1", "5x"},
+      {"one", "5"},
+      {"-1", "5"},
+  };
+  for (const auto& [arity, value] : refused) {
+    auto p = program(arity, value);
+    ASSERT_FALSE(p.ok()) << arity << " " << value;
+    EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument);
+    const std::string line = arity == "1" ? "line 4: " : "line 3: ";
+    EXPECT_NE(p.status().message().find(line), std::string::npos)
+        << p.status();
+  }
+  for (const char* value : {"4611686018427387903", "-9223372036854775807"}) {
+    auto p = program("1", value);
+    ASSERT_TRUE(p.ok()) << value << ": " << p.status();
+    EXPECT_EQ(p->initial_store().At(0).tuples(),
+              (std::vector<Tuple>{{std::stoll(value)}}));
+  }
 }
 
 TEST(ParseProgramText, Errors) {

@@ -55,6 +55,23 @@ TEST(ParseXPath, Errors) {
   EXPECT_FALSE(ParseXPath("a[@x = 'unclosed]").ok());
 }
 
+/// An integer literal that would compare equal to an interned string
+/// (2^62 and up) or to ⊥ (-2^63), or that overflows, is refused at its
+/// offset rather than aliased.
+TEST(ParseXPath, IntegerLiteralsThatWouldAliasAreRejected) {
+  for (const char* src : {"//b[@x=4611686018427387904]",
+                          "//b[@x=-9223372036854775808]",
+                          "//b[@x=99999999999999999999]"}) {
+    auto r = ParseXPath(src);
+    ASSERT_FALSE(r.ok()) << src;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("at offset 7"), std::string::npos)
+        << r.status();
+  }
+  EXPECT_TRUE(ParseXPath("//b[@x=4611686018427387903]").ok());
+  EXPECT_TRUE(ParseXPath("//b[@x=-9223372036854775807]").ok());
+}
+
 TEST(XPathToString, RoundTrips) {
   const char* sources[] = {
       "a",          "/a/b",      "//a",          "a//b/c",

@@ -103,9 +103,11 @@ for preset in $presets; do
       ;;
     fuzz)
       echo "==== fuzz smoke (30s per target) ===="
-      for target in formula term xml program journal snapshot serve_frame; do
-        bin="$root/build-fuzz/tests/fuzz/fuzz_$target"
-        [ -x "$bin" ] || continue
+      # Every harness tests/fuzz/CMakeLists.txt builds, each from the
+      # corpus directory of the same name.
+      for bin in "$root"/build-fuzz/tests/fuzz/fuzz_*; do
+        [ -f "$bin" ] && [ -x "$bin" ] || continue
+        target="${bin##*/fuzz_}"
         "$bin" "$root/tests/fuzz/corpus/$target" -max_total_time=30 \
           -print_final_stats=1
       done

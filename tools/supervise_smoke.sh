@@ -3,8 +3,7 @@
 # (tools/ci.sh): a small kill-loop proving the crash-only contract
 # end-to-end at the process level —
 #
-#   1. start the daemon under the supervisor on a fixed port, with a
-#      resilient loadgen fleet (retries on) running against it;
+#   1. start the daemon under the supervisor on a fixed port;
 #   2. SIGKILL the daemon several times, each time asserting the
 #      supervisor restarts it and a ready probe comes back ok;
 #   3. SIGTERM the supervisor and assert it forwards the signal, the

@@ -54,7 +54,7 @@
 //       [--max-queue Q] [--max-connections C] [--memory-budget-mb B]
 //       [--request-budget-mb RB] [--deadline-ms D] [--max-deadline-ms MD]
 //       [--drain-ms MS] [--io-timeout-ms T] [--cache-budget-mb CB]
-//       [--max-consecutive-failures K] [--quiet]
+//       [--quiet]
 //       Long-lived query daemon (docs/SERVER.md): preloads delim(t) of
 //       the trees in <corpus-dir> (.term/.xml/.twsnap, keyed by file
 //       name; a .twsnap's is mapped) in name order, skipping any that
@@ -68,16 +68,14 @@
 //       the daemon builds the next generation from the (possibly
 //       changed) corpus directory and swaps it in
 //       atomically; in-flight queries finish on the generation they
-//       started on.  --max-consecutive-failures N quarantines a
-//       formula x tree pair after N consecutive governor trips
-//       (kQuarantined on the wire; docs/SERVER.md).
+//       started on.
 //   twq query <tree-name> <program.twp> --remote HOST:PORT [--retries R]
 //       [--total-deadline-ms D] [--deadline-ms D] [--io-timeout-ms T]
-//       [--breaker-threshold N] [--breaker-cooldown-ms MS] [--quiet]
+//       [--quiet]
 //       Run one query against a resident daemon through the resilient
-//       client library (src/client): jittered retries, end-to-end
-//       deadline propagation, circuit breaker.  Unknown options are a
-//       usage error (exit 1).
+//       client library (src/client): jittered retries and end-to-end
+//       deadline propagation.  Unknown options are a usage error
+//       (exit 1).
 //   twq probe <health|ready|stats> --remote HOST:PORT [--hold-ms N]
 //       [--timeout-ms T]
 //       Probe a daemon.  `health` is liveness (exit 0 while the process
@@ -120,10 +118,8 @@
 #include <dirent.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
-#include <charconv>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -131,6 +127,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -142,6 +139,7 @@
 #include "src/caterpillar/caterpillar.h"
 #include "src/client/client.h"
 #include "src/common/metrics.h"
+#include "src/common/parse_decimal.h"
 #include "src/common/trace.h"
 #include "src/engine/batch_journal.h"
 #include "src/engine/engine.h"
@@ -183,22 +181,7 @@ bool HasSuffix(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Reads numeric flag value `text` into `out`: decimal digits only (no
-/// sign, space or suffix), at most `max`.  Every numeric flag goes
-/// through it, so a malformed value is a usage error, never a silent 0.
-template <typename T>
-bool ParseDecimal(const char* text, T& out,
-                  T max = std::numeric_limits<T>::max()) {
-  const char* end = text + std::strlen(text);
-  T value{};
-  const auto [last, ec] = std::from_chars(text, end, value);
-  if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
-      ec != std::errc() || last != end || value > max) {
-    return false;
-  }
-  out = value;
-  return true;
-}
+using tw::ParseDecimal;
 
 /// Largest megabyte count whose byte count fits in an int64.
 constexpr long long kMaxMegabytes = std::numeric_limits<long long>::max() >> 20;
@@ -648,11 +631,17 @@ int CmdBatch(int argc, char** argv) {
     // queued jobs fail fast with kCancelled).  Unless --quiet, every
     // 500 ms it snapshots the metrics registry and prints one stderr
     // progress line — at once on start (so even an instant batch
-    // reports once) and once more after the batch drains.
-    std::atomic<bool> batch_done{false};
+    // reports once) and once more after the batch drains.  It waits on
+    // a condition variable, so the end of the batch wakes it at once;
+    // a signal handler cannot notify, so a signal is seen at the next
+    // poll.
+    std::mutex done_mu;
+    std::condition_variable done_cv;
+    bool batch_done = false;  // guarded by done_mu
     std::thread helper([&, total = jobs.size()]() {
+      std::unique_lock<std::mutex> lock(done_mu);
       for (int tick = 0;; ++tick) {
-        const bool done = batch_done.load(std::memory_order_relaxed);
+        const bool done = batch_done;
         if (tw::GracefulShutdown::requested()) engine.RequestCancel();
         if (!quiet && (done || tick % 25 == 0)) {
           tw::MetricsSnapshot snap = tw::MetricsRegistry::Global().Snapshot();
@@ -675,11 +664,16 @@ int CmdBatch(int argc, char** argv) {
                        static_cast<long long>(running), p95);
         }
         if (done) return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        done_cv.wait_for(lock, std::chrono::milliseconds(20),
+                         [&] { return batch_done; });
       }
     });
     auto run = engine.RunBatch(jobs, journal.get());
-    batch_done.store(true, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(done_mu);
+      batch_done = true;
+    }
+    done_cv.notify_one();
     helper.join();
     if (!run.ok()) return Fail("batch: " + run.status().ToString());
     batch = std::move(run).value();
@@ -787,8 +781,7 @@ int CmdServe(int argc, char** argv) {
       "[--workers N] [--max-queue Q] [--max-connections C] "
       "[--memory-budget-mb B] [--request-budget-mb RB] "
       "[--deadline-ms D] [--max-deadline-ms MD] [--drain-ms MS] "
-      "[--io-timeout-ms T] [--cache-budget-mb CB] "
-      "[--max-consecutive-failures K] [--quiet]";
+      "[--io-timeout-ms T] [--cache-budget-mb CB] [--quiet]";
   if (argc < 1) return Fail(usage);
   const std::string corpus_dir = argv[0];
   tw::ServerOptions options;
@@ -825,9 +818,6 @@ int CmdServe(int argc, char** argv) {
       valid = ParseDecimal(argv[++i], options.drain_deadline_ms);
     } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0 && i + 1 < argc) {
       valid = ParseDecimal(argv[++i], options.io_timeout_ms);
-    } else if (std::strcmp(argv[i], "--max-consecutive-failures") == 0 &&
-               i + 1 < argc) {
-      valid = ParseDecimal(argv[++i], options.max_consecutive_failures);
     } else if (std::strcmp(argv[i], "--cache-budget-mb") == 0 &&
                i + 1 < argc) {
       valid = ParseDecimal(argv[++i], cache_budget_mb, kMaxMegabytes);
@@ -974,8 +964,7 @@ int CmdServe(int argc, char** argv) {
   const tw::ServerCounters& c = server.counters();
   std::printf("drained: admitted=%lld ok=%lld error=%lld drained=%lld "
               "shed_queue=%lld shed_memory=%lld shed_draining=%lld "
-              "protocol_errors=%lld reaped=%lld quarantined=%lld "
-              "reloads=%lld\n",
+              "protocol_errors=%lld reaped=%lld reloads=%lld\n",
               static_cast<long long>(c.requests_admitted.load()),
               static_cast<long long>(c.served_ok.load()),
               static_cast<long long>(c.served_error.load()),
@@ -985,7 +974,6 @@ int CmdServe(int argc, char** argv) {
               static_cast<long long>(c.shed_draining.load()),
               static_cast<long long>(c.protocol_errors.load()),
               static_cast<long long>(c.slow_clients_reaped.load()),
-              static_cast<long long>(c.quarantined.load()),
               static_cast<long long>(c.reloads.load()));
   std::fflush(stdout);
   return tw::GracefulShutdown::kExitInterrupted;
@@ -1003,8 +991,7 @@ int CmdQuery(int argc, char** argv) {
   const char* usage =
       "usage: twq query <tree-name> <program.twp> --remote HOST:PORT "
       "[--retries R] [--total-deadline-ms D] [--deadline-ms D] "
-      "[--io-timeout-ms T] "
-      "[--breaker-threshold N] [--breaker-cooldown-ms MS] [--quiet]";
+      "[--io-timeout-ms T] [--quiet]";
   if (argc < 2) return Fail(usage);
   const std::string tree_name = argv[0];
   const std::string program_path = argv[1];
@@ -1029,12 +1016,6 @@ int CmdQuery(int argc, char** argv) {
       valid = ParseDecimal(argv[++i], options.request_deadline_ms);
     } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0 && i + 1 < argc) {
       valid = ParseDecimal(argv[++i], options.io_timeout_ms);
-    } else if (std::strcmp(argv[i], "--breaker-threshold") == 0 &&
-               i + 1 < argc) {
-      valid = ParseDecimal(argv[++i], options.breaker_threshold);
-    } else if (std::strcmp(argv[i], "--breaker-cooldown-ms") == 0 &&
-               i + 1 < argc) {
-      valid = ParseDecimal(argv[++i], options.breaker_cooldown_ms);
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else {

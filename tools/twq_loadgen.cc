@@ -1,55 +1,43 @@
-// twq_loadgen — load generator and correctness probe for `twq serve`
-// (docs/SERVER.md).
+// twq_loadgen — closed-loop load generator and correctness probe for
+// `twq serve` (docs/SERVER.md).
 //
 //   twq_loadgen --port P [--host H] [--connections N] [--duration-ms D]
 //       --tree NAME [--program FILE | --program-text TEXT]
-//       [--rate R] [--deadline-ms D] [--retries R] [--total-deadline-ms D]
-//       [--io-timeout-ms T]
-//       [--breaker-threshold N] [--breaker-cooldown-ms MS]
-//       [--stats] [--expect-shed] [--quiet]
+//       [--deadline-ms D] [--retries R] [--total-deadline-ms D]
+//       [--io-timeout-ms T] [--stats] [--quiet]
 //
-// Drives a fleet of N concurrent connections against a running daemon,
-// each through its own resilient QueryClient (src/client) — the same
-// retry/backoff/breaker machinery production callers get, so
-// what this tool measures is the end-to-end behavior, not a bespoke
-// socket loop's:
+// Drives N concurrent connections against a running daemon, each
+// through its own QueryClient (src/client), so what it measures is the
+// client library's end-to-end behaviour, not a bespoke socket loop's.
+// Each connection sends its next query the moment the previous
+// response lands.  By default --retries is 0, so every server verdict
+// surfaces raw.
 //
-//   closed loop (default)  each connection sends its next query the
-//                          moment the previous response lands — the
-//                          classic saturation probe;
-//   open loop (--rate R)   the fleet schedules arrivals at R requests/s
-//                          regardless of response times, so queueing
-//                          delay is visible instead of self-throttled.
-//
-// By default --retries is 0 and the breaker is off: every server
-// verdict surfaces raw, exactly like the pre-client loadgen.  Turning
-// the resilience knobs on makes the fleet ride through restarts — the
-// kill-loop harness runs it with retries against a supervised daemon.
-//
-// Every outcome is classified (ok / overloaded / draining / quarantined
-// / other typed error) and timed; the report prints throughput and
-// latency percentiles of *admitted* requests next to the shed counts.
-// With --stats, a final `stats` request verifies the server's books
+// Every outcome is classified (ok / overloaded / draining / other typed
+// error) and timed; the report prints throughput and latency
+// percentiles of *admitted* requests next to the shed counts.  With
+// --stats, a final `stats` request checks that the server's books
 // reconcile:
 //
 //   admitted == served_ok + served_error + drained
 //
-// and the tool exits nonzero when they do not, or when --expect-shed
-// saw no load shedding (the saturation harness asserts both).
+// and the tool exits nonzero when they do not (tools/serve_smoke.sh).
+// Numeric values are decimal digits only; a malformed one exits 1.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/client/client.h"
+#include "src/common/parse_decimal.h"
 #include "src/server/frame.h"
 
 namespace tw = treewalk;
@@ -76,12 +64,10 @@ struct WorkerTally {
   std::int64_t overloaded = 0;
   std::int64_t draining = 0;
   std::int64_t cancelled = 0;
-  std::int64_t quarantined = 0;
   std::int64_t other_error = 0;
   std::int64_t transport_errors = 0;
   std::int64_t reconnects = 0;
   std::int64_t retries = 0;
-  std::int64_t breaker_shed = 0;
   std::vector<double> latencies_ms;  // admitted (ok or typed engine error)
 };
 
@@ -102,19 +88,19 @@ int main(int argc, char** argv) {
   long long duration_ms = 5000;
   std::string tree_name;
   std::string program_text = kDefaultProgram;
-  double rate = 0;  // 0 = closed loop
   bool want_stats = false;
-  bool expect_shed = false;
   bool quiet = false;
+  int retries = 0;
   for (int i = 1; i < argc; ++i) {
+    bool valid = true;
     if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) {
       client_options.endpoint.host = argv[++i];
     } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      client_options.endpoint.port = std::atoi(argv[++i]);
+      valid = tw::ParseDecimal(argv[++i], client_options.endpoint.port, 65535);
     } else if (std::strcmp(argv[i], "--connections") == 0 && i + 1 < argc) {
-      connections = std::atoi(argv[++i]);
+      valid = tw::ParseDecimal(argv[++i], connections);
     } else if (std::strcmp(argv[i], "--duration-ms") == 0 && i + 1 < argc) {
-      duration_ms = std::atoll(argv[++i]);
+      valid = tw::ParseDecimal(argv[++i], duration_ms);
     } else if (std::strcmp(argv[i], "--tree") == 0 && i + 1 < argc) {
       tree_name = argv[++i];
     } else if (std::strcmp(argv[i], "--program") == 0 && i + 1 < argc) {
@@ -125,33 +111,29 @@ int main(int argc, char** argv) {
       program_text = buffer.str();
     } else if (std::strcmp(argv[i], "--program-text") == 0 && i + 1 < argc) {
       program_text = argv[++i];
-    } else if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
-      rate = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      client_options.request_deadline_ms = std::atoll(argv[++i]);
+      valid = tw::ParseDecimal(argv[++i], client_options.request_deadline_ms);
     } else if (std::strcmp(argv[i], "--io-timeout-ms") == 0 &&
                i + 1 < argc) {
-      client_options.io_timeout_ms = std::atoll(argv[++i]);
+      valid = tw::ParseDecimal(argv[++i], client_options.io_timeout_ms);
     } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      client_options.retry.max_attempts = std::atoi(argv[++i]) + 1;
+      valid = tw::ParseDecimal(argv[++i], retries,
+                               std::numeric_limits<int>::max() - 1);
+      client_options.retry.max_attempts = retries + 1;
     } else if (std::strcmp(argv[i], "--total-deadline-ms") == 0 &&
                i + 1 < argc) {
-      client_options.total_deadline_ms = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--breaker-threshold") == 0 &&
-               i + 1 < argc) {
-      client_options.breaker_threshold = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--breaker-cooldown-ms") == 0 &&
-               i + 1 < argc) {
-      client_options.breaker_cooldown_ms = std::atoll(argv[++i]);
+      valid = tw::ParseDecimal(argv[++i], client_options.total_deadline_ms);
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       want_stats = true;
-    } else if (std::strcmp(argv[i], "--expect-shed") == 0) {
-      expect_shed = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       quiet = true;
     } else {
       return Fail(std::string("unknown option '") + argv[i] +
                   "' (see file header)");
+    }
+    if (!valid) {
+      return Fail(std::string("bad value '") + argv[i] + "' for " +
+                  argv[i - 1]);
     }
   }
   if (client_options.endpoint.port == 0) return Fail("--port is required");
@@ -164,11 +146,6 @@ int main(int argc, char** argv) {
   std::vector<WorkerTally> tallies(static_cast<std::size_t>(connections));
   std::vector<std::thread> fleet;
   fleet.reserve(static_cast<std::size_t>(connections));
-  // Open loop: each of the N threads owns an arrival schedule of rate/N
-  // requests per second, anchored at `start` — late responses do not
-  // push later arrivals back, which is the whole point.
-  const double per_thread_interval_ms =
-      rate > 0 ? 1000.0 * connections / rate : 0;
   for (int t = 0; t < connections; ++t) {
     fleet.emplace_back([&, t]() {
       WorkerTally& tally = tallies[static_cast<std::size_t>(t)];
@@ -176,16 +153,7 @@ int main(int argc, char** argv) {
       options.backoff_seed =
           0x6c6f6164ULL * static_cast<std::uint64_t>(t + 1) + 1;
       tw::QueryClient client(std::move(options));
-      long long sent = 0;
       while (Clock::now() < stop) {
-        if (rate > 0) {
-          Clock::time_point next_arrival =
-              start + std::chrono::milliseconds(static_cast<long long>(
-                          per_thread_interval_ms * static_cast<double>(sent)));
-          if (next_arrival >= stop) break;
-          std::this_thread::sleep_until(next_arrival);
-        }
-        ++sent;
         Clock::time_point begin = Clock::now();
         tw::QueryOutcome outcome = client.Query(tree_name, program_text);
         double ms = std::chrono::duration_cast<
@@ -204,14 +172,13 @@ int main(int argc, char** argv) {
             case tw::WireError::kOverloaded: ++tally.overloaded; break;
             case tw::WireError::kDraining: ++tally.draining; break;
             case tw::WireError::kCancelled: ++tally.cancelled; break;
-            case tw::WireError::kQuarantined: ++tally.quarantined; break;
             default:
               ++tally.other_error;
               tally.latencies_ms.push_back(ms);  // admitted, ran, failed
           }
         } else {
-          // Transport failure or client-side shed (breaker open, budget
-          // exhausted); don't spin hot against a dead endpoint.
+          // Transport failure or client budget exhausted; don't spin hot
+          // against a dead endpoint.
           ++tally.transport_errors;
           std::this_thread::sleep_for(std::chrono::milliseconds(10));
         }
@@ -219,7 +186,6 @@ int main(int argc, char** argv) {
       const tw::ClientCounters& counters = client.counters();
       tally.reconnects = counters.reconnects.load();
       tally.retries = counters.retries.load();
-      tally.breaker_shed = counters.breaker_shed.load();
     });
   }
   for (std::thread& worker : fleet) worker.join();
@@ -235,12 +201,10 @@ int main(int argc, char** argv) {
     total.overloaded += tally.overloaded;
     total.draining += tally.draining;
     total.cancelled += tally.cancelled;
-    total.quarantined += tally.quarantined;
     total.other_error += tally.other_error;
     total.transport_errors += tally.transport_errors;
     total.reconnects += tally.reconnects;
     total.retries += tally.retries;
-    total.breaker_shed += tally.breaker_shed;
     latencies.insert(latencies.end(), tally.latencies_ms.begin(),
                      tally.latencies_ms.end());
   }
@@ -248,8 +212,8 @@ int main(int argc, char** argv) {
   std::int64_t admitted_seen =
       static_cast<std::int64_t>(latencies.size()) + total.cancelled;
   std::printf("loadgen: %lld admitted (%.0f/s), %lld accept, %lld reject, "
-              "%lld error; shed: %lld overloaded, %lld draining, "
-              "%lld quarantined; %lld cancelled, %lld transport\n",
+              "%lld error; shed: %lld overloaded, %lld draining; "
+              "%lld cancelled, %lld transport\n",
               static_cast<long long>(admitted_seen),
               static_cast<double>(admitted_seen) / std::max(elapsed_s, 1e-9),
               static_cast<long long>(total.ok),
@@ -257,13 +221,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(total.other_error),
               static_cast<long long>(total.overloaded),
               static_cast<long long>(total.draining),
-              static_cast<long long>(total.quarantined),
               static_cast<long long>(total.cancelled),
               static_cast<long long>(total.transport_errors));
-  if (total.retries + total.breaker_shed > 0) {
-    std::printf("client: %lld retries, %lld breaker_shed, %lld reconnects\n",
+  if (total.retries > 0) {
+    std::printf("client: %lld retries, %lld reconnects\n",
                 static_cast<long long>(total.retries),
-                static_cast<long long>(total.breaker_shed),
                 static_cast<long long>(total.reconnects));
   }
   std::printf("latency_ms: p50=%.2f p95=%.2f p99=%.2f max=%.2f (n=%zu)\n",
@@ -271,11 +233,6 @@ int main(int argc, char** argv) {
               Percentile(latencies, 0.99),
               latencies.empty() ? 0 : latencies.back(), latencies.size());
 
-  int code = 0;
-  if (expect_shed && total.overloaded == 0) {
-    std::fprintf(stderr, "twq_loadgen: expected load shedding, saw none\n");
-    code = 1;
-  }
   if (want_stats) {
     tw::ClientOptions stats_options;
     stats_options.endpoint = client_options.endpoint;
@@ -310,5 +267,5 @@ int main(int argc, char** argv) {
     std::printf("reconciliation ok: admitted=%lld == ok+error+drained\n",
                 static_cast<long long>(admitted));
   }
-  return code;
+  return 0;
 }
