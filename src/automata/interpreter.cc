@@ -114,10 +114,12 @@ struct Outcome {
 };
 
 /// The step loop's view of a program over one tree, built once per run:
-/// states interned to dense ids, and for every (state, node label) the
-/// rules that can fire there, in program order.  Wildcard shadowing is
-/// resolved here, not per step: an exact-label rule for (q, sigma)
-/// shadows every `*` rule of q at sigma-labeled nodes.
+/// states interned to dense ids, and for every (state, node label) cell
+/// the rules that can fire there, in program order.  Wildcard shadowing
+/// is resolved here, not per step: an exact-label rule for (q, sigma)
+/// shadows every `*` rule of q at sigma-labeled nodes.  A cell whose
+/// only candidate has a `[true]` guard fires that rule whatever the
+/// store holds, so the table records it as the cell's sole rule.
 class RuleTable {
  public:
   RuleTable(const Program& program, const Tree& tree) {
@@ -173,6 +175,7 @@ class RuleTable {
     }
     cell_begin_.reserve(exact.size() + 1);
     cell_begin_.push_back(0);
+    sole_rule_.reserve(exact.size());
     for (std::size_t state = 0; state < num_states; ++state) {
       for (std::size_t column = 0; column < num_columns_; ++column) {
         const std::vector<std::int32_t>& here =
@@ -181,18 +184,28 @@ class RuleTable {
             here.empty() ? wildcard[state] : here;
         cell_rules_.insert(cell_rules_.end(), cell.begin(), cell.end());
         cell_begin_.push_back(static_cast<std::uint32_t>(cell_rules_.size()));
+        sole_rule_.push_back(
+            cell.size() == 1 && trivial_guard_[static_cast<std::size_t>(cell[0])]
+                ? cell[0]
+                : -1);
       }
     }
   }
 
-  /// The rules that may fire in `state` at a node labeled `label`.
-  std::span<const std::int32_t> Candidates(int state, Symbol label) const {
+  /// The cell of `state` at a node labeled `label`.
+  std::size_t Cell(int state, Symbol label) const {
     const int column = label_column_[static_cast<std::size_t>(label)];
-    const std::size_t cell = static_cast<std::size_t>(state) * num_columns_ +
-                             static_cast<std::size_t>(column);
+    return static_cast<std::size_t>(state) * num_columns_ +
+           static_cast<std::size_t>(column);
+  }
+  /// The rules that may fire in `cell`.
+  std::span<const std::int32_t> Candidates(std::size_t cell) const {
     return {cell_rules_.data() + cell_begin_[cell],
             cell_rules_.data() + cell_begin_[cell + 1]};
   }
+  /// The rule that fires in `cell` whatever the store holds — its only
+  /// candidate, with a `[true]` guard — or -1.
+  int sole_rule(std::size_t cell) const { return sole_rule_[cell]; }
 
   std::size_t num_states() const { return names_.size(); }
   const std::string& name(int state) const {
@@ -216,6 +229,7 @@ class RuleTable {
   std::size_t num_columns_ = 1;
   std::vector<std::uint32_t> cell_begin_;  // (state, column) -> offset
   std::vector<std::int32_t> cell_rules_;   // rule indices, program order
+  std::vector<std::int32_t> sole_rule_;    // per cell; -1 unless sole
 };
 
 /// Exact cycle memo of one (sub)computation: the configurations
@@ -240,11 +254,19 @@ class RuleTable {
 /// so it fills one 16-byte slot per 64 configurations; in the worst
 /// case, one configuration per slot, a key costs a whole slot.  Slots
 /// live in an open-addressing table with linear probing.  A word has its
-/// top six bits clear, so the all-ones word marks an empty slot.
+/// top six bits clear, so the all-ones word marks an empty slot.  The
+/// first configuration is kept in the memo object itself, and the table
+/// is allocated at the second: a look-ahead subcomputation that accepts
+/// from its first configuration allocates nothing.
 ///
 /// Memory is charged to kCycleMemo before it is allocated — 16 bytes per
-/// slot at first use and before each doubling, and 64 + 24·tuples per
-/// new store version — and released when the memo dies.
+/// slot at the table's first allocation and before each doubling, and
+/// 64 + 24·tuples per new store version — and released when the memo
+/// dies.
+///
+/// The step loop visits through QuickVisit while quick() holds, which is
+/// almost always once a computation runs; Visit does the rest: interning
+/// a changed store, the first two configurations, and growth.
 class CycleMemo {
  public:
   CycleMemo(std::size_t num_nodes, std::size_t num_states,
@@ -253,6 +275,14 @@ class CycleMemo {
         state_bits_(BitsFor(num_states)),
         charge_(governor, MemoryCategory::kCycleMemo) {}
 
+  /// True when the next configuration needs no store version interned
+  /// and its slot, if new, fits without growing the table.
+  bool quick() const { return !store_changed_ && size_ < grow_at_; }
+
+  /// Visit, for when quick() holds: records (u, state) under the current
+  /// store version; false if it was visited before.
+  bool QuickVisit(NodeId u, int state) { return Record(Key(u, state)); }
+
   /// Records configuration (u, state, store); false if it was visited
   /// before.
   Result<bool> Visit(NodeId u, int state, const Store& store) {
@@ -260,25 +290,19 @@ class CycleMemo {
       TREEWALK_ASSIGN_OR_RETURN(version_, Intern(store));
       store_changed_ = false;
     }
-    const std::uint64_t key = static_cast<std::uint64_t>(u) |
-                              static_cast<std::uint64_t>(state) << node_bits_ |
-                              version_ << (node_bits_ + state_bits_);
-    const std::uint64_t word = key >> 6;
-    const std::uint64_t bit = std::uint64_t{1} << (key & 63);
-    if (slots_.empty()) TREEWALK_RETURN_IF_ERROR(Grow());
-    Slot* slot = Probe(word);
-    if (slot->word == kEmpty) {
-      if ((size_ + 1) * 4 > slots_.size() * 3) {
-        TREEWALK_RETURN_IF_ERROR(Grow());
-        slot = Probe(word);
+    const std::uint64_t key = Key(u, state);
+    if (slots_.empty()) {
+      if (first_ == kNoKey) {
+        first_ = key;
+        return true;
       }
-      slot->word = word;
-      ++size_;
-    } else if ((slot->bits & bit) != 0) {
-      return false;
+      if (key == first_) return false;
+      TREEWALK_RETURN_IF_ERROR(Grow());
+      Record(first_);
+    } else if (size_ >= grow_at_ && Probe(key >> 6)->word == kEmpty) {
+      TREEWALK_RETURN_IF_ERROR(Grow());
     }
-    slot->bits |= bit;
-    return true;
+    return Record(key);
   }
 
   /// Call before each write to the store: keeps the starting store as
@@ -296,12 +320,36 @@ class CycleMemo {
   };
 
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  /// No key is all ones: the version field stays below its all-ones value.
+  static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
   static constexpr std::size_t kInitialSlots = 16;
 
   /// Bits for ids 0..count-1 (at least one); node and state counts are
   /// int-sized, so at most 31 each.
   static int BitsFor(std::size_t count) {
     return std::max(1, static_cast<int>(std::bit_width(count - 1)));
+  }
+
+  std::uint64_t Key(NodeId u, int state) const {
+    return static_cast<std::uint64_t>(u) |
+           static_cast<std::uint64_t>(state) << node_bits_ |
+           version_ << (node_bits_ + state_bits_);
+  }
+
+  /// Sets `key`'s bit; false if it was set.  The table must have room
+  /// for one more slot (size_ < grow_at_ or the key's word present).
+  bool Record(std::uint64_t key) {
+    const std::uint64_t word = key >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (key & 63);
+    Slot* slot = Probe(word);
+    if (slot->word == kEmpty) {
+      slot->word = word;
+      ++size_;
+    } else if ((slot->bits & bit) != 0) {
+      return false;
+    }
+    slot->bits |= bit;
+    return true;
   }
 
   /// Linear probing from the word's Fibonacci hash: the slot holding
@@ -315,6 +363,7 @@ class CycleMemo {
     return &slots_[i];
   }
 
+  /// Allocates the table, or doubles it, keeping the load under 3/4.
   Status Grow() {
     const std::size_t capacity =
         slots_.empty() ? kInitialSlots : 2 * slots_.size();
@@ -323,6 +372,7 @@ class CycleMemo {
     std::vector<Slot> old =
         std::exchange(slots_, std::vector<Slot>(capacity, Slot{kEmpty, 0}));
     shift_ = 64 - std::countr_zero(capacity);
+    grow_at_ = capacity / 4 * 3;
     for (const Slot& slot : old) {
       if (slot.word != kEmpty) *Probe(slot.word) = slot;
     }
@@ -352,8 +402,10 @@ class CycleMemo {
   const int node_bits_;
   const int state_bits_;
   ScopedMemoryCharge charge_;
+  std::uint64_t first_ = kNoKey;  // the first key, until the table exists
   std::vector<Slot> slots_;
-  std::size_t size_ = 0;  // occupied slots
+  std::size_t size_ = 0;     // occupied slots
+  std::size_t grow_at_ = 0;  // 3/4 of the slots; 0 until the table exists
   int shift_ = 64;
   std::vector<Store> versions_;
   std::unordered_multimap<std::uint64_t, std::uint64_t> by_fingerprint_;
@@ -440,12 +492,22 @@ class Runner {
         return out;
       }
       if (options_.detect_cycles) {
-        TREEWALK_ASSIGN_OR_RETURN(bool fresh, memo.Visit(u, state, *store));
+        bool fresh;
+        if (memo.quick()) {
+          fresh = memo.QuickVisit(u, state);
+        } else {
+          TREEWALK_ASSIGN_OR_RETURN(fresh, memo.Visit(u, state, *store));
+        }
         if (!fresh) return Rejected(RejectReason::kCycle);
       }
 
-      TREEWALK_ASSIGN_OR_RETURN(int rule_index, FindRule(u, state, *store));
-      if (rule_index < 0) return Rejected(RejectReason::kStuck);
+      const std::size_t cell = table_.Cell(state, tree_.label(u));
+      int rule_index = table_.sole_rule(cell);
+      if (rule_index < 0) {
+        TREEWALK_ASSIGN_OR_RETURN(rule_index,
+                                  FindRule(u, state, cell, *store));
+        if (rule_index < 0) return Rejected(RejectReason::kStuck);
+      }
       const Rule& rule = program_.rules()[static_cast<std::size_t>(rule_index)];
 
       if (++stats_.steps > options_.max_steps) {
@@ -600,15 +662,16 @@ class Runner {
     return Status::Ok();
   }
 
-  /// The index of the unique applicable rule, -1 if none, or a
-  /// Nondeterminism error if several guards hold.  Every candidate's
+  /// The index of the unique applicable rule of `cell`, -1 if none, or
+  /// a Nondeterminism error if several guards hold.  Every candidate's
   /// guard is checked; the store context is built only for a guard
-  /// other than `[true]`.
-  Result<int> FindRule(NodeId u, int state, const Store& store) {
-    const Symbol label = tree_.label(u);
+  /// other than `[true]`.  The step loop asks only for a cell without a
+  /// sole rule.
+  Result<int> FindRule(NodeId u, int state, std::size_t cell,
+                       const Store& store) {
     int found = -1;
     std::optional<StoreContext> context;
-    for (std::int32_t i : table_.Candidates(state, label)) {
+    for (std::int32_t i : table_.Candidates(cell)) {
       const Rule& rule = program_.rules()[static_cast<std::size_t>(i)];
       if (!table_.trivial_guard(static_cast<std::size_t>(i))) {
         if (!context.has_value()) context = MakeContext(u, store);
@@ -618,7 +681,8 @@ class Runner {
       }
       if (found >= 0) {
         return Nondeterminism(
-            "rules for (" + tree_.LabelName(label) + ", " + table_.name(state) +
+            "rules for (" + tree_.LabelName(tree_.label(u)) + ", " +
+            table_.name(state) +
             ") both apply: guards " +
             program_.rules()[static_cast<std::size_t>(found)].guard.ToString() +
             " and " + rule.guard.ToString());

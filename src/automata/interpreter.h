@@ -31,10 +31,10 @@ struct RunOptions {
   /// Ablation: exact cycle detection memoizes every configuration
   /// (node, state, store) of a computation — one bit per configuration
   /// in 16-byte hash slots of 64, each distinct store content interned
-  /// once — which costs a walk ~1.3× its step time (E12a, E25).  With
-  /// detection off, a looping computation runs into max_steps
-  /// (kResourceExhausted) instead of rejecting with kCycle; terminating
-  /// runs are unaffected.
+  /// once — which costs a walk ~1.2× its step time (BM_WalkOnly/100000
+  /// with detection on and off, E33).  With detection off, a looping
+  /// computation runs into max_steps (kResourceExhausted) instead of
+  /// rejecting with kCycle; terminating runs are unaffected.
   bool detect_cycles = true;
   /// Compiled selector evaluation: each distinct atp() selector's op
   /// DAG is compiled once per run over a per-run axis index

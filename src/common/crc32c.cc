@@ -3,6 +3,8 @@
 #include <cstddef>
 #include <cstring>
 
+#include "src/common/crc32c_internal.h"
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #define TREEWALK_CRC32C_X86 1
 #include <cpuid.h>
@@ -70,17 +72,95 @@ std::uint32_t ExtendPortable(std::uint32_t crc, const unsigned char* p,
 
 #if TREEWALK_CRC32C_X86
 
+std::uint64_t Load64(const unsigned char* p) {
+  std::uint64_t word;
+  std::memcpy(&word, p, 8);
+  return word;
+}
+
+/// x·M over GF(2), where `mat[i]` is the image of bit i.
+std::uint32_t Gf2Times(const std::uint32_t (&mat)[32], std::uint32_t x) {
+  std::uint32_t sum = 0;
+  for (int i = 0; x != 0; ++i, x >>= 1) {
+    if ((x & 1) != 0) sum ^= mat[i];
+  }
+  return sum;
+}
+
+/// Advances a CRC register past `bytes` zero bytes (no pre- or
+/// post-inversion).  The register update is linear over GF(2), so for
+/// any split of a message A·B, crc(A·B) = Shift(crc(A)) ^ crc0(B), with
+/// Shift for |B| bytes and crc0 started from a zero register: that is
+/// how stripes checksummed side by side join.  The operator is the
+/// one-zero-bit step squared up to 8·`bytes` bits (`bytes` a power of
+/// two); the tables hold its image of every byte value at each of the
+/// register's four byte positions, as in Mark Adler's crc32c.c.
+class ZeroShift {
+ public:
+  explicit ZeroShift(std::size_t bytes) {
+    std::uint32_t op[32];
+    op[0] = 0x82F63B78u;
+    for (int i = 1; i < 32; ++i) op[i] = std::uint32_t{1} << (i - 1);
+    for (std::size_t bits = 1; bits < 8 * bytes; bits *= 2) {
+      std::uint32_t square[32];
+      for (int i = 0; i < 32; ++i) square[i] = Gf2Times(op, op[i]);
+      std::memcpy(op, square, sizeof(op));
+    }
+    for (int k = 0; k < 4; ++k) {
+      for (std::uint32_t b = 0; b < 256; ++b) {
+        table_[k][b] = Gf2Times(op, b << (8 * k));
+      }
+    }
+  }
+
+  std::uint32_t operator()(std::uint32_t crc) const {
+    return table_[0][crc & 0xff] ^ table_[1][(crc >> 8) & 0xff] ^
+           table_[2][(crc >> 16) & 0xff] ^ table_[3][crc >> 24];
+  }
+
+ private:
+  std::uint32_t table_[4][256];
+};
+
 /// Hardware path: the SSE4.2 crc32 instruction implements exactly this
 /// polynomial.  Compiled with a per-function target attribute so the
 /// translation unit itself needs no -msse4.2, and only called after a
 /// cpuid check.
+///
+/// One crc32 stream waits out the instruction's 3-cycle latency at
+/// every word.  While at least three stripes of `kStripe` bytes remain,
+/// three streams run side by side, one per stripe, the second and third
+/// from a zero register, and the stripes are joined with ZeroShift.
+template <std::size_t kStripe>
+__attribute__((target("sse4.2"))) std::uint64_t ExtendStripes(
+    std::uint64_t crc, const unsigned char*& p, std::size_t& n) {
+  static_assert(kStripe % 8 == 0 && (kStripe & (kStripe - 1)) == 0);
+  if (n < 3 * kStripe) return crc;
+  static const ZeroShift shift(kStripe);
+  do {
+    std::uint64_t crc1 = 0;
+    std::uint64_t crc2 = 0;
+    for (const unsigned char* end = p + kStripe; p < end; p += 8) {
+      crc = __builtin_ia32_crc32di(crc, Load64(p));
+      crc1 = __builtin_ia32_crc32di(crc1, Load64(p + kStripe));
+      crc2 = __builtin_ia32_crc32di(crc2, Load64(p + 2 * kStripe));
+    }
+    crc = shift(static_cast<std::uint32_t>(crc)) ^ crc1;
+    crc = shift(static_cast<std::uint32_t>(crc)) ^ crc2;
+    p += 2 * kStripe;
+    n -= 3 * kStripe;
+  } while (n >= 3 * kStripe);
+  return crc;
+}
+
+/// Three 8 KiB stripes at a time, then three of 256 bytes, then one
+/// stream for the tail under 768 bytes.
 __attribute__((target("sse4.2"))) std::uint32_t ExtendHw(
     std::uint32_t crc, const unsigned char* p, std::size_t n) {
-  std::uint64_t c = crc;
+  std::uint64_t c = ExtendStripes<8192>(crc, p, n);
+  c = ExtendStripes<256>(c, p, n);
   while (n >= 8) {
-    std::uint64_t word;
-    std::memcpy(&word, p, 8);
-    c = __builtin_ia32_crc32di(c, word);
+    c = __builtin_ia32_crc32di(c, Load64(p));
     p += 8;
     n -= 8;
   }
@@ -106,6 +186,11 @@ bool HaveSse42() {
 
 std::uint32_t Crc32c(std::string_view data) {
   return Crc32cExtend(0, data);
+}
+
+std::uint32_t Crc32cExtendPortable(std::uint32_t crc, std::string_view data) {
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  return ExtendPortable(crc ^ 0xFFFFFFFFu, p, data.size()) ^ 0xFFFFFFFFu;
 }
 
 std::uint32_t Crc32cExtend(std::uint32_t crc, std::string_view data) {

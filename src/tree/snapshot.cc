@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -67,6 +68,26 @@ constexpr std::uint32_t kFlagLittleEndian = 1;
 constexpr std::uint64_t kMaxNodes =
     static_cast<std::uint64_t>(std::numeric_limits<NodeId>::max());
 constexpr std::uint64_t kMaxPoolEntries = std::uint64_t{1} << 20;
+
+// Four 32-bit lanes, through the GCC/Clang vector extensions: SSE2 on
+// x86-64 and NEON on aarch64, with no target attribute and no runtime
+// dispatch.  A comparison yields -1 (all ones) in each lane where it
+// holds and 0 elsewhere.
+typedef std::uint32_t U32x4 __attribute__((vector_size(16)));
+typedef std::int32_t I32x4 __attribute__((vector_size(16)));
+typedef std::uint64_t U64x2 __attribute__((vector_size(16)));
+
+U32x4 LoadU32x4(const char* p) {
+  U32x4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// Whether any lane of `v` is non-zero.
+bool AnyLane(U32x4 v) {
+  const auto halves = reinterpret_cast<U64x2>(v);
+  return (halves[0] | halves[1]) != 0;
+}
 
 /// The sections one tree view of an image reads: t's or delim(t)'s.
 struct Arena {
@@ -533,46 +554,20 @@ class SnapshotCodec {
       }
     }
 
-    // Validate every node record before exposing the view.  The checks
-    // guarantee memory safety of all O(1) accessors and termination of
-    // parent walks (parent < u strictly decreases); they intentionally
-    // do not prove full structural consistency — CRCs plus the writer
-    // being the only producer cover that.
     const auto* nodes =
         n > 0 ? reinterpret_cast<const Tree::Node*>(node_sec.data()) : nullptr;
-    const NodeId limit = static_cast<NodeId>(n);
-    const auto num_labels = static_cast<Symbol>(labels.size());
-    for (NodeId u = 0; u < limit; ++u) {
-      const Tree::Node& nd = nodes[static_cast<std::size_t>(u)];
-      const bool bad_label = nd.label < 0 || nd.label >= num_labels;
-      const bool bad_parent =
-          u == 0 ? nd.parent != kNoNode
-                 : (nd.parent < 0 || nd.parent >= u);
-      auto bad_after = [&](NodeId x) {  // kNoNode or strictly below u
-        return x != kNoNode && (x <= u || x >= limit);
-      };
-      const bool bad_children =
-          bad_after(nd.first_child) || bad_after(nd.last_child) ||
-          nd.num_children < 0 || nd.child_index < 0;
-      const bool bad_siblings =
-          bad_after(nd.next_sibling) ||
-          (nd.prev_sibling != kNoNode &&
-           (nd.prev_sibling < 0 || nd.prev_sibling >= u));
-      const bool bad_subtree = nd.subtree_end <= u || nd.subtree_end > limit;
-      if (bad_label || bad_parent || bad_children || bad_siblings ||
-          bad_subtree) {
-        return InvalidArgument("snapshot node record " + std::to_string(u) +
-                               " fails validation");
-      }
+    const std::size_t bad_record = FirstInvalidRecord(
+        node_sec.data(), n, static_cast<std::uint32_t>(labels.size()));
+    if (bad_record < n) {
+      return InvalidArgument("snapshot node record " +
+                             std::to_string(bad_record) + " fails validation");
+    }
+    if (!RanksInRange(postorder_sec.data(), n)) {
+      return InvalidArgument("snapshot post-order rank out of range");
     }
     const auto* postorder =
         n > 0 ? reinterpret_cast<const NodeId*>(postorder_sec.data())
               : nullptr;
-    for (std::size_t u = 0; u < n; ++u) {
-      if (postorder[u] < 0 || postorder[u] >= limit) {
-        return InvalidArgument("snapshot post-order rank out of range");
-      }
-    }
 
     tree.node_count_ = n;
     tree.nodes_view_ = nodes;
@@ -584,6 +579,154 @@ class SnapshotCodec {
           column_sec.data() + static_cast<std::size_t>(a) * n * sizeof(DataValue)));
     }
     return tree;
+  }
+
+  /// The rule one 32-bit word of a node record obeys before a Tree may
+  /// view the record.  At record `u` the word lies in [lo, lo + span)
+  /// as an unsigned difference, with lo = lo0 + lo_u·u and
+  /// span = span0 + span_u·u (all mod 2^32), or it is kNoNode where
+  /// `no_node` allows.
+  struct WordRule {
+    enum NoNode { kNever, kAlways, kAtRoot };
+    std::uint32_t lo0;
+    std::uint32_t lo_u;
+    std::uint32_t span0;
+    std::uint32_t span_u;
+    NoNode no_node;
+  };
+  static constexpr std::size_t kRecordWords = sizeof(Tree::Node) / 4;
+
+  /// The rules for each word of a record of a tree with `n` nodes and
+  /// `labels` labels.  They make every O(1) accessor memory-safe and
+  /// every parent walk terminate (parent < u strictly decreases); they
+  /// do not prove full structural consistency — the CRCs, and the
+  /// writer being the only producer, cover that.
+  static std::array<WordRule, kRecordWords> RecordRules(std::uint32_t n,
+                                                        std::uint32_t labels) {
+    static_assert(sizeof(Tree::Node) == 40 && sizeof(Symbol) == 8);
+    static_assert(offsetof(Tree::Node, parent) == 2 * 4 &&
+                  offsetof(Tree::Node, first_child) == 3 * 4 &&
+                  offsetof(Tree::Node, last_child) == 4 * 4 &&
+                  offsetof(Tree::Node, next_sibling) == 5 * 4 &&
+                  offsetof(Tree::Node, prev_sibling) == 6 * 4 &&
+                  offsetof(Tree::Node, subtree_end) == 7 * 4 &&
+                  offsetof(Tree::Node, child_index) == 8 * 4 &&
+                  offsetof(Tree::Node, num_children) == 9 * 4);
+    constexpr std::uint32_t kMinusU = ~std::uint32_t{0};  // span_u = -1
+    constexpr std::uint32_t kNonNegative = std::uint32_t{1} << 31;
+    return {{
+        {0, 0, labels, 0, WordRule::kNever},       // label, low word
+        {0, 0, 1, 0, WordRule::kNever},            // label, high word: 0
+        {0, 0, 0, 1, WordRule::kAtRoot},           // parent: [0, u)
+        {1, 1, n - 1, kMinusU, WordRule::kAlways},  // first child: (u, n)
+        {1, 1, n - 1, kMinusU, WordRule::kAlways},  // last child: (u, n)
+        {1, 1, n - 1, kMinusU, WordRule::kAlways},  // next sibling: (u, n)
+        {0, 0, 0, 1, WordRule::kAlways},            // previous sibling: [0, u)
+        {1, 1, n, kMinusU, WordRule::kNever},       // subtree end: (u, n]
+        {0, 0, kNonNegative, 0, WordRule::kNever},  // child index >= 0
+        {0, 0, kNonNegative, 0, WordRule::kNever},  // child count >= 0
+    }};
+  }
+
+  /// The index of the first of the `n` node records at `records` that
+  /// breaks RecordRules, or `n` if none does.  Four records — forty
+  /// words, ten vectors — are checked per step.  Vector j of a block
+  /// holds words 4j..4j+3, so lane l is field (4j + l) % 10 of the
+  /// block's record (4j + l) / 10; lo and span are kept per lane at the
+  /// current block and stepped by four records per block.  SSE2 has no
+  /// unsigned compare, so both sides of d < span are offset by 2^31 and
+  /// compared signed; the offset is folded into lo and span.
+  static std::size_t FirstInvalidRecord(const char* records, std::size_t n,
+                                        std::uint32_t labels) {
+    constexpr std::size_t kBlock = 4;  // records per step
+    constexpr std::size_t kVectors = kRecordWords;
+    constexpr std::uint32_t kBias = std::uint32_t{1} << 31;
+    const std::array<WordRule, kRecordWords> rules =
+        RecordRules(static_cast<std::uint32_t>(n), labels);
+    U32x4 lo[kVectors], span[kVectors], lo_step[kVectors],
+        span_step[kVectors], no_node[kVectors], no_node_first[kVectors];
+    for (std::size_t w = 0; w < kBlock * kRecordWords; ++w) {
+      const std::size_t j = w / 4;
+      const std::size_t lane = w % 4;
+      const WordRule& rule = rules[w % kRecordWords];
+      const auto r = static_cast<std::uint32_t>(w / kRecordWords);
+      lo[j][lane] = rule.lo0 + rule.lo_u * r + kBias;
+      span[j][lane] = rule.span0 + rule.span_u * r + kBias;
+      lo_step[j][lane] = kBlock * rule.lo_u;
+      span_step[j][lane] = kBlock * rule.span_u;
+      no_node[j][lane] = rule.no_node == WordRule::kAlways ? ~0u : 0u;
+      // The first block holds the root, record 0.
+      no_node_first[j][lane] =
+          rule.no_node == WordRule::kAlways ||
+                  (rule.no_node == WordRule::kAtRoot && r == 0)
+              ? ~0u
+              : 0u;
+    }
+    const U32x4 kNo = {~0u, ~0u, ~0u, ~0u};  // kNoNode in every lane
+    U32x4 bad[kVectors];
+    // Checks the block at `p`, stepping lo and span to the next block;
+    // true if a lane of its first `words` words fails.
+    auto check = [&](const char* p, const U32x4* allowed, std::size_t words) {
+      U32x4 any{};
+      for (std::size_t j = 0; j < kVectors; ++j) {
+        const U32x4 x = LoadU32x4(p + 16 * j);
+        const U32x4 in_range = reinterpret_cast<U32x4>(
+            reinterpret_cast<I32x4>(x - lo[j]) <
+            reinterpret_cast<I32x4>(span[j]));
+        const U32x4 absent = reinterpret_cast<U32x4>(x == kNo) & allowed[j];
+        bad[j] = ~(in_range | absent);
+        if (words < kBlock * kRecordWords) {
+          for (std::size_t lane = 0; lane < 4; ++lane) {
+            if (4 * j + lane >= words) bad[j][lane] = 0;
+          }
+        }
+        any |= bad[j];
+        lo[j] += lo_step[j];
+        span[j] += span_step[j];
+      }
+      return AnyLane(any);
+    };
+    auto first_bad = [&](std::size_t base) {
+      std::size_t w = 0;
+      while (bad[w / 4][w % 4] == 0) ++w;
+      return base + w / kRecordWords;
+    };
+    constexpr std::size_t kBlockBytes = kBlock * sizeof(Tree::Node);
+    const std::size_t blocks = n / kBlock;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      if (check(records + b * kBlockBytes, b == 0 ? no_node_first : no_node,
+                kBlock * kRecordWords)) {
+        return first_bad(b * kBlock);
+      }
+    }
+    if (const std::size_t rest = n % kBlock; rest > 0) {
+      char tail[kBlockBytes] = {};
+      std::memcpy(tail, records + blocks * kBlockBytes,
+                  rest * sizeof(Tree::Node));
+      if (check(tail, blocks == 0 ? no_node_first : no_node,
+                rest * kRecordWords)) {
+        return first_bad(blocks * kBlock);
+      }
+    }
+    return n;
+  }
+
+  /// Whether each of the `n` post-order ranks at `ranks` lies in
+  /// [0, n): one branch-free pass, four ranks per step.
+  static bool RanksInRange(const char* ranks, std::size_t n) {
+    const auto last = static_cast<std::uint32_t>(n) - 1;
+    const U32x4 limit = {last, last, last, last};
+    U32x4 over{};
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      over |= reinterpret_cast<U32x4>(LoadU32x4(ranks + 4 * i) > limit);
+    }
+    if (i < n) {
+      char tail[16] = {};  // rank 0 is in range
+      std::memcpy(tail, ranks + 4 * i, 4 * (n - i));
+      over |= reinterpret_cast<U32x4>(LoadU32x4(tail) > limit);
+    }
+    return !AnyLane(over);
   }
 
   /// Stats section: fixed scalars plus one u64 per label and per

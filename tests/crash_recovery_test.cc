@@ -3,14 +3,17 @@
 // byte offset — always yields a resume that completes the remaining
 // jobs exactly once.  Graceful shutdown is exercised the same way:
 // SIGTERM drains and exits with GracefulShutdown::kExitInterrupted, a
-// second signal aborts immediately with 128+signo.
+// second signal aborts immediately with 128+signo, and a SIGTERM while
+// the real `twq batch` loads its inputs exits 75 as well.
 //
-// The children are fork()ed from the test binary itself (no exec), so
-// the scenarios run against in-process BatchEngine + BatchJournal state
-// exactly as tools/twq.cc wires them.
+// Except for the `twq batch` leg, the children are fork()ed from the
+// test binary itself (no exec), so the scenarios run against in-process
+// BatchEngine + BatchJournal state exactly as tools/twq.cc wires them.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -20,7 +23,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,6 +38,7 @@
 #include "src/engine/shutdown.h"
 #include "src/tree/delimited.h"
 #include "src/tree/generate.h"
+#include "src/tree/term_io.h"
 
 namespace treewalk {
 namespace {
@@ -334,6 +340,77 @@ TEST_F(CrashRecoveryTest, SecondSigtermAbortsImmediately) {
   ASSERT_TRUE(WIFEXITED(wstatus));
   EXPECT_EQ(WEXITSTATUS(wstatus), 128 + SIGTERM);
 }
+
+#if defined(TREEWALK_TWQ_PATH)
+/// `twq batch` installs its handlers before it reads its manifest, so a
+/// first SIGTERM while the inputs load drains: exit 75 with the
+/// `interrupted by signal` line, never death by the signal's default
+/// action.  The manifest is a FIFO, so the test knows when twq has
+/// opened it; the test then writes the manifest and signals at once,
+/// while three 10^5-node `.term` trees (tens of milliseconds each to
+/// parse and delimit) are still to load.  No sleep decides where the
+/// signal lands, so a slow start (a sanitizer build) cannot move it
+/// ahead of the handlers.
+TEST_F(CrashRecoveryTest, SigtermWhileBatchLoadsItsInputsExits75) {
+  const std::string program = Path("accept.twp");
+  std::ofstream(program) << "class tw\nstates q0 qf\n"
+                            "rule #top q0 [true] move stay qf\n";
+  std::string manifest;
+  for (unsigned seed = 1; seed <= 3; ++seed) {
+    std::mt19937 rng(seed);
+    RandomTreeOptions options;
+    options.num_nodes = 100000;
+    const std::string tree = Path("t" + std::to_string(seed) + ".term");
+    std::ofstream(tree) << PrintTerm(RandomTree(rng, options)) << "\n";
+    manifest += program + " " + tree + "\n";
+  }
+  const std::string manifest_path = Path("batch.manifest");
+  ASSERT_EQ(::mkfifo(manifest_path.c_str(), 0600), 0);
+  const std::string out_path = Path("batch.out");
+
+  pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const int out = ::open(out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+                           0644);
+    if (out < 0) _exit(126);
+    ::dup2(out, STDOUT_FILENO);
+    ::execl(TREEWALK_TWQ_PATH, TREEWALK_TWQ_PATH, "batch",
+            manifest_path.c_str(), "--quiet", static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  // A non-blocking open of the write end fails with ENXIO until twq has
+  // opened the manifest to read it.
+  int fifo = -1;
+  bool exited = false;
+  for (int tries = 0; fifo < 0 && !exited && tries < 60000; ++tries) {
+    fifo = ::open(manifest_path.c_str(), O_WRONLY | O_NONBLOCK);
+    if (fifo < 0) {
+      exited = ::waitpid(child, nullptr, WNOHANG) != 0;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  if (fifo < 0 && !exited) {
+    ::kill(child, SIGKILL);
+    ::waitpid(child, nullptr, 0);
+  }
+  ASSERT_GE(fifo, 0) << "twq never opened its manifest";
+  const ssize_t written = ::write(fifo, manifest.data(), manifest.size());
+  ::close(fifo);
+  ASSERT_EQ(written, static_cast<ssize_t>(manifest.size()));
+  ASSERT_EQ(::kill(child, SIGTERM), 0);
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFEXITED(wstatus))
+      << "killed by signal " << (WIFSIGNALED(wstatus) ? WTERMSIG(wstatus) : 0);
+  EXPECT_EQ(WEXITSTATUS(wstatus), GracefulShutdown::kExitInterrupted);
+  std::ifstream in(out_path);
+  const std::string output((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_NE(output.find("interrupted by signal 15"), std::string::npos)
+      << output;
+}
+#endif
 
 /// In-process drain/resume (no fork): cancellation mid-batch journals
 /// cancelled finishes, and the follow-up run completes everything

@@ -7,13 +7,40 @@
 
 #include "src/common/crc32c.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/crc32c_internal.h"
+
 namespace treewalk {
 namespace {
+
+// A bit-by-bit model of the reflected 0x82F63B78 polynomial.
+std::uint32_t BitwiseCrc32c(std::string_view data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (char c : data) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// Deterministic pseudo-random bytes.
+std::string RandomBytes(std::size_t n, std::uint64_t state) {
+  std::string out(n, '\0');
+  for (char& c : out) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    c = static_cast<char>(state >> 56);
+  }
+  return out;
+}
 
 // RFC 3720 (iSCSI) appendix B.4 plus the classic check values used by
 // every CRC catalogue for CRC-32C (Castagnoli).
@@ -68,38 +95,72 @@ TEST(Crc32c, SingleBitFlipAlwaysDetected) {
 }
 
 TEST(Crc32c, MatchesBitwiseReferenceOnRandomBuffers) {
-  // A bit-by-bit model of the reflected 0x82F63B78 polynomial, checked
-  // against the production routine on every length in [0, 200] plus a
-  // megabyte buffer — exercises the word-folding loop (hardware or
-  // slicing-by-8, whichever this host runs), its unaligned tail, and
-  // the boundary between them.
-  auto reference = [](std::string_view data) {
-    std::uint32_t crc = 0xFFFFFFFFu;
-    for (char c : data) {
-      crc ^= static_cast<unsigned char>(c);
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc & 1) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
-      }
-    }
-    return crc ^ 0xFFFFFFFFu;
-  };
-  std::string buf;
-  std::uint64_t state = 0x9E3779B97F4A7C15ull;
-  auto next = [&state] {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return static_cast<char>(state >> 56);
-  };
+  // The production routine against the bit-by-bit model on every
+  // length in [0, 200] plus a megabyte buffer — exercises the word-
+  // folding loop (hardware or slicing-by-8, whichever this host runs),
+  // its unaligned tail, and the boundary between them.
+  const std::string bytes = RandomBytes(201, 0x9E3779B97F4A7C15ull);
   for (std::size_t len = 0; len <= 200; ++len) {
-    ASSERT_EQ(Crc32c(buf), reference(buf)) << "len=" << len;
-    buf.push_back(next());
+    const std::string_view buf(bytes.data(), len);
+    ASSERT_EQ(Crc32c(buf), BitwiseCrc32c(buf)) << "len=" << len;
   }
-  std::string big(1 << 20, '\0');
-  for (char& c : big) c = next();
-  EXPECT_EQ(Crc32c(big), reference(big));
+  const std::string big = RandomBytes(1 << 20, 0x2545F4914F6CDD1Dull);
+  EXPECT_EQ(Crc32c(big), BitwiseCrc32c(big));
   // Extend across an odd split of the big buffer too.
   EXPECT_EQ(Crc32cExtend(Crc32c(big.substr(0, 12345)),
                          std::string_view(big).substr(12345)),
             Crc32c(big));
+}
+
+// The hardware path runs three streams over three 8 KiB stripes, then
+// over three 256-byte stripes, then one stream over the tail; the
+// portable path folds 8 bytes at a time.  Lengths on both sides of each
+// stripe edge, from every start offset modulo 8, whole and split inside
+// a stripe, must give the bit-by-bit model's value on both paths — the
+// portable one is the only path a host without SSE4.2 runs, and this is
+// the only test that reaches it on one with.
+TEST(Crc32c, StripeEdgesMatchReferenceOnEveryPath) {
+  constexpr std::size_t kShort = 3 * 256;
+  constexpr std::size_t kLong = 3 * 8192;
+  std::vector<std::size_t> lengths;
+  for (std::size_t edge : {kShort, kLong}) {
+    for (int delta : {-8, -1, 0, 1, 8}) lengths.push_back(edge + delta);
+  }
+  lengths.push_back(2 * kLong + kShort + 5);
+  // Splits land inside a long stripe, inside a short one, and on either
+  // side of a stripe edge.
+  const std::size_t splits[] = {1,    5,    100,  256 + 3, 767,
+                                4097, 8191, 8193, kLong + 300,
+                                kLong + kShort + 1};
+  const std::string storage = RandomBytes(2 * kLong + kShort + 5 + 8, 7);
+  for (std::size_t len : lengths) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::string_view data(storage.data() + offset, len);
+      const std::uint32_t want = BitwiseCrc32c(data);
+      ASSERT_EQ(Crc32c(data), want) << "len=" << len << " offset=" << offset;
+      ASSERT_EQ(Crc32cExtendPortable(0, data), want)
+          << "portable len=" << len << " offset=" << offset;
+      for (std::size_t split : splits) {
+        if (split >= len) continue;
+        const std::string_view head = data.substr(0, split);
+        const std::string_view tail = data.substr(split);
+        EXPECT_EQ(Crc32cExtend(Crc32c(head), tail), want)
+            << "len=" << len << " offset=" << offset << " split=" << split;
+        EXPECT_EQ(Crc32cExtendPortable(Crc32cExtendPortable(0, head), tail),
+                  want)
+            << "portable len=" << len << " offset=" << offset
+            << " split=" << split;
+      }
+    }
+  }
+}
+
+TEST(Crc32c, PortablePathKnownAnswers) {
+  EXPECT_EQ(Crc32cExtendPortable(0, ""), 0x00000000u);
+  EXPECT_EQ(Crc32cExtendPortable(0, "123456789"), 0xE3069283u);
+  EXPECT_EQ(Crc32cExtendPortable(0, std::string(32, '\0')), 0x8A9136AAu);
+  const std::string big = RandomBytes(1 << 20, 0x2545F4914F6CDD1Dull);
+  EXPECT_EQ(Crc32cExtendPortable(0, big), BitwiseCrc32c(big));
 }
 
 TEST(LeFraming, PutGetRoundTrip) {

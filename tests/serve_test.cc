@@ -8,7 +8,8 @@
 // The subprocess legs run tools/serve_smoke.sh against the real twq
 // binary and assert the documented drain exit code 75, check that
 // `twq serve --cache-budget-mb` answers every tree it logs as loaded,
-// and time an idle daemon's drain after SIGTERM.
+// time an idle daemon's drain after SIGTERM, and check that a SIGTERM
+// during the preload exits 75 too.
 
 #include <gtest/gtest.h>
 
@@ -777,6 +778,85 @@ TEST(ServeSmokeTest, IdleDaemonDrainsAtOnceOnSigterm) {
   EXPECT_LT(drain_ms[2], 20.0) << "drain times (ms): " << drain_ms[0] << " "
                                << drain_ms[1] << " " << drain_ms[2] << " "
                                << drain_ms[3] << " " << drain_ms[4];
+}
+
+/// A SIGTERM while the daemon preloads its corpus drains too: the
+/// handlers are installed before the preload, which stops at the next
+/// tree, and the daemon exits 75 without ever listening — instead of
+/// dying by the signal's default action.  The signal is sent as soon as
+/// the small tree's `loaded` line arrives, while the big one (~260,000
+/// nodes, tens of milliseconds to parse and delimit) is still loading.
+TEST(ServeSmokeTest, SigtermDuringPreloadExits75WithoutListening) {
+  struct Workspace {
+    std::string dir = ::testing::TempDir() + "serve_preload_XXXXXX";
+    pid_t daemon = -1;
+    int stdout_fd = -1;
+    int stderr_fd = -1;
+    ~Workspace() {
+      if (daemon > 0) {
+        kill(daemon, SIGKILL);
+        waitpid(daemon, nullptr, 0);
+      }
+      if (stdout_fd >= 0) close(stdout_fd);
+      if (stderr_fd >= 0) close(stderr_fd);
+      std::system(("rm -rf '" + dir + "'").c_str());
+    }
+  } work;
+  ASSERT_NE(mkdtemp(work.dir.data()), nullptr);
+  const std::string corpus = work.dir + "/corpus";
+  ASSERT_EQ(mkdir(corpus.c_str(), 0755), 0);
+  std::ofstream(corpus + "/a_small.term") << "r(a, b)\n";
+  std::ofstream(corpus + "/b_big.term") << PrintTerm(FullTree(2, 17)) << "\n";
+
+  int out[2], err[2];
+  ASSERT_EQ(pipe(out), 0);
+  ASSERT_EQ(pipe(err), 0);
+  work.stdout_fd = out[0];
+  work.stderr_fd = err[0];
+  work.daemon = fork();
+  ASSERT_GE(work.daemon, 0);
+  if (work.daemon == 0) {
+    dup2(out[1], STDOUT_FILENO);
+    dup2(err[1], STDERR_FILENO);
+    close(out[0]);
+    close(err[0]);
+    execl(TREEWALK_TWQ_PATH, TREEWALK_TWQ_PATH, "serve", corpus.c_str(),
+          "--port", "0", static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  close(out[1]);
+  close(err[1]);
+
+  // Wait (up to 30 s) for the first `loaded` line on stderr.
+  std::string log;
+  pollfd ready{work.stderr_fd, POLLIN, 0};
+  while (log.find("loaded a_small.term") == std::string::npos &&
+         poll(&ready, 1, 30000) > 0) {
+    char buffer[256];
+    const ssize_t n = read(work.stderr_fd, buffer, sizeof(buffer));
+    if (n <= 0) break;
+    log.append(buffer, static_cast<std::size_t>(n));
+  }
+  ASSERT_NE(log.find("loaded a_small.term"), std::string::npos) << log;
+  ASSERT_EQ(kill(work.daemon, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(waitpid(work.daemon, &status, 0), work.daemon);
+  work.daemon = -1;
+  ASSERT_TRUE(WIFEXITED(status))
+      << "killed by signal " << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+  EXPECT_EQ(WEXITSTATUS(status), 75);
+
+  std::string output;
+  char buffer[256];
+  for (ssize_t n; (n = read(work.stdout_fd, buffer, sizeof(buffer))) > 0;) {
+    output.append(buffer, static_cast<std::size_t>(n));
+  }
+  for (ssize_t n; (n = read(work.stderr_fd, buffer, sizeof(buffer))) > 0;) {
+    log.append(buffer, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(output.find("listening on"), std::string::npos) << output;
+  EXPECT_NE(log.find("signal 15 before listening"), std::string::npos)
+      << log;
 }
 #endif
 

@@ -14,7 +14,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -363,6 +366,183 @@ TEST(SnapshotValidation, DamagedDelimitedSectionFailsOnlyTheDelimitedLoad) {
   ExpectTreesEqual(Delimit(original).tree, *still_delimited);
   EXPECT_FALSE(InspectTreeSnapshot(path).ok());
   std::remove(path.c_str());
+}
+
+// A node record as the snapshot stores it (Tree::Node's layout: an
+// 8-byte label, then nine 32-bit fields), read out of an image.
+struct RawRecord {
+  std::int64_t label;
+  std::int32_t parent, first_child, last_child, next_sibling, prev_sibling,
+      subtree_end, child_index, num_children;
+};
+static_assert(sizeof(RawRecord) == 40);
+
+// The rules a load enforces on record `u` of `limit` once the CRCs
+// match, one record at a time: the reference the loader's four-records-
+// at-a-time pass must agree with.
+bool ReferenceRecordOk(const RawRecord& nd, std::int32_t u,
+                       std::int32_t limit, std::int64_t num_labels) {
+  const bool bad_label = nd.label < 0 || nd.label >= num_labels;
+  const bool bad_parent =
+      u == 0 ? nd.parent != kNoNode : (nd.parent < 0 || nd.parent >= u);
+  auto bad_after = [&](std::int32_t x) {  // kNoNode or strictly below u
+    return x != kNoNode && (x <= u || x >= limit);
+  };
+  const bool bad_children = bad_after(nd.first_child) ||
+                            bad_after(nd.last_child) ||
+                            nd.num_children < 0 || nd.child_index < 0;
+  const bool bad_siblings =
+      bad_after(nd.next_sibling) ||
+      (nd.prev_sibling != kNoNode &&
+       (nd.prev_sibling < 0 || nd.prev_sibling >= u));
+  const bool bad_subtree = nd.subtree_end <= u || nd.subtree_end > limit;
+  return !(bad_label || bad_parent || bad_children || bad_siblings ||
+           bad_subtree);
+}
+
+void SetU32Le(std::string& bytes, std::size_t at, std::uint32_t v) {
+  for (int k = 0; k < 4; ++k) {
+    bytes[at + k] = static_cast<char>(v >> (8 * k));
+  }
+}
+
+// Re-stamps section `kind`'s CRC in the section table, then the table's
+// own CRC, so only the checks behind the CRCs can refuse the image.
+void RestampSection(std::string& image, std::uint32_t kind) {
+  constexpr std::size_t kEntries = 11;
+  constexpr std::size_t kEntryBytes = 24;
+  for (std::size_t i = 0; i < kEntries; ++i) {
+    const std::size_t at = kSnapshotHeaderBytes + i * kEntryBytes;
+    if (GetU32Le(image, at) != kind) continue;
+    const std::uint64_t offset = GetU64Le(image, at + 8);
+    const std::uint64_t length = GetU64Le(image, at + 16);
+    SetU32Le(image, at + 4, Crc32c(std::string_view(image).substr(
+                                offset, static_cast<std::size_t>(length))));
+  }
+  SetU32Le(image, kSnapshotHeaderBytes + kEntries * kEntryBytes,
+           Crc32c(std::string_view(image).substr(kSnapshotHeaderBytes,
+                                                 kEntries * kEntryBytes)));
+}
+
+using ImageLoader = Result<Tree> (*)(std::shared_ptr<const std::string>,
+                                     SnapshotInfo*);
+
+// The images the crafted-record tests mutate: delim(t) of t with n nodes
+// and l leaves has 3 + 3n - l nodes, so these delim(t)s have 5, 8, 10,
+// 11 and a few hundred nodes, every residue modulo the four records the
+// loader checks per step; the t arenas have 1, 2, 3, 3 and 100.
+std::vector<Tree> CraftedInputs() {
+  std::vector<Tree> trees;
+  for (const char* term : {"a", "a(b)", "a(b, c)", "a(b(c))"}) {
+    auto parsed = ParseTerm(term);
+    EXPECT_TRUE(parsed.ok()) << term;
+    if (parsed.ok()) trees.push_back(std::move(parsed).value());
+  }
+  trees.push_back(RandomInput(100, 5));
+  return trees;
+}
+
+TEST(SnapshotValidation, CraftedNodeRecordsFailWhereTheScalarRulesDo) {
+  struct Arena {
+    const char* name;
+    std::uint32_t node_kind;
+    ImageLoader load;
+  };
+  const Arena arenas[] = {{"delim(t)", 8, &DelimitedTreeFromSnapshotImage},
+                          {"t", 1, &TreeFromSnapshotImage}};
+  int refused = 0, accepted = 0;
+  for (const Tree& input : CraftedInputs()) {
+    const std::string image = EncodeTreeSnapshot(input);
+    for (const Arena& arena : arenas) {
+      SnapshotInfo info;
+      auto clean = arena.load(std::make_shared<const std::string>(image),
+                              &info);
+      ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+      const auto n = static_cast<std::int32_t>(clean->size());
+      const auto num_labels = static_cast<std::int64_t>(clean->labels().size());
+      const SnapshotSectionInfo& sec = info.sections[arena.node_kind - 1];
+      ASSERT_EQ(sec.length, static_cast<std::uint64_t>(n) * 40);
+      std::vector<std::int32_t> records;
+      for (std::int32_t u = 0; u < n; ++u) {
+        if (n <= 12 || u < 6 || u >= n - 5) records.push_back(u);
+      }
+      for (std::int32_t u : records) {
+        const std::int32_t values[] = {
+            kNoNode, -2,    0,     1,
+            u - 1,   u,     u + 1, n - 1,
+            n,       n + 1, std::numeric_limits<std::int32_t>::min(),
+            std::numeric_limits<std::int32_t>::max()};
+        for (std::size_t word = 0; word < 10; ++word) {
+          for (std::int32_t value : values) {
+            std::string mutated = image;
+            const std::size_t at =
+                static_cast<std::size_t>(sec.offset) + 40 * u + 4 * word;
+            SetU32Le(mutated, at, static_cast<std::uint32_t>(value));
+            RestampSection(mutated, arena.node_kind);
+            std::int32_t first_bad = n;
+            for (std::int32_t v = 0; v < n && first_bad == n; ++v) {
+              RawRecord nd;
+              std::memcpy(&nd, mutated.data() + sec.offset + 40 * v, 40);
+              if (!ReferenceRecordOk(nd, v, n, num_labels)) first_bad = v;
+            }
+            auto loaded = arena.load(
+                std::make_shared<const std::string>(mutated), nullptr);
+            SCOPED_TRACE(std::string(arena.name) + " n=" + std::to_string(n) +
+                         " record " + std::to_string(u) + " word " +
+                         std::to_string(word) + " = " + std::to_string(value));
+            if (first_bad == n) {
+              EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+              ++accepted;
+            } else {
+              ASSERT_FALSE(loaded.ok());
+              EXPECT_EQ(loaded.status().message(),
+                        "snapshot node record " + std::to_string(first_bad) +
+                            " fails validation");
+              ++refused;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both outcomes are exercised in volume.
+  EXPECT_GT(refused, 1000);
+  EXPECT_GT(accepted, 1000);
+}
+
+TEST(SnapshotValidation, OutOfRangePostorderRankIsRefused) {
+  for (const Tree& input : CraftedInputs()) {
+    const std::string image = EncodeTreeSnapshot(input);
+    SnapshotInfo info;
+    auto clean = DelimitedTreeFromSnapshotImage(
+        std::make_shared<const std::string>(image), &info);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    const auto n = static_cast<std::int32_t>(clean->size());
+    const SnapshotSectionInfo& sec = info.sections[11 - 1];
+    ASSERT_STREQ(SnapshotSectionName(sec.kind), "delim-postorder-ranks");
+    for (std::int32_t u : {0, n / 2, n - 1}) {
+      for (std::int32_t rank : {kNoNode, n, n + 1,
+                                std::numeric_limits<std::int32_t>::min(),
+                                std::numeric_limits<std::int32_t>::max(), 0,
+                                n - 1}) {
+        std::string mutated = image;
+        SetU32Le(mutated, static_cast<std::size_t>(sec.offset) + 4 * u,
+                 static_cast<std::uint32_t>(rank));
+        RestampSection(mutated, sec.kind);
+        auto loaded = DelimitedTreeFromSnapshotImage(
+            std::make_shared<const std::string>(mutated));
+        SCOPED_TRACE("n=" + std::to_string(n) + " rank of " +
+                     std::to_string(u) + " = " + std::to_string(rank));
+        if (rank >= 0 && rank < n) {
+          EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+        } else {
+          ASSERT_FALSE(loaded.ok());
+          EXPECT_EQ(loaded.status().message(),
+                    "snapshot post-order rank out of range");
+        }
+      }
+    }
+  }
 }
 
 TEST(SnapshotValidation, VersionSkewIsRejected) {

@@ -19,7 +19,7 @@
 #   asan     Debug + ASan/UBSan; full ctest pass, then an explicit
 #            re-run of the `asan-focus` label (differential oracles,
 #            fault injection, crash recovery) with sanitizers fatal,
-#            and the serve and supervise smokes.
+#            and the snapshot, serve and supervise smokes.
 #   tsan     Debug + TSan; the `threaded` label only (thread-pool
 #            engine, crash recovery, metrics/trace concurrency).
 #   fuzz     Clang + libFuzzer harnesses; each target gets 30s from its
@@ -87,6 +87,10 @@ for preset in $presets; do
       # (explain_test); label `planner` in tests/CMakeLists.txt.
       (cd "$root/build-asan" && ctest -L planner --output-on-failure \
         -j "$jobs")
+      # The snapshot smoke under ASan/UBSan: the load's CRC and
+      # node-record kernels run with sanitizers fatal on real snapshots
+      # of every example tree.
+      sh "$root/tools/snapshot_smoke.sh" "$root/build-asan/tools/twq"
       # The same daemon smoke under ASan/UBSan: the accept loop, the
       # cancel paths, and the drain unwind all run with sanitizers
       # fatal.

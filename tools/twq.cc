@@ -497,6 +497,18 @@ int CmdBatch(int argc, char** argv) {
     return Fail("--resume requires --journal <path>");
   }
 
+  // Graceful shutdown from here on: the handler only latches an atomic,
+  // and a second signal _exits immediately from the handler itself.  A
+  // first signal while the inputs load stops the loading at the next
+  // manifest line (exit 75, no job run, no journal written); once the
+  // batch runs, it cancels the batch.
+  tw::GracefulShutdown::Install();
+  const auto interrupted = [](const char* detail) {
+    std::printf("interrupted by signal %d%s\n",
+                tw::GracefulShutdown::signal_number(), detail);
+    return tw::GracefulShutdown::kExitInterrupted;
+  };
+
   // The manifest loader derives a stable content-hash job id per line
   // (journal key) and rejects duplicate (program, tree) pairs.
   auto manifest = tw::LoadManifestFile(argv[0]);
@@ -610,6 +622,9 @@ int CmdBatch(int argc, char** argv) {
       jobs.push_back(job);
     }
     entries.push_back(std::move(entry));
+    if (tw::GracefulShutdown::requested()) {
+      return interrupted(" while loading inputs; no job ran");
+    }
   }
   if (entries.empty()) return Fail("manifest names no jobs");
 
@@ -620,9 +635,6 @@ int CmdBatch(int argc, char** argv) {
     journal = std::make_unique<tw::BatchJournal>(std::move(opened).value());
   }
 
-  // Graceful shutdown: the handler only latches an atomic, and a second
-  // signal _exits immediately from the handler itself.
-  tw::GracefulShutdown::Install();
   tw::BatchResult batch;
   if (!jobs.empty()) {
     tw::BatchEngine engine({.num_threads = num_threads});
@@ -767,10 +779,7 @@ int CmdBatch(int argc, char** argv) {
     return Fail("journal: " + journal->first_error().ToString());
   }
   if (tw::GracefulShutdown::requested()) {
-    std::printf("interrupted by signal %d; journal flushed — rerun with "
-                "--resume to continue\n",
-                tw::GracefulShutdown::signal_number());
-    return tw::GracefulShutdown::kExitInterrupted;
+    return interrupted("; journal flushed — rerun with --resume to continue");
   }
   return failures == 0 ? 0 : 1;
 }
@@ -834,7 +843,8 @@ int CmdServe(int argc, char** argv) {
   // file name.  Serial and before listening — the serving hot path
   // never touches the filesystem.  The same loader re-runs on SIGHUP to
   // build the next generation, so it reports its own errors and returns
-  // null instead of sinking the daemon.
+  // null instead of sinking the daemon.  It also returns null, at the
+  // next tree, once a SIGINT/SIGTERM has arrived.
   auto load_corpus =
       [&](std::uint64_t generation) -> std::shared_ptr<tw::ResidentTreeCache> {
     auto corpus = std::make_shared<tw::ResidentTreeCache>(
@@ -867,6 +877,7 @@ int CmdServe(int argc, char** argv) {
       const std::string path = corpus_dir + "/" + name;
       auto entry =
           corpus->GetOrLoad(name, [&]() { return LoadDelimited(path); });
+      if (tw::GracefulShutdown::requested()) return nullptr;
       if (!entry.ok()) {
         // A file that cannot be loaded, or does not fit in what is left
         // of --cache-budget-mb, degrades the corpus; it does not sink
@@ -891,7 +902,19 @@ int CmdServe(int argc, char** argv) {
     return corpus;
   };
 
+  // The handlers go in before the preload: a first signal while the
+  // corpus loads stops it and exits 75 without listening, instead of
+  // taking the default action.  From `listening on`, the signal loop
+  // below turns the first SIGINT/SIGTERM into a drain and each SIGHUP
+  // into a live corpus reload.
+  tw::GracefulShutdown::Install();
   std::shared_ptr<tw::ResidentTreeCache> corpus = load_corpus(0);
+  if (tw::GracefulShutdown::requested()) {
+    std::fprintf(stderr, "twq serve: signal %d before listening\n",
+                 tw::GracefulShutdown::signal_number());
+    tw::GracefulShutdown::Uninstall();
+    return tw::GracefulShutdown::kExitInterrupted;
+  }
   if (corpus == nullptr) return 1;
 
   tw::QueryServer server(options, corpus);
@@ -908,8 +931,8 @@ int CmdServe(int argc, char** argv) {
   // live corpus reload — build a fresh generation from the (possibly
   // changed) directory here on the driver thread, then swap it in
   // atomically while in-flight queries finish on the generation they
-  // pinned.  A failed build keeps the old generation serving.
-  tw::GracefulShutdown::Install();
+  // pinned.  A failed build keeps the old generation serving; a build
+  // cut short by a SIGINT/SIGTERM is dropped, and the drain follows.
   tw::Counter* reload_metric =
       tw::MetricsRegistry::Global().FindOrCreateCounter(
           "treewalk_server_reload_requests_total",
@@ -934,9 +957,11 @@ int CmdServe(int argc, char** argv) {
               .count();
       if (next == nullptr) {
         --generation;
-        std::fprintf(stderr,
-                     "twq serve: reload failed; keeping generation %llu\n",
-                     static_cast<unsigned long long>(generation));
+        if (!tw::GracefulShutdown::requested()) {
+          std::fprintf(stderr,
+                       "twq serve: reload failed; keeping generation %llu\n",
+                       static_cast<unsigned long long>(generation));
+        }
       } else {
         const long long trees =
             static_cast<long long>(next->resident_trees());
