@@ -9,10 +9,10 @@ namespace treewalk {
 
 /// CRC32C (Castagnoli polynomial, reflected 0x82F63B78) of `data`.
 /// On x86-64 hosts with SSE4.2 (checked once with cpuid) the crc32
-/// instruction runs three streams side by side over 8 KiB and then
-/// 256-byte stripes, joined with zero-shift tables, and one stream over
-/// the tail under 768 bytes; every other host runs a portable
-/// slicing-by-8 table loop.  Both give the same value on every platform.
+/// instruction runs three streams side by side over 8 KiB stripes,
+/// joined with zero-shift tables, and one stream over the tail under
+/// 24 KiB; every other host runs a portable slicing-by-8 table loop.
+/// Both give the same value on every platform.
 /// Known-answer vector (RFC 3720 B.4): Crc32c("123456789") == 0xE3069283.
 ///
 /// Shared framing primitive of every on-disk format in the repo: the

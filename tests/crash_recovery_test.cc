@@ -343,14 +343,15 @@ TEST_F(CrashRecoveryTest, SecondSigtermAbortsImmediately) {
 
 #if defined(TREEWALK_TWQ_PATH)
 /// `twq batch` installs its handlers before it reads its manifest, so a
-/// first SIGTERM while the inputs load drains: exit 75 with the
-/// `interrupted by signal` line, never death by the signal's default
-/// action.  The manifest is a FIFO, so the test knows when twq has
-/// opened it; the test then writes the manifest and signals at once,
-/// while three 10^5-node `.term` trees (tens of milliseconds each to
-/// parse and delimit) are still to load.  No sleep decides where the
-/// signal lands, so a slow start (a sanitizer build) cannot move it
-/// ahead of the handlers.
+/// first SIGTERM while the inputs load drains: exit 75, never death by
+/// the signal's default action.  The loading stops at the next manifest
+/// line, so no job runs and the `--journal` file is never created.  The
+/// manifest is a FIFO, so the test knows when twq has opened it; the
+/// test then writes the manifest and signals at once, while three
+/// 10^5-node `.term` trees (tens of milliseconds each to parse and
+/// delimit) are still to load.  No sleep decides where the signal
+/// lands, so a slow start (a sanitizer build) cannot move it ahead of
+/// the handlers, and the first tree is still loading when it arrives.
 TEST_F(CrashRecoveryTest, SigtermWhileBatchLoadsItsInputsExits75) {
   const std::string program = Path("accept.twp");
   std::ofstream(program) << "class tw\nstates q0 qf\n"
@@ -367,6 +368,7 @@ TEST_F(CrashRecoveryTest, SigtermWhileBatchLoadsItsInputsExits75) {
   const std::string manifest_path = Path("batch.manifest");
   ASSERT_EQ(::mkfifo(manifest_path.c_str(), 0600), 0);
   const std::string out_path = Path("batch.out");
+  const std::string journal_path = Path("batch.journal");
 
   pid_t child = fork();
   ASSERT_GE(child, 0);
@@ -376,7 +378,8 @@ TEST_F(CrashRecoveryTest, SigtermWhileBatchLoadsItsInputsExits75) {
     if (out < 0) _exit(126);
     ::dup2(out, STDOUT_FILENO);
     ::execl(TREEWALK_TWQ_PATH, TREEWALK_TWQ_PATH, "batch",
-            manifest_path.c_str(), "--quiet", static_cast<char*>(nullptr));
+            manifest_path.c_str(), "--quiet", "--journal",
+            journal_path.c_str(), static_cast<char*>(nullptr));
     _exit(127);
   }
   // A non-blocking open of the write end fails with ENXIO until twq has
@@ -407,8 +410,9 @@ TEST_F(CrashRecoveryTest, SigtermWhileBatchLoadsItsInputsExits75) {
   std::ifstream in(out_path);
   const std::string output((std::istreambuf_iterator<char>(in)),
                            std::istreambuf_iterator<char>());
-  EXPECT_NE(output.find("interrupted by signal 15"), std::string::npos)
-      << output;
+  EXPECT_EQ(output, "interrupted by signal 15 while loading inputs; no job "
+                    "ran\n");
+  EXPECT_FALSE(std::filesystem::exists(journal_path));
 }
 #endif
 

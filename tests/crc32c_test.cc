@@ -113,12 +113,13 @@ TEST(Crc32c, MatchesBitwiseReferenceOnRandomBuffers) {
 }
 
 // The hardware path runs three streams over three 8 KiB stripes, then
-// over three 256-byte stripes, then one stream over the tail; the
-// portable path folds 8 bytes at a time.  Lengths on both sides of each
-// stripe edge, from every start offset modulo 8, whole and split inside
-// a stripe, must give the bit-by-bit model's value on both paths — the
-// portable one is the only path a host without SSE4.2 runs, and this is
-// the only test that reaches it on one with.
+// one stream over the tail under 24 KiB; the portable path folds 8
+// bytes at a time.  Lengths on both sides of the stripe edge, around
+// 768 bytes (tail only) and past two rounds of stripes, from every
+// start offset modulo 8, whole and split inside a stripe, must give the
+// bit-by-bit model's value on both paths — the portable one is the only
+// path a host without SSE4.2 runs, and this is the only test that
+// reaches it on one with.
 TEST(Crc32c, StripeEdgesMatchReferenceOnEveryPath) {
   constexpr std::size_t kShort = 3 * 256;
   constexpr std::size_t kLong = 3 * 8192;
@@ -127,8 +128,8 @@ TEST(Crc32c, StripeEdgesMatchReferenceOnEveryPath) {
     for (int delta : {-8, -1, 0, 1, 8}) lengths.push_back(edge + delta);
   }
   lengths.push_back(2 * kLong + kShort + 5);
-  // Splits land inside a long stripe, inside a short one, and on either
-  // side of a stripe edge.
+  // Splits land inside the tail, inside a stripe, and on either side
+  // of a stripe edge.
   const std::size_t splits[] = {1,    5,    100,  256 + 3, 767,
                                 4097, 8191, 8193, kLong + 300,
                                 kLong + kShort + 1};
